@@ -26,6 +26,7 @@ from .reduced import (
     reduced_value,
 )
 from .stability import (
+    ResidualMemo,
     StabilityReport,
     correction_ratio_check,
     exponent_check,
@@ -45,6 +46,7 @@ from .scheme import (
 from .jump import (
     CostBound,
     JumpChain,
+    JumpCosts,
     SearchConfig,
     augmented_variation,
     incremental_cost,

@@ -45,11 +45,12 @@ from .reduced import MinimizerConfig, reduce_energy
 from .scheme import (
     DiscreteTrajectory,
     SchemeConfig,
+    _scheme_correction,
     detect_jumps,
     interpolate,
     solve_incremental,
 )
-from .stability import residual_stability
+from .stability import ResidualMemo, use_memo
 from .verify import Certificate, TolConfig, balance_residual, verify_E, verify_VE
 
 __all__ = ["main", "load_config", "RunConfig"]
@@ -314,8 +315,12 @@ def _csv_columns(problem: RisProblem) -> list[str]:
     return cols
 
 
-def write_trajectory_csv(path: Path, disc: DiscreteTrajectory) -> None:
+def write_trajectory_csv(
+    path: Path, disc: DiscreteTrajectory, memo: Optional[ResidualMemo] = None
+) -> None:
+    """Write the node table; ``memo`` keeps the node residuals for reuse."""
     prob = disc.problem
+    memo = use_memo(memo, prob, disc.config.minimizer)
     flags = np.zeros(len(disc.times), dtype=int)
     for a, b in detect_jumps(disc):
         flags[a + 1 : b + 2] = 1
@@ -325,9 +330,7 @@ def write_trajectory_csv(path: Path, disc: DiscreteTrajectory) -> None:
         s = disc.states[n]
         energy = prob.energy(float(t), s.u, s.z)
         power = prob.power(float(t), s.u, s.z)
-        resid = residual_stability(
-            prob, float(t), s.z, disc.config.minimizer
-        ).residual
+        resid = memo(float(t), s.z)
         row = [float(t), *s.z.tolist(), *s.u.tolist(), energy, power,
                float(disc.step_diss[n - 1]) if n > 0 else 0.0,
                float(cum[n]), resid]
@@ -411,11 +414,18 @@ def certificate_lines(cert: Certificate) -> list[str]:
 # subcommands
 
 
-def _certify(run: RunConfig, disc: DiscreteTrajectory) -> Certificate:
-    traj = interpolate(disc)
+def _certify(
+    run: RunConfig,
+    problem: RisProblem,
+    traj: Trajectory,
+    memo: Optional[ResidualMemo] = None,
+) -> Certificate:
+    """Certify ``traj`` against ``problem``, the model with the scheme's
+    correction installed.  The E certificate drops the correction, so a
+    memo of ``problem`` only serves the corrected certificate."""
     if run.scheme.scheme == "E":
-        return verify_E(disc.problem, traj, run.tol)
-    return verify_VE(disc.problem, traj, run.tol)
+        return verify_E(problem, traj, run.tol)
+    return verify_VE(problem, traj, run.tol, memo)
 
 
 def cmd_solve(args) -> int:
@@ -423,8 +433,10 @@ def cmd_solve(args) -> int:
     out = Path(args.out_dir or run.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     disc = solve_incremental(run.problem, run.scheme)
-    write_trajectory_csv(out / f"{run.prefix}_trajectory.csv", disc)
-    cert = _certify(run, disc)
+    # the certificate's node probes are the CSV's residuals
+    memo = ResidualMemo(disc.problem, disc.config.minimizer)
+    write_trajectory_csv(out / f"{run.prefix}_trajectory.csv", disc, memo)
+    cert = _certify(run, disc.problem, interpolate(disc), memo)
     text = "\n".join(certificate_lines(cert)) + "\n"
     (out / f"{run.prefix}_certificate.txt").write_text(text)
     sys.stdout.write(text)
@@ -540,11 +552,9 @@ def cmd_jumpcost(args) -> int:
 def cmd_verify(args) -> int:
     run = load_config(args.config, args.seed)
     traj = read_trajectory_csv(Path(args.trajectory), run.problem)
-    if run.scheme.scheme == "E":
-        cert = verify_E(run.problem, traj, run.tol)
-    else:
-        prob = run.problem.with_correction(run.scheme.correction)
-        cert = verify_VE(prob, traj, run.tol)
+    # the problem the scheme solved, as in solve_incremental
+    problem = run.problem.with_correction(_scheme_correction(run.scheme))
+    cert = _certify(run, problem, traj)
     text = "\n".join(certificate_lines(cert)) + "\n"
     sys.stdout.write(text)
     if args.out_dir:

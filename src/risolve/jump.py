@@ -3,7 +3,9 @@
 The true jump cost is an infimum over curves on compact parameter sets; we
 search over pure-jump chains plus discretized sliding segments (optimal
 transitions decompose into exactly those pieces) and report an upper bound
-together with a certified lower bound.
+together with a lower estimate.  The estimate starts from the dissipation,
+a true lower bound, and may be raised by extrapolating two DP grid values;
+that step is not a bound.
 """
 
 from __future__ import annotations
@@ -19,12 +21,13 @@ from scipy.sparse.csgraph import dijkstra
 
 from .core import INF, RisProblem, Trajectory, is_finite
 from .reduced import MinimizerConfig, global_min_corrected, reduced_value
-from .stability import residual_stability
+from .stability import ResidualMemo, use_memo
 
 __all__ = [
     "JumpChain",
     "CostBound",
     "SearchConfig",
+    "JumpCosts",
     "transition_cost",
     "viscous_chain",
     "jump_cost",
@@ -58,7 +61,7 @@ class JumpChain:
 @dataclass(frozen=True)
 class CostBound:
     upper: float
-    lower: float
+    lower: float  # an estimate; see jump_cost
     witness: Optional[JumpChain] = None
 
     @property
@@ -76,21 +79,9 @@ class SearchConfig:
     # each 2-d grid node costs a full 2-d residual minimization; opt in
     dp_max_dim: int = 1
 
-
-class _ResidualCache:
-    """Memo for the expensive per-point residual at a fixed time."""
-
-    def __init__(self, problem: RisProblem, t: float, cfg: MinimizerConfig):
-        self.problem, self.t, self.cfg = problem, t, cfg
-        self._memo: dict[tuple, float] = {}
-
-    def __call__(self, z: NDArray) -> float:
-        key = tuple(np.round(np.atleast_1d(z), 12))
-        v = self._memo.get(key)
-        if v is None:
-            v = residual_stability(self.problem, self.t, z, self.cfg).residual
-            self._memo[key] = v
-        return v
+    def dp_applies(self, n_z: int) -> bool:
+        """Whether the DP chain search (and so ``dp_resolution``) is used."""
+        return self.use_dp and n_z <= min(2, self.dp_max_dim)
 
 
 def _build_chain(
@@ -98,14 +89,14 @@ def _build_chain(
     t: float,
     points: Sequence[NDArray],
     kinds: Sequence[str],
-    res_cache: _ResidualCache,
+    memo: ResidualMemo,
 ) -> JumpChain:
     pts = [np.atleast_1d(np.asarray(p, float)) for p in points]
     ld, lg = [], []
     for a, b in zip(pts, pts[1:]):
         ld.append(problem.dissipation(a, b))
         lg.append(problem.correction(a, b))
-    pr = [res_cache(p) for p in pts[:-1]]
+    pr = [memo(t, p) for p in pts[:-1]]
     return JumpChain(
         points=tuple(pts),
         kinds=tuple(kinds),
@@ -117,8 +108,8 @@ def _build_chain(
 
 def transition_cost(problem: RisProblem, t: float, chain: JumpChain) -> float:
     """Evaluate a chain's cost, re-deriving every stored quantity."""
-    cache = _ResidualCache(problem, t, MinimizerConfig())
-    fresh = _build_chain(problem, t, chain.points, chain.kinds, cache)
+    memo = ResidualMemo(problem)
+    fresh = _build_chain(problem, t, chain.points, chain.kinds, memo)
     for got, exp, name in (
         (fresh.link_diss, chain.link_diss, "link_diss"),
         (fresh.link_gap, chain.link_gap, "link_gap"),
@@ -136,9 +127,14 @@ def viscous_chain(
     z_start,
     max_steps: int = 200,
     cfg: MinimizerConfig | None = None,
+    memo: ResidualMemo | None = None,
 ) -> JumpChain:
-    """Iterate the minimal-set map at fixed t until it fixes a point."""
+    """Iterate the minimal-set map at fixed t until it fixes a point.
+
+    ``memo`` must price ``problem`` under ``cfg``; a fresh one is made if None.
+    """
     cfg = cfg or MinimizerConfig()
+    memo = use_memo(memo, problem, cfg)
     z = np.atleast_1d(np.asarray(z_start, float))
     pts = [z]
     converged = False
@@ -149,8 +145,7 @@ def viscous_chain(
             break
         z = res.argmin
         pts.append(z)
-    cache = _ResidualCache(problem, t, cfg)
-    chain = _build_chain(problem, t, pts, ("viscous",) * len(pts), cache)
+    chain = _build_chain(problem, t, pts, ("viscous",) * len(pts), memo)
     if not converged:
         chain = JumpChain(
             points=chain.points,
@@ -253,14 +248,20 @@ def jump_cost(
     z_minus,
     z_plus,
     search_cfg: SearchConfig | None = None,
+    memo: ResidualMemo | None = None,
 ) -> CostBound:
-    """Upper/lower bounds on the jump cost between two states at time t.
+    """Upper bound and lower estimate of the jump cost between two states
+    at time t.
 
     Candidates: the direct two-point chain, the viscous chain from z_minus
     spliced toward z_plus, a dynamic-programming search on a z-grid
-    (n_z <= 2), and a fine sliding path equidistant in d.  The lower bound
-    is d(z_minus, z_plus), tightened by the grid-refined DP value when the
-    DP search applies (see the ledger on this deviation).
+    (n_z <= 2), and a fine sliding path equidistant in d.  The upper value
+    is the cheapest candidate.  The lower value starts at d(z_minus, z_plus),
+    a true lower bound; when the DP search applies it is raised to the
+    smaller of the DP values at two grid resolutions minus their difference,
+    an extrapolation that is an estimate, not a bound.  ``memo`` must price
+    ``problem`` under the search's minimizer config; a fresh one is made if
+    None.
     """
     cfg = search_cfg or SearchConfig()
     z_minus = np.atleast_1d(np.asarray(z_minus, float))
@@ -269,22 +270,24 @@ def jump_cost(
     if np.allclose(z_minus, z_plus, atol=1e-14):
         chain = JumpChain((z_minus,), ("sliding",), (), (), ())
         return CostBound(upper=0.0, lower=0.0, witness=chain)
-    cache = _ResidualCache(problem, t, cfg.minimizer)
+    memo = use_memo(memo, problem, cfg.minimizer)
     candidates: list[JumpChain] = []
 
     if is_finite(d_direct):
         candidates.append(
-            _build_chain(problem, t, [z_minus, z_plus], ["viscous"] * 2, cache)
+            _build_chain(problem, t, [z_minus, z_plus], ["viscous"] * 2, memo)
         )
         # sliding path: equidistant points on the segment
         K = cfg.sliding_points
         lam = np.linspace(0.0, 1.0, K + 1)
         pts = [z_minus + l * (z_plus - z_minus) for l in lam]
         candidates.append(
-            _build_chain(problem, t, pts, ["sliding"] * (K + 1), cache)
+            _build_chain(problem, t, pts, ["sliding"] * (K + 1), memo)
         )
 
-    vc = viscous_chain(problem, t, z_minus, cfg.max_chain_steps, cfg.minimizer)
+    vc = viscous_chain(
+        problem, t, z_minus, cfg.max_chain_steps, cfg.minimizer, memo
+    )
     if vc.converged and len(vc.points) > 1:
         term = vc.points[-1]
         if np.allclose(term, z_plus, atol=1e-8):
@@ -292,16 +295,16 @@ def jump_cost(
         elif is_finite(problem.dissipation(term, z_plus)):
             pts = list(vc.points) + [z_plus]
             candidates.append(
-                _build_chain(problem, t, pts, ["viscous"] * len(pts), cache)
+                _build_chain(problem, t, pts, ["viscous"] * len(pts), memo)
             )
 
     dp_values = []
-    if cfg.use_dp and problem.n_z <= min(2, cfg.dp_max_dim):
+    if cfg.dp_applies(problem.n_z):
         for res in (cfg.dp_resolution, 2 * cfg.dp_resolution - 1):
             path = _dp_chain(problem, t, z_minus, z_plus, res)
             if path is not None:
                 ch = _build_chain(
-                    problem, t, path, ["viscous"] * len(path), cache
+                    problem, t, path, ["viscous"] * len(path), memo
                 )
                 dp_values.append(ch.cost)
                 candidates.append(ch)
@@ -318,19 +321,62 @@ def jump_cost(
     return CostBound(upper=best.cost, lower=lower, witness=best)
 
 
+class JumpCosts:
+    """Jump-cost bounds of one problem, each (t, z_minus, z_plus, search
+    config) priced once.
+
+    Residuals come from ``memo``, so every search config priced here must
+    use the memo's minimizer config.  A store lives for one certificate
+    or one call, never longer.
+    """
+
+    def __init__(self, memo: ResidualMemo):
+        self.memo = memo
+        self._bounds: dict[tuple, CostBound] = {}
+
+    def __call__(
+        self, t: float, z_minus, z_plus, search_cfg: SearchConfig | None = None
+    ) -> CostBound:
+        cfg = search_cfg or SearchConfig()
+        z_minus = np.atleast_1d(np.asarray(z_minus, float))
+        z_plus = np.atleast_1d(np.asarray(z_plus, float))
+        key = (float(t), z_minus.tobytes(), z_plus.tobytes(), cfg)
+        bound = self._bounds.get(key)
+        if bound is None:
+            bound = jump_cost(self.memo.problem, t, z_minus, z_plus, cfg, self.memo)
+            self._bounds[key] = bound
+        return bound
+
+
+def _use_costs(
+    costs: JumpCosts | None, problem: RisProblem, search_cfg: SearchConfig | None
+) -> JumpCosts:
+    if costs is None:
+        cfg = search_cfg or SearchConfig()
+        return JumpCosts(ResidualMemo(problem, cfg.minimizer))
+    if costs.memo.problem is not problem:
+        raise ValueError("jump-cost store belongs to another problem")
+    return costs
+
+
 def incremental_cost(
     problem: RisProblem,
     t: float,
     z_minus,
     z_plus,
     search_cfg: SearchConfig | None = None,
+    costs: JumpCosts | None = None,
 ) -> float:
-    """Delta_c = c(t, z_minus, z_plus) - d(z_minus, z_plus) >= 0."""
+    """Delta_c = c(t, z_minus, z_plus) - d(z_minus, z_plus) >= 0.
+
+    ``costs`` is a store for ``problem`` to price the pair from.
+    """
     z_minus = np.atleast_1d(np.asarray(z_minus, float))
     z_plus = np.atleast_1d(np.asarray(z_plus, float))
     if np.allclose(z_minus, z_plus, atol=1e-14):
         return 0.0
-    bound = jump_cost(problem, t, z_minus, z_plus, search_cfg)
+    costs = _use_costs(costs, problem, search_cfg)
+    bound = costs(t, z_minus, z_plus, search_cfg)
     d = problem.dissipation(z_minus, z_plus)
     if not is_finite(bound.upper):
         return INF
@@ -343,12 +389,15 @@ def augmented_variation(
     t0: float,
     t1: float,
     search_cfg: SearchConfig | None = None,
+    costs: JumpCosts | None = None,
 ) -> float:
     """Var_{d,c} over [t0, t1]: step dissipations plus Delta_c at jumps.
 
     Membership of a jump uses the half-open window (t0, t1], which makes
-    additivity across an interior split exact.
+    additivity across an interior split exact.  ``costs`` is a store for
+    ``problem`` to price the jumps from.
     """
+    costs = _use_costs(costs, problem, search_cfg)
     times = traj.times
     total = 0.0
     for n in range(1, len(times)):
@@ -357,6 +406,6 @@ def augmented_variation(
     for rec in traj.jump_records:
         if t0 < rec.t <= t1 + 1e-12:
             total += incremental_cost(
-                problem, rec.t, rec.z_left, rec.z_right, search_cfg
+                problem, rec.t, rec.z_left, rec.z_right, search_cfg, costs
             )
     return total

@@ -221,7 +221,6 @@ def _search_box(problem: RisProblem, z_prev: NDArray) -> list[tuple[float, float
         # unidirectional d is infinite above z_prev: clip the search space
         hi_eff = min(hi, zi) if problem.unidirectional else hi
         if hi_eff <= lo:
-            hi_eff = lo + 1e-300 if zi <= lo else zi
             box.append((lo, max(lo, zi)))
         else:
             box.append((lo, hi_eff))

@@ -20,6 +20,8 @@ from .reduced import MinimizerConfig, global_min_corrected, reduce_energy, reduc
 __all__ = [
     "StabilityReport",
     "residual_stability",
+    "ResidualMemo",
+    "use_memo",
     "minimal_set",
     "is_Q_stable",
     "correction_ratio_check",
@@ -58,6 +60,39 @@ def residual_stability(
     return StabilityReport(
         residual=max(residual, 0.0), witness=r.argmin, y_value=r.value
     )
+
+
+class ResidualMemo:
+    """R(t, z) of one problem under one minimizer config, each computed once.
+
+    Keys are the exact time and the bytes of z; only the residual is kept.
+    A memo lives for one command or one certificate, never longer.
+    """
+
+    def __init__(self, problem: RisProblem, cfg: MinimizerConfig | None = None):
+        self.problem = problem
+        self.cfg = cfg or MinimizerConfig()
+        self._values: dict[tuple[float, bytes], float] = {}
+
+    def __call__(self, t: float, z) -> float:
+        z = np.atleast_1d(np.asarray(z, dtype=float))
+        key = (float(t), z.tobytes())
+        value = self._values.get(key)
+        if value is None:
+            value = residual_stability(self.problem, float(t), z, self.cfg).residual
+            self._values[key] = value
+        return value
+
+
+def use_memo(
+    memo: ResidualMemo | None, problem: RisProblem, cfg: MinimizerConfig | None
+) -> ResidualMemo:
+    """``memo`` when it prices ``problem`` under ``cfg``; a new one for None."""
+    if memo is None:
+        return ResidualMemo(problem, cfg)
+    if memo.problem is not problem or memo.cfg != (cfg or MinimizerConfig()):
+        raise ValueError("residual memo belongs to another problem or minimizer config")
+    return memo
 
 
 def minimal_set(

@@ -1,18 +1,32 @@
 """End-to-end CLI behaviour: configs, CSV round trips, exit codes."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from risolve import (
+    cli,
+    interpolate,
+    jump,
+    solve_incremental,
+    stability,
+    verify,
+    verify_VE,
+)
 from risolve.cli import (
     EXIT_ERROR,
     EXIT_FAIL,
     EXIT_PASS,
+    certificate_lines,
     load_config,
     main,
     parse_correction,
     read_trajectory_csv,
 )
 from risolve.core import PowerLq, QuadraticMu, TrivialH
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 TOY_CONFIG = """\
@@ -44,6 +58,15 @@ initial_z = 1.0
 [output]
 prefix = delam
 """
+
+
+# the convex toy under the viscosity-penalized scheme; solve and verify must
+# both certify against the QuadraticMu(epsilon / tau) problem it solves
+TOY_BV_CONFIG = (
+    (CONFIG_DIR / "toy_convex.ini").read_text()
+    .replace("scheme = VE", "scheme = BV\nepsilon = 2e-2")
+    .replace("tau = 5e-4", "tau = 1e-3")
+)
 
 
 @pytest.fixture
@@ -106,14 +129,25 @@ class TestLoadConfig:
 
 
 class TestSolveAndVerify:
-    def test_solve_then_verify_agree(self, toy_cfg, tmp_path):
+    @pytest.mark.parametrize(
+        "text, prefix, exit_code",
+        [
+            pytest.param(TOY_CONFIG, "toy", EXIT_PASS, id="E"),
+            pytest.param(TOY_BV_CONFIG, "toy_convex", EXIT_FAIL, id="BV"),
+            pytest.param(DELAM_CONFIG, "delam", EXIT_PASS, id="VE"),
+        ],
+    )
+    def test_solve_then_verify_agree(self, tmp_path, capsys, text, prefix, exit_code):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(text)
         out = tmp_path / "out"
-        assert main(["solve", "--config", str(toy_cfg), "--out-dir", str(out)]) == EXIT_PASS
-        csv = out / "toy_trajectory.csv"
-        cert = out / "toy_certificate.txt"
-        assert csv.is_file() and cert.is_file()
-        assert "passed = true" in cert.read_text()
-        assert main(["verify", "--config", str(toy_cfg), str(csv)]) == EXIT_PASS
+        assert main(["solve", "--config", str(cfg), "--out-dir", str(out)]) == exit_code
+        solved = capsys.readouterr().out
+        csv = out / f"{prefix}_trajectory.csv"
+        cert = out / f"{prefix}_certificate.txt"
+        assert csv.is_file() and cert.read_text() == solved
+        assert main(["verify", "--config", str(cfg), str(csv)]) == exit_code
+        assert capsys.readouterr().out == solved
 
     def test_csv_round_trip_is_lossless(self, toy_cfg, tmp_path):
         out = tmp_path / "out"
@@ -238,3 +272,53 @@ class TestJumpCost:
             "--t", "0.5", "--z-minus", "1.0,0.5", "--z-plus", "0.0,0.0",
         ])
         assert rc == EXIT_ERROR
+
+
+@pytest.fixture(scope="module")
+def counted_delam_solve(tmp_path_factory):
+    """One solve of the shipped delamination config, with every residual and
+    every jump-cost bound it computes recorded."""
+    residuals, costs = [], []
+    real_residual, real_cost = stability.residual_stability, jump.jump_cost
+
+    def residual(problem, t, z, cfg=None, *args, **kwargs):
+        z = np.atleast_1d(np.asarray(z, float))
+        residuals.append((id(problem), cfg, float(t), z.tobytes()))
+        return real_residual(problem, t, z, cfg, *args, **kwargs)
+
+    def cost(problem, t, z_minus, z_plus, search_cfg=None, *args, **kwargs):
+        costs.append((id(problem), float(t), z_minus.tobytes(), z_plus.tobytes(),
+                      search_cfg))
+        return real_cost(problem, t, z_minus, z_plus, search_cfg, *args, **kwargs)
+
+    out = tmp_path_factory.mktemp("delam")
+    config = CONFIG_DIR / "delamination0d.ini"
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (cli, jump, stability, verify):  # every binding
+            if hasattr(module, "residual_stability"):
+                mp.setattr(module, "residual_stability", residual)
+            if hasattr(module, "jump_cost"):
+                mp.setattr(module, "jump_cost", cost)
+        rc = main(["solve", "--config", str(config), "--out-dir", str(out)])
+    return rc, config, out, residuals, costs
+
+
+class TestOnePricePerCommand:
+    def test_each_residual_and_jump_priced_once(self, counted_delam_solve):
+        rc, _, out, residuals, costs = counted_delam_solve
+        assert rc == EXIT_PASS
+        # the CSV's node residuals serve the certificate's node probes
+        nodes = len((out / "delamination0d_trajectory.csv").read_text().splitlines()) - 2
+        assert len(residuals) >= nodes
+        assert len(residuals) == len(set(residuals))
+        # one debonding jump taking one step: a single pair to price
+        assert "jump_count = 1" in (out / "delamination0d_certificate.txt").read_text()
+        assert len(costs) == 1
+
+    def test_certificate_matches_library(self, counted_delam_solve):
+        _, config, out, _, _ = counted_delam_solve
+        run = load_config(config)
+        disc = solve_incremental(run.problem, run.scheme)
+        cert = verify_VE(disc.problem, interpolate(disc), run.tol)
+        expected = "\n".join(certificate_lines(cert)) + "\n"
+        assert (out / "delamination0d_certificate.txt").read_text() == expected

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from risolve import (
+    MinimizerConfig,
     QuadraticMu,
+    ResidualMemo,
     State,
     TrivialH,
     correction_ratio_check,
@@ -15,12 +17,40 @@ from risolve import (
     minimal_set,
     residual_stability,
 )
+from risolve import stability
 from risolve.models import (
     Damage1dSpec,
     Toy1dSpec,
     make_damage1d,
     make_toy1d,
 )
+
+
+class TestResidualMemo:
+    def test_computes_each_point_once(self, toy_convex, monkeypatch):
+        calls = []
+        real = stability.residual_stability
+
+        def counted(problem, t, z, cfg=None):
+            calls.append((t, tuple(z)))
+            return real(problem, t, z, cfg)
+
+        monkeypatch.setattr(stability, "residual_stability", counted)
+        memo = ResidualMemo(toy_convex)
+        first = memo(1.0, [0.0])
+        assert memo(1.0, np.array([0.0])) == first
+        assert first == real(toy_convex, 1.0, [0.0]).residual
+        memo(1.0, [1.5])
+        memo(0.5, [0.0])
+        assert len(calls) == 3
+
+    def test_refuses_another_problem_or_config(self, toy_convex):
+        memo = ResidualMemo(toy_convex, MinimizerConfig())
+        assert stability.use_memo(memo, toy_convex, None) is memo
+        with pytest.raises(ValueError):
+            stability.use_memo(memo, toy_convex, MinimizerConfig(grid_resolution=65))
+        with pytest.raises(ValueError):
+            stability.use_memo(memo, toy_convex.with_correction(None), None)
 
 
 class TestResidualStability:

@@ -6,8 +6,12 @@ import numpy as np
 import pytest
 
 from risolve import (
+    CostBound,
+    JumpRecord,
     QuadraticMu,
     SchemeConfig,
+    State,
+    TolConfig,
     Trajectory,
     TrivialH,
     balance_residual,
@@ -19,7 +23,9 @@ from risolve import (
     verify_E,
     verify_VE,
 )
+from risolve import jump, verify
 from risolve.models import Delamination0dSpec
+from risolve.reduced import reduce_energy
 
 
 @pytest.fixture
@@ -85,6 +91,48 @@ class TestCertificates:
         cert = verify_VE(prob, forged)
         assert not cert.passed
         assert not cert.verdict["stability"]
+
+
+class TestJumpPricing:
+    """A certificate prices each jump pair once, and refines a wide cost gap
+    only when the DP chain search, the one refinement changes, applies."""
+
+    @staticmethod
+    def _jump_traj(problem, z_inner):
+        times = np.array([0.0, 0.25, 0.5, 0.75])
+        n = problem.n_z
+        zs = [np.ones(n), np.ones(n), np.asarray(z_inner, float), np.zeros(n)]
+        states = tuple(
+            State(u=np.atleast_1d(reduce_energy(problem, t, z).u), z=z)
+            for t, z in zip(times, zs)
+        )
+        rec = JumpRecord(t=0.5, z_left=zs[1], z_inner=zs[2], z_right=zs[3], t_end=0.75)
+        return Trajectory(times=times, states=states, jump_records=(rec,),
+                          meta={"tau": 0.25})
+
+    @pytest.mark.parametrize(
+        "model, z_inner, pairs, calls_per_pair",
+        [
+            ("damage", (0.5, 0.5), 3, 1),  # n_z = 2: no DP search, no refine
+            ("damage", (0.0, 0.0), 1, 1),  # one-step jump: one distinct pair
+            ("delamination", (0.5,), 3, 2),  # n_z = 1: DP applies, refined
+        ],
+    )
+    def test_calls_per_distinct_pair(self, request, monkeypatch, model, z_inner,
+                                     pairs, calls_per_pair):
+        problem = request.getfixturevalue(model)
+        calls = []
+
+        def wide_gap(prob, t, z_minus, z_plus, search_cfg=None, memo=None):
+            calls.append((z_minus.tobytes(), z_plus.tobytes(), search_cfg))
+            return CostBound(upper=1.0, lower=0.0)
+
+        for module in (jump, verify):  # every binding of jump_cost
+            monkeypatch.setattr(module, "jump_cost", wide_gap)
+        tol = TolConfig(probe_count=2)
+        cert = verify_VE(problem, self._jump_traj(problem, z_inner), tol)
+        assert cert.jump_checks[0].cost_gap > tol.jump_tol
+        assert len(calls) == len(set(calls)) == pairs * calls_per_pair
 
 
 class TestCoincidence:
