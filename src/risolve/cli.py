@@ -421,10 +421,9 @@ def _certify(
     memo: Optional[ResidualMemo] = None,
 ) -> Certificate:
     """Certify ``traj`` against ``problem``, the model with the scheme's
-    correction installed.  The E certificate drops the correction, so a
-    memo of ``problem`` only serves the corrected certificate."""
+    correction installed (none for the E scheme)."""
     if run.scheme.scheme == "E":
-        return verify_E(problem, traj, run.tol)
+        return verify_E(problem, traj, run.tol, memo)
     return verify_VE(problem, traj, run.tol, memo)
 
 

@@ -20,7 +20,12 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from .core import INF, RisProblem, Trajectory, is_finite
-from .reduced import MinimizerConfig, global_min_corrected, reduced_value
+from .reduced import (
+    MinimizerConfig,
+    _correction_batch,
+    batch_maps,
+    global_min_corrected,
+)
 from .stability import ResidualMemo, use_memo
 
 __all__ = [
@@ -198,37 +203,28 @@ def _dp_chain(
     dst = next(i for i, p in enumerate(nodes) if np.allclose(p, z_plus, atol=1e-12))
     if src == dst:
         return [z_minus]
-    ivals = np.array([reduced_value(problem, t, p) for p in nodes])
+    pts = np.array(nodes)
+    reduced, diss = batch_maps(problem)
+    ivals = np.asarray(reduced(t, pts), dtype=float)
     if not (is_finite(ivals[src]) and is_finite(ivals[dst])):
         return None
-    # all-pairs link weights d + delta
+    # all-pairs link weights d + delta, one batched row per start node
     D = np.full((m, m), INF)
-    diss, corr = problem.dissipation, problem.correction
-    for i, a in enumerate(nodes):
-        if not is_finite(ivals[i]) and i != dst:
-            continue
-        for j, b in enumerate(nodes):
-            d = diss(a, b) if i != j else 0.0
-            if not is_finite(d):
-                continue
-            c = corr(a, b) if i != j else 0.0
-            if is_finite(c):
-                D[i, j] = d + c
+    for i in np.flatnonzero(np.isfinite(ivals) | (np.arange(m) == dst)):
+        d = np.asarray(diss(pts[i], pts), dtype=float)
+        row = d + _correction_batch(problem, pts[i], pts, d)
+        D[i] = np.where(np.isfinite(row), row, INF)
+        D[i, i] = 0.0
     # grid-restricted residual per node
     with np.errstate(invalid="ignore"):
         comp = np.where(np.isfinite(ivals)[None, :], ivals[None, :], INF) + D
     node_res = np.where(np.isfinite(ivals), ivals - comp.min(axis=1), INF)
     node_res = np.maximum(node_res, 0.0)
-    rows, cols, wts = [], [], []
-    for i in range(m):
-        if not is_finite(float(node_res[i])):
-            continue
-        for j in range(m):
-            if i != j and is_finite(float(D[i, j])):
-                rows.append(i)
-                cols.append(j)
-                wts.append(float(D[i, j]) + float(node_res[i]))
-    if not rows:
+    links = np.isfinite(D) & np.isfinite(node_res)[:, None]
+    np.fill_diagonal(links, False)
+    rows, cols = np.nonzero(links)
+    wts = D[rows, cols] + node_res[rows]
+    if not rows.size:
         return None
     graph = csr_matrix((wts, (rows, cols)), shape=(m, m))
     dist, pred = dijkstra(

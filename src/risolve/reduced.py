@@ -1,8 +1,13 @@
 """Reduced energy I(t, z) = min_u E(t, u, z) and global minimization backends.
 
 Two engines coexist on purpose: a brute-force grid oracle (exhaustive,
-certifiable, slow) and the production path (closed-form u-elimination plus
-grid/descent over z with a polish step).  Tests pit one against the other.
+certifiable, slow) and the production path.  Tests pit one against the other.
+
+The production path eliminates u in closed form and minimizes the step
+objective I(t, z) + d(z_prev, z) + delta(z_prev, z), defined once over
+batches of states (``step_objective``): for n_z <= 2 a coarse grid, then a
+batched zoom on its best points (``zoom_search``); for larger n_z a
+multistart Powell descent.
 """
 
 from __future__ import annotations
@@ -33,9 +38,15 @@ __all__ = [
     "reduce_energy",
     "reduced_value",
     "global_min_corrected",
+    "batch_maps",
+    "step_objective",
+    "zoom_search",
 ]
 
 _GRID_BUDGET = 10_000_000
+_ZOOM_STARTS = 4  # best coarse-grid points the zoom refines
+_ZOOM_POINTS = 17  # zoom window points per axis, the centre included
+_ZOOM_FACTOR = 2 / (_ZOOM_POINTS - 1)  # each level's half-width: the last spacing
 
 
 @dataclass(frozen=True)
@@ -197,22 +208,80 @@ def _correction_batch(
     raise TypeError(f"no batched form for correction spec {spec!r}")
 
 
-def _corrected_objective(problem: RisProblem, t: float, z_prev: NDArray):
-    diss, corr = problem.dissipation, problem.correction
+def batch_maps(problem: RisProblem):
+    """I(t, Z) and d(z, Z) over an (M, n_z) batch Z; a problem without
+    batched hooks loops its scalar maps over the batch."""
+    reduced = problem.reduced_vec
+    if reduced is None:
+        def reduced(t, pts):
+            return np.array([reduced_value(problem, t, p) for p in pts])
+    diss = problem.dissipation_vec
+    if diss is None:
+        def diss(z, pts):
+            return np.array([problem.dissipation(z, p) for p in pts])
+    return reduced, diss
 
-    def f(z):
-        d = diss(z_prev, z)
-        if not is_finite(d):
-            return INF
-        c = corr(z_prev, z)
-        if not is_finite(c):
-            return INF
-        v = reduced_value(problem, t, z)
-        if not is_finite(v):
-            return INF
-        return v + d + c
+
+def step_objective(
+    problem: RisProblem, t: float, z_prev: NDArray
+) -> Callable[[NDArray], NDArray]:
+    """Z -> I(t, Z) + d(z_prev, Z) + delta(z_prev, Z) over an (M, n_z) batch
+    of in-box states; every non-finite value is +infinity."""
+    reduced, diss = batch_maps(problem)
+
+    def f(pts):
+        d = np.asarray(diss(z_prev, pts), dtype=float)
+        vals = np.asarray(reduced(t, pts), dtype=float) + d
+        vals += _correction_batch(problem, z_prev, pts, d)
+        vals[~np.isfinite(vals)] = INF
+        return vals
 
     return f
+
+
+def _window_offsets(n: int) -> NDArray:
+    """Points of one zoom window in units of its spacing, centre first and
+    then by distance, so a tie in value keeps the point nearest the centre."""
+    half = (_ZOOM_POINTS - 1) // 2
+    axis = np.arange(-half, half + 1, dtype=float)
+    mesh = np.meshgrid(*([axis] * n), indexing="ij")
+    offs = np.stack([m.ravel() for m in mesh], axis=-1)
+    return offs[np.argsort(np.abs(offs).sum(axis=1), kind="stable")]
+
+
+_WINDOWS = {n: _window_offsets(n) for n in (1, 2)}  # the zoom runs for n_z <= 2
+
+
+def zoom_search(
+    objective: Callable[[NDArray], NDArray],
+    centers: NDArray,
+    values: NDArray,
+    half_width: NDArray,
+    lo: NDArray,
+    hi: NDArray,
+    tol: float,
+) -> tuple[NDArray, NDArray]:
+    """Refine every centre at once by nested windows until their half-width
+    drops below ``tol``.
+
+    Each level evaluates a window of ``_ZOOM_POINTS`` per axis spanning
+    +-half_width around each centre (clipped to [lo, hi]) in one batched
+    call, moves each centre to its window's best point, and shrinks the
+    half-width to the window's spacing.  A centre's value never rises.
+    """
+    centers = np.array(centers, dtype=float)
+    values = np.array(values, dtype=float)
+    k, n = centers.shape
+    offs = _WINDOWS[n][None, :, :]
+    h = np.asarray(half_width, dtype=float)
+    rows = np.arange(k)
+    while np.max(h) >= tol:
+        h = h * _ZOOM_FACTOR  # this window's spacing, the next half-width
+        pts = np.minimum(np.maximum(centers[:, None, :] + offs * h, lo), hi)
+        vals = objective(pts.reshape(-1, n)).reshape(k, -1)
+        best = np.argmin(vals, axis=1)
+        centers, values = pts[rows, best], vals[rows, best]
+    return centers, values
 
 
 def _search_box(problem: RisProblem, z_prev: NDArray) -> list[tuple[float, float]]:
@@ -250,79 +319,39 @@ def global_min_corrected(
     """
     cfg = cfg or MinimizerConfig()
     z_prev = np.atleast_1d(np.asarray(z_prev, dtype=float))
-    f = _corrected_objective(problem, t, z_prev)
-    stay = f(z_prev)
+    # staying put, priced by the scalar maps like residual_stability's
+    # I(t, z): a state that stays has a residual of exactly 0
+    stay = (
+        reduced_value(problem, t, z_prev)
+        + problem.dissipation(z_prev, z_prev)
+        + problem.correction(z_prev, z_prev)
+    )
     if not is_finite(stay):
         raise ValueError("infeasible step: previous state has infinite objective")
+    f = step_objective(problem, t, z_prev)
     box = _search_box(problem, z_prev)
     n = problem.n_z
 
     cands: list[tuple[NDArray, float]] = [(z_prev.copy(), stay)]
-    certified = False
-    if n <= 2 and cfg.method in ("grid", "closed-form"):
-        certified = True
-        if n == 1:
-            lo, hi = box[0]
-            if hi - lo < 1e-14:
-                xs = np.array([lo])
-            else:
-                xs = np.linspace(lo, hi, cfg.grid_resolution)
-            xs = np.unique(np.concatenate([xs, np.clip(z_prev, lo, hi)]))
-            if problem.reduced_vec is not None and problem.dissipation_vec is not None:
-                pts = xs[:, None]
-                ivals = np.asarray(problem.reduced_vec(t, pts), dtype=float)
-                d = np.asarray(problem.dissipation_vec(z_prev, pts), dtype=float)
-                vals = ivals + d + _correction_batch(problem, z_prev, pts, d)
-                vals[~np.isfinite(vals)] = INF
-            else:
-                vals = np.array([f(np.array([x])) for x in xs])
-            order = np.argsort(vals)
-            best_grid = float(vals[order[0]])
-            # polish near-best cells with a bounded scalar search; distant
-            # runners-up only enter unpolished for tie-breaking
-            seen = set()
-            polish_band = max(1e-3, 10 * cfg.near_optimal_band)
-            for i in order[:4]:
-                cands.append((np.array([xs[i]]), float(vals[i])))
-                if float(vals[i]) > best_grid + polish_band:
-                    continue
-                a = xs[max(int(i) - 1, 0)]
-                b = xs[min(int(i) + 1, len(xs) - 1)]
-                if b - a > 1e-13 and (a, b) not in seen:
-                    seen.add((a, b))
-                    r = optimize.minimize_scalar(
-                        lambda x: f(np.array([x])),
-                        bounds=(a, b),
-                        method="bounded",
-                        options={"xatol": cfg.descent_tol},
-                    )
-                    cands.append((np.array([r.x]), float(r.fun)))
-        else:
-            res = min(cfg.grid_resolution, int(math.sqrt(_GRID_BUDGET)))
-            axes = [np.linspace(lo, hi, res) for lo, hi in box]
-            mesh = np.meshgrid(*axes, indexing="ij")
-            pts = np.stack([m.ravel() for m in mesh], axis=-1)
-            if problem.reduced_vec is not None and problem.dissipation_vec is not None:
-                ivals = np.asarray(problem.reduced_vec(t, pts), dtype=float)
-                d = np.asarray(problem.dissipation_vec(z_prev, pts), dtype=float)
-                c = _correction_batch(problem, z_prev, pts, d)
-                vals = ivals + d + c
-                vals[~np.isfinite(vals)] = INF
-            else:
-                vals = np.array([f(p) for p in pts])
-            flat = np.argsort(vals)
-            for k in flat[:4]:
-                x0 = pts[int(k)].copy()
-                cands.append((x0, float(vals[int(k)])))
-                r = optimize.minimize(
-                    f,
-                    x0,
-                    method="Powell",
-                    bounds=box,
-                    options={"xtol": cfg.descent_tol, "ftol": cfg.descent_tol},
-                )
-                if is_finite(float(r.fun)):
-                    cands.append((np.asarray(r.x, float), float(r.fun)))
+    certified = n <= 2 and cfg.method in ("grid", "closed-form")
+    if certified:
+        res = min(cfg.grid_resolution, int(_GRID_BUDGET ** (1.0 / n)))
+        axes = [
+            np.unique(np.append(np.linspace(a, b, res), np.clip(zi, a, b)))
+            for (a, b), zi in zip(box, z_prev)
+        ]
+        mesh = np.meshgrid(*axes, indexing="ij")
+        pts = np.stack([m.ravel() for m in mesh], axis=-1)
+        vals = f(pts)
+        starts = np.argsort(vals)[:_ZOOM_STARTS]
+        # coarse runners-up stay candidates for the tie-break
+        cands += [(pts[i].copy(), float(vals[i])) for i in starts]
+        lo, hi = np.array(box).T
+        centers, values = zoom_search(
+            f, pts[starts], vals[starts], (hi - lo) / (res - 1), lo, hi,
+            cfg.descent_tol,
+        )
+        cands += [(x, float(v)) for x, v in zip(centers, values)]
     else:
         rng = np.random.default_rng(cfg.seed)
         starts = [z_prev] + [
@@ -331,7 +360,7 @@ def global_min_corrected(
         ]
         for x0 in starts:
             r = optimize.minimize(
-                f,
+                lambda z: float(f(z[None, :])[0]),
                 x0,
                 method="Powell",
                 bounds=box,
@@ -341,7 +370,7 @@ def global_min_corrected(
                 cands.append((np.asarray(r.x, float), float(r.fun)))
 
     x, v = _tie_break(cands, cfg.near_optimal_band, z_prev)
-    # snap to box edges when the polish stopped a hair away from them
+    # snap to box edges when the search stopped a hair away from them
     snapped = x.copy()
     for i, (lo, hi) in enumerate(problem.z_box):
         if 0 < abs(snapped[i] - lo) < 1e-8:
@@ -349,7 +378,7 @@ def global_min_corrected(
         elif 0 < abs(snapped[i] - hi) < 1e-8:
             snapped[i] = hi
     if not np.array_equal(snapped, x):
-        vs = f(snapped)
+        vs = float(f(snapped[None, :])[0])
         if vs <= v + cfg.near_optimal_band:
             x, v = snapped, vs
     # the step objective can never beat simply staying put by less than 0

@@ -14,8 +14,15 @@ from typing import Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from .core import INF, RisProblem, State, is_finite
-from .reduced import MinimizerConfig, global_min_corrected, reduce_energy, reduced_value
+from .core import RisProblem, State, is_finite
+from .reduced import (
+    MinimizerConfig,
+    global_min_corrected,
+    reduce_energy,
+    reduced_value,
+    step_objective,
+    zoom_search,
+)
 
 __all__ = [
     "StabilityReport",
@@ -108,47 +115,27 @@ def minimal_set(
     out = [best.argmin]
     # sweep a coarse grid for further members (n_z == 1 only; higher
     # dimensions report the single best candidate): every sampled local
-    # minimum near the optimal value gets polished before the band test
+    # minimum near the optimal value is refined before the band test
     if problem.n_z == 1:
-        from scipy import optimize
-
         lo, hi = problem.z_box[0]
         hi = min(hi, float(z[0])) if problem.unidirectional else hi
-        diss, corr = problem.dissipation, problem.correction
-
-        def g(x):
-            zp = np.array([x])
-            d = diss(z, zp)
-            if not is_finite(d):
-                return INF
-            c = corr(z, zp)
-            if not is_finite(c):
-                return INF
-            return reduced_value(problem, t, zp) + d + c
-
+        f = step_objective(problem, t, z)
         xs = np.linspace(lo, hi, cfg.grid_resolution)
-        vals = np.array([g(x) for x in xs])
+        vals = f(xs[:, None])
         spacing = xs[1] - xs[0] if len(xs) > 1 else 0.0
         coarse_band = max(cfg.near_optimal_band, spacing**2 + 1e-6)
-        for i in range(len(xs)):
-            if not is_finite(float(vals[i])) or vals[i] > best.value + coarse_band:
-                continue
-            left_ok = i == 0 or vals[i] <= vals[i - 1]
-            right_ok = i == len(xs) - 1 or vals[i] <= vals[i + 1]
-            if not (left_ok and right_ok):
-                continue
-            a, b = xs[max(i - 1, 0)], xs[min(i + 1, len(xs) - 1)]
-            if b - a > 1e-13:
-                r = optimize.minimize_scalar(
-                    g, bounds=(a, b), method="bounded",
-                    options={"xatol": cfg.descent_tol},
-                )
-                x, v = float(r.x), float(r.fun)
-            else:
-                x, v = float(xs[i]), float(vals[i])
-            if v <= best.value + cfg.near_optimal_band:
-                if all(abs(x - float(m[0])) > 1e-7 for m in out):
-                    out.append(np.array([x]))
+        left_ok = np.r_[True, vals[1:] <= vals[:-1]]
+        right_ok = np.r_[vals[:-1] <= vals[1:], True]
+        idx = np.flatnonzero(left_ok & right_ok & (vals <= best.value + coarse_band))
+        if idx.size:
+            xs_ref, vals_ref = zoom_search(
+                f, xs[idx, None], vals[idx], np.array([spacing]),
+                np.array([lo]), np.array([hi]), cfg.descent_tol,
+            )
+            for x, v in zip(xs_ref[:, 0], vals_ref):
+                if v <= best.value + cfg.near_optimal_band:
+                    if all(abs(x - float(m[0])) > 1e-7 for m in out):
+                        out.append(np.array([x]))
     return out
 
 

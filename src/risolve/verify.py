@@ -254,10 +254,16 @@ def verify_E(
     problem: RisProblem,
     traj: Trajectory,
     tol: TolConfig | None = None,
+    memo: ResidualMemo | None = None,
 ) -> Certificate:
-    """Certificate with the correction removed and the plain d-variation."""
-    plain = problem.with_correction(None)
-    return _certify(plain, traj, tol or TolConfig(), augmented=False)
+    """Certificate with the correction removed and the plain d-variation.
+
+    A problem without a correction is certified as it is, so ``memo`` (its
+    residuals under ``tol.minimizer``) can serve it; a corrected problem is
+    certified through an uncorrected copy, which no outside memo prices.
+    """
+    plain = problem if problem.correction_spec is None else problem.with_correction(None)
+    return _certify(plain, traj, tol or TolConfig(), augmented=False, memo=memo)
 
 
 @dataclass(frozen=True)

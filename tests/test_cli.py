@@ -322,3 +322,18 @@ class TestOnePricePerCommand:
         cert = verify_VE(disc.problem, interpolate(disc), run.tol)
         expected = "\n".join(certificate_lines(cert)) + "\n"
         assert (out / "delamination0d_certificate.txt").read_text() == expected
+
+    def test_e_solve_computes_each_residual_once(self, toy_cfg, tmp_path, monkeypatch):
+        # the E certificate probes the uncorrected problem the CSV was priced on
+        calls = []
+        real_residual = stability.residual_stability
+
+        def residual(problem, t, z, cfg=None, *args, **kwargs):
+            calls.append((float(t), np.atleast_1d(np.asarray(z, float)).tobytes()))
+            return real_residual(problem, t, z, cfg, *args, **kwargs)
+
+        for module in (cli, jump, stability, verify):  # every binding
+            if hasattr(module, "residual_stability"):
+                monkeypatch.setattr(module, "residual_stability", residual)
+        assert main(["solve", "--config", str(toy_cfg), "--out-dir", str(tmp_path)]) == EXIT_PASS
+        assert len(calls) == len(set(calls))

@@ -167,6 +167,59 @@ class TestGlobalMinCorrected:
             global_min_corrected(prob, 0.0, [50.0])
 
 
+def _random_steps(prob, count, seed):
+    """Seeded (t, z_prev) pairs spread over the horizon and the box."""
+    rng = np.random.default_rng(seed)
+    lo = np.array([b[0] for b in prob.z_box])
+    hi = np.array([b[1] for b in prob.z_box])
+    return [(rng.uniform(0.0, prob.horizon), rng.uniform(lo, hi)) for _ in range(count)]
+
+
+class TestZoomSearch:
+    """The step search: a coarse grid, then a zoom on its best points."""
+
+    @pytest.mark.parametrize("name", ["damage", "toy_doublewell"])
+    def test_never_above_dense_grid_oracle(self, name, request):
+        prob = request.getfixturevalue(name)  # the N=2 bar and the 1-d double well
+        h = prob.correction_spec.h if prob.correction_spec is not None else None
+        for t, z_prev in _random_steps(prob, 12, seed=3):
+
+            def objective(pts, t=t, z_prev=z_prev):
+                d = np.asarray(prob.dissipation_vec(z_prev, pts), float)
+                v = np.asarray(prob.reduced_vec(t, pts), float) + d
+                return v + h(d) if h is not None else v
+
+            oracle = oracle_grid_min(objective, prob.z_box, 401, vectorized=True)
+            res = global_min_corrected(prob, t, z_prev)
+            assert res.certified_global
+            assert res.value <= oracle.value + 1e-12
+
+    def test_scalar_hooks_find_the_same_2d_step(self, damage):
+        # a problem without batched hooks runs the same search through its
+        # scalar maps (the 1-d case is test_vectorized_grid_matches_scalar_fallback)
+        import dataclasses
+
+        scalar_prob = dataclasses.replace(damage, reduced_vec=None, dissipation_vec=None)
+        band = MinimizerConfig().near_optimal_band
+        for t, z_prev in _random_steps(damage, 3, seed=5):
+            a = global_min_corrected(damage, t, z_prev)
+            b = global_min_corrected(scalar_prob, t, z_prev)
+            assert a.value == pytest.approx(b.value, abs=band)
+            assert np.allclose(a.argmin, b.argmin, rtol=0.0, atol=band)
+
+    def test_grid_path_calls_no_scipy_optimizer(self, monkeypatch, damage, toy_doublewell):
+        from risolve import reduced
+
+        class NoOptimize:
+            def __getattr__(self, name):
+                raise AssertionError(f"scipy.optimize.{name} called on the grid path")
+
+        monkeypatch.setattr(reduced, "optimize", NoOptimize())
+        for prob in (damage, toy_doublewell, _quadratic_problem()):
+            for t, z_prev in _random_steps(prob, 3, seed=11):
+                assert global_min_corrected(prob, t, z_prev).certified_global
+
+
 def test_minimizer_config_validation():
     with pytest.raises(ValueError):
         MinimizerConfig(method="simulated-annealing")
