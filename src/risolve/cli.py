@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 from typing import Optional, Sequence
@@ -374,8 +373,8 @@ def read_trajectory_csv(path: Path, problem: RisProblem) -> Trajectory:
             m = n
             while m + 1 < len(times) and flags[m + 1]:
                 m += 1
-            diss = [problem.dissipation(states[i - 1].z, states[i].z) for i in range(n, m + 1)]
-            k = n + int(np.argmax(diss))
+            Z = data[n - 1 : m + 1, 1 : 1 + nz]
+            k = n + int(np.argmax(problem.dissipation(Z[:-1], Z[1:])))
             records.append(
                 JumpRecord(
                     t=float(times[n]),
@@ -473,19 +472,14 @@ def cmd_sweep(args) -> int:
         raise ConfigError("axis 'k' applies to the delamination model only")
     out = Path(args.out_dir or run.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    results: list = [None] * len(values)
+    results: list = []
     errors: list[str] = []
-
-    def work(i):
-        results[i] = _sweep_one(run, args.axis, values[i])
-
-    with ThreadPoolExecutor(max_workers=max(1, args.threads)) as pool:
-        futures = {pool.submit(work, i): i for i in range(len(values))}
-        for fut in futures:
-            try:
-                fut.result()
-            except Exception as exc:  # partial report on any failure
-                errors.append(f"{args.axis}={values[futures[fut]]}: {exc}")
+    for v in values:
+        try:
+            results.append(_sweep_one(run, args.axis, v))
+        except Exception as exc:  # partial report on any failure
+            results.append(None)
+            errors.append(f"{args.axis}={v}: {exc}")
 
     probe = None
     lines = [CSV_VERSION,
@@ -587,7 +581,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--axis", required=True, choices=["tau", "mu", "epsilon", "k"])
     p.add_argument("--values", required=True, help="comma-separated values")
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("jumpcost", help="bound the jump cost between two states")

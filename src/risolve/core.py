@@ -77,7 +77,9 @@ class CorrectionSpec:
 class TrivialH(CorrectionSpec):
     """Correction delta(z, z') = h(d(z, z')) with h nondecreasing, h(r)/r -> 0 at 0.
 
-    ``h`` is any scalar callable; the admissibility of the decay is probed by
+    ``h`` is any callable that acts elementwise on an array of d values (and
+    on a float).  A forbidden step (d = +inf) costs h(+inf), +inf for every
+    unbounded h.  The admissibility of the decay is probed by
     :func:`risolve.stability.correction_ratio_check`, not assumed here.
     """
 
@@ -118,44 +120,44 @@ class PowerLq(CorrectionSpec):
             raise ValueError("q and gamma must exceed 1")
 
 
+def _zero_correction(z, zp):
+    return np.zeros(np.broadcast_shapes(np.shape(z), np.shape(zp))[:-1])
+
+
 def build_correction(spec: Optional[CorrectionSpec], problem: "RisProblem"):
-    """Return a callable delta(z, z') implementing ``spec``.
+    """Return the broadcasting map delta(Z_from, Z_to) implementing ``spec``.
 
     ``None`` (and mu=0) yield the zero correction.
     """
     if spec is None:
-        return lambda z, zp: 0.0
+        return _zero_correction
     if isinstance(spec, TrivialH):
         h = spec.h
 
         def corr_h(z, zp):
-            d = problem.dissipation(z, zp)
-            if not is_finite(d):
-                return INF
-            return float(h(d))
+            return h(np.asarray(problem.dissipation(z, zp), dtype=float))
 
         return corr_h
     if isinstance(spec, QuadraticMu):
         if spec.mu == 0.0:
-            return lambda z, zp: 0.0
+            return _zero_correction
         mu = spec.mu
         if spec.dist == "euclidean":
             def corr_mu(z, zp):
-                dz = _as_z(zp) - _as_z(z)
-                return 0.5 * mu * float(dz @ dz)
+                dz = np.asarray(zp, dtype=float) - np.asarray(z, dtype=float)
+                return 0.5 * mu * np.sum(dz * dz, axis=-1)
         else:
             def corr_mu(z, zp):
-                d = problem.dissipation(z, zp)
-                if not is_finite(d):
-                    return INF
-                return 0.5 * mu * d * d
+                return 0.5 * mu * np.asarray(problem.dissipation(z, zp), dtype=float) ** 2
         return corr_mu
     if isinstance(spec, PowerLq):
         q, gamma = spec.q, spec.gamma
 
         def corr_lq(z, zp):
-            dz = np.abs(_as_z(zp) - _as_z(z))
-            return float(np.sum(dz ** q) ** (1.0 / q)) ** gamma
+            dz = np.abs(np.asarray(zp, dtype=float) - np.asarray(z, dtype=float))
+            # keepdims: a single pair takes numpy's array power, as a batch
+            # does, not the scalar one, which can differ in the last bit
+            return (np.sum(dz ** q, axis=-1, keepdims=True) ** (gamma / q))[..., 0]
 
         return corr_lq
     raise TypeError(f"unknown correction spec {spec!r}")
@@ -169,37 +171,42 @@ def build_correction(spec: Optional[CorrectionSpec], problem: "RisProblem"):
 class RisProblem:
     """A finite-dimensional rate-independent system.
 
-    energy(t, u, z) may return +infinity exactly where constraints are
-    violated; dissipation(z, z') is an asymmetric extended quasi-distance
-    (``inf`` encodes forbidden directions such as healing); correction is
-    the viscous perturbation used by the VE scheme and stability function.
-    ``power`` is the analytic partial time derivative of the energy.
+    Three broadcasting maps define it.  Each takes states of shape
+    (..., n_z) and returns values of the broadcast shape (...), so one
+    definition serves a single state, a batch, and all pairs of two batches:
+    reduced_vec(t, Z) is the reduced energy I(t, z) = min_u E(t, u, z) of
+    in-box states; dissipation(Z_from, Z_to) is an asymmetric extended
+    quasi-distance (``inf`` encodes forbidden directions such as healing);
+    correction(Z_from, Z_to) is the viscous perturbation delta of the VE
+    scheme and stability function, built by :meth:`with_correction`.
+
+    energy(t, u, z) is +infinity exactly where constraints are violated.
+    With n_u = 0 it may be omitted and is then I(t, z) in the box, +infinity
+    outside; with n_u > 0 it is required, and so is solve_u(t, z), which
+    returns a minimizing u.  ``power`` is the analytic partial time
+    derivative of the energy.
     """
 
     n_u: int
     n_z: int
-    energy: Callable[[float, NDArray, NDArray], float]
+    reduced_vec: Callable[[float, NDArray], NDArray]
     power: Callable[[float, NDArray, NDArray], float]
-    dissipation: Callable[[NDArray, NDArray], float]
+    dissipation: Callable[[NDArray, NDArray], NDArray]
     z_box: Sequence[tuple[float, float]]
+    energy: Optional[Callable[[float, NDArray, NDArray], float]] = None
     horizon: float = 1.0
-    correction: Callable[[NDArray, NDArray], float] = field(
-        default=lambda z, zp: 0.0
-    )
+    correction: Callable[[NDArray, NDArray], NDArray] = _zero_correction
     correction_spec: Optional[CorrectionSpec] = None
     unidirectional: bool = False
-    # optional closed-form hooks installed by model constructors
-    solve_u: Optional[Callable[[float, NDArray], tuple[NDArray, float]]] = None
-    # vectorized variants over an (M, n_z) batch of candidate states; used by
-    # grid searches when present, byte-for-byte consistent with the scalar maps
-    reduced_vec: Optional[Callable[[float, NDArray], NDArray]] = None
-    dissipation_vec: Optional[Callable[[NDArray, NDArray], NDArray]] = None
+    solve_u: Optional[Callable[[float, NDArray], NDArray]] = None
     name: str = "problem"
     extras: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.n_u < 0 or self.n_z < 1:
             raise ValueError("need n_u >= 0 and n_z >= 1")
+        if self.n_u > 0 and (self.energy is None or self.solve_u is None):
+            raise ValueError("a problem with n_u > 0 needs energy and solve_u")
         if len(self.z_box) != self.n_z:
             raise ValueError("z_box length must equal n_z")
         for lo, hi in self.z_box:
@@ -213,6 +220,15 @@ class RisProblem:
         object.__setattr__(
             self, "_hi", np.array([b[1] for b in self.z_box], dtype=float)
         )
+        derived = getattr(self.energy, "__func__", None) is RisProblem._box_energy
+        if self.energy is None or derived:
+            # bound to this copy, so a copy with another reduced_vec follows it
+            object.__setattr__(self, "energy", self._box_energy)
+
+    def _box_energy(self, t, u, z) -> float:
+        if not self.in_box(z):
+            return INF
+        return float(self.reduced_vec(t, np.asarray(z, dtype=float)[None])[0])
 
     def with_correction(self, spec: Optional[CorrectionSpec]) -> "RisProblem":
         """Copy of the problem using the correction described by ``spec``."""
@@ -221,9 +237,7 @@ class RisProblem:
 
     def in_box(self, z) -> bool:
         z = np.asarray(z, dtype=float)
-        return bool(
-            np.all(z >= self._lo - 1e-12) and np.all(z <= self._hi + 1e-12)
-        )
+        return bool((z >= self._lo - 1e-12).all() and (z <= self._hi + 1e-12).all())
 
     def clip(self, z) -> NDArray[np.float64]:
         return np.clip(_as_z(z), self._lo, self._hi)

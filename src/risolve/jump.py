@@ -20,12 +20,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from .core import INF, RisProblem, Trajectory, is_finite
-from .reduced import (
-    MinimizerConfig,
-    _correction_batch,
-    batch_maps,
-    global_min_corrected,
-)
+from .reduced import MinimizerConfig, global_min_corrected
 from .stability import ResidualMemo, use_memo
 
 __all__ = [
@@ -97,16 +92,13 @@ def _build_chain(
     memo: ResidualMemo,
 ) -> JumpChain:
     pts = [np.atleast_1d(np.asarray(p, float)) for p in points]
-    ld, lg = [], []
-    for a, b in zip(pts, pts[1:]):
-        ld.append(problem.dissipation(a, b))
-        lg.append(problem.correction(a, b))
+    P = np.array(pts)
     pr = [memo(t, p) for p in pts[:-1]]
     return JumpChain(
         points=tuple(pts),
         kinds=tuple(kinds),
-        link_diss=tuple(ld),
-        link_gap=tuple(lg),
+        link_diss=tuple(problem.dissipation(P[:-1], P[1:]).tolist()),
+        link_gap=tuple(problem.correction(P[:-1], P[1:]).tolist()),
         point_residual=tuple(pr),
     )
 
@@ -204,17 +196,14 @@ def _dp_chain(
     if src == dst:
         return [z_minus]
     pts = np.array(nodes)
-    reduced, diss = batch_maps(problem)
-    ivals = np.asarray(reduced(t, pts), dtype=float)
+    ivals = np.asarray(problem.reduced_vec(t, pts), dtype=float)
     if not (is_finite(ivals[src]) and is_finite(ivals[dst])):
         return None
-    # all-pairs link weights d + delta, one batched row per start node
-    D = np.full((m, m), INF)
-    for i in np.flatnonzero(np.isfinite(ivals) | (np.arange(m) == dst)):
-        d = np.asarray(diss(pts[i], pts), dtype=float)
-        row = d + _correction_batch(problem, pts[i], pts, d)
-        D[i] = np.where(np.isfinite(row), row, INF)
-        D[i, i] = 0.0
+    # all-pairs link weights d + delta
+    a, b = pts[:, None], pts[None]
+    D = problem.dissipation(a, b) + problem.correction(a, b)
+    D[~np.isfinite(D)] = INF
+    np.fill_diagonal(D, 0.0)
     # grid-restricted residual per node
     with np.errstate(invalid="ignore"):
         comp = np.where(np.isfinite(ivals)[None, :], ivals[None, :], INF) + D
@@ -262,7 +251,7 @@ def jump_cost(
     cfg = search_cfg or SearchConfig()
     z_minus = np.atleast_1d(np.asarray(z_minus, float))
     z_plus = np.atleast_1d(np.asarray(z_plus, float))
-    d_direct = problem.dissipation(z_minus, z_plus)
+    d_direct = float(problem.dissipation(z_minus, z_plus))
     if np.allclose(z_minus, z_plus, atol=1e-14):
         chain = JumpChain((z_minus,), ("sliding",), (), (), ())
         return CostBound(upper=0.0, lower=0.0, witness=chain)
@@ -288,7 +277,7 @@ def jump_cost(
         term = vc.points[-1]
         if np.allclose(term, z_plus, atol=1e-8):
             candidates.append(vc)
-        elif is_finite(problem.dissipation(term, z_plus)):
+        elif is_finite(float(problem.dissipation(term, z_plus))):
             pts = list(vc.points) + [z_plus]
             candidates.append(
                 _build_chain(problem, t, pts, ["viscous"] * len(pts), memo)
@@ -373,7 +362,7 @@ def incremental_cost(
         return 0.0
     costs = _use_costs(costs, problem, search_cfg)
     bound = costs(t, z_minus, z_plus, search_cfg)
-    d = problem.dissipation(z_minus, z_plus)
+    d = float(problem.dissipation(z_minus, z_plus))
     if not is_finite(bound.upper):
         return INF
     return max(bound.upper - d, 0.0)
@@ -394,11 +383,10 @@ def augmented_variation(
     ``problem`` to price the jumps from.
     """
     costs = _use_costs(costs, problem, search_cfg)
-    times = traj.times
-    total = 0.0
-    for n in range(1, len(times)):
-        if t0 < times[n] <= t1 + 1e-12:
-            total += problem.dissipation(traj.states[n - 1].z, traj.states[n].z)
+    times = traj.times[1:]
+    Z = np.array([s.z for s in traj.states])
+    steps = problem.dissipation(Z[:-1], Z[1:])
+    total = sum(steps[(t0 < times) & (times <= t1 + 1e-12)].tolist(), 0.0)
     for rec in traj.jump_records:
         if t0 < rec.t <= t1 + 1e-12:
             total += incremental_cost(

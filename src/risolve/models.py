@@ -1,8 +1,9 @@
 """Four desk-scale model systems.
 
-Each constructor returns a fully analytic problem: energy, exact partial
-time derivative, dissipation, and (where the energy is quadratic in u) a
-closed-form u-elimination, so reduced energies are exact up to rounding.
+Each constructor returns a fully analytic problem: the reduced energy,
+exact partial time derivative and dissipation as broadcasting maps, and
+(where the energy is quadratic in u) the full energy with a closed-form
+u-elimination, so reduced energies are exact up to rounding.
 """
 
 from __future__ import annotations
@@ -31,6 +32,18 @@ __all__ = [
     "make_plasticity0d",
     "make_delamination0d",
 ]
+
+
+def _step(z, zp) -> NDArray:
+    """z' - z over broadcast batches of states."""
+    return np.asarray(zp, dtype=float) - np.asarray(z, dtype=float)
+
+
+def _cell_sum(x: NDArray) -> NDArray:
+    """Sum over the last (cell) axis column by column: numpy reduces a short
+    last axis at some 20 ns a row, column adds take under 1 ns.  The order
+    is sequential, as numpy's own is for fewer than 8 terms."""
+    return sum((x[..., i] for i in range(x.shape[-1])), np.zeros(x.shape[:-1]))
 
 
 def _affine(coeffs) -> tuple[Callable[[float], float], Callable[[float], float]]:
@@ -73,37 +86,25 @@ def make_toy1d(spec: Toy1dSpec) -> RisProblem:
     else:
         b, w = spec.b, spec.w
         W = lambda z: b * (z * z - w * w) ** 2 / w ** 4
-    lo, hi = spec.z_box
-
-    def energy(t, u, z):
-        x = float(z[0])
-        if x < lo - 1e-12 or x > hi + 1e-12:
-            return INF
-        return W(x) - ell(t) * x
 
     def power(t, u, z):
         return -dell(t) * float(z[0])
 
     def dissipation(z, zp):
-        return kappa * abs(float(zp[0]) - float(z[0]))
+        return kappa * np.abs(_step(z, zp)[..., 0])
 
     def reduced_vec(t, pts):
-        x = pts[:, 0]
+        x = pts[..., 0]
         return W(x) - ell(t) * x
-
-    def dissipation_vec(z, pts):
-        return kappa * np.abs(pts[:, 0] - float(z[0]))
 
     prob = RisProblem(
         n_u=0,
         n_z=1,
-        energy=energy,
         power=power,
         dissipation=dissipation,
         z_box=(spec.z_box,),
         horizon=spec.horizon,
         reduced_vec=reduced_vec,
-        dissipation_vec=dissipation_vec,
         name=f"toy1d-{spec.well}",
     )
     return prob.with_correction(spec.correction)
@@ -131,36 +132,24 @@ def make_plasticity0d(spec: Plasticity0dSpec) -> RisProblem:
     """Stored energy C (eps(t) - p)^2 / 2 with yield-type dissipation."""
     eps, deps = _affine(spec.eps)
     C, sy = spec.C, spec.sigma_y
-    lo, hi = spec.z_box
-
-    def energy(t, u, z):
-        p = float(z[0])
-        if p < lo - 1e-12 or p > hi + 1e-12:
-            return INF
-        return 0.5 * C * (eps(t) - p) ** 2
 
     def power(t, u, z):
         return C * (eps(t) - float(z[0])) * deps(t)
 
     def dissipation(z, zp):
-        return sy * abs(float(zp[0]) - float(z[0]))
+        return sy * np.abs(_step(z, zp)[..., 0])
 
     def reduced_vec(t, pts):
-        return 0.5 * C * (eps(t) - pts[:, 0]) ** 2
-
-    def dissipation_vec(z, pts):
-        return sy * np.abs(pts[:, 0] - float(z[0]))
+        return 0.5 * C * (eps(t) - pts[..., 0]) ** 2
 
     prob = RisProblem(
         n_u=0,
         n_z=1,
-        energy=energy,
         power=power,
         dissipation=dissipation,
         z_box=(spec.z_box,),
         horizon=spec.horizon,
         reduced_vec=reduced_vec,
-        dissipation_vec=dissipation_vec,
         name="plasticity0d",
         extras={
             "sigma": lambda t, z: C * (eps(t) - float(z[0])),
@@ -225,11 +214,9 @@ def make_damage1d(spec: Damage1dSpec) -> RisProblem:
     def stiff(z):
         return (eta + (1.0 - eta) * z) * E0
 
-    def grad_term(z):
-        if N == 1:
-            return 0.0
-        dz = np.abs(np.diff(z))
-        return gw * float(np.sum(dz ** r)) / (r * h ** (r - 1))
+    def grad_term(pts):
+        dz = np.abs(np.diff(pts, axis=-1))
+        return gw * _cell_sum(dz ** r) / (r * h ** (r - 1))
 
     def energy(t, u, z):
         if np.any(z < -1e-12) or np.any(z > 1.0 + 1e-12):
@@ -237,19 +224,13 @@ def make_damage1d(spec: Damage1dSpec) -> RisProblem:
         nodes = np.concatenate([[0.0], np.asarray(u, float), [wD(t)]])
         k = stiff(np.asarray(z, float))
         el = 0.5 * float(np.sum(k * np.diff(nodes) ** 2)) / h
-        return el + grad_term(np.asarray(z, float))
+        return el + float(grad_term(np.asarray(z, float)))
 
     def solve_u(t, z):
-        z = np.asarray(z, float)
-        k = stiff(z)
+        k = stiff(np.asarray(z, float))
         # series springs: strain splits inversely to stiffness
         comp = h / k
-        ctot = float(np.sum(comp))
-        w = wD(t)
-        keff = 1.0 / ctot
-        u = w * np.cumsum(comp)[:-1] / ctot
-        val = 0.5 * keff * w * w + grad_term(z)
-        return u, val
+        return wD(t) * np.cumsum(comp)[:-1] / np.sum(comp)
 
     def power(t, u, z):
         # only the boundary cell touches the imposed displacement
@@ -258,28 +239,14 @@ def make_damage1d(spec: Damage1dSpec) -> RisProblem:
         return kN * (nodes[-1] - nodes[-2]) / h * dwD(t)
 
     def dissipation(z, zp):
-        dz = np.asarray(zp, float) - np.asarray(z, float)
-        if np.any(dz > 1e-12):
-            return INF
-        return float(np.sum(kap * np.abs(dz)))
+        dz = _step(z, zp)
+        # a healing cell costs +infinity, and so does the whole step
+        return _cell_sum(np.where(dz > 1e-12, INF, kap * np.abs(dz)))
 
     def reduced_vec(t, pts):
-        # pts: (M, N) batch of in-box damage states
-        k = stiff(pts)
-        keff = 1.0 / np.sum(h / k, axis=1)
+        keff = 1.0 / _cell_sum(h / stiff(pts))
         w = wD(t)
-        if N == 1:
-            grad = 0.0
-        else:
-            dz = np.abs(np.diff(pts, axis=1))
-            grad = gw * np.sum(dz ** r, axis=1) / (r * h ** (r - 1))
-        return 0.5 * keff * w * w + grad
-
-    def dissipation_vec(z, pts):
-        dz = pts - np.asarray(z, float)[None, :]
-        out = np.sum(kap * np.abs(dz), axis=1)
-        out[np.any(dz > 1e-12, axis=1)] = INF
-        return out
+        return 0.5 * keff * w * w + grad_term(pts)
 
     prob = RisProblem(
         n_u=N - 1,
@@ -292,7 +259,6 @@ def make_damage1d(spec: Damage1dSpec) -> RisProblem:
         unidirectional=True,
         solve_u=solve_u if N > 1 else None,
         reduced_vec=reduced_vec,
-        dissipation_vec=dissipation_vec,
         name="damage1d",
         extras={"h": h, "eta": eta, "E0": E0, "kappa": kap, "w_D": wD},
     )
@@ -364,41 +330,34 @@ def make_delamination0d(
         L = ell(t)
         if brittle and zz > ztol:
             u = kp * L / (km + kp)
-            return np.array([u, u]), 0.5 * ks * L * L - a0 * zz
+            return np.array([u, u])
         if brittle or k * zz <= 1e-300:
-            return np.array([0.0, L]), -a0 * zz
+            return np.array([0.0, L])
         keff = 1.0 / (1.0 / km + 1.0 / (k * zz) + 1.0 / kp)
         u1 = keff * L / km
         u2 = L - keff * L / kp
-        return np.array([u1, u2]), 0.5 * keff * L * L - a0 * zz
+        return np.array([u1, u2])
 
     def power(t, u, z):
         return kp * (ell(t) - float(u[1])) * dell(t)
 
     def dissipation(z, zp):
-        dz = float(zp[0]) - float(z[0])
-        if dz > 1e-12:
-            return INF
-        return kappa * abs(dz)
+        dz = _step(z, zp)[..., 0]
+        return np.where(dz > 1e-12, INF, kappa * np.abs(dz))
 
     def reduced_vec(t, pts):
-        zz = pts[:, 0]
+        zz = pts[..., 0]
         L = ell(t)
         if brittle:
             bonded = 0.5 * ks * L * L - a0 * zz
             return np.where(zz > ztol, bonded, -a0 * zz)
+        kz = k * zz
         keff = np.where(
-            k * zz > 1e-300,
-            1.0 / (1.0 / km + 1.0 / np.maximum(k * zz, 1e-300) + 1.0 / kp),
+            kz > 1e-300,
+            1.0 / (1.0 / km + 1.0 / np.maximum(kz, 1e-300) + 1.0 / kp),
             0.0,
         )
         return 0.5 * keff * L * L - a0 * zz
-
-    def dissipation_vec(z, pts):
-        dz = pts[:, 0] - float(z[0])
-        out = kappa * np.abs(dz)
-        out[dz > 1e-12] = INF
-        return out
 
     prob = RisProblem(
         n_u=2,
@@ -411,7 +370,6 @@ def make_delamination0d(
         unidirectional=True,
         solve_u=solve_u,
         reduced_vec=reduced_vec,
-        dissipation_vec=dissipation_vec,
         name="delamination0d-brittle" if brittle else f"delamination0d-adhesive",
         extras={"gap": gap, "k_series": ks, "a0": a0, "kappa": kappa, "ell": ell},
     )

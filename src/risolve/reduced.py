@@ -3,11 +3,13 @@
 Two engines coexist on purpose: a brute-force grid oracle (exhaustive,
 certifiable, slow) and the production path.  Tests pit one against the other.
 
-The production path eliminates u in closed form and minimizes the step
-objective I(t, z) + d(z_prev, z) + delta(z_prev, z), defined once over
-batches of states (``step_objective``): for n_z <= 2 a coarse grid, then a
-batched zoom on its best points (``zoom_search``); for larger n_z a
-multistart Powell descent.
+The production path minimizes the step objective
+I(t, z) + d(z_prev, z) + delta(z_prev, z) (``step_objective``), assembled
+from the problem's three broadcasting maps ``reduced_vec``, ``dissipation``
+and ``correction``: for n_z <= 2 a coarse grid, then a batched zoom on its
+best points (``zoom_search``); for larger n_z a multistart Powell descent.
+A single state is priced as a batch of one, so every caller sees the same
+bits.
 """
 
 from __future__ import annotations
@@ -21,15 +23,7 @@ import numpy as np
 from numpy.typing import NDArray
 from scipy import optimize
 
-from .core import (
-    INF,
-    PowerLq,
-    QuadraticMu,
-    RisProblem,
-    State,
-    TrivialH,
-    is_finite,
-)
+from .core import INF, RisProblem, is_finite
 
 __all__ = [
     "MinResult",
@@ -38,7 +32,6 @@ __all__ = [
     "reduce_energy",
     "reduced_value",
     "global_min_corrected",
-    "batch_maps",
     "step_objective",
     "zoom_search",
 ]
@@ -61,7 +54,7 @@ class MinResult:
 
 @dataclass(frozen=True)
 class MinimizerConfig:
-    method: str = "grid"  # grid | multistart-descent | closed-form
+    method: str = "grid"  # grid | multistart-descent
     grid_resolution: int = 129
     multistart_count: int = 12
     descent_tol: float = 1e-10
@@ -69,7 +62,7 @@ class MinimizerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.method not in ("grid", "multistart-descent", "closed-form"):
+        if self.method not in ("grid", "multistart-descent"):
             raise ValueError(f"unknown minimizer method {self.method!r}")
         if self.grid_resolution < 2:
             raise ValueError("grid_resolution must be >= 2")
@@ -127,40 +120,16 @@ def oracle_grid_min(
 # u-elimination
 
 
-def reduce_energy(
-    problem: RisProblem,
-    t: float,
-    z,
-    cfg: MinimizerConfig | None = None,
-) -> MinResult:
-    """I(t, z) with a minimizing u.
-
-    Shipped models carry a closed-form ``solve_u`` hook (their energies are
-    quadratic in u at fixed z); the descent fallback covers user models.
-    """
+def reduce_energy(problem: RisProblem, t: float, z) -> MinResult:
+    """I(t, z) with a minimizing u from the problem's ``solve_u``."""
     z = np.atleast_1d(np.asarray(z, dtype=float))
     if not problem.in_box(z):
         return MinResult(np.empty(0), INF, "closed-form", True, 0.0, u=None)
+    v = float(problem.reduced_vec(t, z[None])[0])
     if problem.n_u == 0:
-        v = float(problem.energy(t, np.empty(0), z))
         return MinResult(z, v, "closed-form", True, 0.0, u=np.empty(0))
-    if problem.solve_u is not None:
-        u, v = problem.solve_u(t, z)
-        return MinResult(z, float(v), "closed-form", True, 1e-12, u=np.asarray(u, float))
-    cfg = cfg or MinimizerConfig(method="multistart-descent")
-    rng = np.random.default_rng(cfg.seed)
-    best_u, best_v = None, INF
-    for _ in range(cfg.multistart_count):
-        u0 = rng.uniform(-1.0, 1.0, size=problem.n_u)
-        r = optimize.minimize(
-            lambda u: problem.energy(t, u, z),
-            u0,
-            method="Nelder-Mead",
-            options={"xatol": cfg.descent_tol, "fatol": cfg.descent_tol},
-        )
-        if r.fun < best_v:
-            best_v, best_u = float(r.fun), r.x
-    return MinResult(z, best_v, "multistart-descent", False, cfg.descent_tol, u=best_u)
+    u = np.asarray(problem.solve_u(t, z), float)
+    return MinResult(z, v, "closed-form", True, 1e-12, u=u)
 
 
 def reduced_value(problem: RisProblem, t: float, z) -> float:
@@ -168,58 +137,11 @@ def reduced_value(problem: RisProblem, t: float, z) -> float:
     z = np.atleast_1d(np.asarray(z, dtype=float))
     if not problem.in_box(z):
         return INF
-    if problem.n_u == 0:
-        return float(problem.energy(t, np.empty(0), z))
-    if problem.solve_u is not None:
-        return float(problem.solve_u(t, z)[1])
-    return reduce_energy(problem, t, z).value
+    return float(problem.reduced_vec(t, z[None])[0])
 
 
 # ---------------------------------------------------------------------------
 # corrected global step
-
-
-def _correction_batch(
-    problem: RisProblem, z_prev: NDArray, pts: NDArray, d: NDArray
-) -> NDArray:
-    """delta(z_prev, p) for a batch of points, given the batched d values."""
-    spec = problem.correction_spec
-    m = len(pts)
-    if spec is None:
-        return np.zeros(m)
-    if isinstance(spec, TrivialH):
-        finite = np.isfinite(d)
-        out = np.full(m, INF)
-        out[finite] = spec.h(d[finite])
-        return out
-    if isinstance(spec, QuadraticMu):
-        if spec.mu == 0.0:
-            return np.zeros(m)
-        if spec.dist == "euclidean":
-            dz = pts - z_prev[None, :]
-            return 0.5 * spec.mu * np.sum(dz * dz, axis=1)
-        out = np.full(m, INF)
-        finite = np.isfinite(d)
-        out[finite] = 0.5 * spec.mu * d[finite] ** 2
-        return out
-    if isinstance(spec, PowerLq):
-        dz = np.abs(pts - z_prev[None, :])
-        return np.sum(dz ** spec.q, axis=1) ** (spec.gamma / spec.q)
-    raise TypeError(f"no batched form for correction spec {spec!r}")
-
-
-def batch_maps(problem: RisProblem):
-    """I(t, Z) and d(z, Z) over an (M, n_z) batch Z; a problem without
-    batched hooks loops its scalar maps over the batch."""
-    reduced = problem.reduced_vec
-    if reduced is None:
-        def reduced(t, pts):
-            return np.array([reduced_value(problem, t, p) for p in pts])
-    diss = problem.dissipation_vec
-    if diss is None:
-        def diss(z, pts):
-            return np.array([problem.dissipation(z, p) for p in pts])
-    return reduced, diss
 
 
 def step_objective(
@@ -227,12 +149,10 @@ def step_objective(
 ) -> Callable[[NDArray], NDArray]:
     """Z -> I(t, Z) + d(z_prev, Z) + delta(z_prev, Z) over an (M, n_z) batch
     of in-box states; every non-finite value is +infinity."""
-    reduced, diss = batch_maps(problem)
 
     def f(pts):
-        d = np.asarray(diss(z_prev, pts), dtype=float)
-        vals = np.asarray(reduced(t, pts), dtype=float) + d
-        vals += _correction_batch(problem, z_prev, pts, d)
+        vals = problem.reduced_vec(t, pts) + problem.dissipation(z_prev, pts)
+        vals += problem.correction(z_prev, pts)
         vals[~np.isfinite(vals)] = INF
         return vals
 
@@ -319,21 +239,17 @@ def global_min_corrected(
     """
     cfg = cfg or MinimizerConfig()
     z_prev = np.atleast_1d(np.asarray(z_prev, dtype=float))
-    # staying put, priced by the scalar maps like residual_stability's
-    # I(t, z): a state that stays has a residual of exactly 0
-    stay = (
-        reduced_value(problem, t, z_prev)
-        + problem.dissipation(z_prev, z_prev)
-        + problem.correction(z_prev, z_prev)
-    )
+    f = step_objective(problem, t, z_prev)
+    # I(t, z_prev) + 0 + 0 bit for bit, so a state that stays has a
+    # residual of exactly 0
+    stay = float(f(z_prev[None])[0]) if problem.in_box(z_prev) else INF
     if not is_finite(stay):
         raise ValueError("infeasible step: previous state has infinite objective")
-    f = step_objective(problem, t, z_prev)
     box = _search_box(problem, z_prev)
     n = problem.n_z
 
     cands: list[tuple[NDArray, float]] = [(z_prev.copy(), stay)]
-    certified = n <= 2 and cfg.method in ("grid", "closed-form")
+    certified = n <= 2 and cfg.method == "grid"
     if certified:
         res = min(cfg.grid_resolution, int(_GRID_BUDGET ** (1.0 / n)))
         axes = [

@@ -123,8 +123,8 @@ def solve_incremental(problem: RisProblem, cfg: SchemeConfig) -> DiscreteTraject
         corr[n - 1] = prob.correction(z, z_new)
         vals[n - 1] = res.value
         gains[n - 1] = max(reduced_value(prob, t, z) - res.value, 0.0)
-        ru = reduce_energy(prob, t, z_new)
-        states.append(State(u=ru.u if ru.u is not None else np.empty(0), z=z_new))
+        u = prob.solve_u(t, z_new) if prob.n_u else np.empty(0)
+        states.append(State(u=u, z=z_new))
         z = z_new
     return DiscreteTrajectory(
         times=times,

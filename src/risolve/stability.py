@@ -184,11 +184,11 @@ def correction_ratio_check(
     rows: list[RatioEntry] = []
     for s in scales:
         zp = z + s * direction
-        d = problem.dissipation(z, zp)
+        d = float(problem.dissipation(z, zp))
         if not is_finite(d) or d == 0.0:
             rows.append(RatioEntry(scale=s, ratio=float("nan"), skipped=True))
             continue
-        rows.append(RatioEntry(scale=s, ratio=problem.correction(z, zp) / d))
+        rows.append(RatioEntry(scale=s, ratio=float(problem.correction(z, zp)) / d))
     kept = [r.ratio for r in rows if not r.skipped]
     ok = (
         len(kept) >= 2

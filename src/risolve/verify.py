@@ -104,7 +104,7 @@ def _power_integral(problem: RisProblem, traj: Trajectory) -> float:
         if problem.n_u == 0:
             u = np.empty(0)
         else:
-            u = reduce_energy(problem, tm, z).u
+            u = problem.solve_u(tm, z)
         total += (b - a) * problem.power(tm, u, z)
     return total
 
@@ -212,10 +212,8 @@ def _certify(
             tol.search, costs,
         )
     else:
-        var = sum(
-            problem.dissipation(traj.states[n - 1].z, traj.states[n].z)
-            for n in range(1, len(traj.times))
-        )
+        Z = np.array([s.z for s in traj.states])
+        var = sum(problem.dissipation(Z[:-1], Z[1:]).tolist())
     balance = abs(eT + var - e0 - _power_integral(problem, traj))
     jumps = _jump_checks(problem, traj, tol, costs) if augmented else ()
     verdict = {
@@ -294,7 +292,7 @@ def ve_equals_e(
     max_dc = 0.0
     jr = []
     for rec in traj.jump_records:
-        d = plain.dissipation(rec.z_left, rec.z_right)
+        d = float(plain.dissipation(rec.z_left, rec.z_right))
         bound = jump_cost(problem, rec.t, rec.z_left, rec.z_right, tol.search)
         if is_finite(bound.upper) and is_finite(d):
             max_dc = max(max_dc, max(bound.upper - d, 0.0))

@@ -6,6 +6,7 @@ from the production code paths under test.
 """
 
 import time
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -231,6 +232,22 @@ class TestShippedConfigStability:
             worst = max(worst, rep.residual)
         assert worst <= 1e-6 + 1e-8, worst
 
+    @pytest.mark.parametrize(
+        "config", sorted(CONFIG_DIR.glob("*.ini")), ids=lambda p: p.stem
+    )
+    def test_staying_state_has_zero_residual(self, config):
+        # the stay-put competitor and I(t, z) come from the same maps, so a
+        # node that keeps its state has a residual of exactly 0
+        run = load_config(config)
+        scheme = replace(run.scheme, t_span=(0.0, 20 * run.scheme.tau))
+        disc = solve_incremental(run.problem, scheme)
+        n = next(
+            n for n in range(1, len(disc.times))
+            if disc.states[n].z.tobytes() == disc.states[n - 1].z.tobytes()
+        )
+        t, z = float(disc.times[n]), disc.states[n].z
+        assert residual_stability(disc.problem, t, z, scheme.minimizer).residual == 0.0
+
 
 # ---------------------------------------------------------------------------
 # 6. jump conditions on the double-well run
@@ -275,7 +292,7 @@ class TestDamageOracleEquivalence:
             z_prev = disc.states[n - 1].z
 
             def objective(pts):
-                d = prob.dissipation_vec(z_prev, pts)
+                d = prob.dissipation(z_prev, pts)
                 vals = prob.reduced_vec(t, pts) + d + 1e-4 * d**4
                 return vals
 

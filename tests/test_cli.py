@@ -209,7 +209,7 @@ class TestSweep:
         out = tmp_path / "out"
         rc = main([
             "sweep", "--config", str(toy_cfg), "--out-dir", str(out),
-            "--axis", "tau", "--values", "0.04,0.02,0.01", "--threads", "2",
+            "--axis", "tau", "--values", "0.04,0.02,0.01",
         ])
         assert rc == EXIT_PASS
         text = (out / "toy_sweep_tau.csv").read_text().splitlines()

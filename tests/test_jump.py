@@ -25,9 +25,9 @@ def _quadratic_problem(correction=None):
     prob = RisProblem(
         n_u=0,
         n_z=1,
-        energy=lambda t, u, z: 0.5 * float(z[0]) ** 2,
+        reduced_vec=lambda t, Z: 0.5 * Z[..., 0] ** 2,
         power=lambda t, u, z: 0.0,
-        dissipation=lambda z, zp: abs(float(zp[0]) - float(z[0])),
+        dissipation=lambda z, zp: np.abs(np.asarray(zp)[..., 0] - np.asarray(z)[..., 0]),
         z_box=((-10.0, 10.0),),
     )
     return prob.with_correction(correction)

@@ -177,29 +177,3 @@ class TestDelamination0d:
             Delamination0dSpec(kappa=0.0)
         with pytest.raises(ValueError):
             Delamination0dSpec(a0=-1.0)
-
-
-class TestVectorizedHooks:
-    def test_reduced_vec_matches_scalar(self, all_models, rng):
-        for prob in all_models:
-            lo = np.array([b[0] for b in prob.z_box])
-            hi = np.array([b[1] for b in prob.z_box])
-            pts = rng.uniform(lo, hi, size=(16, prob.n_z))
-            t = 0.5 * prob.horizon
-            vec = prob.reduced_vec(t, pts)
-            for i in range(16):
-                assert vec[i] == pytest.approx(reduced_value(prob, t, pts[i]), abs=1e-10)
-
-    def test_dissipation_vec_matches_scalar(self, all_models, rng):
-        for prob in all_models:
-            lo = np.array([b[0] for b in prob.z_box])
-            hi = np.array([b[1] for b in prob.z_box])
-            z = rng.uniform(lo, hi)
-            pts = rng.uniform(lo, hi, size=(16, prob.n_z))
-            vec = prob.dissipation_vec(z, pts)
-            for i in range(16):
-                want = prob.dissipation(z, pts[i])
-                if np.isinf(want):
-                    assert np.isinf(vec[i])
-                else:
-                    assert vec[i] == pytest.approx(want, abs=1e-12)

@@ -10,7 +10,9 @@ import pytest
 
 from risolve import (
     MinimizerConfig,
+    PowerLq,
     QuadraticMu,
+    ResidualMemo,
     RisProblem,
     global_min_corrected,
     oracle_grid_min,
@@ -18,6 +20,8 @@ from risolve import (
     reduced_value,
 )
 from risolve.core import INF
+from risolve.jump import _build_chain
+from risolve.reduced import step_objective
 from risolve.models import Damage1dSpec, Toy1dSpec, make_damage1d, make_toy1d
 
 
@@ -25,9 +29,9 @@ def _quadratic_problem(correction=None):
     prob = RisProblem(
         n_u=0,
         n_z=1,
-        energy=lambda t, u, z: 0.5 * float(z[0]) ** 2,
+        reduced_vec=lambda t, Z: 0.5 * Z[..., 0] ** 2,
         power=lambda t, u, z: 0.0,
-        dissipation=lambda z, zp: abs(float(zp[0]) - float(z[0])),
+        dissipation=lambda z, zp: np.abs(np.asarray(zp)[..., 0] - np.asarray(z)[..., 0]),
         z_box=((-10.0, 10.0),),
     )
     return prob.with_correction(correction)
@@ -91,9 +95,21 @@ class TestReduceEnergy:
         res = reduce_energy(prob, t, z)
         assert res.value == pytest.approx(0.5 * 1.0 * 0.5**2)  # 1/2 E0 w^2
         w = 0.5
-        grid = oracle_grid_min(
-            lambda u: prob.energy(t, u, z), [(0.0, w)] * 3, resolution=81
-        )
+        x = prob.extras
+
+        def energy(U):
+            # the bar energy over an (M, 3) batch of interior node positions;
+            # z is uniform, so the gradient term vanishes
+            nodes = np.concatenate(
+                [np.zeros((len(U), 1)), U, np.full((len(U), 1), x["w_D"](t))], axis=1
+            )
+            k = (x["eta"] + (1.0 - x["eta"]) * z) * x["E0"]
+            return 0.5 * np.sum(k * np.diff(nodes, axis=1) ** 2, axis=1) / x["h"]
+
+        U = np.random.default_rng(2).uniform(0.0, w, size=(200, 3))
+        scalar = np.array([prob.energy(t, u, z) for u in U])
+        assert np.allclose(energy(U), scalar, rtol=0.0, atol=1e-12)
+        grid = oracle_grid_min(energy, [(0.0, w)] * 3, resolution=81, vectorized=True)
         assert grid.value >= res.value - 1e-12
         assert grid.value - res.value < 1e-3
         assert np.allclose(res.u, grid.argmin, atol=2 * grid.tolerance)
@@ -149,18 +165,6 @@ class TestGlobalMinCorrected:
         res = global_min_corrected(prob, 1.0, [1.0])
         assert res.argmin[0] == 0.0
 
-    def test_vectorized_grid_matches_scalar_fallback(self, toy_doublewell):
-        import dataclasses
-
-        scalar_prob = dataclasses.replace(
-            toy_doublewell, reduced_vec=None, dissipation_vec=None
-        )
-        for t in (0.2, 0.5, 0.9):
-            a = global_min_corrected(toy_doublewell, t, [-1.0])
-            b = global_min_corrected(scalar_prob, t, [-1.0])
-            assert a.value == pytest.approx(b.value, abs=1e-10)
-            assert a.argmin[0] == pytest.approx(b.argmin[0], abs=1e-6)
-
     def test_infeasible_previous_state_raises(self):
         prob = _quadratic_problem()
         with pytest.raises(ValueError):
@@ -185,7 +189,7 @@ class TestZoomSearch:
         for t, z_prev in _random_steps(prob, 12, seed=3):
 
             def objective(pts, t=t, z_prev=z_prev):
-                d = np.asarray(prob.dissipation_vec(z_prev, pts), float)
+                d = np.asarray(prob.dissipation(z_prev, pts), float)
                 v = np.asarray(prob.reduced_vec(t, pts), float) + d
                 return v + h(d) if h is not None else v
 
@@ -193,19 +197,6 @@ class TestZoomSearch:
             res = global_min_corrected(prob, t, z_prev)
             assert res.certified_global
             assert res.value <= oracle.value + 1e-12
-
-    def test_scalar_hooks_find_the_same_2d_step(self, damage):
-        # a problem without batched hooks runs the same search through its
-        # scalar maps (the 1-d case is test_vectorized_grid_matches_scalar_fallback)
-        import dataclasses
-
-        scalar_prob = dataclasses.replace(damage, reduced_vec=None, dissipation_vec=None)
-        band = MinimizerConfig().near_optimal_band
-        for t, z_prev in _random_steps(damage, 3, seed=5):
-            a = global_min_corrected(damage, t, z_prev)
-            b = global_min_corrected(scalar_prob, t, z_prev)
-            assert a.value == pytest.approx(b.value, abs=band)
-            assert np.allclose(a.argmin, b.argmin, rtol=0.0, atol=band)
 
     def test_grid_path_calls_no_scipy_optimizer(self, monkeypatch, damage, toy_doublewell):
         from risolve import reduced
@@ -218,6 +209,48 @@ class TestZoomSearch:
         for prob in (damage, toy_doublewell, _quadratic_problem()):
             for t, z_prev in _random_steps(prob, 3, seed=11):
                 assert global_min_corrected(prob, t, z_prev).certified_global
+
+
+class TestOneDefinitionPerMap:
+    """A batch and a single pair are priced by the same maps, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "name, spec",
+        [
+            ("damage", None),  # the shipped TrivialH correction
+            ("delamination", None),  # the shipped TrivialH correction
+            ("plasticity", QuadraticMu(mu=3.0)),
+            ("damage", QuadraticMu(mu=3.0, dist="dissipation")),
+            ("toy_doublewell", PowerLq(q=2.0, gamma=3.0)),
+        ],
+        ids=["damage-trivial", "delamination-trivial", "plasticity-quadratic",
+             "damage-quadratic-d", "doublewell-power"],
+    )
+    def test_batch_equals_single_pairs(self, name, spec, request):
+        prob = request.getfixturevalue(name)
+        if spec is not None:
+            prob = prob.with_correction(spec)
+        memo = ResidualMemo(prob)
+        rng = np.random.default_rng(19)
+        lo = np.array([b[0] for b in prob.z_box])
+        # 20 bases, 100 targets each: 2,000 pairs, every one finite
+        for t, z in _random_steps(prob, 20, seed=17):
+            hi = z if prob.unidirectional else np.array([b[1] for b in prob.z_box])
+            Z = rng.uniform(lo, hi, size=(100, prob.n_z))
+            vals = step_objective(prob, t, z)(Z)
+            assert np.all(np.isfinite(vals))
+            for i, zi in enumerate(Z):
+                single = (
+                    reduced_value(prob, t, zi) + prob.dissipation(z, zi)
+                    + prob.correction(z, zi)
+                )
+                assert vals[i] == single
+            # the link costs of a chain, as the DP search's all-pairs rows
+            d_row, delta_row = prob.dissipation(z, Z), prob.correction(z, Z)
+            for i, zi in enumerate(Z):
+                chain = _build_chain(prob, t, [z, zi], ["viscous"] * 2, memo)
+                assert chain.link_diss == (d_row[i],)
+                assert chain.link_gap == (delta_row[i],)
 
 
 def test_minimizer_config_validation():

@@ -107,10 +107,7 @@ class TestSolveIncremental:
         # clip() keeps the default initial state inside the box, so force a
         # problem whose energy is infinite even on the box
         bad = dataclasses.replace(
-            toy_convex,
-            energy=lambda t, u, z: float("inf"),
-            reduced_vec=None,
-            dissipation_vec=None,
+            toy_convex, reduced_vec=lambda t, Z: np.full(np.shape(Z)[:-1], np.inf)
         )
         with pytest.raises(ValueError):
             solve_incremental(bad, SchemeConfig(scheme="E", tau=0.5))
