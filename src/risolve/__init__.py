@@ -47,7 +47,6 @@ from .jump import (
     CostBound,
     JumpChain,
     JumpCosts,
-    SearchConfig,
     augmented_variation,
     incremental_cost,
     jump_cost,

@@ -21,7 +21,6 @@ import numpy as np
 
 from .core import (
     CorrectionSpec,
-    JumpRecord,
     PowerLq,
     QuadraticMu,
     RisProblem,
@@ -29,7 +28,7 @@ from .core import (
     Trajectory,
     TrivialH,
 )
-from .jump import SearchConfig, jump_cost
+from .jump import jump_cost
 from .models import (
     Damage1dSpec,
     Delamination0dSpec,
@@ -40,13 +39,14 @@ from .models import (
     make_plasticity0d,
     make_toy1d,
 )
-from .reduced import MinimizerConfig, reduce_energy
+from .reduced import MinimizerConfig
 from .scheme import (
     DiscreteTrajectory,
     SchemeConfig,
     _scheme_correction,
-    detect_jumps,
     interpolate,
+    jump_flags,
+    jump_records,
     solve_incremental,
 )
 from .stability import ResidualMemo, use_memo
@@ -320,9 +320,7 @@ def write_trajectory_csv(
     """Write the node table; ``memo`` keeps the node residuals for reuse."""
     prob = disc.problem
     memo = use_memo(memo, prob, disc.config.minimizer)
-    flags = np.zeros(len(disc.times), dtype=int)
-    for a, b in detect_jumps(disc):
-        flags[a + 1 : b + 2] = 1
+    flags = jump_flags(disc)
     cum = np.concatenate([[0.0], np.cumsum(disc.step_diss)])
     lines = [CSV_VERSION, ",".join(_csv_columns(prob))]
     for n, t in enumerate(disc.times):
@@ -365,30 +363,9 @@ def read_trajectory_csv(path: Path, problem: RisProblem) -> Trajectory:
         State(u=data[n, 1 + nz : 1 + nz + nu], z=data[n, 1 : 1 + nz])
         for n in range(len(times))
     )
-    flags = data[:, -1].astype(int)
-    records = []
-    n = 1
-    while n < len(times):
-        if flags[n]:
-            m = n
-            while m + 1 < len(times) and flags[m + 1]:
-                m += 1
-            Z = data[n - 1 : m + 1, 1 : 1 + nz]
-            k = n + int(np.argmax(problem.dissipation(Z[:-1], Z[1:])))
-            records.append(
-                JumpRecord(
-                    t=float(times[n]),
-                    z_left=states[n - 1].z,
-                    z_inner=states[k].z,
-                    z_right=states[m].z,
-                    t_end=float(times[m]),
-                )
-            )
-            n = m + 1
-        else:
-            n += 1
+    records = jump_records(problem, times, states, data[:, -1].astype(int))
     tau = float(np.median(np.diff(times))) if len(times) > 1 else 0.0
-    return Trajectory(times=times, states=states, jump_records=tuple(records),
+    return Trajectory(times=times, states=states, jump_records=records,
                       meta={"tau": tau})
 
 
@@ -516,7 +493,9 @@ def cmd_jumpcost(args) -> int:
         raise ConfigError(f"endpoints must have dimension {problem.n_z}")
     out = Path(args.out_dir or run.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    bound = jump_cost(problem, args.t, z_minus, z_plus, SearchConfig(minimizer=run.tol.minimizer))
+    bound = jump_cost(
+        problem, args.t, z_minus, z_plus, ResidualMemo(problem, run.tol.minimizer)
+    )
     feasible = np.isfinite(bound.upper)
     lines = [
         f"lower = {_fmt(bound.lower)}",

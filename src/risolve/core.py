@@ -300,8 +300,7 @@ class JumpRecord:
     z_left: NDArray[np.float64]
     z_inner: NDArray[np.float64]
     z_right: NDArray[np.float64]
-    chain: object = None
-    t_end: Optional[float] = None
+    t_end: float  # the last node of the jump's run of steps
 
 
 @dataclass(frozen=True)

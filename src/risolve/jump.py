@@ -5,13 +5,16 @@ search over pure-jump chains plus discretized sliding segments (optimal
 transitions decompose into exactly those pieces) and report an upper bound
 together with a lower estimate.  The estimate starts from the dissipation,
 a true lower bound, and may be raised by extrapolating two DP grid values;
-that step is not a bound.
+that step is not a bound.  The DP chain search runs for n_z = 1 only; in
+higher dimensions the other candidates give the bound.
+
+Every residual along a chain comes from a ``ResidualMemo``, so a chain is
+priced under the memo's minimizer config, the one its command minimizes with.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -20,13 +23,12 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from .core import INF, RisProblem, Trajectory, is_finite
-from .reduced import MinimizerConfig, global_min_corrected
+from .reduced import global_min_corrected
 from .stability import ResidualMemo, use_memo
 
 __all__ = [
     "JumpChain",
     "CostBound",
-    "SearchConfig",
     "JumpCosts",
     "transition_cost",
     "viscous_chain",
@@ -34,6 +36,10 @@ __all__ = [
     "incremental_cost",
     "augmented_variation",
 ]
+
+DP_RESOLUTION = 201  # DP grid points (n_z = 1)
+_SLIDING_POINTS = 64  # links of the sliding-path candidate
+_MAX_CHAIN_STEPS = 200  # minimal-set iterations of a viscous chain
 
 
 @dataclass(frozen=True)
@@ -67,21 +73,6 @@ class CostBound:
     @property
     def gap(self) -> float:
         return self.upper - self.lower
-
-
-@dataclass(frozen=True)
-class SearchConfig:
-    dp_resolution: int = 201  # per dimension; n_z <= 2 only
-    sliding_points: int = 64
-    minimizer: MinimizerConfig = field(default_factory=MinimizerConfig)
-    max_chain_steps: int = 200
-    use_dp: bool = True
-    # each 2-d grid node costs a full 2-d residual minimization; opt in
-    dp_max_dim: int = 1
-
-    def dp_applies(self, n_z: int) -> bool:
-        """Whether the DP chain search (and so ``dp_resolution``) is used."""
-        return self.use_dp and n_z <= min(2, self.dp_max_dim)
 
 
 def _build_chain(
@@ -122,21 +113,20 @@ def viscous_chain(
     problem: RisProblem,
     t: float,
     z_start,
-    max_steps: int = 200,
-    cfg: MinimizerConfig | None = None,
+    max_steps: int = _MAX_CHAIN_STEPS,
     memo: ResidualMemo | None = None,
 ) -> JumpChain:
     """Iterate the minimal-set map at fixed t until it fixes a point.
 
-    ``memo`` must price ``problem`` under ``cfg``; a fresh one is made if None.
+    Every step minimizes under ``memo``'s minimizer config, the one its
+    residuals are priced under; a memo with the default config is made if None.
     """
-    cfg = cfg or MinimizerConfig()
-    memo = use_memo(memo, problem, cfg)
+    memo = use_memo(memo, problem)
     z = np.atleast_1d(np.asarray(z_start, float))
     pts = [z]
     converged = False
     for _ in range(max_steps):
-        res = global_min_corrected(problem, t, z, cfg)
+        res = global_min_corrected(problem, t, z, memo.cfg)
         if float(np.max(np.abs(res.argmin - z))) < 1e-10:
             converged = True
             break
@@ -162,40 +152,24 @@ def _dp_chain(
     z_plus: NDArray,
     resolution: int,
 ) -> Optional[list[NDArray]]:
-    """Shortest chain on a regular z-grid; nodes pay their residual, links
-    pay d + delta.  Returns the node sequence, or None when unreachable.
+    """Shortest chain on a regular grid of a 1-d z; nodes pay their residual,
+    links pay d + delta.  Returns the node sequence, or None when unreachable.
 
     Residuals here are grid-restricted (competitors confined to the same
     grid), which overestimates the true residual, so the resulting path is
     searched under an upper-bound weighting; the caller re-evaluates the
     winning chain exactly.
     """
-    n = problem.n_z
-    if n == 1:
-        lo, hi = problem.z_box[0]
-        xs = np.unique(
-            np.concatenate(
-                [np.linspace(lo, hi, resolution), [z_minus[0], z_plus[0]]]
-            )
-        )
-        nodes = [np.array([x]) for x in xs]
-    elif n == 2:
-        r = min(resolution, 25)
-        axes = [
-            np.unique(
-                np.concatenate([np.linspace(lo, hi, r), [zm, zp]])
-            )
-            for (lo, hi), zm, zp in zip(problem.z_box, z_minus, z_plus)
-        ]
-        nodes = [np.array([x, y]) for x in axes[0] for y in axes[1]]
-    else:
-        return None
-    m = len(nodes)
-    src = next(i for i, p in enumerate(nodes) if np.allclose(p, z_minus, atol=1e-12))
-    dst = next(i for i, p in enumerate(nodes) if np.allclose(p, z_plus, atol=1e-12))
+    lo, hi = problem.z_box[0]
+    xs = np.unique(
+        np.concatenate([np.linspace(lo, hi, resolution), [z_minus[0], z_plus[0]]])
+    )
+    m = len(xs)
+    src = int(np.argmax(np.isclose(xs, z_minus[0], atol=1e-12)))
+    dst = int(np.argmax(np.isclose(xs, z_plus[0], atol=1e-12)))
     if src == dst:
         return [z_minus]
-    pts = np.array(nodes)
+    pts = xs[:, None]
     ivals = np.asarray(problem.reduced_vec(t, pts), dtype=float)
     if not (is_finite(ivals[src]) and is_finite(ivals[dst])):
         return None
@@ -224,7 +198,7 @@ def _dp_chain(
     path = [dst]
     while path[-1] != src:
         path.append(int(pred[path[-1]]))
-    return [nodes[i] for i in reversed(path)]
+    return [pts[i] for i in reversed(path)]
 
 
 def jump_cost(
@@ -232,30 +206,29 @@ def jump_cost(
     t: float,
     z_minus,
     z_plus,
-    search_cfg: SearchConfig | None = None,
     memo: ResidualMemo | None = None,
+    dp_resolution: int = DP_RESOLUTION,
 ) -> CostBound:
     """Upper bound and lower estimate of the jump cost between two states
     at time t.
 
     Candidates: the direct two-point chain, the viscous chain from z_minus
-    spliced toward z_plus, a dynamic-programming search on a z-grid
-    (n_z <= 2), and a fine sliding path equidistant in d.  The upper value
-    is the cheapest candidate.  The lower value starts at d(z_minus, z_plus),
-    a true lower bound; when the DP search applies it is raised to the
-    smaller of the DP values at two grid resolutions minus their difference,
-    an extrapolation that is an estimate, not a bound.  ``memo`` must price
-    ``problem`` under the search's minimizer config; a fresh one is made if
-    None.
+    spliced toward z_plus, a dynamic-programming search on a z-grid of
+    ``dp_resolution`` points (n_z = 1), and a fine sliding path equidistant
+    in d.  The upper value is the cheapest candidate.  The lower value starts
+    at d(z_minus, z_plus), a true lower bound; when the DP search applies it
+    is raised to the smaller of the DP values at two grid resolutions minus
+    their difference, an extrapolation that is an estimate, not a bound.
+    Residuals and viscous steps use ``memo``'s minimizer config; a memo with
+    the default config is made if None.
     """
-    cfg = search_cfg or SearchConfig()
     z_minus = np.atleast_1d(np.asarray(z_minus, float))
     z_plus = np.atleast_1d(np.asarray(z_plus, float))
     d_direct = float(problem.dissipation(z_minus, z_plus))
     if np.allclose(z_minus, z_plus, atol=1e-14):
         chain = JumpChain((z_minus,), ("sliding",), (), (), ())
         return CostBound(upper=0.0, lower=0.0, witness=chain)
-    memo = use_memo(memo, problem, cfg.minimizer)
+    memo = use_memo(memo, problem)
     candidates: list[JumpChain] = []
 
     if is_finite(d_direct):
@@ -263,16 +236,14 @@ def jump_cost(
             _build_chain(problem, t, [z_minus, z_plus], ["viscous"] * 2, memo)
         )
         # sliding path: equidistant points on the segment
-        K = cfg.sliding_points
+        K = _SLIDING_POINTS
         lam = np.linspace(0.0, 1.0, K + 1)
         pts = [z_minus + l * (z_plus - z_minus) for l in lam]
         candidates.append(
             _build_chain(problem, t, pts, ["sliding"] * (K + 1), memo)
         )
 
-    vc = viscous_chain(
-        problem, t, z_minus, cfg.max_chain_steps, cfg.minimizer, memo
-    )
+    vc = viscous_chain(problem, t, z_minus, memo=memo)
     if vc.converged and len(vc.points) > 1:
         term = vc.points[-1]
         if np.allclose(term, z_plus, atol=1e-8):
@@ -284,8 +255,8 @@ def jump_cost(
             )
 
     dp_values = []
-    if cfg.dp_applies(problem.n_z):
-        for res in (cfg.dp_resolution, 2 * cfg.dp_resolution - 1):
+    if problem.n_z == 1:
+        for res in (dp_resolution, 2 * dp_resolution - 1):
             path = _dp_chain(problem, t, z_minus, z_plus, res)
             if path is not None:
                 ch = _build_chain(
@@ -307,12 +278,13 @@ def jump_cost(
 
 
 class JumpCosts:
-    """Jump-cost bounds of one problem, each (t, z_minus, z_plus, search
-    config) priced once.
+    """Jump-cost bounds of one problem, each (t, z_minus, z_plus,
+    dp_resolution) priced once.
 
-    Residuals come from ``memo``, so every search config priced here must
-    use the memo's minimizer config.  A store lives for one certificate
-    or one call, never longer.
+    Every bound is priced from ``memo`` and so under its minimizer config:
+    a certificate must hand over the memo of its own config, or its jumps
+    and its stability probes are priced under two different minimizations.
+    A store lives for one certificate or one call, never longer.
     """
 
     def __init__(self, memo: ResidualMemo):
@@ -320,25 +292,23 @@ class JumpCosts:
         self._bounds: dict[tuple, CostBound] = {}
 
     def __call__(
-        self, t: float, z_minus, z_plus, search_cfg: SearchConfig | None = None
+        self, t: float, z_minus, z_plus, dp_resolution: int = DP_RESOLUTION
     ) -> CostBound:
-        cfg = search_cfg or SearchConfig()
         z_minus = np.atleast_1d(np.asarray(z_minus, float))
         z_plus = np.atleast_1d(np.asarray(z_plus, float))
-        key = (float(t), z_minus.tobytes(), z_plus.tobytes(), cfg)
+        key = (float(t), z_minus.tobytes(), z_plus.tobytes(), dp_resolution)
         bound = self._bounds.get(key)
         if bound is None:
-            bound = jump_cost(self.memo.problem, t, z_minus, z_plus, cfg, self.memo)
+            bound = jump_cost(
+                self.memo.problem, t, z_minus, z_plus, self.memo, dp_resolution
+            )
             self._bounds[key] = bound
         return bound
 
 
-def _use_costs(
-    costs: JumpCosts | None, problem: RisProblem, search_cfg: SearchConfig | None
-) -> JumpCosts:
+def _use_costs(costs: JumpCosts | None, problem: RisProblem) -> JumpCosts:
     if costs is None:
-        cfg = search_cfg or SearchConfig()
-        return JumpCosts(ResidualMemo(problem, cfg.minimizer))
+        return JumpCosts(ResidualMemo(problem))
     if costs.memo.problem is not problem:
         raise ValueError("jump-cost store belongs to another problem")
     return costs
@@ -349,7 +319,6 @@ def incremental_cost(
     t: float,
     z_minus,
     z_plus,
-    search_cfg: SearchConfig | None = None,
     costs: JumpCosts | None = None,
 ) -> float:
     """Delta_c = c(t, z_minus, z_plus) - d(z_minus, z_plus) >= 0.
@@ -360,8 +329,8 @@ def incremental_cost(
     z_plus = np.atleast_1d(np.asarray(z_plus, float))
     if np.allclose(z_minus, z_plus, atol=1e-14):
         return 0.0
-    costs = _use_costs(costs, problem, search_cfg)
-    bound = costs(t, z_minus, z_plus, search_cfg)
+    costs = _use_costs(costs, problem)
+    bound = costs(t, z_minus, z_plus)
     d = float(problem.dissipation(z_minus, z_plus))
     if not is_finite(bound.upper):
         return INF
@@ -373,7 +342,6 @@ def augmented_variation(
     traj: Trajectory,
     t0: float,
     t1: float,
-    search_cfg: SearchConfig | None = None,
     costs: JumpCosts | None = None,
 ) -> float:
     """Var_{d,c} over [t0, t1]: step dissipations plus Delta_c at jumps.
@@ -382,7 +350,7 @@ def augmented_variation(
     additivity across an interior split exact.  ``costs`` is a store for
     ``problem`` to price the jumps from.
     """
-    costs = _use_costs(costs, problem, search_cfg)
+    costs = _use_costs(costs, problem)
     times = traj.times[1:]
     Z = np.array([s.z for s in traj.states])
     steps = problem.dissipation(Z[:-1], Z[1:])
@@ -390,6 +358,6 @@ def augmented_variation(
     for rec in traj.jump_records:
         if t0 < rec.t <= t1 + 1e-12:
             total += incremental_cost(
-                problem, rec.t, rec.z_left, rec.z_right, search_cfg, costs
+                problem, rec.t, rec.z_left, rec.z_right, costs
             )
     return total

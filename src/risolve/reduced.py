@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -37,6 +37,9 @@ __all__ = [
 ]
 
 _GRID_BUDGET = 10_000_000
+DESCENT_TOL = 1e-10  # zoom half-width and Powell xtol/ftol at which a search stops
+NEAR_OPTIMAL_BAND = 1e-9  # step values this close to the best one tie
+_MULTISTART_COUNT = 12  # random Powell starts besides z_prev (n_z > 2)
 _ZOOM_STARTS = 4  # best coarse-grid points the zoom refines
 _ZOOM_POINTS = 17  # zoom window points per axis, the centre included
 _ZOOM_FACTOR = 2 / (_ZOOM_POINTS - 1)  # each level's half-width: the last spacing
@@ -54,20 +57,15 @@ class MinResult:
 
 @dataclass(frozen=True)
 class MinimizerConfig:
-    method: str = "grid"  # grid | multistart-descent
+    """Coarse grid points per axis (n_z <= 2) and the seed of the random
+    Powell starts (n_z > 2)."""
+
     grid_resolution: int = 129
-    multistart_count: int = 12
-    descent_tol: float = 1e-10
-    near_optimal_band: float = 1e-9
     seed: int = 0
 
     def __post_init__(self):
-        if self.method not in ("grid", "multistart-descent"):
-            raise ValueError(f"unknown minimizer method {self.method!r}")
         if self.grid_resolution < 2:
             raise ValueError("grid_resolution must be >= 2")
-        if self.descent_tol <= 0 or self.near_optimal_band <= 0:
-            raise ValueError("tolerances must be positive")
 
 
 def oracle_grid_min(
@@ -233,9 +231,9 @@ def global_min_corrected(
 ) -> MinResult:
     """Minimize z -> I(t,z) + d(z_prev,z) + delta(z_prev,z) over the box.
 
-    Certified-global only for the grid path with n_z <= 2; elsewhere the
-    flag is honest about the heuristic.  Ties within ``near_optimal_band``
-    go to the candidate closest to z_prev.
+    Certified-global only for the grid path (n_z <= 2); the multistart
+    Powell descent (n_z > 2) is honest about the heuristic.  Ties within
+    ``NEAR_OPTIMAL_BAND`` go to the candidate closest to z_prev.
     """
     cfg = cfg or MinimizerConfig()
     z_prev = np.atleast_1d(np.asarray(z_prev, dtype=float))
@@ -249,7 +247,7 @@ def global_min_corrected(
     n = problem.n_z
 
     cands: list[tuple[NDArray, float]] = [(z_prev.copy(), stay)]
-    certified = n <= 2 and cfg.method == "grid"
+    certified = n <= 2
     if certified:
         res = min(cfg.grid_resolution, int(_GRID_BUDGET ** (1.0 / n)))
         axes = [
@@ -265,14 +263,14 @@ def global_min_corrected(
         lo, hi = np.array(box).T
         centers, values = zoom_search(
             f, pts[starts], vals[starts], (hi - lo) / (res - 1), lo, hi,
-            cfg.descent_tol,
+            DESCENT_TOL,
         )
         cands += [(x, float(v)) for x, v in zip(centers, values)]
     else:
         rng = np.random.default_rng(cfg.seed)
         starts = [z_prev] + [
             np.array([rng.uniform(lo, hi) for lo, hi in box])
-            for _ in range(cfg.multistart_count)
+            for _ in range(_MULTISTART_COUNT)
         ]
         for x0 in starts:
             r = optimize.minimize(
@@ -280,12 +278,12 @@ def global_min_corrected(
                 x0,
                 method="Powell",
                 bounds=box,
-                options={"xtol": cfg.descent_tol, "ftol": cfg.descent_tol},
+                options={"xtol": DESCENT_TOL, "ftol": DESCENT_TOL},
             )
             if is_finite(float(r.fun)):
                 cands.append((np.asarray(r.x, float), float(r.fun)))
 
-    x, v = _tie_break(cands, cfg.near_optimal_band, z_prev)
+    x, v = _tie_break(cands, NEAR_OPTIMAL_BAND, z_prev)
     # snap to box edges when the search stopped a hair away from them
     snapped = x.copy()
     for i, (lo, hi) in enumerate(problem.z_box):
@@ -295,16 +293,15 @@ def global_min_corrected(
             snapped[i] = hi
     if not np.array_equal(snapped, x):
         vs = float(f(snapped[None, :])[0])
-        if vs <= v + cfg.near_optimal_band:
+        if vs <= v + NEAR_OPTIMAL_BAND:
             x, v = snapped, vs
     # the step objective can never beat simply staying put by less than 0
     if v > stay:
         x, v = z_prev.copy(), stay
-    method = "grid" if certified else "multistart-descent"
     return MinResult(
         argmin=x,
         value=v,
-        method=method,
+        method="grid" if certified else "multistart-descent",
         certified_global=certified,
-        tolerance=cfg.descent_tol,
+        tolerance=DESCENT_TOL,
     )

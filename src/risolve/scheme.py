@@ -39,11 +39,14 @@ __all__ = [
     "refine_study",
     "ConvergenceReport",
     "detect_jumps",
+    "jump_flags",
+    "jump_records",
     "jump_onset",
 ]
 
 JUMP_THRESH = 10.0  # step is a jump candidate beyond this multiple of median
 JUMP_FLOOR = 1e-6
+ONSET_GAIN = 0.05  # jump_onset's threshold on the step gain, in units of tau
 
 
 @dataclass(frozen=True)
@@ -138,25 +141,36 @@ def solve_incremental(problem: RisProblem, cfg: SchemeConfig) -> DiscreteTraject
     )
 
 
-def jump_onset(
-    disc: DiscreteTrajectory, gain_tol: Optional[float] = None
-) -> float | None:
+def jump_onset(disc: DiscreteTrajectory) -> float | None:
     """First node time whose step improves on staying put by more than
-    ``gain_tol``: the onset of a jump regime.
+    ``ONSET_GAIN * tau``: the onset of a jump regime.
 
     A step that merely tracks a smoothly sliding stable state improves the
     objective by O(tau^2); a step participating in a genuine transition
-    improves it by O(tau) (finite energy-drop rate).  The default threshold
-    0.05*tau therefore separates crawl from jump, and keeps firing near the
+    improves it by O(tau) (finite energy-drop rate).  The threshold 0.05*tau
+    therefore separates crawl from jump, and keeps firing near the
     local-stability-loss time even when a strong correction smears the
     transition itself over many nodes.
     """
-    if gain_tol is None:
-        gain_tol = 0.05 * disc.config.tau
-    idx = np.nonzero(disc.step_gain > gain_tol)[0]
+    idx = np.nonzero(disc.step_gain > ONSET_GAIN * disc.config.tau)[0]
     if idx.size == 0:
         return None
     return float(disc.times[int(idx[0]) + 1])
+
+
+def _runs(flags: NDArray[np.bool_]) -> list[tuple[int, int]]:
+    """Index ranges [a, b] of the runs of True in ``flags``."""
+    edges = np.diff(np.r_[0, flags.astype(np.int8), 0])
+    starts, stops = np.flatnonzero(edges > 0), np.flatnonzero(edges < 0)
+    return list(zip(starts.tolist(), (stops - 1).tolist()))
+
+
+def jump_flags(disc: DiscreteTrajectory) -> NDArray[np.bool_]:
+    """Per node, whether the step into it dissipates far more than the
+    median step; the first node, which no step leads into, is never flagged."""
+    d = disc.step_diss
+    med = float(np.median(d)) if d.size else 0.0
+    return np.r_[False, d > max(JUMP_THRESH * med, JUMP_FLOOR)]
 
 
 def detect_jumps(disc: DiscreteTrajectory) -> list[tuple[int, int]]:
@@ -164,48 +178,41 @@ def detect_jumps(disc: DiscreteTrajectory) -> list[tuple[int, int]]:
 
     Consecutive flagged steps merge into one discontinuity.
     """
-    d = disc.step_diss
-    med = float(np.median(d)) if d.size else 0.0
-    thresh = max(JUMP_THRESH * med, JUMP_FLOOR)
-    flags = d > thresh
-    runs = []
-    i = 0
-    while i < len(flags):
-        if flags[i]:
-            j = i
-            while j + 1 < len(flags) and flags[j + 1]:
-                j += 1
-            runs.append((i, j))
-            i = j + 1
-        else:
-            i += 1
-    return runs
+    return _runs(jump_flags(disc)[1:])
+
+
+def jump_records(
+    problem: RisProblem, times: NDArray, states: Sequence[State], flags
+) -> tuple[JumpRecord, ...]:
+    """One record per run of flagged nodes (``jump_flags``; the first
+    node's flag is ignored): the states before and after the run and,
+    inside it, the state reached by the step of largest dissipation."""
+    Z = np.array([s.z for s in states])
+    d = problem.dissipation(Z[:-1], Z[1:])  # d[a]: the step into node a + 1
+    records = []
+    for a, b in _runs(np.asarray(flags[1:], dtype=bool)):
+        k = a + int(np.argmax(d[a : b + 1]))
+        records.append(
+            JumpRecord(
+                t=float(times[a + 1]),
+                z_left=states[a].z,
+                z_inner=states[k + 1].z,
+                z_right=states[b + 1].z,
+                t_end=float(times[b + 1]),
+            )
+        )
+    return tuple(records)
 
 
 def interpolate(disc: DiscreteTrajectory) -> Trajectory:
     """Left-continuous piecewise-constant interpolant with jump records."""
-    records = []
-    for a, b in detect_jumps(disc):
-        k = a + int(np.argmax(disc.step_diss[a : b + 1]))
-        records.append(
-            JumpRecord(
-                t=float(disc.times[a + 1]),
-                z_left=disc.states[a].z,
-                z_inner=disc.states[k + 1].z,
-                z_right=disc.states[b + 1].z,
-                t_end=float(disc.times[b + 1]),
-            )
-        )
     return Trajectory(
         times=disc.times,
         states=disc.states,
-        jump_records=tuple(records),
-        meta={
-            "scheme": disc.config.scheme,
-            "tau": disc.config.tau,
-            "step_diss": disc.step_diss,
-            "step_corr": disc.step_corr,
-        },
+        jump_records=jump_records(
+            disc.problem, disc.times, disc.states, jump_flags(disc)
+        ),
+        meta={"scheme": disc.config.scheme, "tau": disc.config.tau},
     )
 
 

@@ -2,7 +2,9 @@
 
 The residual R(t, z) = I(t, z) - inf_{z'} ( I(t, z') + d(z, z') + delta(z, z') )
 is nonnegative and vanishes exactly on the corrected stable set.  It reuses
-the same global minimizer as the schemes so certification semantics match.
+the same global minimizer as the schemes, under the command's one
+``MinimizerConfig``, so certification semantics match; a ``ResidualMemo``
+carries that config to the stability probes and to jump pricing.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ from numpy.typing import NDArray
 
 from .core import RisProblem, State, is_finite
 from .reduced import (
+    DESCENT_TOL,
+    NEAR_OPTIMAL_BAND,
     MinimizerConfig,
     global_min_corrected,
     reduce_energy,
@@ -36,7 +40,7 @@ __all__ = [
     "ExponentReport",
 ]
 
-_CLAMP_TOL = 1e-9
+_CLAMP_TOL = 1e-9  # floating slop a negative residual may show before it raises
 
 
 @dataclass(frozen=True)
@@ -51,7 +55,6 @@ def residual_stability(
     t: float,
     z,
     cfg: MinimizerConfig | None = None,
-    clamp_tol: float = _CLAMP_TOL,
 ) -> StabilityReport:
     """R(t, z) with the best competitor found as witness."""
     z = np.atleast_1d(np.asarray(z, dtype=float))
@@ -60,7 +63,7 @@ def residual_stability(
         raise ValueError("residual undefined: I(t, z) is infinite")
     r = global_min_corrected(problem, t, z, cfg)
     residual = i_here - r.value
-    if residual < -clamp_tol:
+    if residual < -_CLAMP_TOL:
         # a competitor beating z by more than floating slop would mean the
         # minimizer disagrees with itself; surface it
         raise RuntimeError(f"negative residual {residual} beyond clamp tolerance")
@@ -92,12 +95,15 @@ class ResidualMemo:
 
 
 def use_memo(
-    memo: ResidualMemo | None, problem: RisProblem, cfg: MinimizerConfig | None
+    memo: ResidualMemo | None,
+    problem: RisProblem,
+    cfg: MinimizerConfig | None = None,
 ) -> ResidualMemo:
-    """``memo`` when it prices ``problem`` under ``cfg``; a new one for None."""
+    """``memo`` when it prices ``problem``, and does so under ``cfg`` unless
+    that is None; for no memo, a new one under ``cfg`` (or the default)."""
     if memo is None:
         return ResidualMemo(problem, cfg)
-    if memo.problem is not problem or memo.cfg != (cfg or MinimizerConfig()):
+    if memo.problem is not problem or cfg not in (None, memo.cfg):
         raise ValueError("residual memo belongs to another problem or minimizer config")
     return memo
 
@@ -123,17 +129,17 @@ def minimal_set(
         xs = np.linspace(lo, hi, cfg.grid_resolution)
         vals = f(xs[:, None])
         spacing = xs[1] - xs[0] if len(xs) > 1 else 0.0
-        coarse_band = max(cfg.near_optimal_band, spacing**2 + 1e-6)
+        coarse_band = max(NEAR_OPTIMAL_BAND, spacing**2 + 1e-6)
         left_ok = np.r_[True, vals[1:] <= vals[:-1]]
         right_ok = np.r_[vals[:-1] <= vals[1:], True]
         idx = np.flatnonzero(left_ok & right_ok & (vals <= best.value + coarse_band))
         if idx.size:
             xs_ref, vals_ref = zoom_search(
                 f, xs[idx, None], vals[idx], np.array([spacing]),
-                np.array([lo]), np.array([hi]), cfg.descent_tol,
+                np.array([lo]), np.array([hi]), DESCENT_TOL,
             )
             for x, v in zip(xs_ref[:, 0], vals_ref):
-                if v <= best.value + cfg.near_optimal_band:
+                if v <= best.value + NEAR_OPTIMAL_BAND:
                     if all(abs(x - float(m[0])) > 1e-7 for m in out):
                         out.append(np.array([x]))
     return out

@@ -9,15 +9,14 @@ model, and the adhesive-to-brittle penalty-limit study.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .core import RisProblem, State, Trajectory, is_finite
-from .jump import JumpCosts, SearchConfig, augmented_variation, jump_cost
+from .core import RisProblem, Trajectory, is_finite
+from .jump import DP_RESOLUTION, JumpCosts, augmented_variation, jump_cost
 from .reduced import MinimizerConfig, reduce_energy, reduced_value
 from .scheme import DiscreteTrajectory, SchemeConfig, interpolate, solve_incremental
 from .stability import ResidualMemo, residual_stability, use_memo
@@ -43,8 +42,8 @@ class TolConfig:
     balance_tol: float = 5e-2
     jump_tol: float = 5e-2
     probe_count: int = 512
+    # every minimization of a certificate, its jump pricing included
     minimizer: MinimizerConfig = field(default_factory=MinimizerConfig)
-    search: SearchConfig = field(default_factory=SearchConfig)
 
 
 @dataclass(frozen=True)
@@ -83,8 +82,7 @@ def _probe_times(traj: Trajectory, count: int) -> NDArray:
 def _in_jump_window(traj: Trajectory, t: float) -> bool:
     tau = float(traj.meta.get("tau", 0.0))
     for rec in traj.jump_records:
-        end = rec.t_end if rec.t_end is not None else rec.t
-        if rec.t - tau - 1e-12 < t < end - 1e-12:
+        if rec.t - tau - 1e-12 < t < rec.t_end - 1e-12:
             return True
     return False
 
@@ -109,10 +107,7 @@ def _power_integral(problem: RisProblem, traj: Trajectory) -> float:
     return total
 
 
-def balance_residual(
-    disc: DiscreteTrajectory,
-    search_cfg: SearchConfig | None = None,
-) -> float:
+def balance_residual(disc: DiscreteTrajectory) -> float:
     """|E(T) + Var_{d,c}(0, T) - E(0) - integral of power| for a scheme run.
 
     The variation is assembled from the run's own step data: per-step d and
@@ -139,10 +134,8 @@ def _jump_checks(
     tol: TolConfig,
     costs: JumpCosts,
 ) -> tuple[JumpCheck, ...]:
-    # refining only changes the bound when the DP search runs
-    fine = None
-    if tol.search.dp_applies(problem.n_z):
-        fine = replace(tol.search, dp_resolution=2 * tol.search.dp_resolution - 1)
+    # refining only changes the bound when the DP search runs (n_z = 1)
+    refine = problem.n_z == 1
     out = []
     for rec in traj.jump_records:
         t = rec.t
@@ -157,10 +150,10 @@ def _jump_checks(
                 triples.append(0.0)
                 gaps.append(0.0)
                 continue
-            bound = costs(t, za, zb, tol.search)
-            if bound.gap > tol.jump_tol and fine is not None:
+            bound = costs(t, za, zb)
+            if bound.gap > tol.jump_tol and refine:
                 # refine the chain search before accepting a verdict
-                bound = costs(t, za, zb, fine)
+                bound = costs(t, za, zb, 2 * DP_RESOLUTION - 1)
             drop = reduced_value(problem, t, za) - reduced_value(problem, t, zb)
             triples.append(drop - bound.upper)
             gaps.append(bound.gap)
@@ -202,14 +195,11 @@ def _certify(
     e0 = reduce_energy(problem, float(traj.times[0]), traj.states[0].z).value
     eT = reduce_energy(problem, float(traj.times[-1]), traj.states[-1].z).value
     if augmented:
-        # one store prices each jump for the variation and the jump checks
-        search_memo = memo
-        if tol.search.minimizer != tol.minimizer:
-            search_memo = ResidualMemo(problem, tol.search.minimizer)
-        costs = JumpCosts(search_memo)
+        # one store prices each jump for the variation and the jump checks,
+        # from the residuals of the stability probes
+        costs = JumpCosts(memo)
         var = augmented_variation(
-            problem, traj, float(traj.times[0]), float(traj.times[-1]),
-            tol.search, costs,
+            problem, traj, float(traj.times[0]), float(traj.times[-1]), costs
         )
     else:
         Z = np.array([s.z for s in traj.states])
@@ -291,9 +281,10 @@ def ve_equals_e(
         stab = max(stab, rep.residual)
     max_dc = 0.0
     jr = []
+    memo = ResidualMemo(problem, tol.minimizer)
     for rec in traj.jump_records:
         d = float(plain.dissipation(rec.z_left, rec.z_right))
-        bound = jump_cost(problem, rec.t, rec.z_left, rec.z_right, tol.search)
+        bound = jump_cost(problem, rec.t, rec.z_left, rec.z_right, memo)
         if is_finite(bound.upper) and is_finite(d):
             max_dc = max(max_dc, max(bound.upper - d, 0.0))
         drop = reduced_value(plain, rec.t, rec.z_left) - reduced_value(

@@ -9,6 +9,8 @@ from risolve import (
     cli,
     interpolate,
     jump,
+    reduced,
+    scheme,
     solve_incremental,
     stability,
     verify,
@@ -67,6 +69,30 @@ TOY_BV_CONFIG = (
     .replace("scheme = VE", "scheme = BV\nepsilon = 2e-2")
     .replace("tau = 5e-4", "tau = 1e-3")
 )
+
+# the double well under a strong correction: the jump is smeared over the
+# nodes of t in 0.63-0.64
+DOUBLEWELL_CONFIG = """\
+[model]
+kind = toy1d
+well = doublewell
+b = 1.0
+w = 1.0
+kappa = 1.0
+ell = 0, 3
+z_box = -3, 3
+correction = quadratic:1.0
+
+[scheme]
+scheme = VE
+tau = 1e-2
+initial_z = -1.0
+
+[output]
+prefix = dw
+"""
+
+DELAM_SHIPPED = (CONFIG_DIR / "delamination0d.ini").read_text()
 
 
 @pytest.fixture
@@ -148,6 +174,21 @@ class TestSolveAndVerify:
         assert csv.is_file() and cert.read_text() == solved
         assert main(["verify", "--config", str(cfg), str(csv)]) == exit_code
         assert capsys.readouterr().out == solved
+
+    def test_csv_jump_records_match_interpolate(self, tmp_path):
+        cfg = tmp_path / "dw.ini"
+        cfg.write_text(DOUBLEWELL_CONFIG)
+        out = tmp_path / "out"
+        main(["solve", "--config", str(cfg), "--out-dir", str(out)])
+        run = load_config(cfg)
+        expected = interpolate(solve_incremental(run.problem, run.scheme)).jump_records
+        got = read_trajectory_csv(out / "dw_trajectory.csv", run.problem).jump_records
+        assert len(got) == len(expected) == 1
+        assert expected[0].t_end > expected[0].t  # a jump over several steps
+        for g, e in zip(got, expected):
+            assert (g.t, g.t_end) == (e.t, e.t_end)
+            for name in ("z_left", "z_inner", "z_right"):
+                assert np.array_equal(getattr(g, name), getattr(e, name))
 
     def test_csv_round_trip_is_lossless(self, toy_cfg, tmp_path):
         out = tmp_path / "out"
@@ -286,10 +327,9 @@ def counted_delam_solve(tmp_path_factory):
         residuals.append((id(problem), cfg, float(t), z.tobytes()))
         return real_residual(problem, t, z, cfg, *args, **kwargs)
 
-    def cost(problem, t, z_minus, z_plus, search_cfg=None, *args, **kwargs):
-        costs.append((id(problem), float(t), z_minus.tobytes(), z_plus.tobytes(),
-                      search_cfg))
-        return real_cost(problem, t, z_minus, z_plus, search_cfg, *args, **kwargs)
+    def cost(problem, t, z_minus, z_plus, *args, **kwargs):
+        costs.append((id(problem), float(t), z_minus.tobytes(), z_plus.tobytes()))
+        return real_cost(problem, t, z_minus, z_plus, *args, **kwargs)
 
     out = tmp_path_factory.mktemp("delam")
     config = CONFIG_DIR / "delamination0d.ini"
@@ -337,3 +377,38 @@ class TestOnePricePerCommand:
                 monkeypatch.setattr(module, "residual_stability", residual)
         assert main(["solve", "--config", str(toy_cfg), "--out-dir", str(tmp_path)]) == EXIT_PASS
         assert len(calls) == len(set(calls))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            pytest.param(
+                DELAM_SHIPPED.replace("seed = 0", "seed = 0\ngrid_resolution = 65"),
+                id="grid_resolution-65",
+            ),
+            pytest.param(DELAM_SHIPPED.replace("seed = 0", "seed = 1"), id="seed-1"),
+        ],
+    )
+    def test_one_minimizer_config_per_command(self, tmp_path, monkeypatch, text):
+        # the scheme, the CSV, the probes and the jump pricing all minimize
+        # under the config's own MinimizerConfig
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(text)
+        expected = load_config(cfg).tol.minimizer
+        assert expected != reduced.MinimizerConfig()
+        used = []
+        real = reduced.global_min_corrected
+
+        def counted(problem, t, z_prev, cfg=None):
+            used.append(cfg)
+            return real(problem, t, z_prev, cfg)
+
+        for module in (cli, jump, reduced, scheme, stability, verify):  # every binding
+            if hasattr(module, "global_min_corrected"):
+                monkeypatch.setattr(module, "global_min_corrected", counted)
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(cfg), "--out-dir", str(out)]) == EXIT_PASS
+        assert used and set(used) == {expected}
+        used.clear()
+        csv = out / "delamination0d_trajectory.csv"
+        assert main(["verify", "--config", str(cfg), str(csv)]) == EXIT_PASS
+        assert used and set(used) == {expected}

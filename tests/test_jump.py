@@ -8,7 +8,6 @@ from risolve import (
     QuadraticMu,
     RisProblem,
     SchemeConfig,
-    SearchConfig,
     augmented_variation,
     interpolate,
     jump_cost,
@@ -185,9 +184,3 @@ class TestAugmentedVariation:
     def test_empty_window(self, doublewell_run):
         prob, traj = doublewell_run
         assert augmented_variation(prob, traj, 0.0, 0.0) == 0.0
-
-
-def test_search_config_defaults():
-    cfg = SearchConfig()
-    assert cfg.dp_max_dim == 1
-    assert cfg.use_dp

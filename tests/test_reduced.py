@@ -255,8 +255,4 @@ class TestOneDefinitionPerMap:
 
 def test_minimizer_config_validation():
     with pytest.raises(ValueError):
-        MinimizerConfig(method="simulated-annealing")
-    with pytest.raises(ValueError):
         MinimizerConfig(grid_resolution=1)
-    with pytest.raises(ValueError):
-        MinimizerConfig(descent_tol=0.0)

@@ -11,6 +11,7 @@ from risolve import (
     refine_study,
     solve_incremental,
 )
+from risolve import scheme
 from risolve.scheme import detect_jumps, jump_onset
 from risolve.models import (
     Damage1dSpec,
@@ -144,6 +145,28 @@ class TestJumpDetection:
         disc = solve_incremental(toy_doublewell, cfg)
         (a, _), = detect_jumps(disc)
         assert jump_onset(disc) == pytest.approx(float(disc.times[a + 1]))
+
+
+    def test_runs_match_loop_reference(self):
+        # the run merge read from np.diff against the plain scan it replaced
+        def scan(flags):
+            runs, i = [], 0
+            while i < len(flags):
+                if flags[i]:
+                    j = i
+                    while j + 1 < len(flags) and flags[j + 1]:
+                        j += 1
+                    runs.append((i, j))
+                    i = j + 1
+                else:
+                    i += 1
+            return runs
+
+        rng = np.random.default_rng(7)
+        for size in (1, 2, 3, 10, 50):
+            for _ in range(40):
+                flags = rng.random(size) < rng.random()
+                assert scheme._runs(flags) == scan(flags)
 
 
 class TestInterpolate:

@@ -123,8 +123,8 @@ class TestJumpPricing:
         problem = request.getfixturevalue(model)
         calls = []
 
-        def wide_gap(prob, t, z_minus, z_plus, search_cfg=None, memo=None):
-            calls.append((z_minus.tobytes(), z_plus.tobytes(), search_cfg))
+        def wide_gap(prob, t, z_minus, z_plus, memo=None, dp_resolution=None):
+            calls.append((z_minus.tobytes(), z_plus.tobytes(), dp_resolution))
             return CostBound(upper=1.0, lower=0.0)
 
         for module in (jump, verify):  # every binding of jump_cost
