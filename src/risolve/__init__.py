@@ -21,6 +21,7 @@ from .reduced import (
     MinimizerConfig,
     MinResult,
     global_min_corrected,
+    global_min_rows,
     oracle_grid_min,
     reduce_energy,
     reduced_value,
@@ -32,6 +33,7 @@ from .stability import (
     exponent_check,
     is_Q_stable,
     minimal_set,
+    residual_rows,
     residual_stability,
 )
 from .scheme import (

@@ -317,20 +317,22 @@ def _csv_columns(problem: RisProblem) -> list[str]:
 def write_trajectory_csv(
     path: Path, disc: DiscreteTrajectory, memo: Optional[ResidualMemo] = None
 ) -> None:
-    """Write the node table; ``memo`` keeps the node residuals for reuse."""
+    """Write the node table; ``memo`` keeps the node residuals for reuse.
+
+    The residuals the memo lacks are computed together, in batches."""
     prob = disc.problem
     memo = use_memo(memo, prob, disc.config.minimizer)
     flags = jump_flags(disc)
     cum = np.concatenate([[0.0], np.cumsum(disc.step_diss)])
+    resids = memo.fill(disc.times, [s.z for s in disc.states])
     lines = [CSV_VERSION, ",".join(_csv_columns(prob))]
     for n, t in enumerate(disc.times):
         s = disc.states[n]
         energy = prob.energy(float(t), s.u, s.z)
         power = prob.power(float(t), s.u, s.z)
-        resid = memo(float(t), s.z)
         row = [float(t), *s.z.tolist(), *s.u.tolist(), energy, power,
                float(disc.step_diss[n - 1]) if n > 0 else 0.0,
-               float(cum[n]), resid]
+               float(cum[n]), resids[n]]
         lines.append(",".join(_fmt(x) for x in row) + f",{int(flags[n])}")
     path.write_text("\n".join(lines) + "\n")
 
@@ -408,8 +410,10 @@ def cmd_solve(args) -> int:
     out = Path(args.out_dir or run.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     disc = solve_incremental(run.problem, run.scheme)
-    # the certificate's node probes are the CSV's residuals
+    # the certificate's node probes are the CSV's residuals, and a node the
+    # scheme stayed at already has its residual: the step's gain
     memo = ResidualMemo(disc.problem, disc.config.minimizer)
+    memo.seed_from(disc)
     write_trajectory_csv(out / f"{run.prefix}_trajectory.csv", disc, memo)
     cert = _certify(run, disc.problem, interpolate(disc), memo)
     text = "\n".join(certificate_lines(cert)) + "\n"

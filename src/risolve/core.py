@@ -120,22 +120,29 @@ class PowerLq(CorrectionSpec):
             raise ValueError("q and gamma must exceed 1")
 
 
-def _zero_correction(z, zp):
+def _zero_correction(z, zp, d=None):
     return np.zeros(np.broadcast_shapes(np.shape(z), np.shape(zp))[:-1])
 
 
 def build_correction(spec: Optional[CorrectionSpec], problem: "RisProblem"):
-    """Return the broadcasting map delta(Z_from, Z_to) implementing ``spec``.
+    """Return the broadcasting map delta(Z_from, Z_to, D=None) implementing
+    ``spec``.
 
-    ``None`` (and mu=0) yield the zero correction.
+    ``D``, when given, is d(Z_from, Z_to) already evaluated; a correction
+    defined on d takes it instead of evaluating d again.  ``None`` (and
+    mu=0) yield the zero correction.
     """
     if spec is None:
         return _zero_correction
+
+    def dist(z, zp, d):
+        return np.asarray(problem.dissipation(z, zp) if d is None else d, dtype=float)
+
     if isinstance(spec, TrivialH):
         h = spec.h
 
-        def corr_h(z, zp):
-            return h(np.asarray(problem.dissipation(z, zp), dtype=float))
+        def corr_h(z, zp, d=None):
+            return h(dist(z, zp, d))
 
         return corr_h
     if isinstance(spec, QuadraticMu):
@@ -143,17 +150,17 @@ def build_correction(spec: Optional[CorrectionSpec], problem: "RisProblem"):
             return _zero_correction
         mu = spec.mu
         if spec.dist == "euclidean":
-            def corr_mu(z, zp):
+            def corr_mu(z, zp, d=None):
                 dz = np.asarray(zp, dtype=float) - np.asarray(z, dtype=float)
                 return 0.5 * mu * np.sum(dz * dz, axis=-1)
         else:
-            def corr_mu(z, zp):
-                return 0.5 * mu * np.asarray(problem.dissipation(z, zp), dtype=float) ** 2
+            def corr_mu(z, zp, d=None):
+                return 0.5 * mu * dist(z, zp, d) ** 2
         return corr_mu
     if isinstance(spec, PowerLq):
         q, gamma = spec.q, spec.gamma
 
-        def corr_lq(z, zp):
+        def corr_lq(z, zp, d=None):
             dz = np.abs(np.asarray(zp, dtype=float) - np.asarray(z, dtype=float))
             # keepdims: a single pair takes numpy's array power, as a batch
             # does, not the scalar one, which can differ in the last bit
@@ -175,10 +182,12 @@ class RisProblem:
     (..., n_z) and returns values of the broadcast shape (...), so one
     definition serves a single state, a batch, and all pairs of two batches:
     reduced_vec(t, Z) is the reduced energy I(t, z) = min_u E(t, u, z) of
-    in-box states; dissipation(Z_from, Z_to) is an asymmetric extended
-    quasi-distance (``inf`` encodes forbidden directions such as healing);
-    correction(Z_from, Z_to) is the viscous perturbation delta of the VE
-    scheme and stability function, built by :meth:`with_correction`.
+    in-box states, where t is a time or an array of times broadcasting
+    against Z.shape[:-1]; dissipation(Z_from, Z_to) is an asymmetric
+    extended quasi-distance (``inf`` encodes forbidden directions such as
+    healing); correction(Z_from, Z_to, D=None) is the viscous perturbation
+    delta of the VE scheme and stability function, built by
+    :meth:`with_correction`, which takes D = d(Z_from, Z_to) when given.
 
     energy(t, u, z) is +infinity exactly where constraints are violated.
     With n_u = 0 it may be omitted and is then I(t, z) in the box, +infinity
@@ -214,12 +223,10 @@ class RisProblem:
                 raise ValueError("z_box intervals must be bounded and nonempty")
         if self.horizon <= 0:
             raise ValueError("horizon must be positive")
-        object.__setattr__(
-            self, "_lo", np.array([b[0] for b in self.z_box], dtype=float)
-        )
-        object.__setattr__(
-            self, "_hi", np.array([b[1] for b in self.z_box], dtype=float)
-        )
+        box = np.array(self.z_box, dtype=float).reshape(self.n_z, 2)
+        object.__setattr__(self, "_box", box)  # rows (lo, hi)
+        object.__setattr__(self, "_lo", box[:, 0].copy())
+        object.__setattr__(self, "_hi", box[:, 1].copy())
         derived = getattr(self.energy, "__func__", None) is RisProblem._box_energy
         if self.energy is None or derived:
             # bound to this copy, so a copy with another reduced_vec follows it
@@ -235,9 +242,13 @@ class RisProblem:
         out = dataclasses.replace(self, correction_spec=spec)
         return dataclasses.replace(out, correction=build_correction(spec, out))
 
+    def inside(self, Z) -> NDArray[np.bool_]:
+        """Per state of an (..., n_z) batch, whether it lies in the box."""
+        Z = np.asarray(Z, dtype=float)
+        return ((Z >= self._lo - 1e-12) & (Z <= self._hi + 1e-12)).all(axis=-1)
+
     def in_box(self, z) -> bool:
-        z = np.asarray(z, dtype=float)
-        return bool((z >= self._lo - 1e-12).all() and (z <= self._hi + 1e-12).all())
+        return bool(self.inside(z).all())
 
     def clip(self, z) -> NDArray[np.float64]:
         return np.clip(_as_z(z), self._lo, self._hi)

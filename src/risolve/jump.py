@@ -84,7 +84,7 @@ def _build_chain(
 ) -> JumpChain:
     pts = [np.atleast_1d(np.asarray(p, float)) for p in points]
     P = np.array(pts)
-    pr = [memo(t, p) for p in pts[:-1]]
+    pr = memo.fill(np.full(len(pts) - 1, float(t)), P[:-1])
     return JumpChain(
         points=tuple(pts),
         kinds=tuple(kinds),

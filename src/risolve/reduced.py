@@ -8,8 +8,12 @@ I(t, z) + d(z_prev, z) + delta(z_prev, z) (``step_objective``), assembled
 from the problem's three broadcasting maps ``reduced_vec``, ``dissipation``
 and ``correction``: for n_z <= 2 a coarse grid, then a batched zoom on its
 best points (``zoom_search``); for larger n_z a multistart Powell descent.
-A single state is priced as a batch of one, so every caller sees the same
-bits.
+
+``global_min_rows`` takes rows (ts[p], Z_prev[p]) and searches them
+together, each row with its own box, grid and zoom depth, in chunks of as
+many rows as fit in ``_ROW_POINTS`` objective points; every row gets the
+bits it would get alone.  A scheme step (``global_min_corrected``) and a
+single state are batches of one, so every caller sees the same bits.
 """
 
 from __future__ import annotations
@@ -32,11 +36,13 @@ __all__ = [
     "reduce_energy",
     "reduced_value",
     "global_min_corrected",
+    "global_min_rows",
     "step_objective",
     "zoom_search",
 ]
 
 _GRID_BUDGET = 10_000_000
+_ROW_POINTS = 1 << 16  # objective points a batch of step rows holds at once
 DESCENT_TOL = 1e-10  # zoom half-width and Powell xtol/ftol at which a search stops
 NEAR_OPTIMAL_BAND = 1e-9  # step values this close to the best one tie
 _MULTISTART_COUNT = 12  # random Powell starts besides z_prev (n_z > 2)
@@ -142,19 +148,33 @@ def reduced_value(problem: RisProblem, t: float, z) -> float:
 # corrected global step
 
 
-def step_objective(
-    problem: RisProblem, t: float, z_prev: NDArray
-) -> Callable[[NDArray], NDArray]:
-    """Z -> I(t, Z) + d(z_prev, Z) + delta(z_prev, Z) over an (M, n_z) batch
-    of in-box states; every non-finite value is +infinity."""
+def step_objective(problem: RisProblem, t, z_prev) -> Callable[[NDArray], NDArray]:
+    """Z -> I(t, Z) + d(z_prev, Z) + delta(z_prev, Z) over a batch of in-box
+    states; every non-finite value is +infinity.
+
+    ``t`` and ``z_prev`` broadcast against the batch: a time and an (n_z,)
+    state price an (M, n_z) batch, a (P, 1) column of times and a
+    (P, 1, n_z) stack of states price the P rows of a (P, M, n_z) batch.
+    d is evaluated once and handed to the correction.
+    """
 
     def f(pts):
-        vals = problem.reduced_vec(t, pts) + problem.dissipation(z_prev, pts)
-        vals += problem.correction(z_prev, pts)
+        d = problem.dissipation(z_prev, pts)
+        vals = problem.reduced_vec(t, pts) + d
+        vals += problem.correction(z_prev, pts, d)
         vals[~np.isfinite(vals)] = INF
         return vals
 
     return f
+
+
+def _row_objective(problem: RisProblem, ts: NDArray, Z_prev: NDArray) -> Callable:
+    """The step objective of row p at (ts[p], Z_prev[p]) over the rows of a
+    (P, M, n_z) batch; a single row keeps its time and state unstacked,
+    which numpy broadcasts faster and prices to the same bits."""
+    if len(ts) == 1:
+        return step_objective(problem, float(ts[0]), Z_prev[0])
+    return step_objective(problem, ts[:, None], Z_prev[:, None, :])
 
 
 def _window_offsets(n: int) -> NDArray:
@@ -179,100 +199,137 @@ def zoom_search(
     hi: NDArray,
     tol: float,
 ) -> tuple[NDArray, NDArray]:
-    """Refine every centre at once by nested windows until their half-width
-    drops below ``tol``.
+    """Refine the (P, k, n) ``centers`` of P rows at once by nested windows
+    until each row's half-width drops below ``tol``.
 
-    Each level evaluates a window of ``_ZOOM_POINTS`` per axis spanning
-    +-half_width around each centre (clipped to [lo, hi]) in one batched
-    call, moves each centre to its window's best point, and shrinks the
-    half-width to the window's spacing.  A centre's value never rises.
+    Row p has its own (n,) half-width, box [lo[p], hi[p]] and objective
+    row: ``objective`` maps a (P, M, n) batch to (P, M) values.  Each level
+    evaluates a window of ``_ZOOM_POINTS`` per axis spanning +-half_width
+    around each centre (clipped to the box) in one batched call, moves each
+    centre to its window's best point, and shrinks the half-width to the
+    window's spacing.  A row that has stopped gets a zero half-width: its
+    window is its centres, which keep their points and values.  A centre's
+    value never rises.
     """
     centers = np.array(centers, dtype=float)
     values = np.array(values, dtype=float)
-    k, n = centers.shape
-    offs = _WINDOWS[n][None, :, :]
+    P, k, n = centers.shape
+    offs = _WINDOWS[n]
     h = np.asarray(half_width, dtype=float)
-    rows = np.arange(k)
-    while np.max(h) >= tol:
+    lo, hi = lo[:, None, None, :], hi[:, None, None, :]
+    windows = np.arange(P * k)
+    while h.max() >= tol:
+        if P > 1:  # rows that have stopped keep their centres
+            live = h.max(axis=1) >= tol
+            if not live.all():
+                h = np.where(live[:, None], h, 0.0)
         h = h * _ZOOM_FACTOR  # this window's spacing, the next half-width
-        pts = np.minimum(np.maximum(centers[:, None, :] + offs * h, lo), hi)
-        vals = objective(pts.reshape(-1, n)).reshape(k, -1)
-        best = np.argmin(vals, axis=1)
-        centers, values = pts[rows, best], vals[rows, best]
+        pts = centers[:, :, None, :] + offs * h[:, None, None, :]
+        np.maximum(pts, lo, out=pts)
+        np.minimum(pts, hi, out=pts)
+        vals = objective(pts.reshape(P, -1, n)).reshape(P * k, -1)
+        best = vals.argmin(axis=1)
+        centers = pts.reshape(P * k, -1, n)[windows, best].reshape(P, k, n)
+        values = vals[windows, best].reshape(P, k)
     return centers, values
 
 
-def _search_box(problem: RisProblem, z_prev: NDArray) -> list[tuple[float, float]]:
-    box = []
-    for zi, (lo, hi) in zip(z_prev, problem.z_box):
-        # unidirectional d is infinite above z_prev: clip the search space
-        hi_eff = min(hi, zi) if problem.unidirectional else hi
-        if hi_eff <= lo:
-            box.append((lo, max(lo, zi)))
-        else:
-            box.append((lo, hi_eff))
-    return box
+def _search_boxes(problem: RisProblem, Z_prev: NDArray) -> tuple[NDArray, NDArray]:
+    """Per row, the lower and upper corners of the box the step searches."""
+    lo, hi = np.empty_like(Z_prev), np.empty_like(Z_prev)
+    lo[:], hi[:] = problem._lo, problem._hi
+    if problem.unidirectional:
+        # d is infinite above z_prev: clip the search space there
+        hi = np.where(Z_prev < hi, Z_prev, hi)
+        hi = np.where(hi <= lo, np.where(Z_prev > lo, Z_prev, lo), hi)
+    return lo, hi
 
 
-def _tie_break(
-    cands: list[tuple[NDArray, float]], band: float, z_prev: NDArray
-) -> tuple[NDArray, float]:
-    best_v = min(v for _, v in cands)
-    near = [(x, v) for x, v in cands if v <= best_v + band]
-    x, v = min(near, key=lambda xv: float(np.linalg.norm(xv[0] - z_prev)))
-    return x, v
+def _grid_axis(lo: NDArray, hi: NDArray, z: NDArray, res: int) -> tuple[NDArray, NDArray]:
+    """Per row, np.unique(np.append(np.linspace(lo, hi, res), np.clip(z, lo,
+    hi))) as the sorted row and the mask of the values it keeps."""
+    row = np.empty((len(z), res + 1))
+    y = row[:, :res]
+    np.multiply(np.arange(res), ((hi - lo) / (res - 1))[:, None], out=y)
+    y += lo[:, None]
+    y[:, -1] = hi
+    # z lies in the box up to 1e-12; a +-0 tie dedups against the grid's end
+    row[:, res] = np.minimum(np.maximum(z, lo), hi)
+    row.sort(axis=1, kind="stable")  # a -0.0 and a 0.0 keep np.unique's order
+    keep = np.empty(row.shape, dtype=bool)
+    keep[:, 0] = True
+    np.not_equal(row[:, 1:], row[:, :-1], out=keep[:, 1:])
+    return row, keep
 
 
-def global_min_corrected(
+def _row_groups(lengths: NDArray) -> list:
+    """Row selections of equal grid shape: one slice when all rows agree."""
+    if (lengths == lengths[0]).all():
+        return [slice(None)]
+    shapes, label = np.unique(lengths, axis=0, return_inverse=True)
+    return [np.flatnonzero(label.ravel() == g) for g in range(len(shapes))]
+
+
+def _grid_zoom(
+    problem: RisProblem, ts: NDArray, Z_prev: NDArray, lo: NDArray, hi: NDArray, res: int
+) -> tuple[NDArray, NDArray]:
+    """Per row, the best ``_ZOOM_STARTS`` points of a grid of ``res`` points
+    per axis over the search box plus z_prev, then their zoomed
+    refinements: (P, 2 * _ZOOM_STARTS, n) candidates and their values."""
+    P, n = Z_prev.shape
+    axes = [_grid_axis(lo[:, j], hi[:, j], Z_prev[:, j], res) for j in range(n)]
+    lengths = np.array([keep.sum(axis=1) for _, keep in axes]).T
+    starts = np.empty((P, _ZOOM_STARTS, n))
+    start_vals = np.empty((P, _ZOOM_STARTS))
+    for rows in _row_groups(lengths):
+        shape = lengths[rows][0]
+        ax = [row[rows][keep[rows]].reshape(-1, m) for (row, keep), m in zip(axes, shape)]
+        pts = np.empty((len(ax[0]), *shape, n))
+        for j, a in enumerate(ax):  # the "ij" mesh of the row's axes
+            pts[..., j] = a.reshape(-1, *(m if i == j else 1 for i, m in enumerate(shape)))
+        pts = pts.reshape(len(ax[0]), -1, n)
+        vals = _row_objective(problem, ts[rows], Z_prev[rows])(pts)
+        best = np.argsort(vals, axis=1)[:, :_ZOOM_STARTS]
+        if best.shape[1] < _ZOOM_STARTS:
+            # a grid of fewer points repeats its last start; a repeated
+            # candidate changes no choice
+            best = best[:, np.minimum(np.arange(_ZOOM_STARTS), best.shape[1] - 1)]
+        grids = np.arange(len(pts))[:, None]
+        starts[rows], start_vals[rows] = pts[grids, best], vals[grids, best]
+    centers, values = zoom_search(
+        _row_objective(problem, ts, Z_prev),
+        starts, start_vals, (hi - lo) / (res - 1), lo, hi, DESCENT_TOL,
+    )
+    # coarse runners-up stay candidates for the tie-break
+    return (
+        np.concatenate([starts, centers], axis=1),
+        np.concatenate([start_vals, values], axis=1),
+    )
+
+
+def _multistart(
     problem: RisProblem,
-    t: float,
-    z_prev,
-    cfg: MinimizerConfig | None = None,
-) -> MinResult:
-    """Minimize z -> I(t,z) + d(z_prev,z) + delta(z_prev,z) over the box.
-
-    Certified-global only for the grid path (n_z <= 2); the multistart
-    Powell descent (n_z > 2) is honest about the heuristic.  Ties within
-    ``NEAR_OPTIMAL_BAND`` go to the candidate closest to z_prev.
-    """
-    cfg = cfg or MinimizerConfig()
-    z_prev = np.atleast_1d(np.asarray(z_prev, dtype=float))
-    f = step_objective(problem, t, z_prev)
-    # I(t, z_prev) + 0 + 0 bit for bit, so a state that stays has a
-    # residual of exactly 0
-    stay = float(f(z_prev[None])[0]) if problem.in_box(z_prev) else INF
-    if not is_finite(stay):
-        raise ValueError("infeasible step: previous state has infinite objective")
-    box = _search_box(problem, z_prev)
-    n = problem.n_z
-
-    cands: list[tuple[NDArray, float]] = [(z_prev.copy(), stay)]
-    certified = n <= 2
-    if certified:
-        res = min(cfg.grid_resolution, int(_GRID_BUDGET ** (1.0 / n)))
-        axes = [
-            np.unique(np.append(np.linspace(a, b, res), np.clip(zi, a, b)))
-            for (a, b), zi in zip(box, z_prev)
-        ]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=-1)
-        vals = f(pts)
-        starts = np.argsort(vals)[:_ZOOM_STARTS]
-        # coarse runners-up stay candidates for the tie-break
-        cands += [(pts[i].copy(), float(vals[i])) for i in starts]
-        lo, hi = np.array(box).T
-        centers, values = zoom_search(
-            f, pts[starts], vals[starts], (hi - lo) / (res - 1), lo, hi,
-            DESCENT_TOL,
-        )
-        cands += [(x, float(v)) for x, v in zip(centers, values)]
-    else:
+    ts: NDArray,
+    Z_prev: NDArray,
+    lo: NDArray,
+    hi: NDArray,
+    cfg: MinimizerConfig,
+) -> tuple[NDArray, NDArray]:
+    """Row by row, Powell descents from z_prev and ``_MULTISTART_COUNT``
+    random starts (n_z > 2); a descent that ends at an infinite value leaves
+    an infinite candidate."""
+    P, n = Z_prev.shape
+    cands = np.repeat(Z_prev[:, None, :], 1 + _MULTISTART_COUNT, axis=1)
+    vals = np.full((P, 1 + _MULTISTART_COUNT), INF)
+    for p in range(P):
+        f = step_objective(problem, ts[p], Z_prev[p])
+        box = list(zip(lo[p], hi[p]))
         rng = np.random.default_rng(cfg.seed)
-        starts = [z_prev] + [
-            np.array([rng.uniform(lo, hi) for lo, hi in box])
+        starts = [Z_prev[p]] + [
+            np.array([rng.uniform(a, b) for a, b in box])
             for _ in range(_MULTISTART_COUNT)
         ]
-        for x0 in starts:
+        for i, x0 in enumerate(starts):
             r = optimize.minimize(
                 lambda z: float(f(z[None, :])[0]),
                 x0,
@@ -281,26 +338,100 @@ def global_min_corrected(
                 options={"xtol": DESCENT_TOL, "ftol": DESCENT_TOL},
             )
             if is_finite(float(r.fun)):
-                cands.append((np.asarray(r.x, float), float(r.fun)))
+                cands[p, i], vals[p, i] = r.x, r.fun
+    return cands, vals
 
-    x, v = _tie_break(cands, NEAR_OPTIMAL_BAND, z_prev)
+
+def global_min_rows(
+    problem: RisProblem,
+    ts,
+    Z_prev,
+    cfg: MinimizerConfig | None = None,
+) -> tuple[NDArray, NDArray]:
+    """Minimize z -> I(t,z) + d(z_prev,z) + delta(z_prev,z) over the box for
+    every row (ts[p], Z_prev[p]): the (P, n_z) minimizers and (P,) values.
+
+    Rows are searched together, ``_ROW_POINTS`` objective points at a time,
+    and each gets the bits it would get alone.  For n_z <= 2 a row's
+    candidates are staying put, the best points of its grid and their zoomed
+    refinements; for larger n_z, staying put and multistart Powell descents.
+    Ties within ``NEAR_OPTIMAL_BAND`` go to the candidate closest to z_prev.
+    """
+    cfg = cfg or MinimizerConfig()
+    n = problem.n_z
+    ts = np.asarray(ts, dtype=float).reshape(-1)
+    Z_prev = np.asarray(Z_prev, dtype=float).reshape(len(ts), n)
+    res = min(cfg.grid_resolution, int(_GRID_BUDGET ** (1.0 / n)))
+    size = len(ts)
+    if n <= 2:
+        per_row = max((res + 1) ** n, _ZOOM_STARTS * _ZOOM_POINTS**n)
+        size = max(1, _ROW_POINTS // per_row)
+    if len(ts) <= size:
+        return _step_rows(problem, ts, Z_prev, cfg, res)
+    parts = [
+        _step_rows(problem, ts[i : i + size], Z_prev[i : i + size], cfg, res)
+        for i in range(0, len(ts), size)
+    ]
+    return np.concatenate([x for x, _ in parts]), np.concatenate([v for _, v in parts])
+
+
+def _step_rows(
+    problem: RisProblem, ts: NDArray, Z_prev: NDArray, cfg: MinimizerConfig, res: int
+) -> tuple[NDArray, NDArray]:
+    """``global_min_rows`` for one chunk of rows."""
+    f = _row_objective(problem, ts, Z_prev)
+    # I(t, z_prev) + 0 + 0 bit for bit, so a state that stays has a
+    # residual of exactly 0
+    stay = f(Z_prev[:, None, :])[:, 0] if problem.inside(Z_prev).all() else None
+    if stay is None or not np.isfinite(stay).all():
+        raise ValueError("infeasible step: previous state has infinite objective")
+    lo, hi = _search_boxes(problem, Z_prev)
+    if problem.n_z <= 2:
+        cands, vals = _grid_zoom(problem, ts, Z_prev, lo, hi, res)
+    else:
+        cands, vals = _multistart(problem, ts, Z_prev, lo, hi, cfg)
+    cands = np.concatenate([Z_prev[:, None, :], cands], axis=1)
+    vals = np.concatenate([stay[:, None], vals], axis=1)
+    # of the candidates within the band of the best, the first nearest
+    # z_prev; vecdot is the BLAS dot np.linalg.norm takes, bit for bit
+    near = vals <= (vals.min(axis=1) + NEAR_OPTIMAL_BAND)[:, None]
+    step = cands - Z_prev[:, None, :]
+    dist = np.where(near, np.sqrt(np.vecdot(step, step)), INF)
+    rows, pick = np.arange(len(ts)), dist.argmin(axis=1)
+    x, v = cands[rows, pick], vals[rows, pick]
     # snap to box edges when the search stopped a hair away from them
-    snapped = x.copy()
-    for i, (lo, hi) in enumerate(problem.z_box):
-        if 0 < abs(snapped[i] - lo) < 1e-8:
-            snapped[i] = lo
-        elif 0 < abs(snapped[i] - hi) < 1e-8:
-            snapped[i] = hi
-    if not np.array_equal(snapped, x):
-        vs = float(f(snapped[None, :])[0])
-        if vs <= v + NEAR_OPTIMAL_BAND:
-            x, v = snapped, vs
+    off = np.abs(x[:, :, None] - problem._box)
+    hit = (0 < off) & (off < 1e-8)
+    if hit.any():
+        snapped = np.where(
+            hit[..., 0], problem._lo, np.where(hit[..., 1], problem._hi, x)
+        )
+        vs = f(snapped[:, None, :])[:, 0]
+        take = hit.any(axis=(1, 2)) & (vs <= v + NEAR_OPTIMAL_BAND)
+        x, v = np.where(take[:, None], snapped, x), np.where(take, vs, v)
     # the step objective can never beat simply staying put by less than 0
-    if v > stay:
-        x, v = z_prev.copy(), stay
+    back = v > stay
+    return np.where(back[:, None], Z_prev, x), np.where(back, stay, v)
+
+
+def global_min_corrected(
+    problem: RisProblem,
+    t: float,
+    z_prev,
+    cfg: MinimizerConfig | None = None,
+) -> MinResult:
+    """Minimize z -> I(t,z) + d(z_prev,z) + delta(z_prev,z) over the box: a
+    batch of one of ``global_min_rows``.
+
+    Certified-global only for the grid path (n_z <= 2); the multistart
+    Powell descent (n_z > 2) is honest about the heuristic.
+    """
+    z_prev = np.atleast_1d(np.asarray(z_prev, dtype=float))
+    x, v = global_min_rows(problem, [t], z_prev[None], cfg)
+    certified = problem.n_z <= 2
     return MinResult(
-        argmin=x,
-        value=v,
+        argmin=x[0],
+        value=float(v[0]),
         method="grid" if certified else "multistart-descent",
         certified_global=certified,
         tolerance=DESCENT_TOL,

@@ -5,6 +5,13 @@ is nonnegative and vanishes exactly on the corrected stable set.  It reuses
 the same global minimizer as the schemes, under the command's one
 ``MinimizerConfig``, so certification semantics match; a ``ResidualMemo``
 carries that config to the stability probes and to jump pricing.
+
+``residual_rows`` prices many (t, z) at once through one
+``global_min_rows`` call, which works through them in chunks of a fixed
+point budget; ``residual_stability`` is its batch of one.  A memo's
+``fill`` computes every residual it lacks of a list in that one call, and
+``seed_from`` takes the residuals of nodes a scheme run stayed at from its
+step gains.
 """
 
 from __future__ import annotations
@@ -22,8 +29,8 @@ from .reduced import (
     NEAR_OPTIMAL_BAND,
     MinimizerConfig,
     global_min_corrected,
+    global_min_rows,
     reduce_energy,
-    reduced_value,
     step_objective,
     zoom_search,
 )
@@ -31,6 +38,7 @@ from .reduced import (
 __all__ = [
     "StabilityReport",
     "residual_stability",
+    "residual_rows",
     "ResidualMemo",
     "use_memo",
     "minimal_set",
@@ -50,25 +58,43 @@ class StabilityReport:
     y_value: float
 
 
+def residual_rows(
+    problem: RisProblem,
+    ts,
+    Z,
+    cfg: MinimizerConfig | None = None,
+) -> tuple[NDArray, NDArray, NDArray]:
+    """R(ts[p], Z[p]) for every row: the (P,) residuals, the (P, n_z) best
+    competitors found and their (P,) step values, from one
+    ``global_min_rows`` call."""
+    ts = np.asarray(ts, dtype=float).reshape(-1)
+    Z = np.asarray(Z, dtype=float).reshape(len(ts), problem.n_z)
+    i_here = problem.reduced_vec(ts, Z) if problem.inside(Z).all() else None
+    if i_here is None or not np.isfinite(i_here).all():
+        raise ValueError("residual undefined: I(t, z) is infinite")
+    witness, y_value = global_min_rows(problem, ts, Z, cfg)
+    residual = i_here - y_value
+    low = residual < -_CLAMP_TOL
+    if low.any():
+        # a competitor beating z by more than floating slop would mean the
+        # minimizer disagrees with itself; surface it
+        raise RuntimeError(f"negative residual {residual[low][0]} beyond clamp tolerance")
+    # not np.maximum, which turns a -0.0 into 0.0
+    return np.where(0.0 > residual, 0.0, residual), witness, y_value
+
+
 def residual_stability(
     problem: RisProblem,
     t: float,
     z,
     cfg: MinimizerConfig | None = None,
 ) -> StabilityReport:
-    """R(t, z) with the best competitor found as witness."""
+    """R(t, z) with the best competitor found as witness: a batch of one of
+    ``residual_rows``."""
     z = np.atleast_1d(np.asarray(z, dtype=float))
-    i_here = reduced_value(problem, t, z)
-    if not is_finite(i_here):
-        raise ValueError("residual undefined: I(t, z) is infinite")
-    r = global_min_corrected(problem, t, z, cfg)
-    residual = i_here - r.value
-    if residual < -_CLAMP_TOL:
-        # a competitor beating z by more than floating slop would mean the
-        # minimizer disagrees with itself; surface it
-        raise RuntimeError(f"negative residual {residual} beyond clamp tolerance")
+    residual, witness, y_value = residual_rows(problem, [t], z[None], cfg)
     return StabilityReport(
-        residual=max(residual, 0.0), witness=r.argmin, y_value=r.value
+        residual=float(residual[0]), witness=witness[0], y_value=float(y_value[0])
     )
 
 
@@ -84,14 +110,34 @@ class ResidualMemo:
         self.cfg = cfg or MinimizerConfig()
         self._values: dict[tuple[float, bytes], float] = {}
 
-    def __call__(self, t: float, z) -> float:
-        z = np.atleast_1d(np.asarray(z, dtype=float))
-        key = (float(t), z.tobytes())
-        value = self._values.get(key)
-        if value is None:
-            value = residual_stability(self.problem, float(t), z, self.cfg).residual
-            self._values[key] = value
-        return value
+    def fill(self, ts, Z) -> list[float]:
+        """R(ts[p], Z[p]) for every row, in order; the rows not yet known
+        are computed together by one ``residual_rows`` call."""
+        ts = np.asarray(ts, dtype=float).reshape(-1)
+        Z = np.asarray(Z, dtype=float).reshape(len(ts), self.problem.n_z)
+        keys = [(t, z.tobytes()) for t, z in zip(ts.tolist(), Z)]
+        todo: dict[tuple[float, bytes], int] = {}
+        for i, key in enumerate(keys):
+            if key not in self._values:
+                todo.setdefault(key, i)
+        if todo:
+            rows = list(todo.values())
+            residual, _, _ = residual_rows(self.problem, ts[rows], Z[rows], self.cfg)
+            self._values.update(zip(todo, residual.tolist()))
+        return [self._values[key] for key in keys]
+
+    def seed_from(self, disc) -> None:
+        """Take R(t_n, z_n) from a scheme run of this memo's problem and
+        config wherever step n stayed put: the bytes of z_n are those of
+        z_{n-1}, so the step's gain is the same minimization."""
+        use_memo(self, disc.problem, disc.config.minimizer)
+        states = disc.states
+        for n in range(1, len(states)):
+            z = states[n].z.tobytes()
+            if z == states[n - 1].z.tobytes():
+                self._values.setdefault(
+                    (float(disc.times[n]), z), float(disc.step_gain[n - 1])
+                )
 
 
 def use_memo(
@@ -135,10 +181,10 @@ def minimal_set(
         idx = np.flatnonzero(left_ok & right_ok & (vals <= best.value + coarse_band))
         if idx.size:
             xs_ref, vals_ref = zoom_search(
-                f, xs[idx, None], vals[idx], np.array([spacing]),
-                np.array([lo]), np.array([hi]), DESCENT_TOL,
+                f, xs[None, idx, None], vals[None, idx], np.array([[spacing]]),
+                np.array([[lo]]), np.array([[hi]]), DESCENT_TOL,
             )
-            for x, v in zip(xs_ref[:, 0], vals_ref):
+            for x, v in zip(xs_ref[0, :, 0], vals_ref[0]):
                 if v <= best.value + NEAR_OPTIMAL_BAND:
                     if all(abs(x - float(m[0])) > 1e-7 for m in out):
                         out.append(np.array([x]))

@@ -87,6 +87,11 @@ def _in_jump_window(traj: Trajectory, t: float) -> bool:
     return False
 
 
+def _stable_probes(traj: Trajectory, probes: NDArray) -> list[float]:
+    """The probe times outside every jump window, where stability is due."""
+    return [float(t) for t in probes if not _in_jump_window(traj, float(t))]
+
+
 def _power_integral(problem: RisProblem, traj: Trajectory) -> float:
     """Midpoint quadrature of the partial time derivative of the energy.
 
@@ -188,10 +193,8 @@ def _certify(
             e_here = problem.energy(float(t), s.u, s.z)
             i_here = reduce_energy(problem, float(t), s.z).value
             minim = max(minim, abs(e_here - i_here))
-    for t in probes:
-        s = traj.state_at(float(t))
-        if not _in_jump_window(traj, float(t)):
-            stab = max(stab, memo(float(t), s.z))
+    ts = _stable_probes(traj, probes)
+    stab = max([stab, *memo.fill(ts, [traj.state_at(t).z for t in ts])])
     e0 = reduce_energy(problem, float(traj.times[0]), traj.states[0].z).value
     eT = reduce_energy(problem, float(traj.times[-1]), traj.states[-1].z).value
     if augmented:
@@ -272,13 +275,11 @@ def ve_equals_e(
     sliding jump (cost equals dissipation)."""
     tol = tol or TolConfig()
     plain = problem.with_correction(None)
-    probes = _probe_times(traj, tol.probe_count)
-    stab = 0.0
-    for t in probes:
-        if _in_jump_window(traj, float(t)):
-            continue
-        rep = residual_stability(plain, float(t), traj.state_at(float(t)).z, tol.minimizer)
-        stab = max(stab, rep.residual)
+    ts = _stable_probes(traj, _probe_times(traj, tol.probe_count))
+    residuals = ResidualMemo(plain, tol.minimizer).fill(
+        ts, [traj.state_at(t).z for t in ts]
+    )
+    stab = max([0.0, *residuals])
     max_dc = 0.0
     jr = []
     memo = ResidualMemo(problem, tol.minimizer)
@@ -323,22 +324,20 @@ def plasticity_stress_check(
     sigma_y = problem.extras.get("sigma_y")
     if sigma is None or sigma_y is None:
         raise ValueError("problem does not expose a stress map")
-    probes = _probe_times(traj, probe_count)
-    worst = 0.0
-    agree = True
-    plain = problem.with_correction(None)
+    probes = [float(t) for t in _probe_times(traj, probe_count)]
+    stress = [abs(float(sigma(t, traj.state_at(t).z))) for t in probes]
+    worst = max([0.0, *stress])
     check_every = max(1, len(probes) // 16)
-    for i, t in enumerate(probes):
-        s = traj.state_at(float(t))
-        sig = abs(float(sigma(float(t), s.z)))
-        worst = max(worst, sig)
-        if i % check_every == 0 and not _in_jump_window(traj, float(t)):
-            stable = (
-                residual_stability(plain, float(t), s.z).residual <= 1e-6
-            )
-            admissible = sig <= sigma_y + 1e-5
-            if stable != admissible:
-                agree = False
+    picked = [
+        i for i in range(0, len(probes), check_every)
+        if not _in_jump_window(traj, probes[i])
+    ]
+    residuals = ResidualMemo(problem.with_correction(None)).fill(
+        [probes[i] for i in picked], [traj.state_at(probes[i]).z for i in picked]
+    )
+    agree = all(
+        (r <= 1e-6) == (stress[i] <= sigma_y + 1e-5) for i, r in zip(picked, residuals)
+    )
     return StressCheckReport(
         passed=worst <= sigma_y + tol,
         max_abs_stress=worst,

@@ -25,6 +25,7 @@ from risolve.cli import (
     main,
     parse_correction,
     read_trajectory_csv,
+    write_trajectory_csv,
 )
 from risolve.core import PowerLq, QuadraticMu, TrivialH
 
@@ -318,14 +319,17 @@ class TestJumpCost:
 @pytest.fixture(scope="module")
 def counted_delam_solve(tmp_path_factory):
     """One solve of the shipped delamination config, with every residual and
-    every jump-cost bound it computes recorded."""
+    every jump-cost bound it computes recorded (a residual is a row of
+    ``residual_rows``, which ``residual_stability`` calls for one row)."""
     residuals, costs = [], []
-    real_residual, real_cost = stability.residual_stability, jump.jump_cost
+    real_residual, real_cost = stability.residual_rows, jump.jump_cost
 
-    def residual(problem, t, z, cfg=None, *args, **kwargs):
-        z = np.atleast_1d(np.asarray(z, float))
-        residuals.append((id(problem), cfg, float(t), z.tobytes()))
-        return real_residual(problem, t, z, cfg, *args, **kwargs)
+    def residual(problem, ts, Z, cfg=None):
+        Z = np.asarray(Z, float).reshape(len(ts), -1)
+        residuals.extend(
+            (id(problem), cfg, float(t), z.tobytes()) for t, z in zip(ts, Z)
+        )
+        return real_residual(problem, ts, Z, cfg)
 
     def cost(problem, t, z_minus, z_plus, *args, **kwargs):
         costs.append((id(problem), float(t), z_minus.tobytes(), z_plus.tobytes()))
@@ -335,8 +339,8 @@ def counted_delam_solve(tmp_path_factory):
     config = CONFIG_DIR / "delamination0d.ini"
     with pytest.MonkeyPatch.context() as mp:
         for module in (cli, jump, stability, verify):  # every binding
-            if hasattr(module, "residual_stability"):
-                mp.setattr(module, "residual_stability", residual)
+            if hasattr(module, "residual_rows"):
+                mp.setattr(module, "residual_rows", residual)
             if hasattr(module, "jump_cost"):
                 mp.setattr(module, "jump_cost", cost)
         rc = main(["solve", "--config", str(config), "--out-dir", str(out)])
@@ -347,9 +351,16 @@ class TestOnePricePerCommand:
     def test_each_residual_and_jump_priced_once(self, counted_delam_solve):
         rc, _, out, residuals, costs = counted_delam_solve
         assert rc == EXIT_PASS
-        # the CSV's node residuals serve the certificate's node probes
-        nodes = len((out / "delamination0d_trajectory.csv").read_text().splitlines()) - 2
-        assert len(residuals) >= nodes
+        # the CSV's node residuals serve the certificate's node probes; a
+        # node the scheme stayed at takes the step's gain and is not priced
+        rows = (out / "delamination0d_trajectory.csv").read_text().splitlines()[2:]
+        t, z = zip(*((float(r.split(",")[0]), float(r.split(",")[1])) for r in rows))
+        stayed = {(t[n], np.array([z[n]]).tobytes())
+                  for n in range(1, len(rows)) if z[n] == z[n - 1]}
+        assert stayed
+        priced = {key[2:] for key in residuals}
+        assert len(priced) >= len(rows) - len(stayed)
+        assert not priced & stayed
         assert len(residuals) == len(set(residuals))
         # one debonding jump taking one step: a single pair to price
         assert "jump_count = 1" in (out / "delamination0d_certificate.txt").read_text()
@@ -366,15 +377,16 @@ class TestOnePricePerCommand:
     def test_e_solve_computes_each_residual_once(self, toy_cfg, tmp_path, monkeypatch):
         # the E certificate probes the uncorrected problem the CSV was priced on
         calls = []
-        real_residual = stability.residual_stability
+        real_residual = stability.residual_rows
 
-        def residual(problem, t, z, cfg=None, *args, **kwargs):
-            calls.append((float(t), np.atleast_1d(np.asarray(z, float)).tobytes()))
-            return real_residual(problem, t, z, cfg, *args, **kwargs)
+        def residual(problem, ts, Z, cfg=None):
+            Z = np.asarray(Z, float).reshape(len(ts), -1)
+            calls.extend((float(t), z.tobytes()) for t, z in zip(ts, Z))
+            return real_residual(problem, ts, Z, cfg)
 
         for module in (cli, jump, stability, verify):  # every binding
-            if hasattr(module, "residual_stability"):
-                monkeypatch.setattr(module, "residual_stability", residual)
+            if hasattr(module, "residual_rows"):
+                monkeypatch.setattr(module, "residual_rows", residual)
         assert main(["solve", "--config", str(toy_cfg), "--out-dir", str(tmp_path)]) == EXIT_PASS
         assert len(calls) == len(set(calls))
 
@@ -396,15 +408,15 @@ class TestOnePricePerCommand:
         expected = load_config(cfg).tol.minimizer
         assert expected != reduced.MinimizerConfig()
         used = []
-        real = reduced.global_min_corrected
+        real = reduced.global_min_rows  # every minimization runs through it
 
-        def counted(problem, t, z_prev, cfg=None):
+        def counted(problem, ts, Z_prev, cfg=None):
             used.append(cfg)
-            return real(problem, t, z_prev, cfg)
+            return real(problem, ts, Z_prev, cfg)
 
         for module in (cli, jump, reduced, scheme, stability, verify):  # every binding
-            if hasattr(module, "global_min_corrected"):
-                monkeypatch.setattr(module, "global_min_corrected", counted)
+            if hasattr(module, "global_min_rows"):
+                monkeypatch.setattr(module, "global_min_rows", counted)
         out = tmp_path / "out"
         assert main(["solve", "--config", str(cfg), "--out-dir", str(out)]) == EXIT_PASS
         assert used and set(used) == {expected}
@@ -412,3 +424,31 @@ class TestOnePricePerCommand:
         csv = out / "delamination0d_trajectory.csv"
         assert main(["verify", "--config", str(cfg), str(csv)]) == EXIT_PASS
         assert used and set(used) == {expected}
+
+
+def test_csv_residuals_are_priced_in_batches(tmp_path, monkeypatch):
+    # 2,001 node residuals from a handful of batched objective calls: the
+    # count grows with the number of chunks, not with the number of nodes
+    run = load_config(CONFIG_DIR / "plasticity0d.ini")
+    disc = solve_incremental(run.problem, run.scheme)
+    batches = []
+    real = reduced.step_objective
+
+    def counted(problem, t, z_prev):
+        f = real(problem, t, z_prev)
+
+        def objective(pts):
+            batches.append(np.shape(pts)[:-1])
+            return f(pts)
+
+        return objective
+
+    monkeypatch.setattr(reduced, "step_objective", counted)
+    write_trajectory_csv(tmp_path / "p.csv", disc)
+    nodes = len(disc.times)
+    # a chunk holds _ROW_POINTS objective points, 130 grid points a row
+    chunks = -(-nodes // (reduced._ROW_POINTS // 130))
+    assert nodes == 2001 and chunks <= nodes // 100
+    # a chunk: staying put, its grid, the zoom levels, the snap
+    assert 0 < len(batches) <= 20 * chunks
+    assert max(shape[0] for shape in batches) > 100  # rows priced together

@@ -15,6 +15,7 @@ from risolve import (
     ResidualMemo,
     RisProblem,
     global_min_corrected,
+    global_min_rows,
     oracle_grid_min,
     reduce_energy,
     reduced_value,
@@ -256,3 +257,70 @@ class TestOneDefinitionPerMap:
 def test_minimizer_config_validation():
     with pytest.raises(ValueError):
         MinimizerConfig(grid_resolution=1)
+
+
+def _bits(a):
+    """The bytes of a float array as int64, so -0.0 differs from 0.0."""
+    return np.ascontiguousarray(a, dtype=float).view(np.int64)
+
+
+class TestRowBatch:
+    """P rows searched together get the bits of P batches of one."""
+
+    @staticmethod
+    def _rows(prob, seed, extra=()):
+        steps = _random_steps(prob, 24, seed) + list(extra)
+        return np.array([t for t, _ in steps]), np.array([z for _, z in steps])
+
+    @pytest.mark.parametrize(
+        "name, extra",
+        [
+            # z_prev exactly on a grid point of the 129-point box grid
+            ("toy_convex", [(0.7, [np.linspace(-10.0, 10.0, 129)[70]])]),
+            ("toy_doublewell", [(0.4, [np.linspace(-3.0, 3.0, 129)[40]]), (0.9, [0.0])]),
+            ("plasticity", [(1.5, [np.linspace(-5.0, 5.0, 129)[64]])]),
+            # fully debonded: a degenerate box [0, 0] with a one-point grid
+            ("delamination", [(0.6, [0.0]), (0.9, [0.0]), (0.3, [1.0])]),
+            # symmetric states tie exactly between (a, b) and (b, a); a zero
+            # cell leaves a degenerate axis
+            ("damage", [(t, [c, c]) for t in (0.3, 0.6, 0.9) for c in (1.0, 0.5)]
+             + [(0.8, [0.0, 0.7]), (0.5, [0.0, 0.0])]),
+        ],
+    )
+    def test_rows_equal_batches_of_one(self, name, extra, request):
+        prob = request.getfixturevalue(name)
+        ts, Z = self._rows(prob, 29, extra)
+        X, V = global_min_rows(prob, ts, Z)
+        for p, (t, z) in enumerate(zip(ts, Z)):
+            one = global_min_corrected(prob, t, z)
+            assert (_bits(X[p]) == _bits(one.argmin)).all()
+            assert _bits(V[p]) == _bits(one.value)
+
+    def test_single_cell_bar_and_chunks(self, monkeypatch):
+        # the 1-cell damage bar: boxes [0, z_prev] of every width, searched
+        # a few rows per chunk
+        prob = make_damage1d(Damage1dSpec(N=1, w_D=(0.0, 4.0)))
+        ts, Z = self._rows(prob, 31, [(0.9, [0.0]), (0.9, [1e-9])])
+        X, V = global_min_rows(prob, ts, Z)
+        from risolve import reduced
+
+        monkeypatch.setattr(reduced, "_ROW_POINTS", 3 * 130)
+        X3, V3 = global_min_rows(prob, ts, Z)
+        assert (_bits(X3) == _bits(X)).all() and (_bits(V3) == _bits(V)).all()
+        for p, (t, z) in enumerate(zip(ts, Z)):
+            one = global_min_corrected(prob, t, z)
+            assert (_bits(X[p]) == _bits(one.argmin)).all()
+            assert _bits(V[p]) == _bits(one.value)
+
+    def test_symmetric_ties_pick_one_side(self):
+        # a bar with a weak gradient term breaking one cell of (1, 1): the
+        # candidates (0, 1) and (1, 0) tie in value and in distance to
+        # z_prev, and the side taken at each time is the one np.argsort
+        # puts first among the tied grid values
+        prob = make_damage1d(Damage1dSpec(grad_weight=0.1))
+        ts = np.linspace(0.5, 0.85, 8)
+        X, _ = global_min_rows(prob, ts, np.ones((len(ts), 2)))
+        for p, t in enumerate(ts):
+            one = global_min_corrected(prob, t, [1.0, 1.0]).argmin
+            assert (_bits(X[p]) == _bits(one)).all()
+        assert {tuple(x) for x in X} == {(0.0, 1.0), (1.0, 0.0)}

@@ -1,6 +1,8 @@
 """Residual stability, minimal sets, ratio probe, exponent compatibility."""
 
+from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +19,8 @@ from risolve import (
     minimal_set,
     residual_stability,
 )
-from risolve import stability
+from risolve import solve_incremental, stability
+from risolve.cli import load_config
 from risolve.models import (
     Damage1dSpec,
     Toy1dSpec,
@@ -28,21 +31,21 @@ from risolve.models import (
 
 class TestResidualMemo:
     def test_computes_each_point_once(self, toy_convex, monkeypatch):
-        calls = []
-        real = stability.residual_stability
+        rows = []
+        real = stability.residual_rows
+        expected = residual_stability(toy_convex, 1.0, [0.0]).residual
 
-        def counted(problem, t, z, cfg=None):
-            calls.append((t, tuple(z)))
-            return real(problem, t, z, cfg)
+        def counted(problem, ts, Z, cfg=None):
+            rows.extend(zip(ts.tolist(), Z.tolist()))
+            return real(problem, ts, Z, cfg)
 
-        monkeypatch.setattr(stability, "residual_stability", counted)
+        monkeypatch.setattr(stability, "residual_rows", counted)
         memo = ResidualMemo(toy_convex)
-        first = memo(1.0, [0.0])
-        assert memo(1.0, np.array([0.0])) == first
-        assert first == real(toy_convex, 1.0, [0.0]).residual
-        memo(1.0, [1.5])
-        memo(0.5, [0.0])
-        assert len(calls) == 3
+        [first] = memo.fill([1.0], [[0.0]])
+        assert memo.fill([1.0], np.array([[0.0]])) == [first]
+        assert first == expected
+        memo.fill([1.0, 0.5, 1.0], [[1.5], [0.0], [1.5]])
+        assert rows == [(1.0, [0.0]), (1.0, [1.5]), (0.5, [0.0])]
 
     def test_refuses_another_problem_or_config(self, toy_convex):
         memo = ResidualMemo(toy_convex, MinimizerConfig())
@@ -179,3 +182,55 @@ class TestExponentCheck:
             exponent_check(3, 1, 2, 3)
         with pytest.raises(ValueError):
             exponent_check(3, 2, 2, 1)
+
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+
+class TestSeededMemo:
+    """A node the scheme stayed at takes the step's gain as its residual."""
+
+    @pytest.mark.parametrize(
+        "config",
+        ["delamination0d.ini", "damage1d.ini", "plasticity0d.ini", "toy_convex.ini"],
+    )
+    def test_seeded_entries_equal_fresh_ones(self, config, monkeypatch):
+        run = load_config(CONFIG_DIR / config)
+        disc = solve_incremental(run.problem, run.scheme)
+        seeded = ResidualMemo(disc.problem, disc.config.minimizer)
+        seeded.seed_from(disc)
+        stayed = [
+            n for n in range(1, len(disc.times))
+            if disc.states[n].z.tobytes() == disc.states[n - 1].z.tobytes()
+        ]
+        assert len(stayed) >= len(disc.times) // 2
+        ts = disc.times[stayed]
+        Z = np.array([disc.states[n].z for n in stayed])
+        fresh = ResidualMemo(disc.problem, disc.config.minimizer).fill(ts, Z)
+
+        def unpriced(*args, **kwargs):
+            raise AssertionError("a seeded residual was computed")
+
+        monkeypatch.setattr(stability, "residual_rows", unpriced)
+        got = seeded.fill(ts, Z)
+        # bit for bit, so a -0.0 differs from 0.0
+        assert (np.array(got).view(np.int64) == np.array(fresh).view(np.int64)).all()
+
+    def test_refuses_a_run_of_another_config(self):
+        run = load_config(CONFIG_DIR / "delamination0d.ini")
+        disc = solve_incremental(run.problem, replace(run.scheme, tau=0.1))
+        memo = ResidualMemo(disc.problem, MinimizerConfig(grid_resolution=65))
+        with pytest.raises(ValueError):
+            memo.seed_from(disc)
+
+
+class TestFill:
+    def test_fill_equals_single_calls(self, toy_doublewell):
+        memo = ResidualMemo(toy_doublewell)
+        ts = np.array([0.2, 0.2, 0.7, 0.9, 0.7])
+        Z = np.array([[-1.0], [-1.0], [0.3], [1.2], [0.3]])
+        got = memo.fill(ts, Z)
+        assert got[0] == got[1] and got[2] == got[4]
+        for r, t, z in zip(got, ts, Z):
+            assert r == residual_stability(toy_doublewell, t, z).residual
+        assert memo.fill([], np.empty((0, 1))) == []
