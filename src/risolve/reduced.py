@@ -10,10 +10,12 @@ and ``correction``: for n_z <= 2 a coarse grid, then a batched zoom on its
 best points (``zoom_search``); for larger n_z a multistart Powell descent.
 
 ``global_min_rows`` takes rows (ts[p], Z_prev[p]) and searches them
-together, each row with its own box, grid and zoom depth, in chunks of as
-many rows as fit in ``_ROW_POINTS`` objective points; every row gets the
-bits it would get alone.  A scheme step (``global_min_corrected``) and a
-single state are batches of one, so every caller sees the same bits.
+together, each row with its own box, grid and zoom depth, in chunks of
+``chunk_rows`` rows (as many as fit in ``_ROW_POINTS`` objective points);
+every row gets the bits it would get alone.  The scheme searches a run of
+steps from one state as one chunk of rows, a residual batch as many
+chunks; ``global_min_corrected`` is a batch of one, so every caller sees
+the same bits.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ __all__ = [
     "reduced_value",
     "global_min_corrected",
     "global_min_rows",
+    "chunk_rows",
     "step_objective",
     "zoom_search",
 ]
@@ -49,6 +52,7 @@ _MULTISTART_COUNT = 12  # random Powell starts besides z_prev (n_z > 2)
 _ZOOM_STARTS = 4  # best coarse-grid points the zoom refines
 _ZOOM_POINTS = 17  # zoom window points per axis, the centre included
 _ZOOM_FACTOR = 2 / (_ZOOM_POINTS - 1)  # each level's half-width: the last spacing
+_SORT_WHOLE = 1024  # grid values up to which a stable sort beats a partition
 
 
 @dataclass(frozen=True)
@@ -270,6 +274,23 @@ def _row_groups(lengths: NDArray) -> list:
     return [np.flatnonzero(label.ravel() == g) for g in range(len(shapes))]
 
 
+def _first_k(vals: NDArray, k: int) -> NDArray:
+    """Per row, the first ``k`` indices of the stable ascending order,
+    ``np.argsort(vals, axis=1, kind="stable")[:, :k]``: tied values keep
+    index order on every CPU, where numpy's default sort breaks ties by the
+    CPU it dispatches to.  A row of m < k values gives m.  A large batch is
+    not sorted whole."""
+    P, m = vals.shape
+    if m <= k or vals.size <= _SORT_WHOLE:
+        return np.argsort(vals, axis=1, kind="stable")[:, :k]
+    kth = np.partition(vals, k - 1, axis=1)[:, k - 1, None]
+    # at least k candidates a row, each row's in index order; the stable
+    # lexsort orders them by row, then by value
+    rows, cols = np.nonzero(vals <= kth)
+    cols = cols[np.lexsort((vals[rows, cols], rows))]
+    return cols[np.searchsorted(rows, np.arange(P))[:, None] + np.arange(k)]
+
+
 def _grid_zoom(
     problem: RisProblem, ts: NDArray, Z_prev: NDArray, lo: NDArray, hi: NDArray, res: int
 ) -> tuple[NDArray, NDArray]:
@@ -289,7 +310,7 @@ def _grid_zoom(
             pts[..., j] = a.reshape(-1, *(m if i == j else 1 for i, m in enumerate(shape)))
         pts = pts.reshape(len(ax[0]), -1, n)
         vals = _row_objective(problem, ts[rows], Z_prev[rows])(pts)
-        best = np.argsort(vals, axis=1)[:, :_ZOOM_STARTS]
+        best = _first_k(vals, _ZOOM_STARTS)
         if best.shape[1] < _ZOOM_STARTS:
             # a grid of fewer points repeats its last start; a repeated
             # candidate changes no choice
@@ -342,6 +363,22 @@ def _multistart(
     return cands, vals
 
 
+def _resolution(n_z: int, cfg: MinimizerConfig) -> int:
+    """Coarse grid points per axis: the config's, within ``_GRID_BUDGET``."""
+    return min(cfg.grid_resolution, int(_GRID_BUDGET ** (1.0 / n_z)))
+
+
+def chunk_rows(n_z: int, cfg: MinimizerConfig) -> int:
+    """Rows one chunk of ``global_min_rows`` searches together: for
+    n_z <= 2 as many as fit in ``_ROW_POINTS`` objective points (at least
+    one); for larger n_z one, as the multistart descents go row by row."""
+    if n_z > 2:
+        return 1
+    res = _resolution(n_z, cfg)
+    per_row = max((res + 1) ** n_z, _ZOOM_STARTS * _ZOOM_POINTS**n_z)
+    return max(1, _ROW_POINTS // per_row)
+
+
 def global_min_rows(
     problem: RisProblem,
     ts,
@@ -351,8 +388,8 @@ def global_min_rows(
     """Minimize z -> I(t,z) + d(z_prev,z) + delta(z_prev,z) over the box for
     every row (ts[p], Z_prev[p]): the (P, n_z) minimizers and (P,) values.
 
-    Rows are searched together, ``_ROW_POINTS`` objective points at a time,
-    and each gets the bits it would get alone.  For n_z <= 2 a row's
+    Rows are searched together, ``chunk_rows`` at a time, and each gets
+    the bits it would get alone.  For n_z <= 2 a row's
     candidates are staying put, the best points of its grid and their zoomed
     refinements; for larger n_z, staying put and multistart Powell descents.
     Ties within ``NEAR_OPTIMAL_BAND`` go to the candidate closest to z_prev.
@@ -361,11 +398,8 @@ def global_min_rows(
     n = problem.n_z
     ts = np.asarray(ts, dtype=float).reshape(-1)
     Z_prev = np.asarray(Z_prev, dtype=float).reshape(len(ts), n)
-    res = min(cfg.grid_resolution, int(_GRID_BUDGET ** (1.0 / n)))
-    size = len(ts)
-    if n <= 2:
-        per_row = max((res + 1) ** n, _ZOOM_STARTS * _ZOOM_POINTS**n)
-        size = max(1, _ROW_POINTS // per_row)
+    res = _resolution(n, cfg)
+    size = chunk_rows(n, cfg)
     if len(ts) <= size:
         return _step_rows(problem, ts, Z_prev, cfg, res)
     parts = [

@@ -24,12 +24,7 @@ from .core import (
     State,
     Trajectory,
 )
-from .reduced import (
-    MinimizerConfig,
-    global_min_corrected,
-    reduce_energy,
-    reduced_value,
-)
+from .reduced import MinimizerConfig, chunk_rows, global_min_rows, reduce_energy
 
 __all__ = [
     "SchemeConfig",
@@ -102,7 +97,16 @@ def _scheme_correction(cfg: SchemeConfig) -> Optional[CorrectionSpec]:
 
 
 def solve_incremental(problem: RisProblem, cfg: SchemeConfig) -> DiscreteTrajectory:
-    """Run the incremental scheme on a uniform partition of [0, T]."""
+    """Run the incremental scheme on a uniform partition of [0, T].
+
+    A step depends only on its time and the state it starts from.  So from
+    a state z the rows (times[n:n+k], z) of one ``global_min_rows`` batch
+    are the steps n..n+k-1 exactly, up to and including the first row whose
+    argmin differs from the bytes of z; the rows after it are dropped.  The
+    block size doubles after a block that stayed put throughout, up to the
+    rows one chunk of the search holds (``chunk_rows``), and is one again
+    after a move, so a flowing step is a batch of one.
+    """
     t0, t1 = cfg.t_span if cfg.t_span is not None else (0.0, problem.horizon)
     prob = problem.with_correction(_scheme_correction(cfg))
     n_steps = max(1, round((t1 - t0) / cfg.tau))
@@ -118,17 +122,37 @@ def solve_incremental(problem: RisProblem, cfg: SchemeConfig) -> DiscreteTraject
     diss = np.empty(n_steps)
     corr = np.empty(n_steps)
     gains = np.empty(n_steps)
-    for n in range(1, n_steps + 1):
-        t = times[n]
-        res = global_min_corrected(prob, t, z, cfg.minimizer)
-        z_new = res.argmin
-        diss[n - 1] = prob.dissipation(z, z_new)
-        corr[n - 1] = prob.correction(z, z_new)
-        vals[n - 1] = res.value
-        gains[n - 1] = max(reduced_value(prob, t, z) - res.value, 0.0)
-        u = prob.solve_u(t, z_new) if prob.n_u else np.empty(0)
-        states.append(State(u=u, z=z_new))
-        z = z_new
+    cap = chunk_rows(prob.n_z, cfg.minimizer)
+    n, k = 1, 1
+    while n <= n_steps:
+        ts = times[n : n + k]
+        Z = np.tile(z, (len(ts), 1))
+        try:
+            X, V = global_min_rows(prob, ts, Z, cfg.minimizer)
+        except ValueError:
+            if k == 1:
+                raise
+            # the failing row may lie past a move, where the state never
+            # starts from z: only a batch of one raises
+            k = 1
+            continue
+        # keep up to the first row whose argmin leaves the bytes of z
+        diff = (X.view(np.int64) != z.view(np.int64)).ravel()
+        first = int(diff.argmax())
+        moved = bool(diff[first])
+        m = first // prob.n_z + 1 if moved else len(ts)
+        X, V, ts, Z = X[:m], V[:m], ts[:m], Z[:m]
+        s = slice(n - 1, n - 1 + m)
+        diss[s] = d = prob.dissipation(Z, X)
+        corr[s] = prob.correction(Z, X, d)
+        vals[s] = V
+        g = prob.reduced_vec(ts, Z) - V
+        gains[s] = np.where(0.0 > g, 0.0, g)  # keeps a gain of -0.0
+        for t, x in zip(ts, X):
+            states.append(State(u=prob.solve_u(t, x) if prob.n_u else np.empty(0), z=x))
+        z = X[-1]
+        n += m
+        k = 1 if moved else min(2 * k, cap)
     return DiscreteTrajectory(
         times=times,
         states=tuple(states),

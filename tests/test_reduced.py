@@ -21,6 +21,7 @@ from risolve import (
     reduced_value,
 )
 from risolve.core import INF
+from risolve import reduced
 from risolve.jump import _build_chain
 from risolve.reduced import step_objective
 from risolve.models import Damage1dSpec, Toy1dSpec, make_damage1d, make_toy1d
@@ -302,8 +303,6 @@ class TestRowBatch:
         prob = make_damage1d(Damage1dSpec(N=1, w_D=(0.0, 4.0)))
         ts, Z = self._rows(prob, 31, [(0.9, [0.0]), (0.9, [1e-9])])
         X, V = global_min_rows(prob, ts, Z)
-        from risolve import reduced
-
         monkeypatch.setattr(reduced, "_ROW_POINTS", 3 * 130)
         X3, V3 = global_min_rows(prob, ts, Z)
         assert (_bits(X3) == _bits(X)).all() and (_bits(V3) == _bits(V)).all()
@@ -315,12 +314,34 @@ class TestRowBatch:
     def test_symmetric_ties_pick_one_side(self):
         # a bar with a weak gradient term breaking one cell of (1, 1): the
         # candidates (0, 1) and (1, 0) tie in value and in distance to
-        # z_prev, and the side taken at each time is the one np.argsort
-        # puts first among the tied grid values
+        # z_prev, and the grid's stable order puts (0, 1) first at every
+        # time, whatever CPU numpy's sort dispatches to
         prob = make_damage1d(Damage1dSpec(grad_weight=0.1))
         ts = np.linspace(0.5, 0.85, 8)
         X, _ = global_min_rows(prob, ts, np.ones((len(ts), 2)))
         for p, t in enumerate(ts):
             one = global_min_corrected(prob, t, [1.0, 1.0]).argmin
             assert (_bits(X[p]) == _bits(one)).all()
-        assert {tuple(x) for x in X} == {(0.0, 1.0), (1.0, 0.0)}
+        assert {tuple(x) for x in X} == {(0.0, 1.0)}
+
+    @pytest.mark.parametrize("sort_whole", [0, 1 << 20])
+    def test_first_starts_are_the_stable_order(self, sort_whole, monkeypatch):
+        # the grid's best points, selected or sorted: the head of the
+        # stable order on rows full of ties, and of fewer points than asked
+        monkeypatch.setattr(reduced, "_SORT_WHOLE", sort_whole)
+        rng = np.random.default_rng(3)
+        for _ in range(500):
+            P, m = rng.integers(1, 6), rng.integers(1, 400)
+            vals = rng.integers(0, rng.integers(1, 6), size=(P, m)).astype(float)
+            vals[rng.random((P, m)) < 0.1] = INF
+            expected = np.argsort(vals, axis=1, kind="stable")[:, :4]
+            assert np.array_equal(reduced._first_k(vals, 4), expected)
+
+    def test_chunk_rows(self, monkeypatch):
+        # one chunk holds _ROW_POINTS objective points, a 1-d row 130 of
+        # them and a 2-d row 130 ** 2; a multistart row goes alone
+        cfg = MinimizerConfig()
+        assert [reduced.chunk_rows(n, cfg) for n in (1, 2, 3, 4)] == [504, 3, 1, 1]
+        assert reduced.chunk_rows(1, MinimizerConfig(grid_resolution=2)) == (1 << 16) // 68
+        monkeypatch.setattr(reduced, "_ROW_POINTS", 100)
+        assert reduced.chunk_rows(1, cfg) == 1

@@ -1,17 +1,23 @@
 """Incremental schemes, jump detection, interpolants, refinement studies."""
 
+import math
+
 import numpy as np
 import pytest
 
 from risolve import (
+    PowerLq,
     QuadraticMu,
+    RisProblem,
     SchemeConfig,
+    State,
     TrivialH,
     interpolate,
     refine_study,
     solve_incremental,
 )
-from risolve import scheme
+from risolve import reduced, scheme
+from risolve.reduced import global_min_corrected, reduce_energy, reduced_value
 from risolve.scheme import detect_jumps, jump_onset
 from risolve.models import (
     Damage1dSpec,
@@ -112,6 +118,165 @@ class TestSolveIncremental:
         )
         with pytest.raises(ValueError):
             solve_incremental(bad, SchemeConfig(scheme="E", tau=0.5))
+
+
+def _stepwise(problem, cfg):
+    """The scheme one step at a time: a ``global_min_corrected`` call and
+    the maps on single pairs per step."""
+    t0, t1 = cfg.t_span if cfg.t_span is not None else (0.0, problem.horizon)
+    prob = problem.with_correction(scheme._scheme_correction(cfg))
+    n_steps = max(1, round((t1 - t0) / cfg.tau))
+    times = t0 + cfg.tau * np.arange(n_steps + 1)
+    times[-1] = t1 if abs(times[-1] - t1) < 1e-9 else times[-1]
+    z = prob.clip(np.asarray(cfg.initial_z, dtype=float))
+    r0 = reduce_energy(prob, times[0], z)
+    states = [State(u=r0.u if r0.u is not None else np.empty(0), z=z)]
+    vals, diss, corr, gains = (np.empty(n_steps) for _ in range(4))
+    for n in range(1, n_steps + 1):
+        t = times[n]
+        res = global_min_corrected(prob, t, z, cfg.minimizer)
+        z_new = res.argmin
+        diss[n - 1] = prob.dissipation(z, z_new)
+        corr[n - 1] = prob.correction(z, z_new)
+        vals[n - 1] = res.value
+        gains[n - 1] = max(reduced_value(prob, t, z) - res.value, 0.0)
+        u = prob.solve_u(t, z_new) if prob.n_u else np.empty(0)
+        states.append(State(u=u, z=z_new))
+        z = z_new
+    return times, states, vals, diss, corr, gains
+
+
+def _bits(a):
+    """The bytes of a float array as int64, so -0.0 differs from 0.0."""
+    return np.ascontiguousarray(a, dtype=float).view(np.int64)
+
+
+def _assert_same_bits(disc, ref):
+    times, states, vals, diss, corr, gains = ref
+    assert len(disc.states) == len(states)
+    for a, b in zip(disc.states, states):
+        assert np.array_equal(_bits(a.z), _bits(b.z))
+        assert np.array_equal(_bits(a.u), _bits(b.u))
+    for a, b in zip(
+        (disc.times, disc.step_values, disc.step_diss, disc.step_corr, disc.step_gain),
+        (times, vals, diss, corr, gains),
+    ):
+        assert np.array_equal(_bits(a), _bits(b))
+
+
+def _counted_rows(monkeypatch):
+    """Record (rows, raised) of every ``global_min_rows`` call of the scheme."""
+    calls, real = [], scheme.global_min_rows
+
+    def counted(problem, ts, Z_prev, cfg=None):
+        try:
+            out = real(problem, ts, Z_prev, cfg)
+        except ValueError:
+            calls.append((len(ts), True))
+            raise
+        calls.append((len(ts), False))
+        return out
+
+    monkeypatch.setattr(scheme, "global_min_rows", counted)
+    return calls
+
+
+def _guarded_toy(t_forbid):
+    """The convex toy (z = max(2t - 1, 0)) whose energy is infinite near
+    z = 0 from ``t_forbid`` on."""
+
+    def reduced_vec(t, Z):
+        x = Z[..., 0]
+        v = 0.5 * x * x - 2.0 * t * x
+        return np.where((t >= t_forbid) & (np.abs(x) < 0.05), np.inf, v)
+
+    return RisProblem(
+        n_u=0,
+        n_z=1,
+        reduced_vec=reduced_vec,
+        power=lambda t, u, z: -2.0 * float(z[0]),
+        dissipation=lambda z, zp: np.abs(np.asarray(zp)[..., 0] - np.asarray(z)[..., 0]),
+        z_box=((-10.0, 10.0),),
+    )
+
+
+class TestStationaryBlocks:
+    """Runs of steps priced as one row batch equal the scheme step by step."""
+
+    @pytest.mark.parametrize(
+        "name, cfg",
+        [
+            ("toy_convex", SchemeConfig(scheme="E", tau=1e-2, initial_z=(0.0,))),
+            (
+                "toy_convex",
+                SchemeConfig(scheme="VE", tau=1e-2, correction=PowerLq(2, 3), initial_z=(0.0,)),
+            ),
+            (
+                "toy_doublewell",
+                SchemeConfig(
+                    scheme="VE", tau=1e-2, correction=QuadraticMu(mu=0.01), initial_z=(-1.0,)
+                ),
+            ),
+            ("plasticity", SchemeConfig(scheme="BV", tau=1e-2, epsilon=0.5, initial_z=(0.0,))),
+            # debonds, then searches the degenerate box [0, 0]
+            (
+                "delamination",
+                SchemeConfig(
+                    scheme="VE", tau=1e-2, correction=TrivialH(h=lambda r: r * r),
+                    initial_z=(1.0,),
+                ),
+            ),
+            (
+                "damage",
+                SchemeConfig(
+                    scheme="VE", tau=2.5e-2, correction=TrivialH(h=lambda r: 1e-4 * r**4),
+                    initial_z=(1.0, 1.0),
+                ),
+            ),
+        ],
+        ids=["convex-E", "convex-VE", "doublewell", "plasticity-BV", "delamination", "damage"],
+    )
+    def test_equals_stepwise_loop(self, name, cfg, request, monkeypatch):
+        prob = request.getfixturevalue(name)
+        calls = _counted_rows(monkeypatch)
+        disc = solve_incremental(prob, cfg)
+        _assert_same_bits(disc, _stepwise(prob, cfg))
+        assert max(rows for rows, _ in calls) > 1  # some steps were priced together
+
+    def test_stationary_run_makes_few_searches(self, monkeypatch):
+        prob = make_toy1d(Toy1dSpec(well="convex", ell=(0.0, 0.0)))
+        cfg = SchemeConfig(scheme="E", tau=1e-3, initial_z=(0.3,))
+        calls = _counted_rows(monkeypatch)
+        disc = solve_incremental(prob, cfg)
+        n, cap = disc.n_steps, reduced.chunk_rows(1, cfg.minimizer)
+        assert n == 1000 and cap == 504
+        # blocks of 1, 2, 4, ..., 256 rows, then the 489 steps left of a
+        # 504-row block: O(log n + n / cap) searches, not n
+        assert [rows for rows, _ in calls] == [2**i for i in range(9)] + [489]
+        assert len(calls) <= math.ceil(math.log2(cap)) + math.ceil(n / cap)
+        assert all(s.z.tobytes() == disc.states[0].z.tobytes() for s in disc.states)
+
+    def test_infeasible_row_past_a_move_does_not_escape(self, monkeypatch):
+        # the state leaves z = 0 at t = 0.6 inside the block of rows 0.4 to
+        # 0.7, whose row at t = 0.7 is infeasible from z = 0
+        prob = _guarded_toy(0.65)
+        cfg = SchemeConfig(scheme="E", tau=0.1, initial_z=(0.0,))
+        calls = _counted_rows(monkeypatch)
+        disc = solve_incremental(prob, cfg)
+        assert (4, True) in calls
+        _assert_same_bits(disc, _stepwise(prob, cfg))
+        assert disc.states[6].z[0] > 0.1
+
+    def test_infeasible_row_of_a_stuck_state_raises(self):
+        # from z = 0, still stuck at t = 0.4, the step is infeasible: the
+        # block raises where the stepwise loop does
+        prob = _guarded_toy(0.35)
+        cfg = SchemeConfig(scheme="E", tau=0.1, initial_z=(0.0,))
+        with pytest.raises(ValueError, match="infeasible step") as block:
+            solve_incremental(prob, cfg)
+        with pytest.raises(ValueError, match="infeasible step") as step:
+            _stepwise(prob, cfg)
+        assert str(block.value) == str(step.value)
 
 
 class TestJumpDetection:
