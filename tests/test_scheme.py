@@ -249,10 +249,13 @@ class TestStationaryBlocks:
         calls = _counted_rows(monkeypatch)
         disc = solve_incremental(prob, cfg)
         n, cap = disc.n_steps, reduced.chunk_rows(1, cfg.minimizer)
-        assert n == 1000 and cap == 504
-        # blocks of 1, 2, 4, ..., 256 rows, then the 489 steps left of a
-        # 504-row block: O(log n + n / cap) searches, not n
-        assert [rows for rows, _ in calls] == [2**i for i in range(9)] + [489]
+        # blocks double from one row up to cap, then take cap rows until
+        # the steps run out: O(log n + n / cap) searches, not n
+        blocks, left = [], n
+        while left:
+            blocks.append(min(2 ** len(blocks), cap, left))
+            left -= blocks[-1]
+        assert [rows for rows, _ in calls] == blocks
         assert len(calls) <= math.ceil(math.log2(cap)) + math.ceil(n / cap)
         assert all(s.z.tobytes() == disc.states[0].z.tobytes() for s in disc.states)
 
