@@ -3,7 +3,7 @@
 Configs are INI documents with sections [model], [scheme], [verify] and
 [output]; unknown sections or keys are rejected with a diagnostic.  All
 floating-point output uses 17 significant digits so CSV round-trips are
-lossless, and identical configs and seeds produce byte-identical files.
+lossless, and identical configs produce byte-identical files.
 
 Exit codes: 0 verification PASS, 1 usage/parse/IO error, 2 verification FAIL.
 """
@@ -128,7 +128,7 @@ _MODEL_KEYS = {
     "damage1d": {"kind", "N", "E0", "eta", "r", "grad_weight", "kappa", "w_D", "horizon", "correction"},
     "delamination0d": {"kind", "k_minus", "k_plus", "a0", "kappa", "ell", "horizon", "brittle", "k", "correction"},
 }
-_SCHEME_KEYS = {"scheme", "tau", "epsilon", "initial_z", "t_span", "seed", "grid_resolution"}
+_SCHEME_KEYS = {"scheme", "tau", "epsilon", "initial_z", "t_span", "grid_resolution"}
 _VERIFY_KEYS = {"minimality_tol", "stability_tol", "balance_tol", "jump_tol", "probe_count"}
 _OUTPUT_KEYS = {"out_dir", "prefix"}
 
@@ -136,7 +136,7 @@ _OUTPUT_KEYS = {"out_dir", "prefix"}
 class RunConfig:
     """Parsed config: model spec/problem factory plus scheme and tolerances."""
 
-    def __init__(self, model_kind, model_spec, problem, scheme, tol, out_dir, prefix, seed):
+    def __init__(self, model_kind, model_spec, problem, scheme, tol, out_dir, prefix):
         self.model_kind = model_kind
         self.model_spec = model_spec
         self.problem = problem
@@ -144,7 +144,6 @@ class RunConfig:
         self.tol = tol
         self.out_dir = out_dir
         self.prefix = prefix
-        self.seed = seed
 
 
 def _check_keys(section: str, present, allowed) -> None:
@@ -228,7 +227,7 @@ def _build_model(sec) -> tuple[str, object, RisProblem]:
     return kind, spec, make_delamination0d(spec, brittle=brittle, k=k)
 
 
-def load_config(path: str | Path, seed_override: Optional[int] = None) -> RunConfig:
+def load_config(path: str | Path) -> RunConfig:
     """Parse and validate an INI run config."""
     path = Path(path)
     if not path.is_file():
@@ -252,10 +251,7 @@ def load_config(path: str | Path, seed_override: Optional[int] = None) -> RunCon
     sec = cp["scheme"] if "scheme" in cp else {}
     if sec:
         _check_keys("scheme", sec.keys(), _SCHEME_KEYS)
-    seed = seed_override if seed_override is not None else int(sec.get("seed", 0))
-    minimizer = MinimizerConfig(
-        grid_resolution=int(sec.get("grid_resolution", 129)), seed=seed
-    )
+    minimizer = MinimizerConfig(grid_resolution=int(sec.get("grid_resolution", 129)))
     kw = {
         "scheme": sec.get("scheme", "VE"),
         "tau": float(sec.get("tau", 1e-2)),
@@ -292,7 +288,7 @@ def load_config(path: str | Path, seed_override: Optional[int] = None) -> RunCon
         _check_keys("output", osec.keys(), _OUTPUT_KEYS)
     out_dir = osec.get("out_dir", "out")
     prefix = osec.get("prefix", kind)
-    return RunConfig(kind, spec, problem, scheme, tol, out_dir, prefix, seed)
+    return RunConfig(kind, spec, problem, scheme, tol, out_dir, prefix)
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +402,7 @@ def _certify(
 
 
 def cmd_solve(args) -> int:
-    run = load_config(args.config, args.seed)
+    run = load_config(args.config)
     out = Path(args.out_dir or run.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     disc = solve_incremental(run.problem, run.scheme)
@@ -445,7 +441,7 @@ def _sweep_one(run: RunConfig, axis: str, value: float):
 
 
 def cmd_sweep(args) -> int:
-    run = load_config(args.config, args.seed)
+    run = load_config(args.config)
     values = _floats(args.values)
     if len(values) < 2:
         raise ConfigError("sweep needs at least two values")
@@ -489,7 +485,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_jumpcost(args) -> int:
-    run = load_config(args.config, args.seed)
+    run = load_config(args.config)
     problem = run.problem
     z_minus = np.asarray(_floats(args.z_minus))
     z_plus = np.asarray(_floats(args.z_plus))
@@ -526,7 +522,7 @@ def cmd_jumpcost(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    run = load_config(args.config, args.seed)
+    run = load_config(args.config)
     traj = read_trajectory_csv(Path(args.trajectory), run.problem)
     # the problem the scheme solved, as in solve_incremental
     problem = run.problem.with_correction(_scheme_correction(run.scheme))
@@ -554,7 +550,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", required=True, help="INI run config")
         p.add_argument("--out-dir", default=None, help="output directory override")
-        p.add_argument("--seed", type=int, default=None, help="minimizer seed override")
 
     p = sub.add_parser("solve", help="run the incremental scheme and certify")
     common(p)

@@ -6,7 +6,9 @@ transitions decompose into exactly those pieces) and report an upper bound
 together with a lower estimate.  The estimate starts from the dissipation,
 a true lower bound, and may be raised by extrapolating two DP grid values;
 that step is not a bound.  The DP chain search runs for n_z = 1 only; in
-higher dimensions the other candidates give the bound.
+higher dimensions the other candidates give the bound.  Its shortest path is
+a dense Dijkstra in numpy (``dijkstra``): the grid graph has a few hundred
+nodes and is often nearly complete.
 
 Every residual along a chain comes from a ``ResidualMemo``, so a chain is
 priced under the memo's minimizer config, the one its command minimizes with.
@@ -19,8 +21,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
 
 from .core import INF, RisProblem, Trajectory, is_finite
 from .reduced import global_min_corrected
@@ -145,6 +145,42 @@ def viscous_chain(
     return chain
 
 
+def dijkstra(W: NDArray, src: int, dst: int) -> Optional[list[int]]:
+    """Shortest path from ``src`` to ``dst`` in the dense graph of
+    non-negative link weights ``W[i, j]`` (+infinity where there is no
+    link): the node sequence, or None when ``dst`` is unreachable.
+
+    Dijkstra's algorithm on the dense matrix, one row relaxed per settled
+    node.  It stops once ``dst`` is settled, as every node on its path is
+    settled before it.  Distances are summed as dist[u] + W[u, v] and only
+    a strictly shorter path replaces a tentative one.
+    """
+    m = len(W)
+    dist = np.full(m, INF)
+    dist[src] = 0.0
+    todo = dist.copy()  # distances of the open nodes; +infinity once settled
+    pred = np.full(m, -1)
+    cand = np.empty(m)
+    better = np.empty(m, dtype=bool)
+    while True:
+        u = int(todo.argmin())
+        if not todo[u] < INF:
+            return None
+        if u == dst:
+            break
+        todo[u] = INF
+        # a settled node v has dist[v] <= dist[u], so no link reaches it shorter
+        np.add(W[u], dist[u], out=cand)
+        np.less(cand, dist, out=better)
+        np.copyto(dist, cand, where=better)
+        np.copyto(todo, cand, where=better)
+        np.copyto(pred, u, where=better)
+    path = [dst]
+    while path[-1] != src:
+        path.append(int(pred[path[-1]]))
+    return path[::-1]
+
+
 def _dp_chain(
     problem: RisProblem,
     t: float,
@@ -164,7 +200,6 @@ def _dp_chain(
     xs = np.unique(
         np.concatenate([np.linspace(lo, hi, resolution), [z_minus[0], z_plus[0]]])
     )
-    m = len(xs)
     src = int(np.argmax(np.isclose(xs, z_minus[0], atol=1e-12)))
     dst = int(np.argmax(np.isclose(xs, z_plus[0], atol=1e-12)))
     if src == dst:
@@ -183,22 +218,12 @@ def _dp_chain(
         comp = np.where(np.isfinite(ivals)[None, :], ivals[None, :], INF) + D
     node_res = np.where(np.isfinite(ivals), ivals - comp.min(axis=1), INF)
     node_res = np.maximum(node_res, 0.0)
-    links = np.isfinite(D) & np.isfinite(node_res)[:, None]
-    np.fill_diagonal(links, False)
-    rows, cols = np.nonzero(links)
-    wts = D[rows, cols] + node_res[rows]
-    if not rows.size:
+    W = D + node_res[:, None]  # a link leaves a node at its residual
+    np.fill_diagonal(W, INF)
+    path = dijkstra(W, src, dst)
+    if path is None:
         return None
-    graph = csr_matrix((wts, (rows, cols)), shape=(m, m))
-    dist, pred = dijkstra(
-        graph, directed=True, indices=src, return_predecessors=True
-    )
-    if not is_finite(float(dist[dst])):
-        return None
-    path = [dst]
-    while path[-1] != src:
-        path.append(int(pred[path[-1]]))
-    return [pts[i] for i in reversed(path)]
+    return [pts[i] for i in path]
 
 
 def jump_cost(

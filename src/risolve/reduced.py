@@ -6,8 +6,9 @@ certifiable, slow) and the production path.  Tests pit one against the other.
 The production path minimizes the step objective
 I(t, z) + d(z_prev, z) + delta(z_prev, z) (``step_objective``), assembled
 from the problem's three broadcasting maps ``reduced_vec``, ``dissipation``
-and ``correction``: for n_z <= 2 a coarse grid, then a batched zoom on its
-best points (``zoom_search``); for larger n_z a multistart Powell descent.
+and ``correction``: a coarse grid, then a batched zoom on its best points
+(``zoom_search``).  It runs for n_z <= 2; for larger n_z there is no
+certified search yet, and a step there raises.
 
 ``global_min_rows`` takes rows (ts[p], Z_prev[p]) and searches them
 together, each row with its own box, grid and zoom depth, in chunks of
@@ -27,9 +28,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy import optimize
 
-from .core import INF, RisProblem, is_finite
+from .core import INF, RisProblem
 
 __all__ = [
     "MinResult",
@@ -46,9 +46,8 @@ __all__ = [
 
 _GRID_BUDGET = 10_000_000
 _ROW_POINTS = 1 << 16  # objective points a batch of step rows holds at once
-DESCENT_TOL = 1e-10  # zoom half-width and Powell xtol/ftol at which a search stops
+DESCENT_TOL = 1e-10  # zoom half-width at which a search stops
 NEAR_OPTIMAL_BAND = 1e-9  # step values this close to the best one tie
-_MULTISTART_COUNT = 12  # random Powell starts besides z_prev (n_z > 2)
 _ZOOM_STARTS = 4  # best coarse-grid points the zoom refines
 _ZOOM_POINTS = 17  # zoom window points per axis, the centre included
 _ZOOM_FACTOR = 2 / (_ZOOM_POINTS - 1)  # each level's half-width: the last spacing
@@ -67,11 +66,9 @@ class MinResult:
 
 @dataclass(frozen=True)
 class MinimizerConfig:
-    """Coarse grid points per axis (n_z <= 2) and the seed of the random
-    Powell starts (n_z > 2)."""
+    """Coarse grid points per axis of the step search."""
 
     grid_resolution: int = 129
-    seed: int = 0
 
     def __post_init__(self):
         if self.grid_resolution < 2:
@@ -328,52 +325,14 @@ def _grid_zoom(
     )
 
 
-def _multistart(
-    problem: RisProblem,
-    ts: NDArray,
-    Z_prev: NDArray,
-    lo: NDArray,
-    hi: NDArray,
-    cfg: MinimizerConfig,
-) -> tuple[NDArray, NDArray]:
-    """Row by row, Powell descents from z_prev and ``_MULTISTART_COUNT``
-    random starts (n_z > 2); a descent that ends at an infinite value leaves
-    an infinite candidate."""
-    P, n = Z_prev.shape
-    cands = np.repeat(Z_prev[:, None, :], 1 + _MULTISTART_COUNT, axis=1)
-    vals = np.full((P, 1 + _MULTISTART_COUNT), INF)
-    for p in range(P):
-        f = step_objective(problem, ts[p], Z_prev[p])
-        box = list(zip(lo[p], hi[p]))
-        rng = np.random.default_rng(cfg.seed)
-        starts = [Z_prev[p]] + [
-            np.array([rng.uniform(a, b) for a, b in box])
-            for _ in range(_MULTISTART_COUNT)
-        ]
-        for i, x0 in enumerate(starts):
-            r = optimize.minimize(
-                lambda z: float(f(z[None, :])[0]),
-                x0,
-                method="Powell",
-                bounds=box,
-                options={"xtol": DESCENT_TOL, "ftol": DESCENT_TOL},
-            )
-            if is_finite(float(r.fun)):
-                cands[p, i], vals[p, i] = r.x, r.fun
-    return cands, vals
-
-
 def _resolution(n_z: int, cfg: MinimizerConfig) -> int:
     """Coarse grid points per axis: the config's, within ``_GRID_BUDGET``."""
     return min(cfg.grid_resolution, int(_GRID_BUDGET ** (1.0 / n_z)))
 
 
 def chunk_rows(n_z: int, cfg: MinimizerConfig) -> int:
-    """Rows one chunk of ``global_min_rows`` searches together: for
-    n_z <= 2 as many as fit in ``_ROW_POINTS`` objective points (at least
-    one); for larger n_z one, as the multistart descents go row by row."""
-    if n_z > 2:
-        return 1
+    """Rows one chunk of ``global_min_rows`` searches together: as many as
+    fit in ``_ROW_POINTS`` objective points, at least one."""
     res = _resolution(n_z, cfg)
     per_row = max((res + 1) ** n_z, _ZOOM_STARTS * _ZOOM_POINTS**n_z)
     return max(1, _ROW_POINTS // per_row)
@@ -389,28 +348,32 @@ def global_min_rows(
     every row (ts[p], Z_prev[p]): the (P, n_z) minimizers and (P,) values.
 
     Rows are searched together, ``chunk_rows`` at a time, and each gets
-    the bits it would get alone.  For n_z <= 2 a row's
-    candidates are staying put, the best points of its grid and their zoomed
-    refinements; for larger n_z, staying put and multistart Powell descents.
-    Ties within ``NEAR_OPTIMAL_BAND`` go to the candidate closest to z_prev.
+    the bits it would get alone.  A row's candidates are staying put, the
+    best points of its grid and their zoomed refinements.  Ties within
+    ``NEAR_OPTIMAL_BAND`` go to the candidate closest to z_prev.  Raises
+    ValueError for n_z > 2, where no certified search exists yet.
     """
     cfg = cfg or MinimizerConfig()
     n = problem.n_z
+    if n > 2:
+        raise ValueError(
+            f"no certified step search exists yet for n_z > 2 (got n_z = {n})"
+        )
     ts = np.asarray(ts, dtype=float).reshape(-1)
     Z_prev = np.asarray(Z_prev, dtype=float).reshape(len(ts), n)
     res = _resolution(n, cfg)
     size = chunk_rows(n, cfg)
     if len(ts) <= size:
-        return _step_rows(problem, ts, Z_prev, cfg, res)
+        return _step_rows(problem, ts, Z_prev, res)
     parts = [
-        _step_rows(problem, ts[i : i + size], Z_prev[i : i + size], cfg, res)
+        _step_rows(problem, ts[i : i + size], Z_prev[i : i + size], res)
         for i in range(0, len(ts), size)
     ]
     return np.concatenate([x for x, _ in parts]), np.concatenate([v for _, v in parts])
 
 
 def _step_rows(
-    problem: RisProblem, ts: NDArray, Z_prev: NDArray, cfg: MinimizerConfig, res: int
+    problem: RisProblem, ts: NDArray, Z_prev: NDArray, res: int
 ) -> tuple[NDArray, NDArray]:
     """``global_min_rows`` for one chunk of rows."""
     f = _row_objective(problem, ts, Z_prev)
@@ -420,10 +383,7 @@ def _step_rows(
     if stay is None or not np.isfinite(stay).all():
         raise ValueError("infeasible step: previous state has infinite objective")
     lo, hi = _search_boxes(problem, Z_prev)
-    if problem.n_z <= 2:
-        cands, vals = _grid_zoom(problem, ts, Z_prev, lo, hi, res)
-    else:
-        cands, vals = _multistart(problem, ts, Z_prev, lo, hi, cfg)
+    cands, vals = _grid_zoom(problem, ts, Z_prev, lo, hi, res)
     cands = np.concatenate([Z_prev[:, None, :], cands], axis=1)
     vals = np.concatenate([stay[:, None], vals], axis=1)
     # of the candidates within the band of the best, the first nearest
@@ -455,18 +415,13 @@ def global_min_corrected(
     cfg: MinimizerConfig | None = None,
 ) -> MinResult:
     """Minimize z -> I(t,z) + d(z_prev,z) + delta(z_prev,z) over the box: a
-    batch of one of ``global_min_rows``.
-
-    Certified-global only for the grid path (n_z <= 2); the multistart
-    Powell descent (n_z > 2) is honest about the heuristic.
-    """
+    batch of one of ``global_min_rows``, certified global."""
     z_prev = np.atleast_1d(np.asarray(z_prev, dtype=float))
     x, v = global_min_rows(problem, [t], z_prev[None], cfg)
-    certified = problem.n_z <= 2
     return MinResult(
         argmin=x[0],
         value=float(v[0]),
-        method="grid" if certified else "multistart-descent",
-        certified_global=certified,
+        method="grid",
+        certified_global=True,
         tolerance=DESCENT_TOL,
     )

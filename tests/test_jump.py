@@ -10,6 +10,7 @@ from risolve import (
     SchemeConfig,
     augmented_variation,
     interpolate,
+    jump,
     jump_cost,
     incremental_cost,
     solve_incremental,
@@ -147,6 +148,51 @@ class TestJumpCost:
         ).residual
         bound = jump_cost(toy_doublewell, t, z_minus, z_plus)
         assert bound.upper <= direct + 1e-9
+
+
+class TestDijkstra:
+    """The DP chain's shortest path against scipy's Dijkstra."""
+
+    @staticmethod
+    def _graph(rng, m):
+        W = rng.random((m, m)) * rng.choice([1e-3, 1.0, 1e3])
+        W[rng.random((m, m)) > rng.uniform(0.05, 1.0)] = INF
+        W[:, rng.random(m) < 0.15] = INF  # nodes no link reaches
+        np.fill_diagonal(W, INF)
+        return W
+
+    def test_matches_scipy(self):
+        csgraph = pytest.importorskip("scipy.sparse.csgraph")
+        from scipy.sparse import csr_matrix
+
+        rng = np.random.default_rng(7)
+        unreachable = 0
+        for m in [*range(1, 61), *range(1, 61), 403, 403]:
+            W = self._graph(rng, m)
+            src, dst = (int(i) for i in rng.integers(m, size=2))
+            rows, cols = np.nonzero(np.isfinite(W))
+            graph = csr_matrix((W[rows, cols], (rows, cols)), shape=(m, m))
+            dist, pred = csgraph.dijkstra(
+                graph, indices=src, return_predecessors=True
+            )
+            path = jump.dijkstra(W, src, dst)
+            if not np.isfinite(dist[dst]):
+                assert path is None
+                unreachable += 1
+                continue
+            expected = [dst]
+            while expected[-1] != src:
+                expected.append(int(pred[expected[-1]]))
+            assert path == expected[::-1]
+            length = 0.0  # summed in the order Dijkstra sums it
+            for a, b in zip(path, path[1:]):
+                length += W[a, b]
+            assert length == dist[dst]
+        assert unreachable > 0
+
+    def test_unreachable_end_gives_no_chain(self, delamination):
+        # the brittle bond never heals: no chain climbs from 0 to 1
+        assert jump._dp_chain(delamination, 0.5, np.array([0.0]), np.array([1.0]), 41) is None
 
 
 class TestAugmentedVariation:

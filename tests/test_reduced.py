@@ -200,17 +200,10 @@ class TestZoomSearch:
             assert res.certified_global
             assert res.value <= oracle.value + 1e-12
 
-    def test_grid_path_calls_no_scipy_optimizer(self, monkeypatch, damage, toy_doublewell):
-        from risolve import reduced
-
-        class NoOptimize:
-            def __getattr__(self, name):
-                raise AssertionError(f"scipy.optimize.{name} called on the grid path")
-
-        monkeypatch.setattr(reduced, "optimize", NoOptimize())
-        for prob in (damage, toy_doublewell, _quadratic_problem()):
-            for t, z_prev in _random_steps(prob, 3, seed=11):
-                assert global_min_corrected(prob, t, z_prev).certified_global
+    def test_more_than_two_dimensions_fail_loudly(self):
+        prob = make_damage1d(Damage1dSpec(N=3))
+        with pytest.raises(ValueError, match="no certified step search"):
+            global_min_rows(prob, [0.0], np.ones((1, 3)))
 
 
 class TestOneDefinitionPerMap:
@@ -339,7 +332,8 @@ class TestRowBatch:
 
     def test_chunk_rows(self, monkeypatch):
         # one chunk holds _ROW_POINTS objective points, a 1-d row 130 of
-        # them and a 2-d row 130 ** 2; a multistart row goes alone
+        # them and a 2-d row 130 ** 2; a grid of 130 ** 3 or 57 ** 4 points
+        # overflows a chunk alone, which leaves one row
         cfg = MinimizerConfig()
         assert [reduced.chunk_rows(n, cfg) for n in (1, 2, 3, 4)] == [504, 3, 1, 1]
         assert reduced.chunk_rows(1, MinimizerConfig(grid_resolution=2)) == (1 << 16) // 68
