@@ -44,6 +44,7 @@ from .scheme import (
     jump_onset,
     refine_study,
     solve_incremental,
+    solve_lockstep,
 )
 from .jump import (
     CostBound,

@@ -39,7 +39,7 @@ from .models import (
     make_plasticity0d,
     make_toy1d,
 )
-from .reduced import MinimizerConfig
+from .reduced import MinimizerConfig, require_search
 from .scheme import (
     DiscreteTrajectory,
     SchemeConfig,
@@ -48,6 +48,7 @@ from .scheme import (
     jump_flags,
     jump_records,
     solve_incremental,
+    solve_lockstep,
 )
 from .stability import ResidualMemo, use_memo
 from .verify import Certificate, TolConfig, balance_residual, verify_E, verify_VE
@@ -418,7 +419,8 @@ def cmd_solve(args) -> int:
     return EXIT_PASS if cert.passed else EXIT_FAIL
 
 
-def _sweep_one(run: RunConfig, axis: str, value: float):
+def _sweep_run(run: RunConfig, axis: str, value: float) -> tuple[RisProblem, SchemeConfig]:
+    """The problem and scheme of one sweep value."""
     scheme = run.scheme
     problem = run.problem
     if axis == "tau":
@@ -434,10 +436,7 @@ def _sweep_one(run: RunConfig, axis: str, value: float):
         problem = make_delamination0d(run.model_spec, brittle=False, k=value)
     else:
         raise ConfigError(f"unknown sweep axis {axis!r}")
-    disc = solve_incremental(problem, scheme)
-    traj = interpolate(disc)
-    jt = traj.jump_records[0].t if traj.jump_records else float("nan")
-    return disc, traj, jt, balance_residual(disc)
+    return problem, scheme
 
 
 def cmd_sweep(args) -> int:
@@ -447,14 +446,28 @@ def cmd_sweep(args) -> int:
         raise ConfigError("sweep needs at least two values")
     if args.axis == "k" and run.model_kind != "delamination0d":
         raise ConfigError("axis 'k' applies to the delamination model only")
+    require_search(run.problem.n_z)  # fails as solve does, before any run
     out = Path(args.out_dir or run.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    results: list = []
-    errors: list[str] = []
+    runs: list = []
     for v in values:
         try:
-            results.append(_sweep_one(run, args.axis, v))
+            runs.append(_sweep_run(run, args.axis, v))
         except Exception as exc:  # partial report on any failure
+            runs.append(exc)
+    # the runs step in lockstep; each equals its solo run to the bit
+    solved = iter(solve_lockstep([r for r in runs if not isinstance(r, Exception)]))
+    results: list = []
+    errors: list[str] = []
+    for v, r in zip(values, runs):
+        try:
+            disc = r if isinstance(r, Exception) else next(solved)
+            if isinstance(disc, Exception):
+                raise disc
+            traj = interpolate(disc)
+            jt = traj.jump_records[0].t if traj.jump_records else float("nan")
+            results.append((disc, traj, jt, balance_residual(disc)))
+        except Exception as exc:
             results.append(None)
             errors.append(f"{args.axis}={v}: {exc}")
 
@@ -555,7 +568,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("sweep", help="re-run over an axis of parameter values")
+    p = sub.add_parser("sweep", help="re-run over an axis of parameter values, the runs in lockstep")
     common(p)
     p.add_argument("--axis", required=True, choices=["tau", "mu", "epsilon", "k"])
     p.add_argument("--values", required=True, help="comma-separated values")

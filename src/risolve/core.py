@@ -63,6 +63,16 @@ class State:
         if not (np.all(np.isfinite(self.u)) and np.all(np.isfinite(self.z))):
             raise ValueError("state entries must be finite")
 
+    @classmethod
+    def _checked(cls, u: NDArray[np.float64], z: NDArray[np.float64]) -> "State":
+        """A state from a 1-d float ``u`` and ``z`` whose entries the caller
+        has already checked finite: ``__post_init__``'s result, without its
+        conversions and check."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "u", u)
+        object.__setattr__(s, "z", z)
+        return s
+
 
 # ---------------------------------------------------------------------------
 # viscous corrections

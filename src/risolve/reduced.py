@@ -14,9 +14,10 @@ certified search yet, and a step there raises.
 together, each row with its own box, grid and zoom depth, in chunks of
 ``chunk_rows`` rows (as many as fit in ``_ROW_POINTS`` objective points);
 every row gets the bits it would get alone.  The scheme searches a run of
-steps from one state as one chunk of rows, a residual batch as many
-chunks; ``global_min_corrected`` is a batch of one, so every caller sees
-the same bits.
+steps from one state as one chunk of rows, and the next steps of runs in
+lockstep as one batch; a residual batch is many chunks;
+``global_min_corrected`` is a batch of one, so every caller sees the same
+bits.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ __all__ = [
     "global_min_corrected",
     "global_min_rows",
     "chunk_rows",
+    "require_search",
     "step_objective",
     "zoom_search",
 ]
@@ -192,7 +194,7 @@ _WINDOWS = {n: _window_offsets(n) for n in (1, 2)}  # the zoom runs for n_z <= 2
 
 
 def zoom_search(
-    objective: Callable[[NDArray], NDArray],
+    objective: Callable[[slice | NDArray], Callable[[NDArray], NDArray]],
     centers: NDArray,
     values: NDArray,
     half_width: NDArray,
@@ -204,35 +206,42 @@ def zoom_search(
     until each row's half-width drops below ``tol``.
 
     Row p has its own (n,) half-width, box [lo[p], hi[p]] and objective
-    row: ``objective`` maps a (P, M, n) batch to (P, M) values.  Each level
+    row: ``objective(rows)``, for a slice or an index array of rows, maps
+    an (R, M, n) batch of those R rows to (R, M) values.  Each level
     evaluates a window of ``_ZOOM_POINTS`` per axis spanning +-half_width
     around each centre (clipped to the box) in one batched call, moves each
     centre to its window's best point, and shrinks the half-width to the
-    window's spacing.  A row that has stopped gets a zero half-width: its
-    window is its centres, which keep their points and values.  A centre's
-    value never rises.
+    window's spacing.  A row that has stopped leaves the batch, and its
+    centres keep their points and values, as when it is searched alone.  A
+    centre's value never rises.
     """
-    centers = np.array(centers, dtype=float)
-    values = np.array(values, dtype=float)
-    P, k, n = centers.shape
+    out_c = np.array(centers, dtype=float)
+    out_v = np.array(values, dtype=float)
+    P, k, n = out_c.shape
     offs = _WINDOWS[n]
-    h = np.asarray(half_width, dtype=float)
+    rows = np.arange(P)
+    c, v, h = out_c, out_v, np.asarray(half_width, dtype=float)
     lo, hi = lo[:, None, None, :], hi[:, None, None, :]
-    windows = np.arange(P * k)
+    f, windows = objective(slice(None)), np.arange(P * k)
     while h.max() >= tol:
-        if P > 1:  # rows that have stopped keep their centres
+        if len(rows) > 1:
             live = h.max(axis=1) >= tol
             if not live.all():
-                h = np.where(live[:, None], h, 0.0)
+                out_c[rows], out_v[rows] = c, v
+                rows, c, h, lo, hi = rows[live], c[live], h[live], lo[live], hi[live]
+                f, windows = objective(rows), np.arange(len(rows) * k)
         h = h * _ZOOM_FACTOR  # this window's spacing, the next half-width
-        pts = centers[:, :, None, :] + offs * h[:, None, None, :]
+        pts = c[:, :, None, :] + offs * h[:, None, None, :]
         np.maximum(pts, lo, out=pts)
         np.minimum(pts, hi, out=pts)
-        vals = objective(pts.reshape(P, -1, n)).reshape(P * k, -1)
+        vals = f(pts.reshape(len(rows), -1, n)).reshape(len(windows), -1)
         best = vals.argmin(axis=1)
-        centers = pts.reshape(P * k, -1, n)[windows, best].reshape(P, k, n)
-        values = vals[windows, best].reshape(P, k)
-    return centers, values
+        c = pts.reshape(len(windows), -1, n)[windows, best].reshape(-1, k, n)
+        v = vals[windows, best].reshape(-1, k)
+    if len(rows) == P:
+        return c, v
+    out_c[rows], out_v[rows] = c, v
+    return out_c, out_v
 
 
 def _search_boxes(problem: RisProblem, Z_prev: NDArray) -> tuple[NDArray, NDArray]:
@@ -315,7 +324,7 @@ def _grid_zoom(
         grids = np.arange(len(pts))[:, None]
         starts[rows], start_vals[rows] = pts[grids, best], vals[grids, best]
     centers, values = zoom_search(
-        _row_objective(problem, ts, Z_prev),
+        lambda sel: _row_objective(problem, ts[sel], Z_prev[sel]),
         starts, start_vals, (hi - lo) / (res - 1), lo, hi, DESCENT_TOL,
     )
     # coarse runners-up stay candidates for the tie-break
@@ -338,6 +347,14 @@ def chunk_rows(n_z: int, cfg: MinimizerConfig) -> int:
     return max(1, _ROW_POINTS // per_row)
 
 
+def require_search(n_z: int) -> None:
+    """Raise ValueError for n_z > 2, where no certified search exists yet."""
+    if n_z > 2:
+        raise ValueError(
+            f"no certified step search exists yet for n_z > 2 (got n_z = {n_z})"
+        )
+
+
 def global_min_rows(
     problem: RisProblem,
     ts,
@@ -355,10 +372,7 @@ def global_min_rows(
     """
     cfg = cfg or MinimizerConfig()
     n = problem.n_z
-    if n > 2:
-        raise ValueError(
-            f"no certified step search exists yet for n_z > 2 (got n_z = {n})"
-        )
+    require_search(n)
     ts = np.asarray(ts, dtype=float).reshape(-1)
     Z_prev = np.asarray(Z_prev, dtype=float).reshape(len(ts), n)
     res = _resolution(n, cfg)

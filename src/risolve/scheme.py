@@ -30,6 +30,7 @@ __all__ = [
     "SchemeConfig",
     "DiscreteTrajectory",
     "solve_incremental",
+    "solve_lockstep",
     "interpolate",
     "refine_study",
     "ConvergenceReport",
@@ -96,73 +97,175 @@ def _scheme_correction(cfg: SchemeConfig) -> Optional[CorrectionSpec]:
     return cfg.correction
 
 
-def solve_incremental(problem: RisProblem, cfg: SchemeConfig) -> DiscreteTrajectory:
-    """Run the incremental scheme on a uniform partition of [0, T].
+_NO_U = np.empty(0)  # the u of every node of a problem with n_u = 0
+
+
+class _Run:
+    """One run of the scheme in progress: its partition, the nodes it has
+    reached and the block of steps it searches next.
 
     A step depends only on its time and the state it starts from.  So from
-    a state z the rows (times[n:n+k], z) of one ``global_min_rows`` batch
-    are the steps n..n+k-1 exactly, up to and including the first row whose
-    argmin differs from the bytes of z; the rows after it are dropped.  The
-    block size doubles after a block that stayed put throughout, up to the
-    rows one chunk of the search holds (``chunk_rows``), and is one again
-    after a move, so a flowing step is a batch of one.
+    a state z the rows (times[n:n+k], z) of one row batch are the steps
+    n..n+k-1 exactly, up to and including the first row whose argmin
+    differs from the bytes of z; the rows after it are dropped.  The block
+    size doubles after a block that stayed put throughout, up to the rows
+    one chunk of the search holds (``chunk_rows``), and is one again after
+    a move, so a flowing step is a block of one.
     """
-    t0, t1 = cfg.t_span if cfg.t_span is not None else (0.0, problem.horizon)
-    prob = problem.with_correction(_scheme_correction(cfg))
-    n_steps = max(1, round((t1 - t0) / cfg.tau))
-    times = t0 + cfg.tau * np.arange(n_steps + 1)
-    times[-1] = t1 if abs(times[-1] - t1) < 1e-9 else times[-1]
 
-    z = prob.clip(np.asarray(cfg.initial_z, dtype=float))
-    r0 = reduce_energy(prob, times[0], z)
-    if not math.isfinite(r0.value):
-        raise ValueError("initial state has infinite energy")
-    states = [State(u=r0.u if r0.u is not None else np.empty(0), z=z)]
-    vals = np.empty(n_steps)
-    diss = np.empty(n_steps)
-    corr = np.empty(n_steps)
-    gains = np.empty(n_steps)
-    cap = chunk_rows(prob.n_z, cfg.minimizer)
-    n, k = 1, 1
-    while n <= n_steps:
-        ts = times[n : n + k]
-        Z = np.tile(z, (len(ts), 1))
-        try:
-            X, V = global_min_rows(prob, ts, Z, cfg.minimizer)
-        except ValueError:
-            if k == 1:
-                raise
-            # the failing row may lie past a move, where the state never
-            # starts from z: only a batch of one raises
-            k = 1
-            continue
+    def __init__(self, prob: RisProblem, cfg: SchemeConfig):
+        t0, t1 = cfg.t_span if cfg.t_span is not None else (0.0, prob.horizon)
+        n_steps = max(1, round((t1 - t0) / cfg.tau))
+        times = t0 + cfg.tau * np.arange(n_steps + 1)
+        times[-1] = t1 if abs(times[-1] - t1) < 1e-9 else times[-1]
+        z = prob.clip(np.asarray(cfg.initial_z, dtype=float))
+        r0 = reduce_energy(prob, times[0], z)
+        if not math.isfinite(r0.value):
+            raise ValueError("initial state has infinite energy")
+        self.prob, self.cfg, self.times, self.z = prob, cfg, times, z
+        self.states = [State(u=r0.u if r0.u is not None else np.empty(0), z=z)]
+        self.vals, self.diss, self.corr, self.gains = (np.empty(n_steps) for _ in range(4))
+        self.cap = chunk_rows(prob.n_z, cfg.minimizer)
+        self.n, self.k = 1, 1
+
+    def next_block(self) -> tuple[NDArray, NDArray]:
+        """The rows (ts, Z) of the steps this run searches next."""
+        ts = self.times[self.n : self.n + self.k]
+        self.block = ts, np.tile(self.z, (len(ts), 1))
+        return self.block
+
+    def failed(self, exc: Exception) -> None:
+        """The block's own search raised ``exc``: raise it for a block of
+        one, else search a block of one next."""
+        if self.k == 1 or not isinstance(exc, ValueError):
+            raise exc
+        # the failing row may lie past a move, where the state never
+        # starts from z: only a batch of one raises
+        self.k = 1
+
+    def advance(self, X: NDArray, V: NDArray) -> Optional[DiscreteTrajectory]:
+        """Keep the steps of the block up to its first move, given the
+        block's minimizers ``X`` and values ``V``; the trajectory once the
+        last step is kept."""
+        prob, z = self.prob, self.z
+        ts, Z = self.block
         # keep up to the first row whose argmin leaves the bytes of z
         diff = (X.view(np.int64) != z.view(np.int64)).ravel()
         first = int(diff.argmax())
         moved = bool(diff[first])
         m = first // prob.n_z + 1 if moved else len(ts)
         X, V, ts, Z = X[:m], V[:m], ts[:m], Z[:m]
-        s = slice(n - 1, n - 1 + m)
-        diss[s] = d = prob.dissipation(Z, X)
-        corr[s] = prob.correction(Z, X, d)
-        vals[s] = V
+        s = slice(self.n - 1, self.n - 1 + m)
+        self.diss[s] = d = prob.dissipation(Z, X)
+        self.corr[s] = prob.correction(Z, X, d)
+        self.vals[s] = V
         g = prob.reduced_vec(ts, Z) - V
-        gains[s] = np.where(0.0 > g, 0.0, g)  # keeps a gain of -0.0
-        for t, x in zip(ts, X):
-            states.append(State(u=prob.solve_u(t, x) if prob.n_u else np.empty(0), z=x))
-        z = X[-1]
-        n += m
-        k = 1 if moved else min(2 * k, cap)
-    return DiscreteTrajectory(
-        times=times,
-        states=tuple(states),
-        step_values=vals,
-        step_diss=diss,
-        step_corr=corr,
-        step_gain=gains,
-        problem=prob,
-        config=cfg,
-    )
+        self.gains[s] = np.where(0.0 > g, 0.0, g)  # keeps a gain of -0.0
+        # one finiteness check a block, not one per State
+        finite = np.isfinite(X).all()
+        us = [_NO_U] * m
+        if prob.n_u:
+            us = [np.atleast_1d(np.asarray(prob.solve_u(t, x), dtype=float)) for t, x in zip(ts, X)]
+            finite = finite and np.isfinite(np.concatenate(us, axis=None)).all()
+        if not finite:
+            raise ValueError("state entries must be finite")
+        self.states.extend(map(State._checked, us, X))
+        self.z = X[-1]
+        self.n += m
+        self.k = 1 if moved else min(2 * self.k, self.cap)
+        if self.n < len(self.times):
+            return None
+        return DiscreteTrajectory(
+            times=self.times,
+            states=tuple(self.states),
+            step_values=self.vals,
+            step_diss=self.diss,
+            step_corr=self.corr,
+            step_gain=self.gains,
+            problem=prob,
+            config=self.cfg,
+        )
+
+
+def _search_blocks(
+    prob: RisProblem, minimizer: MinimizerConfig, blocks: list[tuple[NDArray, NDArray]]
+) -> list:
+    """Per block (ts, Z) of rows, its minimizers and values from one
+    ``global_min_rows`` call over the rows of all blocks.  When that call
+    raises, each block is searched alone, and a block whose own search
+    raises gets the exception instead."""
+    try:
+        if len(blocks) == 1:
+            X, V = global_min_rows(prob, *blocks[0], minimizer)
+        else:
+            ts, Z = (np.concatenate(part) for part in zip(*blocks))
+            X, V = global_min_rows(prob, ts, Z, minimizer)
+    except Exception as exc:
+        if len(blocks) == 1:
+            return [exc]
+        return [_search_blocks(prob, minimizer, [b])[0] for b in blocks]
+    out, a = [], 0
+    for ts, _ in blocks:
+        out.append((X[a : a + len(ts)], V[a : a + len(ts)]))
+        a += len(ts)
+    return out
+
+
+def solve_lockstep(
+    runs: Sequence[tuple[RisProblem, SchemeConfig]],
+) -> list[DiscreteTrajectory | Exception]:
+    """Run the incremental scheme on every (problem, config) pair of
+    ``runs``, stepping the runs that share a step objective in lockstep.
+
+    Runs share a step objective when they have the same problem object,
+    equal scheme corrections and equal minimizer configs: the runs of an
+    E or VE tau sweep do, those of a BV tau sweep (whose correction scales
+    with 1/tau), a mu sweep or a k sweep do not.  Each round advances every
+    unfinished run of a group by its next block of steps (``_Run``), and
+    one ``global_min_rows`` call searches the rows of all of them.  Every
+    row gets the bits it gets alone, so each run equals its solo run to
+    the bit.  A run whose own search raises, or that fails otherwise,
+    drops out: its entry is the exception, and the other runs go on.
+    """
+    out: list = [None] * len(runs)
+    # (problem, correction, minimizer, corrected problem, [(index, run)])
+    groups: list[tuple] = []
+    for i, (problem, cfg) in enumerate(runs):
+        try:
+            spec = _scheme_correction(cfg)
+            group = next(
+                (g for g in groups
+                 if g[0] is problem and g[1] == spec and g[2] == cfg.minimizer),
+                None,
+            )
+            if group is None:
+                group = (problem, spec, cfg.minimizer, problem.with_correction(spec), [])
+                groups.append(group)
+            group[4].append((i, _Run(group[3], cfg)))
+        except Exception as exc:
+            out[i] = exc
+    for _, _, minimizer, prob, live in groups:
+        while live:
+            found = _search_blocks(prob, minimizer, [run.next_block() for _, run in live])
+            for (i, run), res in zip(live, found):
+                try:
+                    if isinstance(res, Exception):
+                        run.failed(res)
+                    else:
+                        out[i] = run.advance(*res)
+                except Exception as exc:
+                    out[i] = exc
+            live = [(i, run) for i, run in live if out[i] is None]
+    return out
+
+
+def solve_incremental(problem: RisProblem, cfg: SchemeConfig) -> DiscreteTrajectory:
+    """Run the incremental scheme on a uniform partition of [0, T]: the
+    one-run case of ``solve_lockstep``, raising the run's exception."""
+    (disc,) = solve_lockstep([(problem, cfg)])
+    if isinstance(disc, Exception):
+        raise disc
+    return disc
 
 
 def jump_onset(disc: DiscreteTrajectory) -> float | None:
@@ -266,8 +369,9 @@ def refine_study(
     residuals = []
     from .verify import balance_residual  # local import: verify builds on scheme
 
-    for tau in taus:
-        disc = solve_incremental(problem, replace(cfg, tau=tau))
+    for disc in solve_lockstep([(problem, replace(cfg, tau=tau)) for tau in taus]):
+        if isinstance(disc, Exception):
+            raise disc
         traj = interpolate(disc)
         trajs.append(traj)
         jumps.append([rec.t for rec in traj.jump_records])

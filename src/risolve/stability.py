@@ -181,7 +181,7 @@ def minimal_set(
         idx = np.flatnonzero(left_ok & right_ok & (vals <= best.value + coarse_band))
         if idx.size:
             xs_ref, vals_ref = zoom_search(
-                f, xs[None, idx, None], vals[None, idx], np.array([[spacing]]),
+                lambda sel: f, xs[None, idx, None], vals[None, idx], np.array([[spacing]]),
                 np.array([[lo]]), np.array([[hi]]), DESCENT_TOL,
             )
             for x, v in zip(xs_ref[0, :, 0], vals_ref[0]):

@@ -181,6 +181,21 @@ class TestLoadConfig:
         assert main(["solve", "--config", str(p), "--out-dir", str(tmp_path)]) == EXIT_ERROR
         assert "no certified step search" in capsys.readouterr().err
 
+    def test_damage_bar_of_three_cells_sweep_fails_like_solve(self, tmp_path, capsys):
+        p = tmp_path / "damage3.ini"
+        text = (CONFIG_DIR / "damage1d.ini").read_text()
+        p.write_text(text.replace("N = 2", "N = 3").replace("1.0, 1.0", "1.0, 1.0, 1.0"))
+        assert main(["solve", "--config", str(p), "--out-dir", str(tmp_path / "solve")]) == EXIT_ERROR
+        solve_err = capsys.readouterr().err
+        out = tmp_path / "sweep"
+        rc = main([
+            "sweep", "--config", str(p), "--out-dir", str(out),
+            "--axis", "tau", "--values", "0.02,0.01",
+        ])
+        assert rc == EXIT_ERROR
+        assert capsys.readouterr().err == solve_err
+        assert not out.exists()  # no CSV, not even a header
+
 
 class TestSolveAndVerify:
     @pytest.mark.parametrize(

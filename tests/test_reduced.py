@@ -200,6 +200,34 @@ class TestZoomSearch:
             assert res.certified_global
             assert res.value <= oracle.value + 1e-12
 
+    def test_stopped_row_leaves_the_batch(self):
+        # row 0 starts stopped (zero half-width) at -0.0; row 1 zooms on
+        # (x - 0.3)^2.  Row 0 is never evaluated and keeps its bits, as alone
+        rows_seen = []
+
+        def objective(sel):
+            target = np.array([0.0, 0.3])[sel][:, None]
+
+            def f(pts):
+                rows_seen.append(len(pts))
+                return (pts[..., 0] - target) ** 2
+
+            return f
+
+        centers = np.array([[[-0.0]], [[0.0]]])
+        values = np.array([[0.0], [0.09]])
+        half = np.array([[0.0], [1.0]])
+        lo, hi = np.full((2, 1), -1.0), np.full((2, 1), 1.0)
+        c, v = reduced.zoom_search(objective, centers, values, half, lo, hi, 1e-10)
+        assert np.signbit(c[0, 0, 0]) and v[0, 0] == 0.0
+        assert c[1, 0, 0] == pytest.approx(0.3, abs=1e-10)
+        assert rows_seen and set(rows_seen) == {1}
+        alone, _ = reduced.zoom_search(
+            lambda sel: objective(slice(1, 2)), centers[1:], values[1:], half[1:],
+            lo[1:], hi[1:], 1e-10,
+        )
+        assert alone.tobytes() == c[1:].tobytes()
+
     def test_more_than_two_dimensions_fail_loudly(self):
         prob = make_damage1d(Damage1dSpec(N=3))
         with pytest.raises(ValueError, match="no certified step search"):

@@ -1,5 +1,6 @@
 """Incremental schemes, jump detection, interpolants, refinement studies."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -15,15 +16,18 @@ from risolve import (
     interpolate,
     refine_study,
     solve_incremental,
+    solve_lockstep,
 )
 from risolve import reduced, scheme
 from risolve.reduced import global_min_corrected, reduce_energy, reduced_value
 from risolve.scheme import detect_jumps, jump_onset
 from risolve.models import (
     Damage1dSpec,
+    Delamination0dSpec,
     Plasticity0dSpec,
     Toy1dSpec,
     make_damage1d,
+    make_delamination0d,
     make_plasticity0d,
     make_toy1d,
 )
@@ -280,6 +284,95 @@ class TestStationaryBlocks:
         with pytest.raises(ValueError, match="infeasible step") as step:
             _stepwise(prob, cfg)
         assert str(block.value) == str(step.value)
+
+
+def _assert_same_run(a, b):
+    """Every field of two DiscreteTrajectory runs agrees to the bit."""
+    assert a.config == b.config
+    assert a.problem.correction_spec == b.problem.correction_spec
+    _assert_same_bits(
+        a, (b.times, b.states, b.step_values, b.step_diss, b.step_corr, b.step_gain)
+    )
+
+
+def _tau_runs(problem, cfg, taus):
+    return [(problem, dataclasses.replace(cfg, tau=tau)) for tau in taus]
+
+
+class TestLockstep:
+    """Runs stepped in lockstep equal their solo runs to the bit."""
+
+    @pytest.mark.parametrize(
+        "name, cfg, taus, shared",
+        [
+            (
+                "plasticity",
+                SchemeConfig(scheme="VE", correction=TrivialH(h=lambda r: r**4)),
+                [4e-2, 2e-2, 1e-2],
+                True,
+            ),
+            # each tau has its own correction mu = epsilon / tau
+            ("plasticity", SchemeConfig(scheme="BV", epsilon=0.5), [4e-2, 2e-2, 1e-2], False),
+            (
+                "damage",
+                SchemeConfig(
+                    scheme="VE", correction=TrivialH(h=lambda r: 1e-4 * r**4),
+                    initial_z=(1.0, 1.0),
+                ),
+                [5e-2, 2.5e-2],
+                True,
+            ),
+        ],
+        ids=["plasticity-VE", "plasticity-BV", "damage"],
+    )
+    def test_tau_sweep_equals_solo_runs(self, name, cfg, taus, shared, request, monkeypatch):
+        prob = request.getfixturevalue(name)
+        runs = _tau_runs(prob, cfg, taus)
+        calls = _counted_rows(monkeypatch)
+        solo = [solve_incremental(p, c) for p, c in runs]
+        solo_calls = len(calls)
+        calls.clear()
+        for a, b in zip(solve_lockstep(runs), solo):
+            _assert_same_run(a, b)
+        # runs that share the step objective share searches
+        assert len(calls) < solo_calls if shared else len(calls) == solo_calls
+
+    def test_k_list_equals_solo_runs(self):
+        spec = Delamination0dSpec()
+        cfg = SchemeConfig(scheme="VE", tau=1e-2, correction=TrivialH(h=lambda r: r * r),
+                           initial_z=(1.0,))
+        runs = [(make_delamination0d(spec, brittle=False, k=k), cfg) for k in (5.0, 50.0, 500.0)]
+        for (p, c), disc in zip(runs, solve_lockstep(runs)):
+            _assert_same_run(disc, solve_incremental(p, c))
+
+    def test_failing_run_drops_out_alone(self):
+        # both runs share the step objective of the guarded toy; the run
+        # stuck at z = 0 hits the infinite energy at t = 0.4, the run from
+        # z = 0.5 never comes near it
+        prob = _guarded_toy(0.35)
+        runs = [
+            (prob, SchemeConfig(scheme="E", tau=0.05, initial_z=(0.5,))),
+            (prob, SchemeConfig(scheme="E", tau=0.1, initial_z=(0.0,))),
+        ]
+        healthy, failed = solve_lockstep(runs)
+        _assert_same_run(healthy, solve_incremental(*runs[0]))
+        with pytest.raises(ValueError, match="infeasible step") as solo:
+            solve_incremental(*runs[1])
+        assert type(failed) is ValueError
+        assert str(failed) == str(solo.value)
+
+    def test_flowing_runs_share_searches(self, monkeypatch):
+        # from z = -1 the convex toy flows from the start: z = 2t - 1
+        prob = make_toy1d(Toy1dSpec(well="convex", ell=(0.0, 2.0)))
+        cfg = SchemeConfig(scheme="E", initial_z=(-1.0,))
+        runs = _tau_runs(prob, cfg, [4e-2, 2e-2, 1e-2])
+        calls = _counted_rows(monkeypatch)
+        discs = solve_lockstep(runs)
+        assert all((d.step_diss > 0).all() for d in discs)
+        steps = [d.n_steps for d in discs]
+        assert len(calls) < sum(steps)
+        assert len(calls) == max(steps)  # one search a round
+        assert max(rows for rows, _ in calls) == len(runs)
 
 
 class TestJumpDetection:
