@@ -198,6 +198,9 @@ class RisProblem:
     healing); correction(Z_from, Z_to, D=None) is the viscous perturbation
     delta of the VE scheme and stability function, built by
     :meth:`with_correction`, which takes D = d(Z_from, Z_to) when given.
+    A map must act elementwise whatever the memory layout of its batch: the
+    step search passes cell-major batches, Z[..., i] one contiguous plane
+    per cell, which a map prices fastest plane by plane.
 
     energy(t, u, z) is +infinity exactly where constraints are violated.
     With n_u = 0 it may be omitted and is then I(t, z) in the box, +infinity

@@ -39,13 +39,6 @@ def _step(z, zp) -> NDArray:
     return np.asarray(zp, dtype=float) - np.asarray(z, dtype=float)
 
 
-def _cell_sum(x: NDArray) -> NDArray:
-    """Sum over the last (cell) axis column by column: numpy reduces a short
-    last axis at some 20 ns a row, column adds take under 1 ns.  The order
-    is sequential, as numpy's own is for fewer than 8 terms."""
-    return sum((x[..., i] for i in range(x.shape[-1])), np.zeros(x.shape[:-1]))
-
-
 def _affine(coeffs) -> tuple[Callable[[float], float], Callable[[float], float]]:
     c0, c1 = float(coeffs[0]), float(coeffs[1])
     return (lambda t: c0 + c1 * t), (lambda t: c1)
@@ -210,26 +203,37 @@ def make_damage1d(spec: Damage1dSpec) -> RisProblem:
         raise ValueError("profiles must have one entry per cell")
     eta, r, gw = spec.eta, spec.r, spec.grad_weight
     wD, dwD = _affine(spec.w_D)
+    E0s, kaps = E0.tolist(), kap.tolist()
 
-    def stiff(z):
-        return (eta + (1.0 - eta) * z) * E0
+    # The maps take cell i as the plane Z[..., i] with scalar coefficients:
+    # a cell-major batch, as the step search builds, gives contiguous planes,
+    # and no (N,) vector broadcasts over the rows.  Every sum over cells
+    # starts from zeros and adds cell 0, cell 1, ... in order, so a batch
+    # in either layout and a single state get the same bits.
 
-    def grad_term(pts):
-        dz = np.abs(np.diff(pts, axis=-1))
-        return gw * _cell_sum(dz ** r) / (r * h ** (r - 1))
+    def stiff(Z) -> list:
+        """The stiffness of each cell, a plane per cell."""
+        return [(eta + (1.0 - eta) * Z[..., i]) * e for i, e in enumerate(E0s)]
+
+    def grad_term(Z):
+        total = np.zeros(Z.shape[:-1])
+        for i in range(N - 1):
+            total += np.abs(Z[..., i + 1] - Z[..., i]) ** r
+        return gw * total / (r * h ** (r - 1))
 
     def energy(t, u, z):
         if np.any(z < -1e-12) or np.any(z > 1.0 + 1e-12):
             return INF
         nodes = np.concatenate([[0.0], np.asarray(u, float), [wD(t)]])
-        k = stiff(np.asarray(z, float))
-        el = 0.5 * float(np.sum(k * np.diff(nodes) ** 2)) / h
-        return el + float(grad_term(np.asarray(z, float)))
+        z = np.asarray(z, float)
+        el = 0.5 * float(np.sum(np.array(stiff(z)) * np.diff(nodes) ** 2)) / h
+        # a batch of one: numpy's scalar power can differ from its array
+        # power in the last bit
+        return el + float(grad_term(z[None])[0])
 
     def solve_u(t, z):
-        k = stiff(np.asarray(z, float))
         # series springs: strain splits inversely to stiffness
-        comp = h / k
+        comp = h / np.array(stiff(np.asarray(z, float)))
         return wD(t) * np.cumsum(comp)[:-1] / np.sum(comp)
 
     def power(t, u, z):
@@ -239,12 +243,19 @@ def make_damage1d(spec: Damage1dSpec) -> RisProblem:
         return kN * (nodes[-1] - nodes[-2]) / h * dwD(t)
 
     def dissipation(z, zp):
-        dz = _step(z, zp)
-        # a healing cell costs +infinity, and so does the whole step
-        return _cell_sum(np.where(dz > 1e-12, INF, kap * np.abs(dz)))
+        z, zp = np.asarray(z, dtype=float), np.asarray(zp, dtype=float)
+        total = np.zeros(np.broadcast_shapes(z.shape, zp.shape)[:-1])
+        for i, k in enumerate(kaps):
+            dz = zp[..., i] - z[..., i]
+            # a healing cell costs +infinity, and so does the whole step
+            total += np.where(dz > 1e-12, INF, k * np.abs(dz))
+        return total
 
     def reduced_vec(t, pts):
-        keff = 1.0 / _cell_sum(h / stiff(pts))
+        comp = np.zeros(pts.shape[:-1])
+        for k in stiff(pts):
+            comp += h / k
+        keff = 1.0 / comp
         w = wD(t)
         return 0.5 * keff * w * w + grad_term(pts)
 

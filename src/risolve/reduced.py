@@ -86,8 +86,8 @@ def oracle_grid_min(
     """Exhaustive evaluation of ``objective`` on a regular grid over ``box``.
 
     ``resolution`` is an int or per-dimension sequence.  With
-    ``vectorized=True`` the objective receives an (M, dim) array and must
-    return M values.  Budget: 1e7 points.
+    ``vectorized=True`` the objective receives an (M, dim) array, each
+    column contiguous, and must return M values.  Budget: 1e7 points.
     """
     dim = len(box)
     if np.isscalar(resolution):
@@ -102,7 +102,8 @@ def oracle_grid_min(
     axes = [np.linspace(lo, hi, r) for (lo, hi), r in zip(box, res)]
     if vectorized:
         mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=-1)
+        # cell-major, as the step search's batches: pts[:, j] is contiguous
+        pts = np.stack([m.ravel() for m in mesh], axis=0).T
         vals = np.asarray(objective(pts), dtype=float)
         vals = np.where(np.isnan(vals), INF, vals)
         i = int(np.argmin(vals))
@@ -158,7 +159,9 @@ def step_objective(problem: RisProblem, t, z_prev) -> Callable[[NDArray], NDArra
     ``t`` and ``z_prev`` broadcast against the batch: a time and an (n_z,)
     state price an (M, n_z) batch, a (P, 1) column of times and a
     (P, 1, n_z) stack of states price the P rows of a (P, M, n_z) batch.
-    d is evaluated once and handed to the correction.
+    d is evaluated once and handed to the correction.  The maps act
+    elementwise, so a batch gets the same bits in any memory layout; the
+    search hands them cell-major batches.
     """
 
     def f(pts):
@@ -207,7 +210,9 @@ def zoom_search(
 
     Row p has its own (n,) half-width, box [lo[p], hi[p]] and objective
     row: ``objective(rows)``, for a slice or an index array of rows, maps
-    an (R, M, n) batch of those R rows to (R, M) values.  Each level
+    an (R, M, n) batch of those R rows to (R, M) values.  The batch is
+    cell-major, a view of one buffer whose (R, M) plane of each axis is
+    contiguous; every level writes its windows into it.  Each level
     evaluates a window of ``_ZOOM_POINTS`` per axis spanning +-half_width
     around each centre (clipped to the box) in one batched call, moves each
     centre to its window's best point, and shrinks the half-width to the
@@ -223,6 +228,9 @@ def zoom_search(
     c, v, h = out_c, out_v, np.asarray(half_width, dtype=float)
     lo, hi = lo[:, None, None, :], hi[:, None, None, :]
     f, windows = objective(slice(None)), np.arange(P * k)
+    # the windows of the live rows, cell-major as the grid's: pts[..., j]
+    # is one contiguous plane (in 1-d both layouts are the same memory)
+    pts = np.empty((n, P, k, len(offs))).transpose(1, 2, 3, 0)
     while h.max() >= tol:
         if len(rows) > 1:
             live = h.max(axis=1) >= tol
@@ -230,8 +238,9 @@ def zoom_search(
                 out_c[rows], out_v[rows] = c, v
                 rows, c, h, lo, hi = rows[live], c[live], h[live], lo[live], hi[live]
                 f, windows = objective(rows), np.arange(len(rows) * k)
+                pts = pts[: len(rows)]
         h = h * _ZOOM_FACTOR  # this window's spacing, the next half-width
-        pts = c[:, :, None, :] + offs * h[:, None, None, :]
+        np.add(c[:, :, None, :], offs * h[:, None, None, :], out=pts)
         np.maximum(pts, lo, out=pts)
         np.minimum(pts, hi, out=pts)
         vals = f(pts.reshape(len(rows), -1, n)).reshape(len(windows), -1)
@@ -311,10 +320,11 @@ def _grid_zoom(
     for rows in _row_groups(lengths):
         shape = lengths[rows][0]
         ax = [row[rows][keep[rows]].reshape(-1, m) for (row, keep), m in zip(axes, shape)]
-        pts = np.empty((len(ax[0]), *shape, n))
-        for j, a in enumerate(ax):  # the "ij" mesh of the row's axes
-            pts[..., j] = a.reshape(-1, *(m if i == j else 1 for i, m in enumerate(shape)))
-        pts = pts.reshape(len(ax[0]), -1, n)
+        # the "ij" mesh of the row's axes, cell-major: one plane per axis
+        mesh = np.empty((n, len(ax[0]), *shape))
+        for j, a in enumerate(ax):
+            mesh[j] = a.reshape(-1, *(m if i == j else 1 for i, m in enumerate(shape)))
+        pts = mesh.transpose(*range(1, n + 2), 0).reshape(len(ax[0]), -1, n)
         vals = _row_objective(problem, ts[rows], Z_prev[rows])(pts)
         best = _first_k(vals, _ZOOM_STARTS)
         if best.shape[1] < _ZOOM_STARTS:

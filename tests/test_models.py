@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from risolve import reduce_energy, reduced_value
+from risolve import PowerLq, QuadraticMu, reduce_energy, reduced_value
 from risolve.core import INF
+from risolve.reduced import step_objective
 from risolve.models import (
     Damage1dSpec,
     Delamination0dSpec,
@@ -88,6 +89,15 @@ class TestDamage1d:
             z = rng.uniform(0, 1, size=3)
             u = rng.uniform(0, t, size=2)
             assert prob.energy(t, u, z) >= floor - 1e-12
+
+    def test_energy_gradient_term_has_the_batch_bits(self, rng):
+        # at t = 0 the bar is unloaded: E(0, 0, z) and I(0, z) are both the
+        # gradient term, and a single state gets a batch's bits (r = 2.5
+        # takes numpy's power, whose scalar form differs in the last bit)
+        prob = make_damage1d(Damage1dSpec(N=3, r=2.5, w_D=(0.0, 1.0)))
+        for z in rng.uniform(0, 1, size=(200, 3)):
+            e = prob.energy(0.0, np.zeros(2), z)
+            assert e == float(prob.reduced_vec(0.0, z[None])[0]) and e > 0.0
 
     def test_healing_is_forbidden(self, damage):
         assert damage.dissipation(np.array([0.5, 0.5]), np.array([0.6, 0.5])) == INF
@@ -177,3 +187,87 @@ class TestDelamination0d:
             Delamination0dSpec(kappa=0.0)
         with pytest.raises(ValueError):
             Delamination0dSpec(a0=-1.0)
+
+
+# ---------------------------------------------------------------------------
+# every map prices a batch in either memory layout to the same bits
+
+
+def _bits(a):
+    """The bytes of a float array as int64, so -0.0 differs from 0.0."""
+    return np.ascontiguousarray(a, dtype=float).view(np.int64)
+
+
+_LAYOUT_MODELS = {
+    "toy-convex": lambda: make_toy1d(Toy1dSpec(correction=QuadraticMu(mu=2.0))),
+    "toy-doublewell": lambda: make_toy1d(
+        Toy1dSpec(well="doublewell", z_box=(-3.0, 3.0), correction=PowerLq(q=2.0, gamma=3.0))
+    ),
+    "plasticity": lambda: make_plasticity0d(
+        Plasticity0dSpec(correction=QuadraticMu(mu=3.0, dist="dissipation"))
+    ),
+    "damage-N1": lambda: make_damage1d(Damage1dSpec(N=1)),
+    "damage-N2": lambda: make_damage1d(Damage1dSpec(N=2, E0=(1.0, 2.0), kappa=(1.0, 3.0))),
+    "damage-N2-power": lambda: make_damage1d(
+        Damage1dSpec(N=2, correction=PowerLq(q=3.0, gamma=2.0))
+    ),
+    "damage-N3": lambda: make_damage1d(
+        Damage1dSpec(N=3, kappa=(1.0, 2.0, 3.0), correction=QuadraticMu(mu=2.0))
+    ),
+    "delamination-brittle": lambda: make_delamination0d(Delamination0dSpec()),
+    "delamination-adhesive": lambda: make_delamination0d(
+        Delamination0dSpec(), brittle=False, k=50.0
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_LAYOUT_MODELS))
+def test_maps_are_layout_independent(name):
+    """A (P, M, n_z) batch in C order, its cell-major copy (Z[..., j] one
+    contiguous plane, as the step search builds it) and each state priced
+    alone give the same bits, in every map and in the step objective."""
+    prob = _LAYOUT_MODELS[name]()
+    P, M, n = 3, 6, prob.n_z
+    rng = np.random.default_rng(23)
+    lo, hi = prob._lo, prob._hi
+    ts = rng.uniform(0.0, prob.horizon, size=P)
+    Zp = rng.uniform(lo + 0.3 * (hi - lo), hi - 0.1 * (hi - lo), size=(P, n))
+    Zp[2, 0] = -0.0 if lo[0] == 0.0 else Zp[2, 0]
+    top = Zp[:, None, :] if prob.unidirectional else hi
+    Z = lo + (top - lo) * rng.random((P, M, n))
+    Z[:, 0] = Zp  # staying put
+    Z[0, 1] = Zp[0] + 0.05 * (hi - lo)  # healing, where it is forbidden
+    Z[1, 2, 0] = -0.0
+    cell_major = np.ascontiguousarray(np.moveaxis(Z, -1, 0))
+    Zc = np.moveaxis(cell_major, 0, -1)
+    assert all(Zc[..., j].flags.c_contiguous for j in range(n))
+    assert _bits(Zc).tobytes() == _bits(Z).tobytes()
+
+    t_rows, zp_rows = ts[:, None], Zp[:, None, :]
+    maps = {
+        "reduced_vec": (
+            lambda X: prob.reduced_vec(t_rows, X),
+            lambda p, z: prob.reduced_vec(ts[p], z[None])[0],
+        ),
+        "dissipation": (
+            lambda X: prob.dissipation(zp_rows, X),
+            lambda p, z: prob.dissipation(Zp[p], z),
+        ),
+        "correction": (
+            lambda X: prob.correction(zp_rows, X),
+            lambda p, z: prob.correction(Zp[p], z),
+        ),
+        "step_objective": (
+            lambda X: step_objective(prob, t_rows, zp_rows)(X),
+            lambda p, z: step_objective(prob, ts[p], Zp[p])(z[None])[0],
+        ),
+    }
+    for key, (batch, alone) in maps.items():
+        a, b = batch(Z), batch(Zc)
+        single = np.array([[alone(p, Z[p, m]) for m in range(M)] for p in range(P)])
+        assert a.shape == (P, M), key
+        assert _bits(a).tobytes() == _bits(b).tobytes(), key
+        assert _bits(a).tobytes() == _bits(single).tobytes(), key
+    if prob.unidirectional:
+        assert prob.dissipation(Zp[0], Z[0, 1]) == INF
+        assert step_objective(prob, ts[0], Zp[0])(Z[0, 1][None])[0] == INF

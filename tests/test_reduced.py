@@ -228,6 +228,33 @@ class TestZoomSearch:
         )
         assert alone.tobytes() == c[1:].tobytes()
 
+    def test_search_batches_are_cell_major(self, damage, monkeypatch):
+        # every grid and zoom batch reaching the objective holds one
+        # contiguous (P, M) plane per cell, which the damage maps price
+        # faster than interleaved cells
+        seen = []
+        objective = reduced.step_objective
+
+        def spy(problem, t, z_prev):
+            f = objective(problem, t, z_prev)
+
+            def g(pts):
+                planes = [pts[..., j].flags.c_contiguous for j in range(pts.shape[-1])]
+                seen.append((pts.shape[:2], all(planes)))
+                return f(pts)
+
+            return g
+
+        monkeypatch.setattr(reduced, "step_objective", spy)
+        # boxes of three sizes: the rows stop zooming at different levels
+        global_min_rows(damage, [0.3, 0.55, 0.6], [[1.0, 1.0], [0.7, 0.9], [0.1, 0.1]])
+        searched = [(shape, ok) for shape, ok in seen if shape[1] > 1]
+        assert all(ok for _, ok in searched)
+        sizes = {shape for shape, _ in searched}
+        zoom = reduced._ZOOM_STARTS * reduced._ZOOM_POINTS**2
+        assert (3, 129 * 129) in sizes  # the grid
+        assert (3, zoom) in sizes and (2, zoom) in sizes  # the zoom, before and after a row stops
+
     def test_more_than_two_dimensions_fail_loudly(self):
         prob = make_damage1d(Damage1dSpec(N=3))
         with pytest.raises(ValueError, match="no certified step search"):

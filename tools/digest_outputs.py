@@ -1,0 +1,119 @@
+"""Print a sha256 digest of every output of the shipped configs and of the
+perfbench workloads, so two checkouts can be compared byte for byte.
+
+    python tools/digest_outputs.py                           # configs/*.ini, seeds 0,1,2
+    python tools/digest_outputs.py configs/damage1d.ini --seeds 0
+    python tools/digest_outputs.py configs/delamination0d.ini --seeds ""
+
+Each config gets ``solve``, ``verify`` of the CSV it wrote and a ``sweep``
+over tau = 2 tau0, tau0 (tau0 the config's own).  Each seed gets one round of
+every operation of the three perfbench workloads, built by
+``perfbench/workloads.py`` (imported, never changed).  Every command runs
+through ``risolve.cli.main`` of the checkout this script sits in, with its
+outputs in a temporary directory.  One line per captured stdout (with the
+exit code) and per output file, after the command that wrote or changed it:
+
+    <sha256>  <label>
+
+Run the script in the parent checkout and in the change, and diff the two
+outputs: no difference means every CSV, certificate and stdout kept its bytes.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SEEDS = "0,1,2"
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+class Digester:
+    """Runs CLI commands in one directory and prints the digests of their
+    stdout and of the files each one wrote or changed."""
+
+    def __init__(self, cli_main, out: Path):
+        self.cli_main = cli_main
+        self.out = out
+        self.seen: dict[str, str] = {}
+
+    def files(self, label: str) -> None:
+        for path in sorted(self.out.iterdir()):
+            digest = _sha(path.read_bytes())
+            if self.seen.get(path.name) != digest:
+                self.seen[path.name] = digest
+                print(f"{digest}  {label} {path.name}")
+
+    def run(self, label: str, argv: list[str]) -> None:
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
+            rc = self.cli_main(argv)
+        print(f"{_sha(buf.getvalue().encode())}  {label} stdout rc={rc}")
+        self.files(label)
+
+
+def digest_config(cli_main, load_config, config: Path) -> None:
+    name = config.name
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        run = load_config(config)
+        base = ["--config", str(config), "--out-dir", tmp]
+        dig = Digester(cli_main, out)
+        dig.run(f"{name} solve", ["solve", *base])
+        dig.run(f"{name} verify",
+                ["verify", *base, str(out / f"{run.prefix}_trajectory.csv")])
+        tau = run.scheme.tau
+        dig.run(f"{name} sweep",
+                ["sweep", *base, "--axis", "tau", "--values", f"{2 * tau!r},{tau!r}"])
+
+
+def digest_workload(cli_main, build, name: str, seed: int) -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        wl = build(seed, out)
+        dig = Digester(cli_main, out)
+        dig.files(f"{name} seed {seed} input")
+        for i, op in enumerate(wl.ops):
+            dig.run(f"{name} seed {seed} op {i} {op.kind}", op.argv)
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("configs", nargs="*", type=Path,
+                    help="INI configs (default: configs/*.ini of this checkout)")
+    ap.add_argument("--seeds", default=SEEDS,
+                    help=f"comma-separated perfbench seeds, empty for none (default {SEEDS})")
+    args = ap.parse_args(argv)
+    seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
+    configs = args.configs or sorted((ROOT / "configs").glob("*.ini"))
+
+    # one BLAS thread, as perfbench/run.py runs the workloads
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    from risolve.cli import load_config, main as cli_main
+
+    for config in configs:
+        digest_config(cli_main, load_config, config.resolve())
+    if seeds:
+        sys.dont_write_bytecode = True  # leave perfbench/ as it is
+        import workloads
+
+        for name, build in workloads.WORKLOADS.items():
+            for seed in seeds:
+                digest_workload(cli_main, build, name, seed)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
