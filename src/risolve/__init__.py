@@ -18,7 +18,6 @@ from .core import (
     eval_power,
 )
 from .reduced import (
-    MinimizerConfig,
     MinResult,
     global_min_corrected,
     global_min_rows,

@@ -39,7 +39,7 @@ from .models import (
     make_plasticity0d,
     make_toy1d,
 )
-from .reduced import MinimizerConfig, require_search
+from .reduced import require_search
 from .scheme import (
     DiscreteTrajectory,
     SchemeConfig,
@@ -129,7 +129,7 @@ _MODEL_KEYS = {
     "damage1d": {"kind", "N", "E0", "eta", "r", "grad_weight", "kappa", "w_D", "horizon", "correction"},
     "delamination0d": {"kind", "k_minus", "k_plus", "a0", "kappa", "ell", "horizon", "brittle", "k", "correction"},
 }
-_SCHEME_KEYS = {"scheme", "tau", "epsilon", "initial_z", "t_span", "grid_resolution"}
+_SCHEME_KEYS = {"scheme", "tau", "epsilon", "initial_z", "t_span"}
 _VERIFY_KEYS = {"minimality_tol", "stability_tol", "balance_tol", "jump_tol", "probe_count"}
 _OUTPUT_KEYS = {"out_dir", "prefix"}
 
@@ -252,12 +252,10 @@ def load_config(path: str | Path) -> RunConfig:
     sec = cp["scheme"] if "scheme" in cp else {}
     if sec:
         _check_keys("scheme", sec.keys(), _SCHEME_KEYS)
-    minimizer = MinimizerConfig(grid_resolution=int(sec.get("grid_resolution", 129)))
     kw = {
         "scheme": sec.get("scheme", "VE"),
         "tau": float(sec.get("tau", 1e-2)),
         "epsilon": float(sec.get("epsilon", 0.0)),
-        "minimizer": minimizer,
         # the model's own correction doubles as the scheme correction
         "correction": getattr(spec, "correction", None),
     }
@@ -281,7 +279,6 @@ def load_config(path: str | Path) -> RunConfig:
         balance_tol=float(vsec.get("balance_tol", 5e-2)),
         jump_tol=float(vsec.get("jump_tol", 5e-2)),
         probe_count=int(vsec.get("probe_count", 512)),
-        minimizer=minimizer,
     )
 
     osec = cp["output"] if "output" in cp else {}
@@ -318,7 +315,7 @@ def write_trajectory_csv(
 
     The residuals the memo lacks are computed together, in batches."""
     prob = disc.problem
-    memo = use_memo(memo, prob, disc.config.minimizer)
+    memo = use_memo(memo, prob)
     flags = jump_flags(disc)
     cum = np.concatenate([[0.0], np.cumsum(disc.step_diss)])
     resids = memo.fill(disc.times, [s.z for s in disc.states])
@@ -409,7 +406,7 @@ def cmd_solve(args) -> int:
     disc = solve_incremental(run.problem, run.scheme)
     # the certificate's node probes are the CSV's residuals, and a node the
     # scheme stayed at already has its residual: the step's gain
-    memo = ResidualMemo(disc.problem, disc.config.minimizer)
+    memo = ResidualMemo(disc.problem)
     memo.seed_from(disc)
     write_trajectory_csv(out / f"{run.prefix}_trajectory.csv", disc, memo)
     cert = _certify(run, disc.problem, interpolate(disc), memo)
@@ -506,9 +503,7 @@ def cmd_jumpcost(args) -> int:
         raise ConfigError(f"endpoints must have dimension {problem.n_z}")
     out = Path(args.out_dir or run.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    bound = jump_cost(
-        problem, args.t, z_minus, z_plus, ResidualMemo(problem, run.tol.minimizer)
-    )
+    bound = jump_cost(problem, args.t, z_minus, z_plus)
     feasible = np.isfinite(bound.upper)
     lines = [
         f"lower = {_fmt(bound.lower)}",

@@ -10,8 +10,8 @@ higher dimensions the other candidates give the bound.  Its shortest path is
 a dense Dijkstra in numpy (``dijkstra``): the grid graph has a few hundred
 nodes and is often nearly complete.
 
-Every residual along a chain comes from a ``ResidualMemo``, so a chain is
-priced under the memo's minimizer config, the one its command minimizes with.
+Every residual along a chain comes from a ``ResidualMemo``, so each point
+a command prices is minimized once, by the same search as the scheme's steps.
 """
 
 from __future__ import annotations
@@ -118,15 +118,14 @@ def viscous_chain(
 ) -> JumpChain:
     """Iterate the minimal-set map at fixed t until it fixes a point.
 
-    Every step minimizes under ``memo``'s minimizer config, the one its
-    residuals are priced under; a memo with the default config is made if None.
+    The chain's residuals come from ``memo``, which is made if None.
     """
     memo = use_memo(memo, problem)
     z = np.atleast_1d(np.asarray(z_start, float))
     pts = [z]
     converged = False
     for _ in range(max_steps):
-        res = global_min_corrected(problem, t, z, memo.cfg)
+        res = global_min_corrected(problem, t, z)
         if float(np.max(np.abs(res.argmin - z))) < 1e-10:
             converged = True
             break
@@ -244,8 +243,7 @@ def jump_cost(
     at d(z_minus, z_plus), a true lower bound; when the DP search applies it
     is raised to the smaller of the DP values at two grid resolutions minus
     their difference, an extrapolation that is an estimate, not a bound.
-    Residuals and viscous steps use ``memo``'s minimizer config; a memo with
-    the default config is made if None.
+    Residuals come from ``memo``, which is made if None.
     """
     z_minus = np.atleast_1d(np.asarray(z_minus, float))
     z_plus = np.atleast_1d(np.asarray(z_plus, float))
@@ -306,10 +304,9 @@ class JumpCosts:
     """Jump-cost bounds of one problem, each (t, z_minus, z_plus,
     dp_resolution) priced once.
 
-    Every bound is priced from ``memo`` and so under its minimizer config:
-    a certificate must hand over the memo of its own config, or its jumps
-    and its stability probes are priced under two different minimizations.
-    A store lives for one certificate or one call, never longer.
+    Every bound is priced from ``memo``: a certificate hands over the memo
+    of its stability probes, so a point both price is minimized once.  A
+    store lives for one certificate or one call, never longer.
     """
 
     def __init__(self, memo: ResidualMemo):

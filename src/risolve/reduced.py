@@ -34,7 +34,7 @@ from .core import INF, RisProblem
 
 __all__ = [
     "MinResult",
-    "MinimizerConfig",
+    "GRID_RESOLUTION",
     "oracle_grid_min",
     "reduce_energy",
     "reduced_value",
@@ -46,7 +46,8 @@ __all__ = [
     "zoom_search",
 ]
 
-_GRID_BUDGET = 10_000_000
+GRID_RESOLUTION = 129  # coarse grid points per axis of the step search
+_GRID_BUDGET = 10_000_000  # points of an oracle grid
 _ROW_POINTS = 1 << 16  # objective points a batch of step rows holds at once
 DESCENT_TOL = 1e-10  # zoom half-width at which a search stops
 NEAR_OPTIMAL_BAND = 1e-9  # step values this close to the best one tie
@@ -64,17 +65,6 @@ class MinResult:
     certified_global: bool
     tolerance: float
     u: Optional[NDArray[np.float64]] = None
-
-
-@dataclass(frozen=True)
-class MinimizerConfig:
-    """Coarse grid points per axis of the step search."""
-
-    grid_resolution: int = 129
-
-    def __post_init__(self):
-        if self.grid_resolution < 2:
-            raise ValueError("grid_resolution must be >= 2")
 
 
 def oracle_grid_min(
@@ -264,9 +254,11 @@ def _search_boxes(problem: RisProblem, Z_prev: NDArray) -> tuple[NDArray, NDArra
     return lo, hi
 
 
-def _grid_axis(lo: NDArray, hi: NDArray, z: NDArray, res: int) -> tuple[NDArray, NDArray]:
-    """Per row, np.unique(np.append(np.linspace(lo, hi, res), np.clip(z, lo,
-    hi))) as the sorted row and the mask of the values it keeps."""
+def _grid_axis(lo: NDArray, hi: NDArray, z: NDArray) -> tuple[NDArray, NDArray]:
+    """Per row, np.unique(np.append(np.linspace(lo, hi, GRID_RESOLUTION),
+    np.clip(z, lo, hi))) as the sorted row and the mask of the values it
+    keeps."""
+    res = GRID_RESOLUTION
     row = np.empty((len(z), res + 1))
     y = row[:, :res]
     np.multiply(np.arange(res), ((hi - lo) / (res - 1))[:, None], out=y)
@@ -307,13 +299,14 @@ def _first_k(vals: NDArray, k: int) -> NDArray:
 
 
 def _grid_zoom(
-    problem: RisProblem, ts: NDArray, Z_prev: NDArray, lo: NDArray, hi: NDArray, res: int
+    problem: RisProblem, ts: NDArray, Z_prev: NDArray, lo: NDArray, hi: NDArray
 ) -> tuple[NDArray, NDArray]:
-    """Per row, the best ``_ZOOM_STARTS`` points of a grid of ``res`` points
-    per axis over the search box plus z_prev, then their zoomed
-    refinements: (P, 2 * _ZOOM_STARTS, n) candidates and their values."""
+    """Per row, the best ``_ZOOM_STARTS`` points of a grid of
+    ``GRID_RESOLUTION`` points per axis over the search box plus z_prev,
+    then their zoomed refinements: (P, 2 * _ZOOM_STARTS, n) candidates and
+    their values."""
     P, n = Z_prev.shape
-    axes = [_grid_axis(lo[:, j], hi[:, j], Z_prev[:, j], res) for j in range(n)]
+    axes = [_grid_axis(lo[:, j], hi[:, j], Z_prev[:, j]) for j in range(n)]
     lengths = np.array([keep.sum(axis=1) for _, keep in axes]).T
     starts = np.empty((P, _ZOOM_STARTS, n))
     start_vals = np.empty((P, _ZOOM_STARTS))
@@ -335,7 +328,7 @@ def _grid_zoom(
         starts[rows], start_vals[rows] = pts[grids, best], vals[grids, best]
     centers, values = zoom_search(
         lambda sel: _row_objective(problem, ts[sel], Z_prev[sel]),
-        starts, start_vals, (hi - lo) / (res - 1), lo, hi, DESCENT_TOL,
+        starts, start_vals, (hi - lo) / (GRID_RESOLUTION - 1), lo, hi, DESCENT_TOL,
     )
     # coarse runners-up stay candidates for the tie-break
     return (
@@ -344,16 +337,10 @@ def _grid_zoom(
     )
 
 
-def _resolution(n_z: int, cfg: MinimizerConfig) -> int:
-    """Coarse grid points per axis: the config's, within ``_GRID_BUDGET``."""
-    return min(cfg.grid_resolution, int(_GRID_BUDGET ** (1.0 / n_z)))
-
-
-def chunk_rows(n_z: int, cfg: MinimizerConfig) -> int:
+def chunk_rows(n_z: int) -> int:
     """Rows one chunk of ``global_min_rows`` searches together: as many as
     fit in ``_ROW_POINTS`` objective points, at least one."""
-    res = _resolution(n_z, cfg)
-    per_row = max((res + 1) ** n_z, _ZOOM_STARTS * _ZOOM_POINTS**n_z)
+    per_row = max((GRID_RESOLUTION + 1) ** n_z, _ZOOM_STARTS * _ZOOM_POINTS**n_z)
     return max(1, _ROW_POINTS // per_row)
 
 
@@ -365,12 +352,7 @@ def require_search(n_z: int) -> None:
         )
 
 
-def global_min_rows(
-    problem: RisProblem,
-    ts,
-    Z_prev,
-    cfg: MinimizerConfig | None = None,
-) -> tuple[NDArray, NDArray]:
+def global_min_rows(problem: RisProblem, ts, Z_prev) -> tuple[NDArray, NDArray]:
     """Minimize z -> I(t,z) + d(z_prev,z) + delta(z_prev,z) over the box for
     every row (ts[p], Z_prev[p]): the (P, n_z) minimizers and (P,) values.
 
@@ -380,25 +362,21 @@ def global_min_rows(
     ``NEAR_OPTIMAL_BAND`` go to the candidate closest to z_prev.  Raises
     ValueError for n_z > 2, where no certified search exists yet.
     """
-    cfg = cfg or MinimizerConfig()
     n = problem.n_z
     require_search(n)
     ts = np.asarray(ts, dtype=float).reshape(-1)
     Z_prev = np.asarray(Z_prev, dtype=float).reshape(len(ts), n)
-    res = _resolution(n, cfg)
-    size = chunk_rows(n, cfg)
+    size = chunk_rows(n)
     if len(ts) <= size:
-        return _step_rows(problem, ts, Z_prev, res)
+        return _step_rows(problem, ts, Z_prev)
     parts = [
-        _step_rows(problem, ts[i : i + size], Z_prev[i : i + size], res)
+        _step_rows(problem, ts[i : i + size], Z_prev[i : i + size])
         for i in range(0, len(ts), size)
     ]
     return np.concatenate([x for x, _ in parts]), np.concatenate([v for _, v in parts])
 
 
-def _step_rows(
-    problem: RisProblem, ts: NDArray, Z_prev: NDArray, res: int
-) -> tuple[NDArray, NDArray]:
+def _step_rows(problem: RisProblem, ts: NDArray, Z_prev: NDArray) -> tuple[NDArray, NDArray]:
     """``global_min_rows`` for one chunk of rows."""
     f = _row_objective(problem, ts, Z_prev)
     # I(t, z_prev) + 0 + 0 bit for bit, so a state that stays has a
@@ -407,7 +385,7 @@ def _step_rows(
     if stay is None or not np.isfinite(stay).all():
         raise ValueError("infeasible step: previous state has infinite objective")
     lo, hi = _search_boxes(problem, Z_prev)
-    cands, vals = _grid_zoom(problem, ts, Z_prev, lo, hi, res)
+    cands, vals = _grid_zoom(problem, ts, Z_prev, lo, hi)
     cands = np.concatenate([Z_prev[:, None, :], cands], axis=1)
     vals = np.concatenate([stay[:, None], vals], axis=1)
     # of the candidates within the band of the best, the first nearest
@@ -432,16 +410,11 @@ def _step_rows(
     return np.where(back[:, None], Z_prev, x), np.where(back, stay, v)
 
 
-def global_min_corrected(
-    problem: RisProblem,
-    t: float,
-    z_prev,
-    cfg: MinimizerConfig | None = None,
-) -> MinResult:
+def global_min_corrected(problem: RisProblem, t: float, z_prev) -> MinResult:
     """Minimize z -> I(t,z) + d(z_prev,z) + delta(z_prev,z) over the box: a
     batch of one of ``global_min_rows``, certified global."""
     z_prev = np.atleast_1d(np.asarray(z_prev, dtype=float))
-    x, v = global_min_rows(problem, [t], z_prev[None], cfg)
+    x, v = global_min_rows(problem, [t], z_prev[None])
     return MinResult(
         argmin=x[0],
         value=float(v[0]),

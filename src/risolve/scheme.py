@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -24,7 +24,7 @@ from .core import (
     State,
     Trajectory,
 )
-from .reduced import MinimizerConfig, chunk_rows, global_min_rows, reduce_energy
+from .reduced import chunk_rows, global_min_rows, reduce_energy
 
 __all__ = [
     "SchemeConfig",
@@ -51,7 +51,6 @@ class SchemeConfig:
     tau: float = 1e-2
     correction: Optional[CorrectionSpec] = None  # VE only
     epsilon: float = 0.0  # BV only
-    minimizer: MinimizerConfig = field(default_factory=MinimizerConfig)
     initial_z: Sequence[float] = (0.0,)
     t_span: Optional[tuple[float, float]] = None
 
@@ -125,7 +124,7 @@ class _Run:
         self.prob, self.cfg, self.times, self.z = prob, cfg, times, z
         self.states = [State(u=r0.u if r0.u is not None else np.empty(0), z=z)]
         self.vals, self.diss, self.corr, self.gains = (np.empty(n_steps) for _ in range(4))
-        self.cap = chunk_rows(prob.n_z, cfg.minimizer)
+        self.cap = chunk_rows(prob.n_z)
         self.n, self.k = 1, 1
 
     def next_block(self) -> tuple[NDArray, NDArray]:
@@ -187,23 +186,21 @@ class _Run:
         )
 
 
-def _search_blocks(
-    prob: RisProblem, minimizer: MinimizerConfig, blocks: list[tuple[NDArray, NDArray]]
-) -> list:
+def _search_blocks(prob: RisProblem, blocks: list[tuple[NDArray, NDArray]]) -> list:
     """Per block (ts, Z) of rows, its minimizers and values from one
     ``global_min_rows`` call over the rows of all blocks.  When that call
     raises, each block is searched alone, and a block whose own search
     raises gets the exception instead."""
     try:
         if len(blocks) == 1:
-            X, V = global_min_rows(prob, *blocks[0], minimizer)
+            X, V = global_min_rows(prob, *blocks[0])
         else:
             ts, Z = (np.concatenate(part) for part in zip(*blocks))
-            X, V = global_min_rows(prob, ts, Z, minimizer)
+            X, V = global_min_rows(prob, ts, Z)
     except Exception as exc:
         if len(blocks) == 1:
             return [exc]
-        return [_search_blocks(prob, minimizer, [b])[0] for b in blocks]
+        return [_search_blocks(prob, [b])[0] for b in blocks]
     out, a = [], 0
     for ts, _ in blocks:
         out.append((X[a : a + len(ts)], V[a : a + len(ts)]))
@@ -217,9 +214,8 @@ def solve_lockstep(
     """Run the incremental scheme on every (problem, config) pair of
     ``runs``, stepping the runs that share a step objective in lockstep.
 
-    Runs share a step objective when they have the same problem object,
-    equal scheme corrections and equal minimizer configs: the runs of an
-    E or VE tau sweep do, those of a BV tau sweep (whose correction scales
+    Runs share a step objective when they have the same problem object and
+    equal scheme corrections: the runs of an E or VE tau sweep do, those of a BV tau sweep (whose correction scales
     with 1/tau), a mu sweep or a k sweep do not.  Each round advances every
     unfinished run of a group by its next block of steps (``_Run``), and
     one ``global_min_rows`` call searches the rows of all of them.  Every
@@ -228,25 +224,23 @@ def solve_lockstep(
     drops out: its entry is the exception, and the other runs go on.
     """
     out: list = [None] * len(runs)
-    # (problem, correction, minimizer, corrected problem, [(index, run)])
+    # (problem, correction, corrected problem, [(index, run)])
     groups: list[tuple] = []
     for i, (problem, cfg) in enumerate(runs):
         try:
             spec = _scheme_correction(cfg)
             group = next(
-                (g for g in groups
-                 if g[0] is problem and g[1] == spec and g[2] == cfg.minimizer),
-                None,
+                (g for g in groups if g[0] is problem and g[1] == spec), None
             )
             if group is None:
-                group = (problem, spec, cfg.minimizer, problem.with_correction(spec), [])
+                group = (problem, spec, problem.with_correction(spec), [])
                 groups.append(group)
-            group[4].append((i, _Run(group[3], cfg)))
+            group[3].append((i, _Run(group[2], cfg)))
         except Exception as exc:
             out[i] = exc
-    for _, _, minimizer, prob, live in groups:
+    for _, _, prob, live in groups:
         while live:
-            found = _search_blocks(prob, minimizer, [run.next_block() for _, run in live])
+            found = _search_blocks(prob, [run.next_block() for _, run in live])
             for (i, run), res in zip(live, found):
                 try:
                     if isinstance(res, Exception):

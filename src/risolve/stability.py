@@ -2,9 +2,9 @@
 
 The residual R(t, z) = I(t, z) - inf_{z'} ( I(t, z') + d(z, z') + delta(z, z') )
 is nonnegative and vanishes exactly on the corrected stable set.  It reuses
-the same global minimizer as the schemes, under the command's one
-``MinimizerConfig``, so certification semantics match; a ``ResidualMemo``
-carries that config to the stability probes and to jump pricing.
+the same global minimizer as the schemes, so certification semantics match;
+a ``ResidualMemo`` holds the residuals of one problem for the stability
+probes and for jump pricing.
 
 ``residual_rows`` prices many (t, z) at once through one
 ``global_min_rows`` call, which works through them in chunks of a fixed
@@ -26,8 +26,8 @@ from numpy.typing import NDArray
 from .core import RisProblem, State, is_finite
 from .reduced import (
     DESCENT_TOL,
+    GRID_RESOLUTION,
     NEAR_OPTIMAL_BAND,
-    MinimizerConfig,
     global_min_corrected,
     global_min_rows,
     reduce_energy,
@@ -58,12 +58,7 @@ class StabilityReport:
     y_value: float
 
 
-def residual_rows(
-    problem: RisProblem,
-    ts,
-    Z,
-    cfg: MinimizerConfig | None = None,
-) -> tuple[NDArray, NDArray, NDArray]:
+def residual_rows(problem: RisProblem, ts, Z) -> tuple[NDArray, NDArray, NDArray]:
     """R(ts[p], Z[p]) for every row: the (P,) residuals, the (P, n_z) best
     competitors found and their (P,) step values, from one
     ``global_min_rows`` call."""
@@ -72,7 +67,7 @@ def residual_rows(
     i_here = problem.reduced_vec(ts, Z) if problem.inside(Z).all() else None
     if i_here is None or not np.isfinite(i_here).all():
         raise ValueError("residual undefined: I(t, z) is infinite")
-    witness, y_value = global_min_rows(problem, ts, Z, cfg)
+    witness, y_value = global_min_rows(problem, ts, Z)
     residual = i_here - y_value
     low = residual < -_CLAMP_TOL
     if low.any():
@@ -83,31 +78,25 @@ def residual_rows(
     return np.where(0.0 > residual, 0.0, residual), witness, y_value
 
 
-def residual_stability(
-    problem: RisProblem,
-    t: float,
-    z,
-    cfg: MinimizerConfig | None = None,
-) -> StabilityReport:
+def residual_stability(problem: RisProblem, t: float, z) -> StabilityReport:
     """R(t, z) with the best competitor found as witness: a batch of one of
     ``residual_rows``."""
     z = np.atleast_1d(np.asarray(z, dtype=float))
-    residual, witness, y_value = residual_rows(problem, [t], z[None], cfg)
+    residual, witness, y_value = residual_rows(problem, [t], z[None])
     return StabilityReport(
         residual=float(residual[0]), witness=witness[0], y_value=float(y_value[0])
     )
 
 
 class ResidualMemo:
-    """R(t, z) of one problem under one minimizer config, each computed once.
+    """R(t, z) of one problem, each computed once.
 
     Keys are the exact time and the bytes of z; only the residual is kept.
     A memo lives for one command or one certificate, never longer.
     """
 
-    def __init__(self, problem: RisProblem, cfg: MinimizerConfig | None = None):
+    def __init__(self, problem: RisProblem):
         self.problem = problem
-        self.cfg = cfg or MinimizerConfig()
         self._values: dict[tuple[float, bytes], float] = {}
 
     def fill(self, ts, Z) -> list[float]:
@@ -122,15 +111,15 @@ class ResidualMemo:
                 todo.setdefault(key, i)
         if todo:
             rows = list(todo.values())
-            residual, _, _ = residual_rows(self.problem, ts[rows], Z[rows], self.cfg)
+            residual, _, _ = residual_rows(self.problem, ts[rows], Z[rows])
             self._values.update(zip(todo, residual.tolist()))
         return [self._values[key] for key in keys]
 
     def seed_from(self, disc) -> None:
-        """Take R(t_n, z_n) from a scheme run of this memo's problem and
-        config wherever step n stayed put: the bytes of z_n are those of
-        z_{n-1}, so the step's gain is the same minimization."""
-        use_memo(self, disc.problem, disc.config.minimizer)
+        """Take R(t_n, z_n) from a scheme run of this memo's problem
+        wherever step n stayed put: the bytes of z_n are those of z_{n-1},
+        so the step's gain is the same minimization."""
+        use_memo(self, disc.problem)
         states = disc.states
         for n in range(1, len(states)):
             z = states[n].z.tobytes()
@@ -140,30 +129,19 @@ class ResidualMemo:
                 )
 
 
-def use_memo(
-    memo: ResidualMemo | None,
-    problem: RisProblem,
-    cfg: MinimizerConfig | None = None,
-) -> ResidualMemo:
-    """``memo`` when it prices ``problem``, and does so under ``cfg`` unless
-    that is None; for no memo, a new one under ``cfg`` (or the default)."""
+def use_memo(memo: ResidualMemo | None, problem: RisProblem) -> ResidualMemo:
+    """``memo`` when it prices ``problem``; for no memo, a new one."""
     if memo is None:
-        return ResidualMemo(problem, cfg)
-    if memo.problem is not problem or cfg not in (None, memo.cfg):
-        raise ValueError("residual memo belongs to another problem or minimizer config")
+        return ResidualMemo(problem)
+    if memo.problem is not problem:
+        raise ValueError("residual memo belongs to another problem")
     return memo
 
 
-def minimal_set(
-    problem: RisProblem,
-    t: float,
-    z,
-    cfg: MinimizerConfig | None = None,
-) -> list[NDArray[np.float64]]:
+def minimal_set(problem: RisProblem, t: float, z) -> list[NDArray[np.float64]]:
     """Argmin of I(t, .) + d(z, .) + delta(z, .): all candidates within band."""
-    cfg = cfg or MinimizerConfig()
     z = np.atleast_1d(np.asarray(z, dtype=float))
-    best = global_min_corrected(problem, t, z, cfg)
+    best = global_min_corrected(problem, t, z)
     out = [best.argmin]
     # sweep a coarse grid for further members (n_z == 1 only; higher
     # dimensions report the single best candidate): every sampled local
@@ -172,7 +150,7 @@ def minimal_set(
         lo, hi = problem.z_box[0]
         hi = min(hi, float(z[0])) if problem.unidirectional else hi
         f = step_objective(problem, t, z)
-        xs = np.linspace(lo, hi, cfg.grid_resolution)
+        xs = np.linspace(lo, hi, GRID_RESOLUTION)
         vals = f(xs[:, None])
         spacing = xs[1] - xs[0] if len(xs) > 1 else 0.0
         coarse_band = max(NEAR_OPTIMAL_BAND, spacing**2 + 1e-6)
@@ -196,11 +174,10 @@ def is_Q_stable(
     t: float,
     s: State,
     Q: float,
-    cfg: MinimizerConfig | None = None,
     tol: float = 1e-8,
 ) -> bool:
     """(D, Q)-stability: residual <= Q and u attains the reduced energy."""
-    rep = residual_stability(problem, t, s.z, cfg)
+    rep = residual_stability(problem, t, s.z)
     if rep.residual > Q + tol:
         return False
     if problem.n_u > 0:

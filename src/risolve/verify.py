@@ -9,7 +9,7 @@ model, and the adhesive-to-brittle penalty-limit study.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -17,7 +17,7 @@ from numpy.typing import NDArray
 
 from .core import RisProblem, Trajectory, is_finite
 from .jump import DP_RESOLUTION, JumpCosts, augmented_variation, jump_cost
-from .reduced import MinimizerConfig, reduce_energy, reduced_value
+from .reduced import reduce_energy, reduced_value
 from .scheme import DiscreteTrajectory, SchemeConfig, interpolate, solve_incremental
 from .stability import ResidualMemo, residual_stability, use_memo
 
@@ -42,8 +42,6 @@ class TolConfig:
     balance_tol: float = 5e-2
     jump_tol: float = 5e-2
     probe_count: int = 512
-    # every minimization of a certificate, its jump pricing included
-    minimizer: MinimizerConfig = field(default_factory=MinimizerConfig)
 
 
 @dataclass(frozen=True)
@@ -181,7 +179,7 @@ def _certify(
     augmented: bool,
     memo: ResidualMemo | None = None,
 ) -> Certificate:
-    memo = use_memo(memo, problem, tol.minimizer)
+    memo = use_memo(memo, problem)
     probes = _probe_times(traj, tol.probe_count)
     minim = 0.0
     stab = 0.0
@@ -235,8 +233,8 @@ def verify_VE(
 
     ``problem`` must carry the same correction the trajectory was produced
     with; stability is checked off detected jumps, the balance uses the
-    augmented variation.  ``memo`` holds residuals of ``problem`` under
-    ``tol.minimizer`` already computed, e.g. for the trajectory CSV.
+    augmented variation.  ``memo`` holds residuals of ``problem`` already
+    computed, e.g. for the trajectory CSV.
     """
     return _certify(problem, traj, tol or TolConfig(), augmented=True, memo=memo)
 
@@ -250,8 +248,8 @@ def verify_E(
     """Certificate with the correction removed and the plain d-variation.
 
     A problem without a correction is certified as it is, so ``memo`` (its
-    residuals under ``tol.minimizer``) can serve it; a corrected problem is
-    certified through an uncorrected copy, which no outside memo prices.
+    residuals) can serve it; a corrected problem is certified through an
+    uncorrected copy, which no outside memo prices.
     """
     plain = problem if problem.correction_spec is None else problem.with_correction(None)
     return _certify(plain, traj, tol or TolConfig(), augmented=False, memo=memo)
@@ -276,13 +274,13 @@ def ve_equals_e(
     tol = tol or TolConfig()
     plain = problem.with_correction(None)
     ts = _stable_probes(traj, _probe_times(traj, tol.probe_count))
-    residuals = ResidualMemo(plain, tol.minimizer).fill(
+    residuals = ResidualMemo(plain).fill(
         ts, [traj.state_at(t).z for t in ts]
     )
     stab = max([0.0, *residuals])
     max_dc = 0.0
     jr = []
-    memo = ResidualMemo(problem, tol.minimizer)
+    memo = ResidualMemo(problem)
     for rec in traj.jump_records:
         d = float(plain.dissipation(rec.z_left, rec.z_right))
         bound = jump_cost(problem, rec.t, rec.z_left, rec.z_right, memo)

@@ -226,9 +226,7 @@ class TestShippedConfigStability:
         disc = solve_incremental(run.problem, run.scheme)
         worst = 0.0
         for t, s in zip(disc.times, disc.states):
-            rep = residual_stability(
-                run.problem, float(t), s.z, run.scheme.minimizer
-            )
+            rep = residual_stability(run.problem, float(t), s.z)
             worst = max(worst, rep.residual)
         assert worst <= 1e-6 + 1e-8, worst
 
@@ -246,7 +244,7 @@ class TestShippedConfigStability:
             if disc.states[n].z.tobytes() == disc.states[n - 1].z.tobytes()
         )
         t, z = float(disc.times[n]), disc.states[n].z
-        assert residual_stability(disc.problem, t, z, scheme.minimizer).residual == 0.0
+        assert residual_stability(disc.problem, t, z).residual == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +297,7 @@ class TestDamageOracleEquivalence:
             grid = oracle_grid_min(
                 objective, list(prob.z_box), resolution=1001, vectorized=True
             )
-            res = global_min_corrected(prob, t, z_prev, cfg.minimizer)
+            res = global_min_corrected(prob, t, z_prev)
             assert np.all(np.abs(res.argmin - grid.argmin) <= 2 * cell + 1e-12), (
                 n, res.argmin, grid.argmin
             )

@@ -13,7 +13,6 @@ from risolve import (
     interpolate,
     jump,
     reduced,
-    scheme,
     solve_incremental,
     stability,
     verify,
@@ -97,7 +96,6 @@ initial_z = -1.0
 prefix = dw
 """
 
-DELAM_SHIPPED = (CONFIG_DIR / "delamination0d.ini").read_text()
 
 
 @pytest.fixture
@@ -142,8 +140,13 @@ class TestLoadConfig:
 
     def test_unknown_key_rejected(self, tmp_path):
         p = tmp_path / "bad.ini"
-        p.write_text(TOY_CONFIG + "\n[verify]\nstrictness = 11\n")
-        assert main(["solve", "--config", str(p)]) == EXIT_ERROR
+        for text in (
+            TOY_CONFIG + "\n[verify]\nstrictness = 11\n",
+            TOY_CONFIG.replace("[scheme]\n", "[scheme]\ngrid_resolution = 65\n"),
+        ):
+            assert text != TOY_CONFIG
+            p.write_text(text)
+            assert main(["solve", "--config", str(p)]) == EXIT_ERROR
 
     def test_unknown_section_rejected(self, tmp_path):
         p = tmp_path / "bad.ini"
@@ -366,12 +369,10 @@ def counted_delam_solve(tmp_path_factory):
     residuals, costs = [], []
     real_residual, real_cost = stability.residual_rows, jump.jump_cost
 
-    def residual(problem, ts, Z, cfg=None):
+    def residual(problem, ts, Z):
         Z = np.asarray(Z, float).reshape(len(ts), -1)
-        residuals.extend(
-            (id(problem), cfg, float(t), z.tobytes()) for t, z in zip(ts, Z)
-        )
-        return real_residual(problem, ts, Z, cfg)
+        residuals.extend((id(problem), float(t), z.tobytes()) for t, z in zip(ts, Z))
+        return real_residual(problem, ts, Z)
 
     def cost(problem, t, z_minus, z_plus, *args, **kwargs):
         costs.append((id(problem), float(t), z_minus.tobytes(), z_plus.tobytes()))
@@ -400,7 +401,7 @@ class TestOnePricePerCommand:
         stayed = {(t[n], np.array([z[n]]).tobytes())
                   for n in range(1, len(rows)) if z[n] == z[n - 1]}
         assert stayed
-        priced = {key[2:] for key in residuals}
+        priced = {key[1:] for key in residuals}
         assert len(priced) >= len(rows) - len(stayed)
         assert not priced & stayed
         assert len(residuals) == len(set(residuals))
@@ -421,50 +422,16 @@ class TestOnePricePerCommand:
         calls = []
         real_residual = stability.residual_rows
 
-        def residual(problem, ts, Z, cfg=None):
+        def residual(problem, ts, Z):
             Z = np.asarray(Z, float).reshape(len(ts), -1)
             calls.extend((float(t), z.tobytes()) for t, z in zip(ts, Z))
-            return real_residual(problem, ts, Z, cfg)
+            return real_residual(problem, ts, Z)
 
         for module in (cli, jump, stability, verify):  # every binding
             if hasattr(module, "residual_rows"):
                 monkeypatch.setattr(module, "residual_rows", residual)
         assert main(["solve", "--config", str(toy_cfg), "--out-dir", str(tmp_path)]) == EXIT_PASS
         assert len(calls) == len(set(calls))
-
-    @pytest.mark.parametrize(
-        "text",
-        [
-            pytest.param(
-                DELAM_SHIPPED.replace("[scheme]\n", "[scheme]\ngrid_resolution = 65\n"),
-                id="grid_resolution-65",
-            ),
-        ],
-    )
-    def test_one_minimizer_config_per_command(self, tmp_path, monkeypatch, text):
-        # the scheme, the CSV, the probes and the jump pricing all minimize
-        # under the config's own MinimizerConfig
-        cfg = tmp_path / "run.ini"
-        cfg.write_text(text)
-        expected = load_config(cfg).tol.minimizer
-        assert expected != reduced.MinimizerConfig()
-        used = []
-        real = reduced.global_min_rows  # every minimization runs through it
-
-        def counted(problem, ts, Z_prev, cfg=None):
-            used.append(cfg)
-            return real(problem, ts, Z_prev, cfg)
-
-        for module in (cli, jump, reduced, scheme, stability, verify):  # every binding
-            if hasattr(module, "global_min_rows"):
-                monkeypatch.setattr(module, "global_min_rows", counted)
-        out = tmp_path / "out"
-        assert main(["solve", "--config", str(cfg), "--out-dir", str(out)]) == EXIT_PASS
-        assert used and set(used) == {expected}
-        used.clear()
-        csv = out / "delamination0d_trajectory.csv"
-        assert main(["verify", "--config", str(cfg), str(csv)]) == EXIT_PASS
-        assert used and set(used) == {expected}
 
 
 def test_csv_residuals_are_priced_in_batches(tmp_path, monkeypatch):

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from risolve import (
-    MinimizerConfig,
     PowerLq,
     QuadraticMu,
     ResidualMemo,
@@ -303,11 +302,6 @@ class TestOneDefinitionPerMap:
                 assert chain.link_gap == (delta_row[i],)
 
 
-def test_minimizer_config_validation():
-    with pytest.raises(ValueError):
-        MinimizerConfig(grid_resolution=1)
-
-
 def _bits(a):
     """The bytes of a float array as int64, so -0.0 differs from 0.0."""
     return np.ascontiguousarray(a, dtype=float).view(np.int64)
@@ -387,10 +381,8 @@ class TestRowBatch:
 
     def test_chunk_rows(self, monkeypatch):
         # one chunk holds _ROW_POINTS objective points, a 1-d row 130 of
-        # them and a 2-d row 130 ** 2; a grid of 130 ** 3 or 57 ** 4 points
+        # them and a 2-d row 130 ** 2; a grid of 130 ** 3 points or more
         # overflows a chunk alone, which leaves one row
-        cfg = MinimizerConfig()
-        assert [reduced.chunk_rows(n, cfg) for n in (1, 2, 3, 4)] == [504, 3, 1, 1]
-        assert reduced.chunk_rows(1, MinimizerConfig(grid_resolution=2)) == (1 << 16) // 68
+        assert [reduced.chunk_rows(n) for n in (1, 2, 3, 4)] == [504, 3, 1, 1]
         monkeypatch.setattr(reduced, "_ROW_POINTS", 100)
-        assert reduced.chunk_rows(1, cfg) == 1
+        assert reduced.chunk_rows(1) == 1

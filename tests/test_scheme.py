@@ -138,7 +138,7 @@ def _stepwise(problem, cfg):
     vals, diss, corr, gains = (np.empty(n_steps) for _ in range(4))
     for n in range(1, n_steps + 1):
         t = times[n]
-        res = global_min_corrected(prob, t, z, cfg.minimizer)
+        res = global_min_corrected(prob, t, z)
         z_new = res.argmin
         diss[n - 1] = prob.dissipation(z, z_new)
         corr[n - 1] = prob.correction(z, z_new)
@@ -172,9 +172,9 @@ def _counted_rows(monkeypatch):
     """Record (rows, raised) of every ``global_min_rows`` call of the scheme."""
     calls, real = [], scheme.global_min_rows
 
-    def counted(problem, ts, Z_prev, cfg=None):
+    def counted(problem, ts, Z_prev):
         try:
-            out = real(problem, ts, Z_prev, cfg)
+            out = real(problem, ts, Z_prev)
         except ValueError:
             calls.append((len(ts), True))
             raise
@@ -252,7 +252,7 @@ class TestStationaryBlocks:
         cfg = SchemeConfig(scheme="E", tau=1e-3, initial_z=(0.3,))
         calls = _counted_rows(monkeypatch)
         disc = solve_incremental(prob, cfg)
-        n, cap = disc.n_steps, reduced.chunk_rows(1, cfg.minimizer)
+        n, cap = disc.n_steps, reduced.chunk_rows(1)
         # blocks double from one row up to cap, then take cap rows until
         # the steps run out: O(log n + n / cap) searches, not n
         blocks, left = [], n

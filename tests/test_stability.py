@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from risolve import (
-    MinimizerConfig,
     QuadraticMu,
     ResidualMemo,
     State,
@@ -35,9 +34,9 @@ class TestResidualMemo:
         real = stability.residual_rows
         expected = residual_stability(toy_convex, 1.0, [0.0]).residual
 
-        def counted(problem, ts, Z, cfg=None):
+        def counted(problem, ts, Z):
             rows.extend(zip(ts.tolist(), Z.tolist()))
-            return real(problem, ts, Z, cfg)
+            return real(problem, ts, Z)
 
         monkeypatch.setattr(stability, "residual_rows", counted)
         memo = ResidualMemo(toy_convex)
@@ -47,13 +46,11 @@ class TestResidualMemo:
         memo.fill([1.0, 0.5, 1.0], [[1.5], [0.0], [1.5]])
         assert rows == [(1.0, [0.0]), (1.0, [1.5]), (0.5, [0.0])]
 
-    def test_refuses_another_problem_or_config(self, toy_convex):
-        memo = ResidualMemo(toy_convex, MinimizerConfig())
-        assert stability.use_memo(memo, toy_convex, None) is memo
+    def test_refuses_another_problem(self, toy_convex):
+        memo = ResidualMemo(toy_convex)
+        assert stability.use_memo(memo, toy_convex) is memo
         with pytest.raises(ValueError):
-            stability.use_memo(memo, toy_convex, MinimizerConfig(grid_resolution=65))
-        with pytest.raises(ValueError):
-            stability.use_memo(memo, toy_convex.with_correction(None), None)
+            stability.use_memo(memo, toy_convex.with_correction(None))
 
 
 class TestResidualStability:
@@ -197,7 +194,7 @@ class TestSeededMemo:
     def test_seeded_entries_equal_fresh_ones(self, config, monkeypatch):
         run = load_config(CONFIG_DIR / config)
         disc = solve_incremental(run.problem, run.scheme)
-        seeded = ResidualMemo(disc.problem, disc.config.minimizer)
+        seeded = ResidualMemo(disc.problem)
         seeded.seed_from(disc)
         stayed = [
             n for n in range(1, len(disc.times))
@@ -206,7 +203,7 @@ class TestSeededMemo:
         assert len(stayed) >= len(disc.times) // 2
         ts = disc.times[stayed]
         Z = np.array([disc.states[n].z for n in stayed])
-        fresh = ResidualMemo(disc.problem, disc.config.minimizer).fill(ts, Z)
+        fresh = ResidualMemo(disc.problem).fill(ts, Z)
 
         def unpriced(*args, **kwargs):
             raise AssertionError("a seeded residual was computed")
@@ -219,7 +216,9 @@ class TestSeededMemo:
     def test_refuses_a_run_of_another_config(self):
         run = load_config(CONFIG_DIR / "delamination0d.ini")
         disc = solve_incremental(run.problem, replace(run.scheme, tau=0.1))
-        memo = ResidualMemo(disc.problem, MinimizerConfig(grid_resolution=65))
+        # the scheme solves a corrected copy of the model, not the model itself
+        memo = ResidualMemo(run.problem)
+        assert disc.problem is not run.problem
         with pytest.raises(ValueError):
             memo.seed_from(disc)
 
