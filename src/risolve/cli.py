@@ -428,8 +428,6 @@ def _sweep_run(run: RunConfig, axis: str, value: float) -> tuple[RisProblem, Sch
         corr = QuadraticMu(mu=value)
         scheme = replace(scheme, scheme="VE", correction=corr)
     elif axis == "k":
-        if run.model_kind != "delamination0d":
-            raise ConfigError("axis 'k' applies to the delamination model only")
         problem = make_delamination0d(run.model_spec, brittle=False, k=value)
     else:
         raise ConfigError(f"unknown sweep axis {axis!r}")

@@ -16,7 +16,7 @@ a command prices is minimized once, by the same search as the scheme's steps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -132,16 +132,7 @@ def viscous_chain(
         z = res.argmin
         pts.append(z)
     chain = _build_chain(problem, t, pts, ("viscous",) * len(pts), memo)
-    if not converged:
-        chain = JumpChain(
-            points=chain.points,
-            kinds=chain.kinds,
-            link_diss=chain.link_diss,
-            link_gap=chain.link_gap,
-            point_residual=chain.point_residual,
-            converged=False,
-        )
-    return chain
+    return chain if converged else replace(chain, converged=False)
 
 
 def dijkstra(W: NDArray, src: int, dst: int) -> Optional[list[int]]:

@@ -122,7 +122,7 @@ class _Run:
         if not math.isfinite(r0.value):
             raise ValueError("initial state has infinite energy")
         self.prob, self.cfg, self.times, self.z = prob, cfg, times, z
-        self.states = [State(u=r0.u if r0.u is not None else np.empty(0), z=z)]
+        self.states = [State(u=r0.u, z=z)]
         self.vals, self.diss, self.corr, self.gains = (np.empty(n_steps) for _ in range(4))
         self.cap = chunk_rows(prob.n_z)
         self.n, self.k = 1, 1

@@ -15,10 +15,17 @@ from typing import Sequence
 import numpy as np
 from numpy.typing import NDArray
 
+from . import models
 from .core import RisProblem, Trajectory, is_finite
 from .jump import DP_RESOLUTION, JumpCosts, augmented_variation, jump_cost
 from .reduced import reduce_energy, reduced_value
-from .scheme import DiscreteTrajectory, SchemeConfig, interpolate, solve_incremental
+from .scheme import (
+    DiscreteTrajectory,
+    SchemeConfig,
+    detect_jumps,
+    interpolate,
+    solve_incremental,
+)
 from .stability import ResidualMemo, residual_stability, use_memo
 
 __all__ = [
@@ -119,8 +126,6 @@ def balance_residual(disc: DiscreteTrajectory) -> float:
     cost (links plus per-point residuals along the actual chain); re-pricing
     the chain at a single jump time would add time-alignment noise instead.
     """
-    from .scheme import detect_jumps  # deferred: scheme imports this module's peers
-
     problem = disc.problem
     traj = interpolate(disc)
     e0 = reduce_energy(problem, float(traj.times[0]), traj.states[0].z).value
@@ -363,8 +368,6 @@ def gamma_limit_study(
 ) -> GammaLimitReport:
     """Solve the adhesive model for each penalty k and the brittle model,
     and report the convergence diagnostics of the penalty limit."""
-    from . import models  # deferred: models depends on core only
-
     ks = list(k_list)
     if len(ks) < 4 or any(b <= a for a, b in zip(ks, ks[1:])):
         raise ValueError("need >= 4 increasing k values")
@@ -412,8 +415,6 @@ def gamma_limit_study(
 def _liminf_probe(spec, ks: Sequence[float], brittle: RisProblem) -> bool:
     """Sample that the adhesive residual at the largest penalty dominates
     the brittle one."""
-    from . import models
-
     t = 0.5 * brittle.horizon
     z = np.array([1.0])
     r_b = residual_stability(brittle, t, z).residual
