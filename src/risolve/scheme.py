@@ -159,7 +159,7 @@ class _Run:
         self.corr[s] = prob.correction(Z, X, d)
         self.vals[s] = V
         g = prob.reduced_vec(ts, Z) - V
-        self.gains[s] = np.where(0.0 > g, 0.0, g)  # keeps a gain of -0.0
+        self.gains[s] = np.maximum(g, 0.0)
         # one finiteness check a block, not one per State
         finite = np.isfinite(X).all()
         us = [_NO_U] * m

@@ -74,8 +74,7 @@ def residual_rows(problem: RisProblem, ts, Z) -> tuple[NDArray, NDArray, NDArray
         # a competitor beating z by more than floating slop would mean the
         # minimizer disagrees with itself; surface it
         raise RuntimeError(f"negative residual {residual[low][0]} beyond clamp tolerance")
-    # not np.maximum, which turns a -0.0 into 0.0
-    return np.where(0.0 > residual, 0.0, residual), witness, y_value
+    return np.maximum(residual, 0.0), witness, y_value
 
 
 def residual_stability(problem: RisProblem, t: float, z) -> StabilityReport:

@@ -434,6 +434,14 @@ class TestOnePricePerCommand:
         assert len(calls) == len(set(calls))
 
 
+def test_shipped_delamination_csv_has_no_negative_zero(counted_delam_solve):
+    # after debonding I(t, 0) = -a0 * 0 = -0.0, and the residual
+    # I(t, z) - min(...) there is -0.0 - 0.0; it is written as 0
+    _, _, out, _, _ = counted_delam_solve
+    rows = (out / "delamination0d_trajectory.csv").read_text().splitlines()[2:]
+    assert "-0" not in {f for row in rows for f in row.split(",")}
+
+
 def test_csv_residuals_are_priced_in_batches(tmp_path, monkeypatch):
     # 2,001 node residuals from a handful of batched objective calls: the
     # count grows with the number of chunks, not with the number of nodes

@@ -143,7 +143,7 @@ def _stepwise(problem, cfg):
         diss[n - 1] = prob.dissipation(z, z_new)
         corr[n - 1] = prob.correction(z, z_new)
         vals[n - 1] = res.value
-        gains[n - 1] = max(reduced_value(prob, t, z) - res.value, 0.0)
+        gains[n - 1] = max(0.0, reduced_value(prob, t, z) - res.value)
         u = prob.solve_u(t, z_new) if prob.n_u else np.empty(0)
         states.append(State(u=u, z=z_new))
         z = z_new
