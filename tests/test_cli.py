@@ -97,7 +97,6 @@ prefix = dw
 """
 
 
-
 @pytest.fixture
 def toy_cfg(tmp_path):
     p = tmp_path / "toy.ini"
