@@ -55,6 +55,10 @@ _ZOOM_STARTS = 4  # best coarse-grid points the zoom refines
 _ZOOM_POINTS = 17  # zoom window points per axis, the centre included
 _ZOOM_FACTOR = 2 / (_ZOOM_POINTS - 1)  # each level's half-width: the last spacing
 _SORT_WHOLE = 1024  # grid values up to which a stable sort beats a partition
+# zoom window points from which merging repeated starts pays: the 289 of a
+# 2-d window, not the 17 of a 1-d one, where the check costs more than a
+# repeated window
+_MERGE_POINTS = _ZOOM_POINTS**2
 
 
 @dataclass(frozen=True)
@@ -209,12 +213,20 @@ def zoom_search(
     window's spacing.  A row that has stopped leaves the batch, and its
     centres keep their points and values, as when it is searched alone.  A
     centre's value never rises.
+
+    Windows of at least ``_MERGE_POINTS`` points are merged after the first
+    level: a start whose centre has the bits of an earlier start of its row
+    would zoom the same windows to the same end, so it leaves the batch and
+    takes that start's result.  The rest zoom one window per batch row.
     """
     out_c = np.array(centers, dtype=float)
     out_v = np.array(values, dtype=float)
     P, k, n = out_c.shape
     offs = _WINDOWS[n]
+    merge = len(offs) >= _MERGE_POINTS
     rows = np.arange(P)
+    # the starts each batch row zooms, as indices into the (P * k) flat output
+    slots, copies = rows[:, None] * k + np.arange(k), None
     c, v, h = out_c, out_v, np.asarray(half_width, dtype=float)
     lo, hi = lo[:, None, None, :], hi[:, None, None, :]
     f, windows = objective(slice(None)), np.arange(P * k)
@@ -225,8 +237,9 @@ def zoom_search(
         if len(rows) > 1:
             live = h.max(axis=1) >= tol
             if not live.all():
-                out_c[rows], out_v[rows] = c, v
-                rows, c, h, lo, hi = rows[live], c[live], h[live], lo[live], hi[live]
+                out_c.reshape(-1, n)[slots], out_v.reshape(-1)[slots] = c, v
+                rows, slots, c, h = rows[live], slots[live], c[live], h[live]
+                lo, hi = lo[live], hi[live]
                 f, windows = objective(rows), np.arange(len(rows) * k)
                 pts = pts[: len(rows)]
         h = h * _ZOOM_FACTOR  # this window's spacing, the next half-width
@@ -237,10 +250,37 @@ def zoom_search(
         best = vals.argmin(axis=1)
         c = pts.reshape(len(windows), -1, n)[windows, best].reshape(-1, k, n)
         v = vals[windows, best].reshape(-1, k)
-    if len(rows) == P:
+        if merge:
+            merge = False
+            first = _first_equal(c)
+            keep = first == np.arange(k)
+            if not keep.all():
+                # each start that repeats an earlier one copies its result
+                row, start = np.nonzero(~keep)
+                copies = slots[row, start], slots[row, first[row, start]]
+                row, start = np.nonzero(keep)
+                rows, slots = rows[row], slots[row, start][:, None]
+                c, v = c[row, start][:, None], v[row, start][:, None]
+                h, lo, hi, k = h[row], lo[row], hi[row], 1
+                f, windows = objective(rows), np.arange(len(rows))
+                pts = np.empty((n, len(rows), 1, len(offs))).transpose(1, 2, 3, 0)
+    if slots.size == out_v.size:
         return c, v
-    out_c[rows], out_v[rows] = c, v
+    out_c.reshape(-1, n)[slots], out_v.reshape(-1)[slots] = c, v
+    if copies is not None:
+        to, src = copies
+        out_c.reshape(-1, n)[to], out_v.reshape(-1)[to] = (
+            out_c.reshape(-1, n)[src], out_v.reshape(-1)[src]
+        )
     return out_c, out_v
+
+
+def _first_equal(c: NDArray) -> NDArray:
+    """Per row of the (R, k, n) centres, the first start whose centre has
+    the bits of each start's: (R, k) indices, each at most its own."""
+    bits = np.ascontiguousarray(c).view(np.int64)
+    same = (bits[:, :, None, :] == bits[:, None, :, :]).all(axis=3)
+    return same.argmax(axis=2)
 
 
 def _search_boxes(problem: RisProblem, Z_prev: NDArray) -> tuple[NDArray, NDArray]:

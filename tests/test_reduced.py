@@ -23,7 +23,7 @@ from risolve.core import INF
 from risolve import reduced
 from risolve.jump import _build_chain
 from risolve.reduced import step_objective
-from risolve.models import Damage1dSpec, Toy1dSpec, make_damage1d, make_toy1d
+from risolve.models import Damage1dSpec, make_damage1d
 
 
 def _quadratic_problem(correction=None):
@@ -250,9 +250,71 @@ class TestZoomSearch:
         searched = [(shape, ok) for shape, ok in seen if shape[1] > 1]
         assert all(ok for _, ok in searched)
         sizes = {shape for shape, _ in searched}
-        zoom = reduced._ZOOM_STARTS * reduced._ZOOM_POINTS**2
+        window = reduced._ZOOM_POINTS**2
         assert (3, 129 * 129) in sizes  # the grid
-        assert (3, zoom) in sizes and (2, zoom) in sizes  # the zoom, before and after a row stops
+        assert (3, reduced._ZOOM_STARTS * window) in sizes  # the zoom's first level
+        # then the 12 starts zoom their 6 distinct windows, one a batch row,
+        # before and after the row of the smallest box stops with its one
+        assert (6, window) in sizes and (5, window) in sizes
+
+    @staticmethod
+    def _bowl(target, seen):
+        """The row objective |z - target[row]|^2, recording each batch."""
+
+        def objective(sel):
+            at = np.asarray(target, float)[sel][:, None, :]
+
+            def f(pts):
+                seen.append(pts.copy())
+                return ((pts - at) ** 2).sum(axis=-1)
+
+            return f
+
+        return objective
+
+    def test_repeated_2d_starts_zoom_once(self):
+        # row 0: a bowl below the unit box's corner (0, 0); the first level
+        # takes starts 0, 1 and 3 to that corner, and start 2 elsewhere.
+        # Row 1: a bowl inside the box, whose four starts stay apart
+        seen = []
+        objective = self._bowl([[-1.0, -1.0], [0.5, 0.2]], seen)
+        centers = np.array([
+            [[0.05, 0.05], [0.03, 0.06], [0.8, 0.8], [0.06, 0.03]],
+            [[0.3, 0.3], [0.5, 0.2], [0.7, 0.9], [0.1, 0.9]],
+        ])
+        values = ((centers - [[[-1.0, -1.0]], [[0.5, 0.2]]]) ** 2).sum(axis=-1)
+        half, lo, hi = np.full((2, 2), 0.1), np.zeros((2, 2)), np.ones((2, 2))
+        c, v = reduced.zoom_search(objective, centers, values, half, lo, hi, 1e-10)
+        assert (c[0, [0, 1, 3]] == 0.0).all() and (c[0, 2] > 0.5).all()
+        for j in range(4):
+            alone, value = reduced.zoom_search(
+                self._bowl([[-1.0, -1.0], [0.5, 0.2]], []), centers[:, j : j + 1],
+                values[:, j : j + 1], half, lo, hi, 1e-10,
+            )
+            assert alone.tobytes() == c[:, j : j + 1].tobytes()
+            assert value.tobytes() == v[:, j : j + 1].tobytes()
+        # the first level prices every start's window; the next ones price
+        # one window per distinct centre, the centre first
+        window = reduced._ZOOM_POINTS**2
+        assert seen[0].shape == (2, 4 * window, 2)
+        assert len(seen) > 2
+        for pts in seen[1:]:
+            assert pts.shape == (6, window, 2)
+            centres = {tuple(x) for x in pts[:, 0]}
+            assert len(centres) == 6 and (0.0, 0.0) in centres
+
+    def test_repeated_1d_starts_stay(self):
+        # a 17-point window costs less than the check: 1-d starts that meet
+        # go on zooming side by side
+        seen = []
+        objective = self._bowl([[-1.0]], seen)
+        centers, values = np.array([[[0.05], [0.03]]]), np.array([[1.1025, 1.0609]])
+        c, _ = reduced.zoom_search(
+            objective, centers, values, np.full((1, 1), 0.1), np.zeros((1, 1)),
+            np.ones((1, 1)), 1e-10,
+        )
+        assert (c == 0.0).all()
+        assert {pts.shape for pts in seen} == {(1, 2 * reduced._ZOOM_POINTS, 1)}
 
     def test_more_than_two_dimensions_fail_loudly(self):
         prob = make_damage1d(Damage1dSpec(N=3))
