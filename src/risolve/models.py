@@ -8,9 +8,8 @@ u-elimination, so reduced energies are exact up to rounding.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 from numpy.typing import NDArray
@@ -211,15 +210,32 @@ def make_damage1d(spec: Damage1dSpec) -> RisProblem:
     # starts from zeros and adds cell 0, cell 1, ... in order, so a batch
     # in either layout and a single state get the same bits.
 
+    # Each map writes into buffers of the batch's shape that it owns (0-d
+    # for a single state), in the order of the written formula, so the bits
+    # do not change.
+
     def stiff(Z) -> list:
-        """The stiffness of each cell, a plane per cell."""
-        return [(eta + (1.0 - eta) * Z[..., i]) * e for i, e in enumerate(E0s)]
+        """The stiffness (eta + (1 - eta) z_i) E0_i of each cell, a plane per
+        cell."""
+        planes = []
+        for i, e in enumerate(E0s):
+            k = np.multiply(Z[..., i], 1.0 - eta, out=np.empty(Z.shape[:-1]))
+            k += eta
+            k *= e
+            planes.append(k)
+        return planes
 
     def grad_term(Z):
-        total = np.zeros(Z.shape[:-1])
+        """gw sum_i |z_{i+1} - z_i|^r / (r h^(r - 1))"""
+        total, dz = np.zeros(Z.shape[:-1]), np.empty(Z.shape[:-1])
         for i in range(N - 1):
-            total += np.abs(Z[..., i + 1] - Z[..., i]) ** r
-        return gw * total / (r * h ** (r - 1))
+            np.subtract(Z[..., i + 1], Z[..., i], out=dz)
+            np.abs(dz, out=dz)
+            dz **= r
+            total += dz
+        total *= gw
+        total /= r * h ** (r - 1)
+        return total
 
     def energy(t, u, z):
         if np.any(z < -1e-12) or np.any(z > 1.0 + 1e-12):
@@ -243,21 +259,33 @@ def make_damage1d(spec: Damage1dSpec) -> RisProblem:
         return kN * (nodes[-1] - nodes[-2]) / h * dwD(t)
 
     def dissipation(z, zp):
+        """sum_i kappa_i |zp_i - z_i|, +infinity if a cell heals."""
         z, zp = np.asarray(z, dtype=float), np.asarray(zp, dtype=float)
-        total = np.zeros(np.broadcast_shapes(z.shape, zp.shape)[:-1])
+        shape = np.broadcast_shapes(z.shape, zp.shape)[:-1]
+        total, dz = np.zeros(shape), np.empty(shape)
         for i, k in enumerate(kaps):
-            dz = zp[..., i] - z[..., i]
+            np.subtract(zp[..., i], z[..., i], out=dz)
+            heal = dz > 1e-12
+            np.abs(dz, out=dz)
+            dz *= k
             # a healing cell costs +infinity, and so does the whole step
-            total += np.where(dz > 1e-12, INF, k * np.abs(dz))
+            dz[heal] = INF
+            total += dz
         return total
 
     def reduced_vec(t, pts):
-        comp = np.zeros(pts.shape[:-1])
-        for k in stiff(pts):
-            comp += h / k
-        keff = 1.0 / comp
+        """0.5 keff w_D(t)^2 + the gradient term, keff the series stiffness
+        1 / sum_i (h / k_i)."""
         w = wD(t)
-        return 0.5 * keff * w * w + grad_term(pts)
+        comp = np.zeros(np.broadcast_shapes(np.shape(w), pts.shape[:-1]))
+        for k in stiff(pts):
+            comp += np.divide(h, k, out=k)
+        np.divide(1.0, comp, out=comp)
+        comp *= 0.5
+        comp *= w
+        comp *= w
+        comp += grad_term(pts)
+        return comp
 
     prob = RisProblem(
         n_u=N - 1,

@@ -12,7 +12,6 @@ from risolve import (
     State,
     Trajectory,
     TrivialH,
-    build_correction,
     eval_correction,
     eval_dissipation,
     eval_energy,
