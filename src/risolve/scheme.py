@@ -116,7 +116,12 @@ class _Run:
         t0, t1 = cfg.t_span if cfg.t_span is not None else (0.0, prob.horizon)
         n_steps = max(1, round((t1 - t0) / cfg.tau))
         times = t0 + cfg.tau * np.arange(n_steps + 1)
-        times[-1] = t1 if abs(times[-1] - t1) < 1e-9 else times[-1]
+        if abs(times[-1] - t1) > 1e-9:
+            raise ValueError(
+                f"tau = {cfg.tau:g} does not divide the time span [{t0:g}, {t1:g}]: "
+                f"the last node would be t = {times[-1]:.12g}"
+            )
+        times[-1] = t1
         z = prob.clip(np.asarray(cfg.initial_z, dtype=float))
         r0 = reduce_energy(prob, times[0], z)
         if not math.isfinite(r0.value):

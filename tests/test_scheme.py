@@ -22,13 +22,9 @@ from risolve import reduced, scheme
 from risolve.reduced import global_min_corrected, reduce_energy, reduced_value
 from risolve.scheme import detect_jumps, jump_onset
 from risolve.models import (
-    Damage1dSpec,
     Delamination0dSpec,
-    Plasticity0dSpec,
     Toy1dSpec,
-    make_damage1d,
     make_delamination0d,
-    make_plasticity0d,
     make_toy1d,
 )
 
@@ -111,6 +107,17 @@ class TestSolveIncremental:
         assert disc.n_steps == 4
         for arr in (disc.step_values, disc.step_diss, disc.step_corr, disc.step_gain):
             assert arr.shape == (4,)
+
+    @pytest.mark.parametrize("tau, span", [(0.3, None), (0.3, (0.1, 0.5)), (5.0, None)])
+    def test_tau_not_dividing_the_span_rejected(self, toy_convex, tau, span):
+        cfg = SchemeConfig(scheme="E", tau=tau, initial_z=(0.0,), t_span=span)
+        with pytest.raises(ValueError, match=f"tau = {tau:g} does not divide"):
+            solve_incremental(toy_convex, cfg)
+
+    def test_tau_within_the_node_tolerance_accepted(self, toy_convex):
+        # 0.1 * 10 lands 1e-16 off t = 1, which the last node snaps to
+        disc = solve_incremental(toy_convex, SchemeConfig(scheme="E", tau=0.1))
+        assert disc.n_steps == 10 and disc.times[-1] == 1.0
 
     def test_infinite_initial_energy_rejected(self, toy_convex):
         import dataclasses
