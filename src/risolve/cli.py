@@ -495,10 +495,16 @@ def cmd_sweep(args) -> int:
 def cmd_jumpcost(args) -> int:
     run = load_config(args.config)
     problem = run.problem
+    # not (0 <= t <= T) is also true for a nan
+    if not 0.0 <= args.t <= problem.horizon:
+        raise ConfigError(f"--t must lie in [0, {problem.horizon:g}], got {args.t!r}")
     z_minus = np.asarray(_floats(args.z_minus))
     z_plus = np.asarray(_floats(args.z_plus))
     if z_minus.shape != (problem.n_z,) or z_plus.shape != (problem.n_z,):
         raise ConfigError(f"endpoints must have dimension {problem.n_z}")
+    for name, z in (("--z-minus", z_minus), ("--z-plus", z_plus)):
+        if not np.isfinite(z).all():
+            raise ConfigError(f"{name} must have finite entries, got {z.tolist()}")
     out = Path(args.out_dir or run.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     bound = jump_cost(problem, args.t, z_minus, z_plus)

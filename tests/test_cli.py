@@ -157,6 +157,15 @@ class TestLoadConfig:
         p.write_text(TOY_CONFIG.replace("tau = 0.02", "tau = -1"))
         assert main(["solve", "--config", str(p)]) == EXIT_ERROR
 
+    def test_tau_not_dividing_the_span_fails_loudly(self, tmp_path, capsys):
+        # 0.3 steps end at t = 0.9 of [0, 1]: no CSV, no certificate of [0, 0.9]
+        p = tmp_path / "bad.ini"
+        p.write_text(TOY_CONFIG.replace("tau = 0.02", "tau = 0.3"))
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(p), "--out-dir", str(out)]) == EXIT_ERROR
+        assert "does not divide" in capsys.readouterr().err
+        assert not (out / "toy_trajectory.csv").exists()
+
     def test_missing_file(self, tmp_path):
         assert main(["solve", "--config", str(tmp_path / "nope.ini")]) == EXIT_ERROR
 
@@ -303,6 +312,17 @@ class TestSweep:
         balances = [float(ln.split(",")[3]) for ln in text[2:]]
         assert balances[-1] < balances[0]
 
+    def test_tau_not_dividing_the_span_fails_its_run(self, toy_cfg, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = main([
+            "sweep", "--config", str(toy_cfg), "--out-dir", str(out),
+            "--axis", "tau", "--values", "0.3,0.02",
+        ])
+        assert rc == EXIT_FAIL
+        assert "tau=0.3: tau = 0.3 does not divide" in capsys.readouterr().err
+        rows = (out / "toy_sweep_tau.csv").read_text().splitlines()[2:]
+        assert [float(r.split(",")[0]) for r in rows] == [0.02]
+
     def test_needs_two_values(self, toy_cfg, tmp_path):
         rc = main([
             "sweep", "--config", str(toy_cfg), "--out-dir", str(tmp_path),
@@ -358,6 +378,39 @@ class TestJumpCost:
             "--t", "0.5", "--z-minus", "1.0,0.5", "--z-plus", "0.0,0.0",
         ])
         assert rc == EXIT_ERROR
+
+    @pytest.mark.parametrize(
+        "t, z_minus, z_plus, argument",
+        [
+            ("nan", "1.0", "0.0", "--t"),
+            ("inf", "1.0", "0.0", "--t"),
+            ("-5", "1.0", "0.0", "--t"),
+            ("1.5", "1.0", "0.0", "--t"),
+            ("0.5", "nan", "0.0", "--z-minus"),
+            ("0.5", "1.0", "inf", "--z-plus"),
+            ("0.5", "1.0", "-inf", "--z-plus"),
+        ],
+    )
+    def test_bad_arguments_rejected(self, delam_cfg, tmp_path, capsys, t, z_minus, z_plus,
+                                    argument):
+        out = tmp_path / "out"
+        rc = main([
+            "jumpcost", "--config", str(delam_cfg), "--out-dir", str(out),
+            f"--t={t}", f"--z-minus={z_minus}", f"--z-plus={z_plus}",
+        ])
+        assert rc == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {argument} must")
+        assert "RuntimeWarning" not in err
+        assert not (out / "delam_jumpcost.txt").exists()
+
+    @pytest.mark.parametrize("t", ["0", "1"])
+    def test_horizon_ends_accepted(self, delam_cfg, tmp_path, t):
+        rc = main([
+            "jumpcost", "--config", str(delam_cfg), "--out-dir", str(tmp_path),
+            "--t", t, "--z-minus", "1.0", "--z-plus", "1.0",
+        ])
+        assert rc == EXIT_PASS
 
 
 @pytest.fixture(scope="module")
