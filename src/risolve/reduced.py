@@ -217,7 +217,8 @@ def zoom_search(
     Windows of at least ``_MERGE_POINTS`` points are merged after the first
     level: a start whose centre has the bits of an earlier start of its row
     would zoom the same windows to the same end, so it leaves the batch and
-    takes that start's result.  The rest zoom one window per batch row.
+    takes that start's result.  The rest zoom one window per batch row, in
+    a buffer of their own.
     """
     out_c = np.array(centers, dtype=float)
     out_v = np.array(values, dtype=float)
@@ -225,19 +226,18 @@ def zoom_search(
     offs = _WINDOWS[n]
     merge = len(offs) >= _MERGE_POINTS
     rows = np.arange(P)
-    # the starts each batch row zooms, as indices into the (P * k) flat output
+    # the starts of each batch row, as indices into the flat (P * k) output
+    flat_c, flat_v = out_c.reshape(-1, n), out_v.reshape(-1)
     slots, copies = rows[:, None] * k + np.arange(k), None
     c, v, h = out_c, out_v, np.asarray(half_width, dtype=float)
     lo, hi = lo[:, None, None, :], hi[:, None, None, :]
     f, windows = objective(slice(None)), np.arange(P * k)
-    # the windows of the live rows, cell-major as the grid's: pts[..., j]
-    # is one contiguous plane (in 1-d both layouts are the same memory)
-    pts = np.empty((n, P, k, len(offs))).transpose(1, 2, 3, 0)
+    pts = _window_batch(P, k, offs)
     while h.max() >= tol:
         if len(rows) > 1:
             live = h.max(axis=1) >= tol
             if not live.all():
-                out_c.reshape(-1, n)[slots], out_v.reshape(-1)[slots] = c, v
+                flat_c[slots], flat_v[slots] = c, v
                 rows, slots, c, h = rows[live], slots[live], c[live], h[live]
                 lo, hi = lo[live], hi[live]
                 f, windows = objective(rows), np.arange(len(rows) * k)
@@ -263,16 +263,22 @@ def zoom_search(
                 c, v = c[row, start][:, None], v[row, start][:, None]
                 h, lo, hi, k = h[row], lo[row], hi[row], 1
                 f, windows = objective(rows), np.arange(len(rows))
-                pts = np.empty((n, len(rows), 1, len(offs))).transpose(1, 2, 3, 0)
+                pts = _window_batch(len(rows), 1, offs)
     if slots.size == out_v.size:
         return c, v
-    out_c.reshape(-1, n)[slots], out_v.reshape(-1)[slots] = c, v
+    flat_c[slots], flat_v[slots] = c, v
     if copies is not None:
         to, src = copies
-        out_c.reshape(-1, n)[to], out_v.reshape(-1)[to] = (
-            out_c.reshape(-1, n)[src], out_v.reshape(-1)[src]
-        )
+        flat_c[to], flat_v[to] = flat_c[src], flat_v[src]
     return out_c, out_v
+
+
+def _window_batch(P: int, k: int, offs: NDArray) -> NDArray:
+    """An empty (P, k, M, n) batch for P rows of k windows of the M points
+    ``offs``, cell-major as the grid's: pts[..., j] is one contiguous plane
+    (in 1-d both layouts are the same memory)."""
+    m, n = offs.shape
+    return np.empty((n, P, k, m)).transpose(1, 2, 3, 0)
 
 
 def _first_equal(c: NDArray) -> NDArray:
