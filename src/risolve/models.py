@@ -208,11 +208,9 @@ def make_damage1d(spec: Damage1dSpec) -> RisProblem:
     # a cell-major batch, as the step search builds, gives contiguous planes,
     # and no (N,) vector broadcasts over the rows.  Every sum over cells
     # starts from zeros and adds cell 0, cell 1, ... in order, so a batch
-    # in either layout and a single state get the same bits.
-
-    # Each map writes into buffers of the batch's shape that it owns (0-d
-    # for a single state), in the order of the written formula, so the bits
-    # do not change.
+    # in either layout and a single state get the same bits.  Each map
+    # computes in place, in buffers of the batch's shape that it allocates
+    # (0-d for a single state), in the order of the written formula.
 
     def stiff(Z) -> list:
         """The stiffness (eta + (1 - eta) z_i) E0_i of each cell, a plane per

@@ -226,9 +226,10 @@ def zoom_search(
     offs = _WINDOWS[n]
     merge = len(offs) >= _MERGE_POINTS
     rows = np.arange(P)
-    # the starts of each batch row, as indices into the flat (P * k) output
-    flat_c, flat_v = out_c.reshape(-1, n), out_v.reshape(-1)
-    slots, copies = rows[:, None] * k + np.arange(k), None
+    # rows[i] is batch row i's objective row, dest[i] its row of the output
+    # into_c/into_v (seen as P * k rows of one start once merged), which
+    # takes its result when it stops
+    dest, into_c, into_v, copies = rows, out_c, out_v, None
     c, v, h = out_c, out_v, np.asarray(half_width, dtype=float)
     lo, hi = lo[:, None, None, :], hi[:, None, None, :]
     f, windows = objective(slice(None)), np.arange(P * k)
@@ -237,8 +238,8 @@ def zoom_search(
         if len(rows) > 1:
             live = h.max(axis=1) >= tol
             if not live.all():
-                flat_c[slots], flat_v[slots] = c, v
-                rows, slots, c, h = rows[live], slots[live], c[live], h[live]
+                into_c[dest], into_v[dest] = c, v
+                rows, dest, c, h = rows[live], dest[live], c[live], h[live]
                 lo, hi = lo[live], hi[live]
                 f, windows = objective(rows), np.arange(len(rows) * k)
                 pts = pts[: len(rows)]
@@ -255,21 +256,23 @@ def zoom_search(
             first = _first_equal(c)
             keep = first == np.arange(k)
             if not keep.all():
-                # each start that repeats an earlier one copies its result
+                # the output as P * k rows of one start; each start that
+                # repeats an earlier one of its row copies that one's result
+                into_c, into_v = out_c.reshape(-1, 1, n), out_v.reshape(-1, 1)
                 row, start = np.nonzero(~keep)
-                copies = slots[row, start], slots[row, first[row, start]]
+                copies = dest[row] * k + start, dest[row] * k + first[row, start]
                 row, start = np.nonzero(keep)
-                rows, slots = rows[row], slots[row, start][:, None]
+                rows, dest = rows[row], dest[row] * k + start
                 c, v = c[row, start][:, None], v[row, start][:, None]
                 h, lo, hi, k = h[row], lo[row], hi[row], 1
                 f, windows = objective(rows), np.arange(len(rows))
                 pts = _window_batch(len(rows), 1, offs)
-    if slots.size == out_v.size:
+    if len(dest) == len(into_c):
         return c, v
-    flat_c[slots], flat_v[slots] = c, v
+    into_c[dest], into_v[dest] = c, v
     if copies is not None:
         to, src = copies
-        flat_c[to], flat_v[to] = flat_c[src], flat_v[src]
+        into_c[to], into_v[to] = into_c[src], into_v[src]
     return out_c, out_v
 
 

@@ -115,9 +115,10 @@ class TestSolveIncremental:
             solve_incremental(toy_convex, cfg)
 
     def test_tau_within_the_node_tolerance_accepted(self, toy_convex):
-        # 0.1 * 10 lands 1e-16 off t = 1, which the last node snaps to
-        disc = solve_incremental(toy_convex, SchemeConfig(scheme="E", tau=0.1))
-        assert disc.n_steps == 10 and disc.times[-1] == 1.0
+        # 0.1 * 3 lands 4e-17 past t = 0.3, which the last node snaps to
+        cfg = SchemeConfig(scheme="E", tau=0.1, t_span=(0.0, 0.3))
+        disc = solve_incremental(toy_convex, cfg)
+        assert disc.n_steps == 3 and disc.times[-1] == 0.3
 
     def test_infinite_initial_energy_rejected(self, toy_convex):
         import dataclasses
