@@ -273,8 +273,9 @@ class TestZoomSearch:
         return objective
 
     def test_repeated_2d_starts_zoom_once(self):
-        # row 0: a bowl below the unit box's corner (0, 0); the first level
-        # takes starts 0, 1 and 3 to that corner, and start 2 elsewhere.
+        # row 0: a bowl centred at (-1, -1), whose least value on the unit
+        # box is at its corner (0, 0); the first level takes starts 0, 1 and
+        # 3 to that corner, and start 2 elsewhere.
         # Row 1: a bowl inside the box, whose four starts stay apart
         seen = []
         objective = self._bowl([[-1.0, -1.0], [0.5, 0.2]], seen)

@@ -115,7 +115,7 @@ class TestSolveIncremental:
             solve_incremental(toy_convex, cfg)
 
     def test_tau_within_the_node_tolerance_accepted(self, toy_convex):
-        # 0.1 * 3 lands 4e-17 past t = 0.3, which the last node snaps to
+        # 0.1 * 3 lands 5.6e-17 past t = 0.3, which the last node snaps to
         cfg = SchemeConfig(scheme="E", tau=0.1, t_span=(0.0, 0.3))
         disc = solve_incremental(toy_convex, cfg)
         assert disc.n_steps == 3 and disc.times[-1] == 0.3
