@@ -190,6 +190,17 @@ def _window_offsets(n: int) -> NDArray:
 _WINDOWS = {n: _window_offsets(n) for n in (1, 2)}  # the zoom runs for n_z <= 2
 
 
+def _level_count(width: float, tol: float) -> int:
+    """The zoom levels of a row whose widest half-width is ``width``: each
+    level multiplies it by ``_ZOOM_FACTOR``, and a level runs while it is at
+    least ``tol``.  A Python float multiplies as a float64 array does."""
+    count = 0
+    while width >= tol:
+        width *= _ZOOM_FACTOR
+        count += 1
+    return count
+
+
 def zoom_search(
     objective: Callable[[slice | NDArray], Callable[[NDArray], NDArray]],
     centers: NDArray,
@@ -210,9 +221,16 @@ def zoom_search(
     evaluates a window of ``_ZOOM_POINTS`` per axis spanning +-half_width
     around each centre (clipped to the box) in one batched call, moves each
     centre to its window's best point, and shrinks the half-width to the
-    window's spacing.  A row that has stopped leaves the batch, and its
-    centres keep their points and values, as when it is searched alone.  A
-    centre's value never rises.
+    window's spacing.  A centre's value never rises.
+
+    The schedule is fixed before the first level.  A level multiplies each
+    half-width by ``_ZOOM_FACTOR``, and rounding is monotone, so a row's
+    widest half-width after l levels is its first widest one multiplied l
+    times: the row zooms ``_level_count`` levels, as many as a test of its
+    widest half-width before each level would run.  A row leaves the batch
+    after its last level, and its centres keep their points and values, as
+    when it is searched alone; the values are read from the last level's
+    batch only then.
 
     Windows of at least ``_MERGE_POINTS`` points are merged after the first
     level: a start whose centre has the bits of an earlier start of its row
@@ -224,49 +242,67 @@ def zoom_search(
     out_v = np.array(values, dtype=float)
     P, k, n = out_c.shape
     offs = _WINDOWS[n]
-    merge = len(offs) >= _MERGE_POINTS
-    rows = np.arange(P)
+    m = len(offs)
+    merge = m >= _MERGE_POINTS
+    h = np.asarray(half_width, dtype=float)
+    widest = h.max(axis=1).tolist()
+    counts = {w: _level_count(w, tol) for w in set(widest)}
+    left = np.array([counts[w] for w in widest])  # each batch row's levels
     # rows[i] is batch row i's objective row, dest[i] its row of the output
     # into_c/into_v (seen as P * k rows of one start once merged), which
     # takes its result when it stops
-    dest, into_c, into_v, copies = rows, out_c, out_v, None
-    c, v, h = out_c, out_v, np.asarray(half_width, dtype=float)
+    rows = dest = np.arange(P)
+    into_c, into_v, copies = out_c, out_v, None
+    # centres, window offsets and boxes broadcast against the (R, k, M, n)
+    # batch.  _ZOOM_FACTOR is a power of two, so scaling by it is exact: a
+    # level's offsets, the last level's times _ZOOM_FACTOR, have the bits of
+    # offs times its half-width
+    c, step = out_c[:, :, None, :], offs * h[:, None, None, :]
     lo, hi = lo[:, None, None, :], hi[:, None, None, :]
-    f, windows = objective(slice(None)), np.arange(P * k)
-    pts = _window_batch(P, k, offs)
-    while h.max() >= tol:
-        if len(rows) > 1:
-            live = h.max(axis=1) >= tol
-            if not live.all():
-                into_c[dest], into_v[dest] = c, v
-                rows, dest, c, h = rows[live], dest[live], c[live], h[live]
-                lo, hi = lo[live], hi[live]
-                f, windows = objective(rows), np.arange(len(rows) * k)
-                pts = pts[: len(rows)]
-        h = h * _ZOOM_FACTOR  # this window's spacing, the next half-width
-        np.add(c[:, :, None, :], offs * h[:, None, None, :], out=pts)
-        np.maximum(pts, lo, out=pts)
-        np.minimum(pts, hi, out=pts)
-        vals = f(pts.reshape(len(rows), -1, n)).reshape(len(windows), -1)
-        best = vals.argmin(axis=1)
-        c = pts.reshape(len(windows), -1, n)[windows, best].reshape(-1, k, n)
-        v = vals[windows, best].reshape(-1, k)
-        if merge:
-            merge = False
-            first = _first_equal(c)
-            keep = first == np.arange(k)
-            if not keep.all():
-                # the output as P * k rows of one start; each start that
-                # repeats an earlier one of its row copies that one's result
-                into_c, into_v = out_c.reshape(-1, 1, n), out_v.reshape(-1, 1)
-                row, start = np.nonzero(~keep)
-                copies = dest[row] * k + start, dest[row] * k + first[row, start]
-                row, start = np.nonzero(keep)
-                rows, dest = rows[row], dest[row] * k + start
-                c, v = c[row, start][:, None], v[row, start][:, None]
-                h, lo, hi, k = h[row], lo[row], hi[row], 1
-                f, windows = objective(rows), np.arange(len(rows))
-                pts = _window_batch(len(rows), 1, offs)
+    f = objective(slice(None))
+    pts, by_row, flat, first = _window_batch(P, k, offs)
+    ends = sorted(set(counts.values()))
+    level = 0
+    for end in ends:
+        if end > ends[0]:
+            # the rows whose schedule ends at this level leave the batch
+            go = left >= end
+            if level:
+                stop = ~go
+                into_c[dest[stop]] = c[stop, :, 0]
+                into_v[dest[stop]] = vals.reshape(-1)[best].reshape(-1, k)[stop]
+            rows, dest, left, c, step = rows[go], dest[go], left[go], c[go], step[go]
+            lo, hi = lo[go], hi[go]
+            f = objective(rows)
+            pts, by_row, flat, first = _window_batch(len(rows), k, offs)
+        while level < end:
+            level += 1
+            step *= _ZOOM_FACTOR  # h becomes this window's spacing
+            np.add(c, step, out=pts)
+            np.maximum(pts, lo, out=pts)
+            np.minimum(pts, hi, out=pts)
+            vals = f(by_row)
+            best = vals.reshape(-1, m).argmin(axis=1) + first  # into flat
+            c = flat.take(best, axis=0).reshape(-1, k, 1, n)
+            if merge:
+                merge = False
+                same = _first_equal(c.reshape(-1, k, n))
+                keep = same == np.arange(k)
+                if not keep.all():
+                    # the output as P * k rows of one start; each start that
+                    # repeats an earlier one of its row copies that one's result
+                    into_c, into_v = out_c.reshape(-1, 1, n), out_v.reshape(-1, 1)
+                    row, start = np.nonzero(~keep)
+                    copies = dest[row] * k + start, dest[row] * k + same[row, start]
+                    row, start = np.nonzero(keep)
+                    rows, dest, left = rows[row], dest[row] * k + start, left[row]
+                    c, best = c[row, start][:, None], best.reshape(-1, k)[row, start]
+                    step, lo, hi, k = step[row], lo[row], hi[row], 1
+                    f = objective(rows)
+                    pts, by_row, flat, first = _window_batch(len(rows), 1, offs)
+    if not level:
+        return out_c, out_v
+    c, v = c.reshape(-1, k, n), vals.reshape(-1)[best].reshape(-1, k)
     if len(dest) == len(into_c):
         return c, v
     into_c[dest], into_v[dest] = c, v
@@ -276,12 +312,15 @@ def zoom_search(
     return out_c, out_v
 
 
-def _window_batch(P: int, k: int, offs: NDArray) -> NDArray:
+def _window_batch(P: int, k: int, offs: NDArray) -> tuple[NDArray, ...]:
     """An empty (P, k, M, n) batch for P rows of k windows of the M points
     ``offs``, cell-major as the grid's: pts[..., j] is one contiguous plane
-    (in 1-d both layouts are the same memory)."""
+    (in 1-d both layouts are the same memory).  With it, its (P, k * M, n)
+    view by row, its (P * k * M, n) flat view and the flat index of each
+    window's first point."""
     m, n = offs.shape
-    return np.empty((n, P, k, m)).transpose(1, 2, 3, 0)
+    pts = np.empty((n, P, k, m)).transpose(1, 2, 3, 0)
+    return pts, pts.reshape(P, k * m, n), pts.reshape(-1, n), np.arange(0, P * k * m, m)
 
 
 def _first_equal(c: NDArray) -> NDArray:
@@ -303,31 +342,48 @@ def _search_boxes(problem: RisProblem, Z_prev: NDArray) -> tuple[NDArray, NDArra
     return lo, hi
 
 
-def _grid_axis(lo: NDArray, hi: NDArray, z: NDArray) -> tuple[NDArray, NDArray]:
-    """Per row, np.unique(np.append(np.linspace(lo, hi, GRID_RESOLUTION),
-    np.clip(z, lo, hi))) as the sorted row and the mask of the values it
-    keeps."""
+_GRID_STEPS = np.arange(GRID_RESOLUTION, dtype=float)  # a grid axis in units of its spacing
+
+
+def _grid_axis(lo: NDArray, hi: NDArray, spacing: NDArray, z: NDArray) -> NDArray:
+    """Per row, np.sort(np.append(np.linspace(lo, hi, GRID_RESOLUTION),
+    np.clip(z, lo, hi))): the grid of one axis with z among its points, a
+    value the grid holds already included."""
     res = GRID_RESOLUTION
     row = np.empty((len(z), res + 1))
     y = row[:, :res]
-    np.multiply(np.arange(res), ((hi - lo) / (res - 1))[:, None], out=y)
+    np.multiply(_GRID_STEPS, spacing[:, None], out=y)
     y += lo[:, None]
     y[:, -1] = hi
     # z lies in the box up to 1e-12; a +-0 tie dedups against the grid's end
     row[:, res] = np.minimum(np.maximum(z, lo), hi)
     row.sort(axis=1, kind="stable")  # a -0.0 and a 0.0 keep np.unique's order
-    keep = np.empty(row.shape, dtype=bool)
-    keep[:, 0] = True
-    np.not_equal(row[:, 1:], row[:, :-1], out=keep[:, 1:])
-    return row, keep
+    return row
 
 
-def _row_groups(lengths: NDArray) -> list:
-    """Row selections of equal grid shape: one slice when all rows agree."""
+def _grid_groups(axes: list[NDArray]) -> list[tuple]:
+    """The rows of equal grid shape, each as a row selection and its axes of
+    np.unique's values (each (R, m_j)): one selection of every row when no
+    row repeats a value."""
+    repeats = [row[:, 1:] == row[:, :-1] for row in axes]
+    if not any(map(np.count_nonzero, repeats)):
+        return [(slice(None), axes)]
+    keeps = []
+    for rep in repeats:
+        keep = np.ones((len(rep), rep.shape[1] + 1), dtype=bool)
+        np.logical_not(rep, out=keep[:, 1:])
+        keeps.append(keep)
+    lengths = np.array([keep.sum(axis=1) for keep in keeps]).T
     if (lengths == lengths[0]).all():
-        return [slice(None)]
-    shapes, label = np.unique(lengths, axis=0, return_inverse=True)
-    return [np.flatnonzero(label.ravel() == g) for g in range(len(shapes))]
+        sels = [slice(None)]
+    else:
+        shapes, label = np.unique(lengths, axis=0, return_inverse=True)
+        sels = [np.flatnonzero(label.ravel() == g) for g in range(len(shapes))]
+    return [
+        (sel, [row[sel][keep[sel]].reshape(-1, m)
+               for row, keep, m in zip(axes, keeps, lengths[sel][0])])
+        for sel in sels
+    ]
 
 
 def _first_k(vals: NDArray, k: int) -> NDArray:
@@ -348,42 +404,39 @@ def _first_k(vals: NDArray, k: int) -> NDArray:
 
 
 def _grid_zoom(
-    problem: RisProblem, ts: NDArray, Z_prev: NDArray, lo: NDArray, hi: NDArray
-) -> tuple[NDArray, NDArray]:
+    objective: Callable[[slice | NDArray], Callable[[NDArray], NDArray]],
+    Z_prev: NDArray,
+    lo: NDArray,
+    hi: NDArray,
+) -> tuple[NDArray, ...]:
     """Per row, the best ``_ZOOM_STARTS`` points of a grid of
     ``GRID_RESOLUTION`` points per axis over the search box plus z_prev,
-    then their zoomed refinements: (P, 2 * _ZOOM_STARTS, n) candidates and
-    their values."""
+    then their zoomed refinements: the (P, _ZOOM_STARTS, n) starts, their
+    values, and the same for the refinements.  ``objective`` gives the step
+    objective of a selection of rows, as ``zoom_search`` takes it."""
     P, n = Z_prev.shape
-    axes = [_grid_axis(lo[:, j], hi[:, j], Z_prev[:, j]) for j in range(n)]
-    lengths = np.array([keep.sum(axis=1) for _, keep in axes]).T
-    starts = np.empty((P, _ZOOM_STARTS, n))
-    start_vals = np.empty((P, _ZOOM_STARTS))
-    for rows in _row_groups(lengths):
-        shape = lengths[rows][0]
-        ax = [row[rows][keep[rows]].reshape(-1, m) for (row, keep), m in zip(axes, shape)]
+    k = _ZOOM_STARTS
+    spacing = (hi - lo) / (GRID_RESOLUTION - 1)
+    axes = [_grid_axis(lo[:, j], hi[:, j], spacing[:, j], Z_prev[:, j]) for j in range(n)]
+    starts, start_vals = np.empty((P, k, n)), np.empty((P, k))
+    for rows, ax in _grid_groups(axes):
+        R, shape = len(ax[0]), [a.shape[1] for a in ax]
         # the "ij" mesh of the row's axes, cell-major: one plane per axis
-        mesh = np.empty((n, len(ax[0]), *shape))
+        mesh = np.empty((n, R, *shape))
         for j, a in enumerate(ax):
             mesh[j] = a.reshape(-1, *(m if i == j else 1 for i, m in enumerate(shape)))
-        pts = mesh.transpose(*range(1, n + 2), 0).reshape(len(ax[0]), -1, n)
-        vals = _row_objective(problem, ts[rows], Z_prev[rows])(pts)
-        best = _first_k(vals, _ZOOM_STARTS)
-        if best.shape[1] < _ZOOM_STARTS:
+        pts = mesh.transpose(*range(1, n + 2), 0).reshape(R, -1, n)
+        vals = objective(rows)(pts)
+        best = _first_k(vals, k)
+        if best.shape[1] < k:
             # a grid of fewer points repeats its last start; a repeated
             # candidate changes no choice
-            best = best[:, np.minimum(np.arange(_ZOOM_STARTS), best.shape[1] - 1)]
-        grids = np.arange(len(pts))[:, None]
-        starts[rows], start_vals[rows] = pts[grids, best], vals[grids, best]
-    centers, values = zoom_search(
-        lambda sel: _row_objective(problem, ts[sel], Z_prev[sel]),
-        starts, start_vals, (hi - lo) / (GRID_RESOLUTION - 1), lo, hi, DESCENT_TOL,
-    )
-    # coarse runners-up stay candidates for the tie-break
-    return (
-        np.concatenate([starts, centers], axis=1),
-        np.concatenate([start_vals, values], axis=1),
-    )
+            best = best[:, np.minimum(np.arange(k), best.shape[1] - 1)]
+        best += np.arange(0, vals.size, vals.shape[1])[:, None]  # into flat
+        starts[rows] = pts.reshape(-1, n).take(best, axis=0)
+        start_vals[rows] = vals.reshape(-1).take(best)
+    centers, values = zoom_search(objective, starts, start_vals, spacing, lo, hi, DESCENT_TOL)
+    return starts, start_vals, centers, values
 
 
 def chunk_rows(n_z: int) -> int:
@@ -434,20 +487,24 @@ def _step_rows(problem: RisProblem, ts: NDArray, Z_prev: NDArray) -> tuple[NDArr
     if stay is None or not np.isfinite(stay).all():
         raise ValueError("infeasible step: previous state has infinite objective")
     lo, hi = _search_boxes(problem, Z_prev)
-    cands, vals = _grid_zoom(problem, ts, Z_prev, lo, hi)
-    cands = np.concatenate([Z_prev[:, None, :], cands], axis=1)
-    vals = np.concatenate([stay[:, None], vals], axis=1)
+    starts, start_vals, centers, values = _grid_zoom(
+        lambda sel: _row_objective(problem, ts[sel], Z_prev[sel]), Z_prev, lo, hi
+    )
+    # the candidates: staying put, the grid's best points and their
+    # refinements, which the coarse runners-up join for the tie-break
+    cands = np.concatenate([Z_prev[:, None, :], starts, centers], axis=1)
+    vals = np.concatenate([stay[:, None], start_vals, values], axis=1)
     # of the candidates within the band of the best, the first nearest
     # z_prev; vecdot is the BLAS dot np.linalg.norm takes, bit for bit
-    near = vals <= (vals.min(axis=1) + NEAR_OPTIMAL_BAND)[:, None]
+    near = vals <= (np.minimum.reduce(vals, axis=1) + NEAR_OPTIMAL_BAND)[:, None]
     step = cands - Z_prev[:, None, :]
     dist = np.where(near, np.sqrt(np.vecdot(step, step)), INF)
-    rows, pick = np.arange(len(ts)), dist.argmin(axis=1)
-    x, v = cands[rows, pick], vals[rows, pick]
+    pick = dist.argmin(axis=1) + np.arange(0, vals.size, vals.shape[1])  # into flat
+    x, v = cands.reshape(-1, Z_prev.shape[1]).take(pick, axis=0), vals.reshape(-1).take(pick)
     # snap to box edges when the search stopped a hair away from them
     off = np.abs(x[:, :, None] - problem._box)
     hit = (0 < off) & (off < 1e-8)
-    if hit.any():
+    if np.count_nonzero(hit):
         snapped = np.where(
             hit[..., 0], problem._lo, np.where(hit[..., 1], problem._hi, x)
         )
