@@ -355,9 +355,16 @@ def read_trajectory_csv(path: Path, problem: RisProblem) -> Trajectory:
         raise ConfigError("CSV row width does not match the header")
     nz, nu = problem.n_z, problem.n_u
     times = data[:, 0]
+    # one finiteness check of the t, z and u columns, not one per State
+    bad = np.argwhere(~np.isfinite(data[:, : 1 + nz + nu]))
+    if len(bad):
+        n, j = bad[0]
+        raise ConfigError(
+            f"trajectory file {path}: {cols[j]} is not finite in the row of "
+            f"t = {float(times[n])!r} (node {n})"
+        )
     states = tuple(
-        State(u=data[n, 1 + nz : 1 + nz + nu], z=data[n, 1 : 1 + nz])
-        for n in range(len(times))
+        map(State._checked, data[:, 1 + nz : 1 + nz + nu], data[:, 1 : 1 + nz])
     )
     records = jump_records(problem, times, states, data[:, -1].astype(int))
     tau = float(np.median(np.diff(times))) if len(times) > 1 else 0.0
@@ -505,6 +512,9 @@ def cmd_jumpcost(args) -> int:
     for name, z in (("--z-minus", z_minus), ("--z-plus", z_plus)):
         if not np.isfinite(z).all():
             raise ConfigError(f"{name} must have finite entries, got {z.tolist()}")
+        if not problem.in_box(z):
+            box = [list(b) for b in problem.z_box]
+            raise ConfigError(f"{name} must lie in the box {box}, got {z.tolist()}")
     out = Path(args.out_dir or run.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     bound = jump_cost(problem, args.t, z_minus, z_plus)

@@ -240,6 +240,9 @@ class RisProblem:
         object.__setattr__(self, "_box", box)  # rows (lo, hi)
         object.__setattr__(self, "_lo", box[:, 0].copy())
         object.__setattr__(self, "_hi", box[:, 1].copy())
+        # the box widened by the 1e-12 that ``inside`` allows
+        object.__setattr__(self, "_lo_tol", self._lo - 1e-12)
+        object.__setattr__(self, "_hi_tol", self._hi + 1e-12)
         derived = getattr(self.energy, "__func__", None) is RisProblem._box_energy
         if self.energy is None or derived:
             # bound to this copy, so a copy with another reduced_vec follows it
@@ -258,7 +261,7 @@ class RisProblem:
     def inside(self, Z) -> NDArray[np.bool_]:
         """Per state of an (..., n_z) batch, whether it lies in the box."""
         Z = np.asarray(Z, dtype=float)
-        return ((Z >= self._lo - 1e-12) & (Z <= self._hi + 1e-12)).all(axis=-1)
+        return np.logical_and.reduce((Z >= self._lo_tol) & (Z <= self._hi_tol), axis=-1)
 
     def in_box(self, z) -> bool:
         return bool(self.inside(z).all())

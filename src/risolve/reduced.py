@@ -487,8 +487,10 @@ def _step_rows(problem: RisProblem, ts: NDArray, Z_prev: NDArray) -> tuple[NDArr
     if stay is None or not np.isfinite(stay).all():
         raise ValueError("infeasible step: previous state has infinite objective")
     lo, hi = _search_boxes(problem, Z_prev)
+    # a selection of rows is an index array, or slice(None) for every row
     starts, start_vals, centers, values = _grid_zoom(
-        lambda sel: _row_objective(problem, ts[sel], Z_prev[sel]), Z_prev, lo, hi
+        lambda sel: f if isinstance(sel, slice) else _row_objective(problem, ts[sel], Z_prev[sel]),
+        Z_prev, lo, hi,
     )
     # the candidates: staying put, the grid's best points and their
     # refinements, which the coarse runners-up join for the tie-break
@@ -513,6 +515,8 @@ def _step_rows(problem: RisProblem, ts: NDArray, Z_prev: NDArray) -> tuple[NDArr
         x, v = np.where(take[:, None], snapped, x), np.where(take, vs, v)
     # the step objective can never beat simply staying put by less than 0
     back = v > stay
+    if not np.count_nonzero(back):
+        return x, v
     return np.where(back[:, None], Z_prev, x), np.where(back, stay, v)
 
 

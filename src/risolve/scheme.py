@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -87,6 +88,12 @@ class DiscreteTrajectory:
     def n_steps(self) -> int:
         return len(self.times) - 1
 
+    @cached_property
+    def flags(self) -> NDArray[np.bool_]:
+        """``jump_flags``, computed once and read-only: the CSV writer,
+        ``interpolate`` and ``detect_jumps`` share it."""
+        return _flag_steps(self.step_diss)
+
 
 def _scheme_correction(cfg: SchemeConfig) -> Optional[CorrectionSpec]:
     if cfg.scheme == "E":
@@ -128,7 +135,9 @@ class _Run:
             raise ValueError("initial state has infinite energy")
         self.prob, self.cfg, self.times, self.z = prob, cfg, times, z
         self.states = [State(u=r0.u, z=z)]
-        self.vals, self.diss, self.corr, self.gains = (np.empty(n_steps) for _ in range(4))
+        self.Z = np.empty((n_steps + 1, prob.n_z))  # the node states
+        self.Z[0] = z
+        self.vals = np.empty(n_steps)
         self.cap = chunk_rows(prob.n_z)
         self.n, self.k = 1, 1
 
@@ -152,19 +161,15 @@ class _Run:
         block's minimizers ``X`` and values ``V``; the trajectory once the
         last step is kept."""
         prob, z = self.prob, self.z
-        ts, Z = self.block
+        ts = self.block[0]
         # keep up to the first row whose argmin leaves the bytes of z
         diff = (X.view(np.int64) != z.view(np.int64)).ravel()
         first = int(diff.argmax())
         moved = bool(diff[first])
         m = first // prob.n_z + 1 if moved else len(ts)
-        X, V, ts, Z = X[:m], V[:m], ts[:m], Z[:m]
-        s = slice(self.n - 1, self.n - 1 + m)
-        self.diss[s] = d = prob.dissipation(Z, X)
-        self.corr[s] = prob.correction(Z, X, d)
-        self.vals[s] = V
-        g = prob.reduced_vec(ts, Z) - V
-        self.gains[s] = np.maximum(g, 0.0)
+        X, ts = X[:m], ts[:m]
+        self.vals[self.n - 1 : self.n - 1 + m] = V[:m]
+        self.Z[self.n : self.n + m] = X
         # one finiteness check a block, not one per State
         finite = np.isfinite(X).all()
         us = [_NO_U] * m
@@ -179,13 +184,18 @@ class _Run:
         self.k = 1 if moved else min(2 * self.k, self.cap)
         if self.n < len(self.times):
             return None
+        # every step priced at once: the maps act elementwise, so each step
+        # gets the bits it gets in a block of its own
+        Z_from, Z_to = self.Z[:-1], self.Z[1:]
+        d = prob.dissipation(Z_from, Z_to)
+        gain = prob.reduced_vec(self.times[1:], Z_from) - self.vals
         return DiscreteTrajectory(
             times=self.times,
             states=tuple(self.states),
             step_values=self.vals,
-            step_diss=self.diss,
-            step_corr=self.corr,
-            step_gain=self.gains,
+            step_diss=d,
+            step_corr=prob.correction(Z_from, Z_to, d),
+            step_gain=np.maximum(gain, 0.0),
             problem=prob,
             config=self.cfg,
         )
@@ -291,12 +301,19 @@ def _runs(flags: NDArray[np.bool_]) -> list[tuple[int, int]]:
     return list(zip(starts.tolist(), (stops - 1).tolist()))
 
 
+def _flag_steps(step_diss: NDArray) -> NDArray[np.bool_]:
+    """``jump_flags`` of the step dissipations ``step_diss``, read-only."""
+    med = float(np.median(step_diss)) if step_diss.size else 0.0
+    flags = np.r_[False, step_diss > max(JUMP_THRESH * med, JUMP_FLOOR)]
+    flags.flags.writeable = False
+    return flags
+
+
 def jump_flags(disc: DiscreteTrajectory) -> NDArray[np.bool_]:
     """Per node, whether the step into it dissipates far more than the
-    median step; the first node, which no step leads into, is never flagged."""
-    d = disc.step_diss
-    med = float(np.median(d)) if d.size else 0.0
-    return np.r_[False, d > max(JUMP_THRESH * med, JUMP_FLOOR)]
+    median step; the first node, which no step leads into, is never flagged.
+    Computed once per trajectory (``DiscreteTrajectory.flags``)."""
+    return disc.flags
 
 
 def detect_jumps(disc: DiscreteTrajectory) -> list[tuple[int, int]]:

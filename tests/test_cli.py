@@ -13,12 +13,14 @@ from risolve import (
     interpolate,
     jump,
     reduced,
+    scheme,
     solve_incremental,
     stability,
     verify,
     verify_VE,
 )
 from risolve.cli import (
+    ConfigError,
     EXIT_ERROR,
     EXIT_FAIL,
     EXIT_PASS,
@@ -283,6 +285,22 @@ class TestSolveAndVerify:
         csv.write_text("\n".join(lines) + "\n")
         assert main(["verify", "--config", str(toy_cfg), str(csv)]) == EXIT_ERROR
 
+    def test_non_finite_state_entry_rejected(self, toy_cfg, tmp_path, capsys):
+        out = tmp_path / "out"
+        main(["solve", "--config", str(toy_cfg), "--out-dir", str(out)])
+        csv = out / "toy_trajectory.csv"
+        lines = csv.read_text().splitlines()
+        parts = lines[7].split(",")  # node 5, t = 0.1
+        parts[1] = "nan"
+        lines[7] = ",".join(parts)
+        csv.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["verify", "--config", str(toy_cfg), str(csv)]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert "z_1 is not finite" in err and f"t = {float(parts[0])!r}" in err
+        with pytest.raises(ConfigError, match="z_1 is not finite"):
+            read_trajectory_csv(csv, load_config(toy_cfg).problem)
+
     def test_empty_trajectory_rejected(self, toy_cfg, tmp_path):
         csv = tmp_path / "empty.csv"
         csv.write_text("")
@@ -390,6 +408,8 @@ class TestJumpCost:
             ("0.5", "nan", "0.0", "--z-minus"),
             ("0.5", "1.0", "inf", "--z-plus"),
             ("0.5", "1.0", "-inf", "--z-plus"),
+            ("0.5", "2.0", "0.0", "--z-minus"),  # finite, outside the box [0, 1]
+            ("0.5", "1.0", "-0.5", "--z-plus"),
         ],
     )
     @pytest.mark.filterwarnings("error")  # no numpy warning escapes either
@@ -477,6 +497,25 @@ class TestOnePricePerCommand:
                 monkeypatch.setattr(module, "residual_rows", residual)
         assert main(["solve", "--config", str(toy_cfg), "--out-dir", str(tmp_path)]) == EXIT_PASS
         assert len(calls) == len(set(calls))
+
+
+    @pytest.mark.parametrize(
+        "argv, trajectories",
+        [
+            (["solve"], 1),
+            (["sweep", "--axis", "tau", "--values", "0.04,0.02"], 2),
+        ],
+        ids=["solve", "sweep"],
+    )
+    def test_jump_flags_computed_once_per_trajectory(self, toy_cfg, tmp_path, monkeypatch,
+                                                     argv, trajectories):
+        # the CSV writer, interpolate and detect_jumps read one set of flags
+        computed = []
+        real = scheme._flag_steps
+        monkeypatch.setattr(scheme, "_flag_steps", lambda d: computed.append(1) or real(d))
+        argv = [argv[0], "--config", str(toy_cfg), "--out-dir", str(tmp_path), *argv[1:]]
+        assert main(argv) == EXIT_PASS
+        assert len(computed) == trajectories
 
 
 def test_shipped_delamination_csv_has_no_negative_zero(counted_delam_solve):

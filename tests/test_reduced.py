@@ -5,6 +5,8 @@ force (dense grid plus local refinement) rather than trusted from the
 production path.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -316,6 +318,78 @@ class TestZoomSearch:
         )
         assert (c == 0.0).all()
         assert {pts.shape for pts in seen} == {(1, 2 * reduced._ZOOM_POINTS, 1)}
+
+    def test_lone_flowing_step_makes_twelve_objective_calls(self, plasticity, monkeypatch):
+        calls = []
+        objective = reduced.step_objective
+
+        def spy(problem, t, z_prev):
+            f = objective(problem, t, z_prev)
+
+            def g(pts):
+                calls.append(pts.shape)
+                return f(pts)
+
+            return g
+
+        monkeypatch.setattr(reduced, "step_objective", spy)
+        # on the yield surface at t = 1.499 and loaded on to t = 1.5: it flows
+        x, _ = global_min_rows(plasticity, [1.5], [[0.499]])
+        assert x[0, 0] == pytest.approx(0.5, abs=1e-7)
+        # staying put, the 129-point grid plus z_prev, then 10 zoom levels:
+        # the box's half-width 10/128 stays at least DESCENT_TOL for 10 shrinks
+        window = reduced._ZOOM_STARTS * reduced._ZOOM_POINTS
+        assert calls == [(1, 1, 1), (1, 130, 1)] + [(1, window, 1)] * 10
+
+    def test_rows_stop_at_their_scheduled_level(self):
+        tol, factor = reduced.DESCENT_TOL, reduced._ZOOM_FACTOR
+        edge = tol / factor**3  # exactly tol after three levels
+        half = np.array([
+            [edge, tol / 2],  # lands on tol: a fourth level runs
+            [tol / 4, np.nextafter(edge, 0.0)],  # just below: three levels
+            [0.05, 0.1],  # the wider axis sets the schedule
+            [tol / 2, tol / 2],  # no level
+        ])
+
+        def levels(h):
+            # the test of the widest half-width before each level
+            count = 0
+            while h.max() >= tol:
+                h, count = h * factor, count + 1
+            return count
+
+        expected = [levels(h) for h in half]
+        assert expected[:2] == [4, 3] and expected[2] > 4 and expected[3] == 0
+        target = np.array([[0.3, 0.6], [0.7, 0.2], [0.45, 0.55], [0.5, 0.5]])
+        seen = []
+
+        def objective(sel):
+            rows = np.arange(len(target))[sel]
+            at = target[rows][:, None, :]
+
+            def f(pts):
+                seen.append(set(rows.tolist()))
+                return ((pts - at) ** 2).sum(axis=-1)
+
+            return f
+
+        centers = target[:, None, :] + np.array([[0.01, -0.02], [-0.03, 0.01]])
+        values = ((centers - target[:, None, :]) ** 2).sum(axis=-1)
+        lo, hi = np.zeros((4, 2)), np.ones((4, 2))
+        c, v = reduced.zoom_search(objective, centers, values, half, lo, hi, tol)
+        assert [sum(p in rows for rows in seen) for p in range(4)] == expected
+        for p in range(4):
+            alone, value = reduced.zoom_search(
+                lambda sel, p=p: objective(np.array([p])[sel]), centers[p : p + 1],
+                values[p : p + 1], half[p : p + 1], lo[p : p + 1], hi[p : p + 1], tol,
+            )
+            assert alone.tobytes() == c[p : p + 1].tobytes()
+            assert value.tobytes() == v[p : p + 1].tobytes()
+
+    def test_zoom_factor_scales_exactly(self):
+        # the zoom rescales each level's offsets by _ZOOM_FACTOR, which must
+        # be a power of two to keep the bits of offsets times half-width
+        assert math.frexp(reduced._ZOOM_FACTOR)[0] == 0.5
 
     def test_more_than_two_dimensions_fail_loudly(self):
         prob = make_damage1d(Damage1dSpec(N=3))
