@@ -34,8 +34,8 @@ __all__ = [
 
 
 def _step(z, zp) -> NDArray:
-    """z' - z over broadcast batches of states."""
-    return np.asarray(zp, dtype=float) - np.asarray(z, dtype=float)
+    """z' - z over broadcast batches of one-cell states, one value a state."""
+    return np.asarray(zp, dtype=float)[..., 0] - np.asarray(z, dtype=float)[..., 0]
 
 
 def _affine(coeffs) -> tuple[Callable[[float], float], Callable[[float], float]]:
@@ -83,7 +83,7 @@ def make_toy1d(spec: Toy1dSpec) -> RisProblem:
         return -dell(t) * float(z[0])
 
     def dissipation(z, zp):
-        return kappa * np.abs(_step(z, zp)[..., 0])
+        return kappa * np.abs(_step(z, zp))
 
     def reduced_vec(t, pts):
         x = pts[..., 0]
@@ -129,7 +129,7 @@ def make_plasticity0d(spec: Plasticity0dSpec) -> RisProblem:
         return C * (eps(t) - float(z[0])) * deps(t)
 
     def dissipation(z, zp):
-        return sy * np.abs(_step(z, zp)[..., 0])
+        return sy * np.abs(_step(z, zp))
 
     def reduced_vec(t, pts):
         return 0.5 * C * (eps(t) - pts[..., 0]) ** 2
@@ -379,7 +379,7 @@ def make_delamination0d(
         return kp * (ell(t) - float(u[1])) * dell(t)
 
     def dissipation(z, zp):
-        dz = _step(z, zp)[..., 0]
+        dz = _step(z, zp)
         return np.where(dz > 1e-12, INF, kappa * np.abs(dz))
 
     def reduced_vec(t, pts):

@@ -10,6 +10,14 @@ and ``correction``: a coarse grid, then a batched zoom on its best points
 (``zoom_search``).  It runs for n_z <= 2; for larger n_z there is no
 certified search yet, and a step there raises.
 
+The zoom fixes its level schedule before its first level: a row zooms as
+many levels as its widest half-width, shrunk by ``_ZOOM_FACTOR`` a level,
+stays at least ``DESCENT_TOL`` (10 levels for a 1-d row over a box of width
+10), and leaves the batch after its last.  A level is then the objective
+call and a few array operations, so a lone step, as every flowing step of
+a plasticity run is, costs little more than its 12 objective calls
+(staying put, the grid and 10 levels).
+
 ``global_min_rows`` takes rows (ts[p], Z_prev[p]) and searches them
 together, each row with its own box, grid and zoom depth, in chunks of
 ``chunk_rows`` rows (as many as fit in ``_ROW_POINTS`` objective points);

@@ -144,7 +144,9 @@ class _Run:
     def next_block(self) -> tuple[NDArray, NDArray]:
         """The rows (ts, Z) of the steps this run searches next."""
         ts = self.times[self.n : self.n + self.k]
-        self.block = ts, np.tile(self.z, (len(ts), 1))
+        Z = np.empty((len(ts), len(self.z)))
+        Z[:] = self.z
+        self.block = ts, Z
         return self.block
 
     def failed(self, exc: Exception) -> None:
