@@ -261,14 +261,16 @@ def zoom_search(
     # takes its result when it stops
     rows = dest = np.arange(P)
     into_c, into_v, copies = out_c, out_v, None
-    # centres, window offsets and boxes broadcast against the (R, k, M, n)
-    # batch.  _ZOOM_FACTOR is a power of two, so scaling by it is exact: a
-    # level's offsets, the last level's times _ZOOM_FACTOR, have the bits of
-    # offs times its half-width
-    c, step = out_c[:, :, None, :], offs * h[:, None, None, :]
-    lo, hi = lo[:, None, None, :], hi[:, None, None, :]
+    # the batch is kept as its buffer of n planes, (n, R, k, M), and the
+    # centres (n, R, k, 1), window offsets (n, R, 1, M) and boxes
+    # (n, R, 1, 1) broadcast against it.  _ZOOM_FACTOR is a power of two, so
+    # scaling by it is exact: a level's offsets, the last level's times
+    # _ZOOM_FACTOR, have the bits of offs times its half-width
+    c = out_c.transpose(2, 0, 1)[..., None]
+    step = offs.T[:, None, None, :] * h.T[:, :, None, None]
+    lo, hi = lo.T[:, :, None, None], hi.T[:, :, None, None]
     f = objective(slice(None))
-    pts, by_row, flat, first = _window_batch(P, k, offs)
+    buf, pts, planes, first = _window_batch(P, k, offs)
     ends = sorted(set(counts.values()))
     level = 0
     for end in ends:
@@ -277,24 +279,24 @@ def zoom_search(
             go = left >= end
             if level:
                 stop = ~go
-                into_c[dest[stop]] = c[stop, :, 0]
+                into_c[dest[stop]] = c[..., 0][:, stop].transpose(1, 2, 0)
                 into_v[dest[stop]] = vals.reshape(-1)[best].reshape(-1, k)[stop]
-            rows, dest, left, c, step = rows[go], dest[go], left[go], c[go], step[go]
-            lo, hi = lo[go], hi[go]
+            rows, dest, left = rows[go], dest[go], left[go]
+            c, step, lo, hi = c[:, go], step[:, go], lo[:, go], hi[:, go]
             f = objective(rows)
-            pts, by_row, flat, first = _window_batch(len(rows), k, offs)
+            buf, pts, planes, first = _window_batch(len(rows), k, offs)
         while level < end:
             level += 1
             step *= _ZOOM_FACTOR  # h becomes this window's spacing
-            np.add(c, step, out=pts)
-            np.maximum(pts, lo, out=pts)
-            np.minimum(pts, hi, out=pts)
-            vals = f(by_row)
-            best = vals.reshape(-1, m).argmin(axis=1) + first  # into flat
-            c = flat.take(best, axis=0).reshape(-1, k, 1, n)
+            np.add(c, step, out=buf)
+            np.maximum(buf, lo, out=buf)
+            np.minimum(buf, hi, out=buf)
+            vals = f(pts)
+            best = vals.reshape(-1, m).argmin(axis=1) + first  # into a plane
+            c = planes.take(best, axis=1).reshape(n, -1, k, 1)
             if merge:
                 merge = False
-                same = _first_equal(c.reshape(-1, k, n))
+                same = _first_equal(c[..., 0].transpose(1, 2, 0))
                 keep = same == np.arange(k)
                 if not keep.all():
                     # the output as P * k rows of one start; each start that
@@ -304,15 +306,15 @@ def zoom_search(
                     copies = dest[row] * k + start, dest[row] * k + same[row, start]
                     row, start = np.nonzero(keep)
                     rows, dest, left = rows[row], dest[row] * k + start, left[row]
-                    c, best = c[row, start][:, None], best.reshape(-1, k)[row, start]
-                    step, lo, hi, k = step[row], lo[row], hi[row], 1
+                    c, best = c[:, row, start, None], best.reshape(-1, k)[row, start]
+                    step, lo, hi, k = step[:, row], lo[:, row], hi[:, row], 1
                     f = objective(rows)
-                    pts, by_row, flat, first = _window_batch(len(rows), 1, offs)
+                    buf, pts, planes, first = _window_batch(len(rows), 1, offs)
     if not level:
         return out_c, out_v
-    c, v = c.reshape(-1, k, n), vals.reshape(-1)[best].reshape(-1, k)
+    c, v = c[..., 0].transpose(1, 2, 0), vals.reshape(-1)[best].reshape(-1, k)
     if len(dest) == len(into_c):
-        return c, v
+        return np.ascontiguousarray(c), v
     into_c[dest], into_v[dest] = c, v
     if copies is not None:
         to, src = copies
@@ -321,14 +323,15 @@ def zoom_search(
 
 
 def _window_batch(P: int, k: int, offs: NDArray) -> tuple[NDArray, ...]:
-    """An empty (P, k, M, n) batch for P rows of k windows of the M points
-    ``offs``, cell-major as the grid's: pts[..., j] is one contiguous plane
-    (in 1-d both layouts are the same memory).  With it, its (P, k * M, n)
-    view by row, its (P * k * M, n) flat view and the flat index of each
-    window's first point."""
+    """An empty batch for P rows of k windows of the M points ``offs``, as
+    its buffer of n planes, (n, P, k, M), and as the (P, k * M, n) batch the
+    objective takes, cell-major as the grid's: pts[..., j] is one contiguous
+    plane.  With them, the (n, P * k * M) planes and the index in a plane of
+    each window's first point."""
     m, n = offs.shape
-    pts = np.empty((n, P, k, m)).transpose(1, 2, 3, 0)
-    return pts, pts.reshape(P, k * m, n), pts.reshape(-1, n), np.arange(0, P * k * m, m)
+    buf = np.empty((n, P, k, m))
+    pts = buf.reshape(n, P, k * m).transpose(1, 2, 0)
+    return buf, pts, buf.reshape(n, -1), np.arange(0, P * k * m, m)
 
 
 def _first_equal(c: NDArray) -> NDArray:
@@ -440,8 +443,8 @@ def _grid_zoom(
             # a grid of fewer points repeats its last start; a repeated
             # candidate changes no choice
             best = best[:, np.minimum(np.arange(k), best.shape[1] - 1)]
-        best += np.arange(0, vals.size, vals.shape[1])[:, None]  # into flat
-        starts[rows] = pts.reshape(-1, n).take(best, axis=0)
+        best += np.arange(0, vals.size, vals.shape[1])[:, None]  # into a plane
+        starts[rows] = mesh.reshape(n, -1).take(best, axis=1).transpose(1, 2, 0)
         start_vals[rows] = vals.reshape(-1).take(best)
     centers, values = zoom_search(objective, starts, start_vals, spacing, lo, hi, DESCENT_TOL)
     return starts, start_vals, centers, values
