@@ -20,6 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import (
+    INF,
     CorrectionSpec,
     PowerLq,
     QuadraticMu,
@@ -27,6 +28,7 @@ from .core import (
     State,
     Trajectory,
     TrivialH,
+    median,
 )
 from .jump import jump_cost
 from .models import (
@@ -313,18 +315,23 @@ def write_trajectory_csv(
 ) -> None:
     """Write the node table; ``memo`` keeps the node residuals for reuse.
 
-    The residuals the memo lacks are computed together, in batches."""
+    The residuals the memo lacks are computed together, in batches; with
+    n_u = 0 so are the energies, I(t, z) in the box and +infinity outside."""
     prob = disc.problem
     memo = use_memo(memo, prob)
     flags = jump_flags(disc)
     cum = np.concatenate([[0.0], np.cumsum(disc.step_diss)])
-    resids = memo.fill(disc.times, [s.z for s in disc.states])
+    Z = np.array([s.z for s in disc.states])
+    resids = memo.fill(disc.times, Z)
+    if prob.n_u == 0:
+        energies = np.where(prob.inside(Z), prob.reduced_vec(disc.times, Z), INF).tolist()
+    else:
+        energies = [prob.energy(float(t), s.u, s.z) for t, s in zip(disc.times, disc.states)]
     lines = [CSV_VERSION, ",".join(_csv_columns(prob))]
     for n, t in enumerate(disc.times):
         s = disc.states[n]
-        energy = prob.energy(float(t), s.u, s.z)
         power = prob.power(float(t), s.u, s.z)
-        row = [float(t), *s.z.tolist(), *s.u.tolist(), energy, power,
+        row = [float(t), *s.z.tolist(), *s.u.tolist(), energies[n], power,
                float(disc.step_diss[n - 1]) if n > 0 else 0.0,
                float(cum[n]), resids[n]]
         lines.append(",".join(_fmt(x) for x in row) + f",{int(flags[n])}")
@@ -367,7 +374,7 @@ def read_trajectory_csv(path: Path, problem: RisProblem) -> Trajectory:
         map(State._checked, data[:, 1 + nz : 1 + nz + nu], data[:, 1 : 1 + nz])
     )
     records = jump_records(problem, times, states, data[:, -1].astype(int))
-    tau = float(np.median(np.diff(times))) if len(times) > 1 else 0.0
+    tau = median(np.diff(times)) if len(times) > 1 else 0.0
     return Trajectory(times=times, states=states, jump_records=records,
                       meta={"tau": tau})
 

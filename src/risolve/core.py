@@ -43,6 +43,29 @@ def is_finite(x: float) -> bool:
     return x != INF
 
 
+def median(a) -> float:
+    """``float(np.median(a))`` of a nonempty float array, bit for bit, from
+    one ``np.partition``; np.median's first call imports numpy.ma.  Its mean
+    sums from +0.0, so a -0.0 middle gives 0.0, and a nan gives nan."""
+    a = np.asarray(a, dtype=float).reshape(-1)
+    k = a.size // 2
+    if a.size % 2:
+        part = np.partition(a, [k, a.size - 1])
+        mid = 0.0 + float(part[k])
+    else:
+        part = np.partition(a, [k - 1, k, a.size - 1])
+        mid = (0.0 + float(part[k - 1]) + float(part[k])) / 2
+    return math.nan if math.isnan(part[-1]) else mid
+
+
+def unique(a) -> NDArray[np.float64]:
+    """``np.unique(a)`` of a nonempty float array without nan, bit for bit:
+    its sort and mask, without the numpy.ma import of its first call."""
+    a = np.array(a, dtype=float).reshape(-1)
+    a.sort()
+    return a[np.concatenate(([True], a[1:] != a[:-1]))]
+
+
 def _as_z(z) -> NDArray[np.float64]:
     a = np.atleast_1d(np.asarray(z, dtype=float))
     if a.ndim != 1:

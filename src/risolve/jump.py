@@ -11,7 +11,15 @@ a dense Dijkstra in numpy (``dijkstra``): the grid graph has a few hundred
 nodes and is often nearly complete.
 
 Every residual along a chain comes from a ``ResidualMemo``, so each point
-a command prices is minimized once, by the same search as the scheme's steps.
+a command prices is minimized once, by the same search as the scheme's steps;
+a viscous chain steps to the witness of each point's residual search.  The
+sliding path is priced only while it can still win: its residuals are filled
+``chunk_rows`` points at a time (a 2-d chunk is 3 points, a 1-d path is one
+chunk), and it is dropped once the links plus the residuals so far exceed the
+direct chain's cost.  Every term is >= 0 and rounding is monotone, so that
+partial sum never exceeds the full cost, and a dropped path could not have
+been the upper value or its witness.  The DP chains are priced in full, as
+their values set the lower estimate.
 """
 
 from __future__ import annotations
@@ -22,8 +30,8 @@ from typing import Optional, Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from .core import INF, RisProblem, Trajectory, is_finite
-from .reduced import global_min_corrected
+from .core import INF, RisProblem, Trajectory, is_finite, unique
+from .reduced import chunk_rows
 from .stability import ResidualMemo, use_memo
 
 __all__ = [
@@ -81,15 +89,28 @@ def _build_chain(
     points: Sequence[NDArray],
     kinds: Sequence[str],
     memo: ResidualMemo,
-) -> JumpChain:
+    cutoff: float = INF,
+) -> Optional[JumpChain]:
+    """The chain through ``points``, its residuals filled from ``memo``
+    ``chunk_rows`` points at a time; None once the links plus the residuals
+    so far exceed ``cutoff``, which its full cost would too."""
     pts = [np.atleast_1d(np.asarray(p, float)) for p in points]
     P = np.array(pts)
-    pr = memo.fill(np.full(len(pts) - 1, float(t)), P[:-1])
+    link_diss = tuple(problem.dissipation(P[:-1], P[1:]).tolist())
+    link_gap = tuple(problem.correction(P[:-1], P[1:]).tolist())
+    links = sum(link_diss) + sum(link_gap)
+    size = chunk_rows(problem.n_z)
+    pr: list[float] = []
+    for i in range(0, len(pts) - 1, size):
+        rows = P[i : min(i + size, len(pts) - 1)]
+        pr += memo.fill(np.full(len(rows), float(t)), rows)
+        if links + sum(pr) > cutoff:
+            return None
     return JumpChain(
         points=tuple(pts),
         kinds=tuple(kinds),
-        link_diss=tuple(problem.dissipation(P[:-1], P[1:]).tolist()),
-        link_gap=tuple(problem.correction(P[:-1], P[1:]).tolist()),
+        link_diss=link_diss,
+        link_gap=link_gap,
         point_residual=tuple(pr),
     )
 
@@ -118,18 +139,20 @@ def viscous_chain(
 ) -> JumpChain:
     """Iterate the minimal-set map at fixed t until it fixes a point.
 
-    The chain's residuals come from ``memo``, which is made if None.
+    Each step goes to the witness of the point's residual search in
+    ``memo`` (made if None), so one search gives both the step and the
+    chain's residual there.
     """
     memo = use_memo(memo, problem)
     z = np.atleast_1d(np.asarray(z_start, float))
     pts = [z]
     converged = False
     for _ in range(max_steps):
-        res = global_min_corrected(problem, t, z)
-        if float(np.max(np.abs(res.argmin - z))) < 1e-10:
+        step = memo.witness(t, z)
+        if float(np.max(np.abs(step - z))) < 1e-10:
             converged = True
             break
-        z = res.argmin
+        z = step
         pts.append(z)
     chain = _build_chain(problem, t, pts, ("viscous",) * len(pts), memo)
     return chain if converged else replace(chain, converged=False)
@@ -187,7 +210,7 @@ def _dp_chain(
     winning chain exactly.
     """
     lo, hi = problem.z_box[0]
-    xs = np.unique(
+    xs = unique(
         np.concatenate([np.linspace(lo, hi, resolution), [z_minus[0], z_plus[0]]])
     )
     src = int(np.argmax(np.isclose(xs, z_minus[0], atol=1e-12)))
@@ -230,11 +253,15 @@ def jump_cost(
     Candidates: the direct two-point chain, the viscous chain from z_minus
     spliced toward z_plus, a dynamic-programming search on a z-grid of
     ``dp_resolution`` points (n_z = 1), and a fine sliding path equidistant
-    in d.  The upper value is the cheapest candidate.  The lower value starts
-    at d(z_minus, z_plus), a true lower bound; when the DP search applies it
-    is raised to the smaller of the DP values at two grid resolutions minus
-    their difference, an extrapolation that is an estimate, not a bound.
-    Residuals come from ``memo``, which is made if None.
+    in d.  The upper value is the cheapest candidate, the first of equals
+    in that order.  The sliding path is dropped once its links plus the
+    residuals priced so far exceed the direct chain's cost, so a 2-d path
+    that cannot win costs a chunk of searches, not 64; the other candidates
+    are priced in full.  The lower value starts at d(z_minus, z_plus), a true
+    lower bound; when the DP search applies it is raised to the smaller of
+    the DP values at two grid resolutions minus their difference, an
+    extrapolation that is an estimate, not a bound.  Residuals come from
+    ``memo``, which is made if None.
     """
     z_minus = np.atleast_1d(np.asarray(z_minus, float))
     z_plus = np.atleast_1d(np.asarray(z_plus, float))
@@ -246,16 +273,18 @@ def jump_cost(
     candidates: list[JumpChain] = []
 
     if is_finite(d_direct):
-        candidates.append(
-            _build_chain(problem, t, [z_minus, z_plus], ["viscous"] * 2, memo)
-        )
-        # sliding path: equidistant points on the segment
+        direct = _build_chain(problem, t, [z_minus, z_plus], ["viscous"] * 2, memo)
+        candidates.append(direct)
+        # sliding path: equidistant points on the segment, priced while it
+        # can still beat the direct chain
         K = _SLIDING_POINTS
         lam = np.linspace(0.0, 1.0, K + 1)
         pts = [z_minus + l * (z_plus - z_minus) for l in lam]
-        candidates.append(
-            _build_chain(problem, t, pts, ["sliding"] * (K + 1), memo)
+        sliding = _build_chain(
+            problem, t, pts, ["sliding"] * (K + 1), memo, cutoff=direct.cost
         )
+        if sliding is not None:
+            candidates.append(sliding)
 
     vc = viscous_chain(problem, t, z_minus, memo=memo)
     if vc.converged and len(vc.points) > 1:

@@ -24,6 +24,7 @@ from .core import (
     RisProblem,
     State,
     Trajectory,
+    median,
 )
 from .reduced import chunk_rows, global_min_rows, reduce_energy
 
@@ -305,7 +306,7 @@ def _runs(flags: NDArray[np.bool_]) -> list[tuple[int, int]]:
 
 def _flag_steps(step_diss: NDArray) -> NDArray[np.bool_]:
     """``jump_flags`` of the step dissipations ``step_diss``, read-only."""
-    med = float(np.median(step_diss)) if step_diss.size else 0.0
+    med = median(step_diss) if step_diss.size else 0.0
     flags = np.r_[False, step_diss > max(JUMP_THRESH * med, JUMP_FLOOR)]
     flags.flags.writeable = False
     return flags

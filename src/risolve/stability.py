@@ -11,7 +11,8 @@ probes and for jump pricing.
 point budget; ``residual_stability`` is its batch of one.  A memo's
 ``fill`` computes every residual it lacks of a list in that one call, and
 ``seed_from`` takes the residuals of nodes a scheme run stayed at from its
-step gains.
+step gains.  A memo keeps each residual's witness too, the step from z at
+t, which a viscous chain walks along.
 """
 
 from __future__ import annotations
@@ -90,13 +91,14 @@ def residual_stability(problem: RisProblem, t: float, z) -> StabilityReport:
 class ResidualMemo:
     """R(t, z) of one problem, each computed once.
 
-    Keys are the exact time and the bytes of z; only the residual is kept.
-    A memo lives for one command or one certificate, never longer.
+    Keys are the exact time and the bytes of z; the residual and its
+    witness are kept.  A memo lives for one command or one certificate,
+    never longer.
     """
 
     def __init__(self, problem: RisProblem):
         self.problem = problem
-        self._values: dict[tuple[float, bytes], float] = {}
+        self._values: dict[tuple[float, bytes], tuple[float, NDArray]] = {}
 
     def fill(self, ts, Z) -> list[float]:
         """R(ts[p], Z[p]) for every row, in order; the rows not yet known
@@ -110,21 +112,29 @@ class ResidualMemo:
                 todo.setdefault(key, i)
         if todo:
             rows = list(todo.values())
-            residual, _, _ = residual_rows(self.problem, ts[rows], Z[rows])
-            self._values.update(zip(todo, residual.tolist()))
-        return [self._values[key] for key in keys]
+            residual, witness, _ = residual_rows(self.problem, ts[rows], Z[rows])
+            self._values.update(zip(todo, zip(residual.tolist(), witness)))
+        return [self._values[key][0] for key in keys]
+
+    def witness(self, t: float, z) -> NDArray[np.float64]:
+        """The best competitor R(t, z) found, computed once with it: where
+        the step from z at t goes."""
+        z = np.atleast_1d(np.asarray(z, dtype=float))
+        self.fill([t], z[None])
+        return self._values[(float(t), z.tobytes())][1]
 
     def seed_from(self, disc) -> None:
         """Take R(t_n, z_n) from a scheme run of this memo's problem
         wherever step n stayed put: the bytes of z_n are those of z_{n-1},
-        so the step's gain is the same minimization."""
+        so the step's gain is the same minimization, and z_n its witness."""
         use_memo(self, disc.problem)
         states = disc.states
         for n in range(1, len(states)):
-            z = states[n].z.tobytes()
-            if z == states[n - 1].z.tobytes():
+            z = states[n].z
+            if z.tobytes() == states[n - 1].z.tobytes():
                 self._values.setdefault(
-                    (float(disc.times[n]), z), float(disc.step_gain[n - 1])
+                    (float(disc.times[n]), z.tobytes()),
+                    (float(disc.step_gain[n - 1]), z),
                 )
 
 

@@ -16,7 +16,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from . import models
-from .core import RisProblem, Trajectory, is_finite
+from .core import RisProblem, Trajectory, is_finite, unique
 from .jump import DP_RESOLUTION, JumpCosts, augmented_variation, jump_cost
 from .reduced import reduce_energy, reduced_value
 from .scheme import (
@@ -81,7 +81,7 @@ class Certificate:
 
 def _probe_times(traj: Trajectory, count: int) -> NDArray:
     t0, t1 = float(traj.times[0]), float(traj.times[-1])
-    return np.unique(np.concatenate([np.linspace(t0, t1, count), traj.times]))
+    return unique(np.concatenate([np.linspace(t0, t1, count), traj.times]))
 
 
 def _in_jump_window(traj: Trajectory, t: float) -> bool:

@@ -186,6 +186,24 @@ class TestLoadConfig:
         ).stdout
         assert out.strip() == "[]"
 
+    def test_solve_and_verify_load_no_numpy_ma(self, tmp_path):
+        # np.median and np.unique import numpy.ma on their first call
+        csv = tmp_path / "delamination0d_trajectory.csv"
+        code = (
+            "import sys\n"
+            "from risolve.cli import main\n"
+            f"base = ['--config', 'configs/delamination0d.ini', '--out-dir', {str(tmp_path)!r}]\n"
+            "assert main(['solve', *base]) == 0\n"
+            f"assert main(['verify', *base, {str(csv)!r}]) == 0\n"
+            "print('numpy.ma' in sys.modules, file=sys.stderr)\n"
+        )
+        path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+        err = subprocess.run(
+            [sys.executable, "-c", code], cwd=ROOT, capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": path}, check=True,
+        ).stderr
+        assert err.strip() == "False"
+
     def test_damage_bar_of_three_cells_fails_loudly(self, tmp_path, capsys):
         # no certified step search exists for n_z > 2
         p = tmp_path / "damage3.ini"
@@ -524,6 +542,21 @@ def test_shipped_delamination_csv_has_no_negative_zero(counted_delam_solve):
     _, _, out, _, _ = counted_delam_solve
     rows = (out / "delamination0d_trajectory.csv").read_text().splitlines()[2:]
     assert "-0" not in {f for row in rows for f in row.split(",")}
+
+
+@pytest.mark.parametrize("config", ["plasticity0d.ini", "toy_convex.ini"])
+def test_csv_energies_are_the_node_energies(config, tmp_path):
+    # one reduced_vec call prices every node with the bits of prob.energy
+    run = load_config(CONFIG_DIR / config)
+    disc = solve_incremental(run.problem, run.scheme)
+    write_trajectory_csv(tmp_path / "t.csv", disc)
+    rows = (tmp_path / "t.csv").read_text().splitlines()[2:]
+    col = cli._csv_columns(disc.problem).index("energy")
+    got = np.array([float(row.split(",")[col]) for row in rows])
+    expected = np.array([disc.problem.energy(float(t), s.u, s.z)
+                         for t, s in zip(disc.times, disc.states)])
+    assert len(rows) == 2001 and disc.problem.n_u == 0
+    assert (got.view(np.int64) == expected.view(np.int64)).all()
 
 
 def test_csv_residuals_are_priced_in_batches(tmp_path, monkeypatch):

@@ -17,7 +17,7 @@ from risolve import (
     eval_energy,
     eval_power,
 )
-from risolve.core import INF, is_finite
+from risolve.core import INF, is_finite, median, unique
 from risolve.models import Damage1dSpec, make_damage1d
 
 
@@ -172,3 +172,18 @@ def test_clip_and_in_box():
     assert p.in_box(np.array([3.0]))
     assert not p.in_box(np.array([11.0]))
     assert p.clip(np.array([11.0]))[0] == 10.0
+
+
+def test_median_and_unique_keep_numpy_bits():
+    # -0.0 against 0.0, infinities and nan, at odd and even sizes
+    rng = np.random.default_rng(3)
+    draws = [np.array([-0.0]), np.array([-0.0, -0.0]), np.array([0.0, -0.0, -0.0])]
+    for n in [*range(1, 40), 999, 1000]:
+        draws.append(rng.normal(size=n))
+        draws.append(rng.choice([0.0, -0.0, 1.5, INF, -INF], size=n))
+        draws.append(np.round(rng.exponential(size=n), 1))
+    for a in draws:
+        bits = lambda x: np.asarray(x, dtype=float).view(np.int64).tolist()
+        assert bits(median(a)) == bits(float(np.median(a)))
+        assert bits(unique(a)) == bits(np.unique(a))
+    assert math.isnan(median([1.0, float("nan"), 2.0]))

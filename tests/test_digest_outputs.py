@@ -34,6 +34,9 @@ def test_digests_every_output_of_one_config(tmp_path, capsys):
         "delamination0d.ini verify delamination0d_verify_certificate.txt",
         "delamination0d.ini sweep stdout rc=0",
         "delamination0d.ini sweep delamination0d_sweep_tau.csv",
+        "delamination0d.ini jumpcost stdout rc=0",
+        "delamination0d.ini jumpcost delamination0d_jumpcost.txt",
+        "delamination0d.ini jumpcost delamination0d_jumpcost_chain.csv",
     ]
     # the digests are of the bytes the command line writes, and no
     # temporary path leaks into them

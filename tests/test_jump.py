@@ -1,5 +1,7 @@
 """Transition costs, viscous chains, jump cost bounds, augmented variation."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -8,17 +10,26 @@ from risolve import (
     QuadraticMu,
     RisProblem,
     SchemeConfig,
+    TrivialH,
     augmented_variation,
+    global_min_corrected,
     interpolate,
     jump,
     jump_cost,
     incremental_cost,
     solve_incremental,
+    stability,
     transition_cost,
     viscous_chain,
 )
 from risolve.core import INF
-from risolve.models import Delamination0dSpec, make_delamination0d
+from risolve.models import (
+    Delamination0dSpec,
+    Plasticity0dSpec,
+    make_delamination0d,
+    make_plasticity0d,
+)
+from risolve.reduced import chunk_rows
 
 
 def _quadratic_problem(correction=None):
@@ -65,6 +76,30 @@ class TestViscousChain:
         assert chain.converged
         assert len(chain.points) == 1
         assert chain.cost == 0.0
+
+    def test_one_search_per_point(self, monkeypatch):
+        # each step is the witness of the point's residual search, the
+        # minimizer global_min_corrected finds, bit for bit
+        prob = _quadratic_problem(QuadraticMu(mu=1.0))
+        z, expected = np.array([3.0]), [np.array([3.0])]
+        for _ in range(100):
+            step = global_min_corrected(prob, 0.0, z).argmin
+            if abs(step[0] - z[0]) < 1e-10:
+                break
+            z = step
+            expected.append(z)
+        rows = []
+        real = stability.residual_rows
+
+        def counted(problem, ts, Z):
+            rows.extend(Z.tobytes() for Z in np.asarray(Z, float))
+            return real(problem, ts, Z)
+
+        monkeypatch.setattr(stability, "residual_rows", counted)
+        chain = viscous_chain(prob, 0.0, [3.0], max_steps=100)
+        assert chain.converged
+        assert np.array(chain.points).tobytes() == np.array(expected).tobytes()
+        assert rows == [p.tobytes() for p in expected]
 
 
 class TestTransitionCost:
@@ -148,6 +183,102 @@ class TestJumpCost:
         ).residual
         bound = jump_cost(toy_doublewell, t, z_minus, z_plus)
         assert bound.upper <= direct + 1e-9
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64).tolist()
+
+
+def _assert_same_bound(got, ref):
+    assert _bits([got.upper, got.lower]) == _bits([ref.upper, ref.lower])
+    assert (got.witness is None) == (ref.witness is None)
+    if got.witness is not None:
+        a, b = got.witness, ref.witness
+        assert a.kinds == b.kinds and a.converged == b.converged
+        assert _bits(np.array(a.points)) == _bits(np.array(b.points))
+        for name in ("point_residual", "link_diss", "link_gap"):
+            assert _bits(getattr(a, name)) == _bits(getattr(b, name))
+
+
+class TestSlidingCutoff:
+    """The sliding path is dropped once it cannot beat the direct chain,
+    and every bound keeps the bits of full pricing."""
+
+    @staticmethod
+    def _priced(problem, t, z_minus, z_plus, full=False):
+        """jump_cost (with no cut-off when ``full``) and whether a chain was
+        dropped."""
+        real = jump._build_chain
+        dropped = []
+
+        def build(*args, cutoff=INF):
+            chain = real(*args, cutoff=INF if full else cutoff)
+            dropped.append(chain is None)
+            return chain
+
+        with mock.patch.object(jump, "_build_chain", build):
+            return jump_cost(problem, t, z_minus, z_plus), any(dropped)
+
+    def test_damage_jump_prices_one_chunk_of_the_path(self, damage, monkeypatch):
+        # after the threshold (t0 = 0.577) (0, 0) beats (1, 1) by far: the
+        # path's first residuals already cost more than the direct chain
+        rows = []
+        real = stability.residual_rows
+
+        def counted(problem, ts, Z):
+            rows.extend(np.asarray(Z, float).tolist())
+            return real(problem, ts, Z)
+
+        monkeypatch.setattr(stability, "residual_rows", counted)
+        bound = jump_cost(damage, 0.7, [1.0, 1.0], [0.0, 0.0])
+        inner = [z for z in rows if z[0] == z[1] and 0.0 < z[0] < 1.0]
+        assert 0 < len(inner) <= chunk_rows(2) == 3
+        assert len(rows) == len(set(map(tuple, rows)))
+        assert bound.witness.kinds[0] == "viscous"
+
+    def test_bounds_equal_full_pricing(self, damage, toy_convex, toy_doublewell):
+        rng = np.random.default_rng(17)
+        plastic = make_plasticity0d(Plasticity0dSpec(correction=TrivialH(h=lambda r: r**4)))
+        cases = [(damage, 0.7, [1.0, 1.0], [0.0, 0.0])]
+        for _ in range(8):  # 2-d damage, z_plus <= z_minus
+            z_minus = rng.uniform(0.0, 1.0, 2)
+            cases.append((damage, rng.uniform(0.0, 1.0), z_minus, z_minus * rng.uniform(0.0, 1.0, 2)))
+        for _ in range(2):  # symmetric states long before the threshold: a stable path
+            a, b = np.sort(rng.uniform(0.0, 1.0, 2))
+            cases.append((damage, rng.uniform(0.0, 0.3), [b, b], [a, a]))
+        for prob in (toy_convex, toy_doublewell, plastic):
+            (lo, hi), = prob.z_box
+            for _ in range(6):
+                a, b = rng.uniform(lo, hi, 2)
+                cases.append((prob, rng.uniform(0.0, prob.horizon), [a], [b]))
+        for _ in range(4):  # inside plasticity's stable set [t - 1, t + 1]
+            t = rng.uniform(0.0, 2.0)
+            a, b = rng.uniform(t - 1.0, t + 1.0, 2)
+            cases.append((plastic, t, [a], [b]))
+        seen = set()
+        for prob, t, z_minus, z_plus in cases:
+            got, cut = self._priced(prob, t, z_minus, z_plus)
+            ref, _ = self._priced(prob, t, z_minus, z_plus, full=True)
+            _assert_same_bound(got, ref)
+            if cut:
+                seen.add((prob.n_z, "dropped"))
+            elif ref.witness is not None and ref.witness.kinds[0] == "sliding":
+                seen.add((prob.n_z, "won"))
+        # both branches ran in 1-d and 2-d: paths dropped, and paths that won
+        assert seen == {(n, how) for n in (1, 2) for how in ("dropped", "won")}
+
+    def test_winning_path_priced_in_full(self, monkeypatch):
+        # sliding1d-style plasticity, t = 1.5: the segment [0.6, 1.4] lies in
+        # the stable set [0.5, 2.5], so its 64 short links beat the direct
+        # chain's correction h(0.8) = 0.41
+        prob = make_plasticity0d(Plasticity0dSpec(correction=TrivialH(h=lambda r: r**4)))
+        bound, cut = self._priced(prob, 1.5, [0.6], [1.4])
+        ref, _ = self._priced(prob, 1.5, [0.6], [1.4], full=True)
+        _assert_same_bound(bound, ref)
+        assert not cut
+        chain = bound.witness
+        assert chain.kinds == ("sliding",) * 65 and len(chain.point_residual) == 64
+        assert bound.upper == chain.cost == pytest.approx(0.8, abs=1e-5)
 
 
 class TestDijkstra:

@@ -213,6 +213,29 @@ class TestSeededMemo:
         # bit for bit, so a -0.0 differs from 0.0
         assert (np.array(got).view(np.int64) == np.array(fresh).view(np.int64)).all()
 
+    @pytest.mark.parametrize("config", ["delamination0d.ini", "damage1d.ini"])
+    def test_seeded_witness_is_the_node(self, config, monkeypatch):
+        # the step stayed at z_n, so the search from z_n at t_n goes nowhere
+        run = load_config(CONFIG_DIR / config)
+        disc = solve_incremental(run.problem, run.scheme)
+        seeded = ResidualMemo(disc.problem)
+        seeded.seed_from(disc)
+        stayed = [
+            n for n in range(1, len(disc.times))
+            if disc.states[n].z.tobytes() == disc.states[n - 1].z.tobytes()
+        ][:: 10]
+        fresh = ResidualMemo(disc.problem)
+        fresh.fill(disc.times[stayed], [disc.states[n].z for n in stayed])
+
+        def unpriced(*args, **kwargs):
+            raise AssertionError("a seeded witness was computed")
+
+        monkeypatch.setattr(stability, "residual_rows", unpriced)
+        for n in stayed:
+            t, z = disc.times[n], disc.states[n].z
+            assert seeded.witness(t, z).tobytes() == z.tobytes()
+            assert fresh.witness(t, z).tobytes() == z.tobytes()
+
     def test_refuses_a_run_of_another_config(self):
         run = load_config(CONFIG_DIR / "delamination0d.ini")
         disc = solve_incremental(run.problem, replace(run.scheme, tau=0.1))
@@ -224,6 +247,16 @@ class TestSeededMemo:
 
 
 class TestFill:
+    def test_witness_is_the_searched_competitor(self, toy_doublewell, monkeypatch):
+        memo = ResidualMemo(toy_doublewell)
+        ts = np.array([0.2, 0.7, 0.9])
+        Z = np.array([[-1.0], [0.3], [1.2]])
+        memo.fill(ts, Z)
+        reports = [residual_stability(toy_doublewell, t, z) for t, z in zip(ts, Z)]
+        monkeypatch.setattr(stability, "residual_rows", None)  # nothing is searched twice
+        for t, z, rep in zip(ts, Z, reports):
+            assert memo.witness(t, z).tobytes() == rep.witness.tobytes()
+
     def test_fill_equals_single_calls(self, toy_doublewell):
         memo = ResidualMemo(toy_doublewell)
         ts = np.array([0.2, 0.2, 0.7, 0.9, 0.7])

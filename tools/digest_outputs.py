@@ -5,13 +5,15 @@ perfbench workloads, so two checkouts can be compared byte for byte.
     python tools/digest_outputs.py configs/damage1d.ini --seeds 0
     python tools/digest_outputs.py configs/delamination0d.ini --seeds ""
 
-Each config gets ``solve``, ``verify`` of the CSV it wrote and a ``sweep``
-over tau = 2 tau0, tau0 (tau0 the config's own).  Each seed gets one round of
-every operation of the three perfbench workloads, built by
-``perfbench/workloads.py`` (imported, never changed).  Every command runs
-through ``risolve.cli.main`` of the checkout this script sits in, with its
-outputs in a temporary directory.  One line per captured stdout (with the
-exit code) and per output file, after the command that wrote or changed it:
+Each config gets ``solve``, ``verify`` of the CSV it wrote, a ``sweep``
+over tau = 2 tau0, tau0 (tau0 the config's own) and a ``jumpcost`` at
+t = horizon from the config's ``initial_z`` to the last state of its solve
+CSV.  Each seed gets one round of every operation of the three perfbench
+workloads, built by ``perfbench/workloads.py`` (imported, never changed).
+Every command runs through ``risolve.cli.main`` of the checkout this script
+sits in, with its outputs in a temporary directory.  One line per captured
+stdout (with the exit code) and per output file, after the command that
+wrote or changed it:
 
     <sha256>  <label>
 
@@ -70,11 +72,17 @@ def digest_config(cli_main, load_config, config: Path) -> None:
         base = ["--config", str(config), "--out-dir", tmp]
         dig = Digester(cli_main, out)
         dig.run(f"{name} solve", ["solve", *base])
-        dig.run(f"{name} verify",
-                ["verify", *base, str(out / f"{run.prefix}_trajectory.csv")])
+        csv = out / f"{run.prefix}_trajectory.csv"
+        dig.run(f"{name} verify", ["verify", *base, str(csv)])
         tau = run.scheme.tau
         dig.run(f"{name} sweep",
                 ["sweep", *base, "--axis", "tau", "--values", f"{2 * tau!r},{tau!r}"])
+        n_z = run.problem.n_z
+        last = csv.read_text().splitlines()[-1].split(",")[1 : 1 + n_z]
+        dig.run(f"{name} jumpcost",
+                ["jumpcost", *base, "--t", repr(run.problem.horizon),
+                 "--z-minus", ",".join(map(repr, run.scheme.initial_z)),
+                 "--z-plus", ",".join(last)])
 
 
 def digest_workload(cli_main, build, name: str, seed: int) -> None:
