@@ -44,18 +44,15 @@ def is_finite(x: float) -> bool:
 
 
 def median(a) -> float:
-    """``float(np.median(a))`` of a nonempty float array, bit for bit, from
-    one ``np.partition``; np.median's first call imports numpy.ma.  Its mean
-    sums from +0.0, so a -0.0 middle gives 0.0, and a nan gives nan."""
+    """``float(np.median(a))`` of a nonempty float array without nan, bit
+    for bit, from one ``np.partition``; np.median's first call imports
+    numpy.ma.  Its mean sums from +0.0, so a -0.0 middle gives 0.0."""
     a = np.asarray(a, dtype=float).reshape(-1)
     k = a.size // 2
     if a.size % 2:
-        part = np.partition(a, [k, a.size - 1])
-        mid = 0.0 + float(part[k])
-    else:
-        part = np.partition(a, [k - 1, k, a.size - 1])
-        mid = (0.0 + float(part[k - 1]) + float(part[k])) / 2
-    return math.nan if math.isnan(part[-1]) else mid
+        return 0.0 + float(np.partition(a, k)[k])
+    part = np.partition(a, [k - 1, k])
+    return (0.0 + float(part[k - 1]) + float(part[k])) / 2
 
 
 def unique(a) -> NDArray[np.float64]:

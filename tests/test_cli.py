@@ -186,7 +186,7 @@ class TestLoadConfig:
         ).stdout
         assert out.strip() == "[]"
 
-    def test_solve_and_verify_load_no_numpy_ma(self, tmp_path):
+    def test_commands_load_no_numpy_ma(self, tmp_path):
         # np.median and np.unique import numpy.ma on their first call
         csv = tmp_path / "delamination0d_trajectory.csv"
         code = (
@@ -195,6 +195,8 @@ class TestLoadConfig:
             f"base = ['--config', 'configs/delamination0d.ini', '--out-dir', {str(tmp_path)!r}]\n"
             "assert main(['solve', *base]) == 0\n"
             f"assert main(['verify', *base, {str(csv)!r}]) == 0\n"
+            "assert main(['jumpcost', *base, '--t', '0.7', '--z-minus', '1', '--z-plus', '0']) == 0\n"
+            "assert main(['sweep', *base, '--axis', 'tau', '--values', '0.01,0.005']) == 0\n"
             "print('numpy.ma' in sys.modules, file=sys.stderr)\n"
         )
         path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))

