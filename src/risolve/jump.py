@@ -99,10 +99,10 @@ def _build_chain(
     link_diss = tuple(problem.dissipation(P[:-1], P[1:]).tolist())
     link_gap = tuple(problem.correction(P[:-1], P[1:]).tolist())
     links = sum(link_diss) + sum(link_gap)
-    size = chunk_rows(problem.n_z)
+    heads, size = P[:-1], chunk_rows(problem.n_z)
     pr: list[float] = []
-    for i in range(0, len(pts) - 1, size):
-        rows = P[i : min(i + size, len(pts) - 1)]
+    for i in range(0, len(heads), size):
+        rows = heads[i : i + size]
         pr += memo.fill(np.full(len(rows), float(t)), rows)
         if links + sum(pr) > cutoff:
             return None
