@@ -12,14 +12,9 @@ from .core import (
     Trajectory,
     TrivialH,
     build_correction,
-    eval_correction,
-    eval_dissipation,
-    eval_energy,
-    eval_power,
 )
 from .reduced import (
     MinResult,
-    global_min_corrected,
     global_min_rows,
     oracle_grid_min,
     reduce_energy,
@@ -30,8 +25,6 @@ from .stability import (
     StabilityReport,
     correction_ratio_check,
     exponent_check,
-    is_Q_stable,
-    minimal_set,
     residual_rows,
     residual_stability,
 )

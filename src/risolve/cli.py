@@ -115,9 +115,10 @@ def parse_correction(text: str) -> Optional[CorrectionSpec]:
             return PowerLq(q=float(parts[1]), gamma=float(parts[2]))
         if kind == "trivial":
             p, c = float(parts[1]), float(parts[2])
-            if p <= 1 or c <= 0:
+            if not (1 < p < INF and 0 < c < INF):
                 raise ConfigError(
-                    "trivial correction needs exponent > 1 and coefficient > 0"
+                    "trivial correction needs a finite exponent > 1 and "
+                    "a finite coefficient > 0"
                 )
             return TrivialH(h=lambda r, _p=p, _c=c: _c * r**_p)
     except (IndexError, ValueError) as exc:
@@ -282,6 +283,8 @@ def load_config(path: str | Path) -> RunConfig:
         jump_tol=float(vsec.get("jump_tol", 5e-2)),
         probe_count=int(vsec.get("probe_count", 512)),
     )
+    if tol.probe_count < 0:
+        raise ConfigError(f"key 'probe_count' must be >= 0, got {tol.probe_count}")
 
     osec = cp["output"] if "output" in cp else {}
     if osec:

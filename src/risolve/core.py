@@ -26,10 +26,6 @@ __all__ = [
     "build_correction",
     "Trajectory",
     "JumpRecord",
-    "eval_energy",
-    "eval_dissipation",
-    "eval_correction",
-    "eval_power",
     "is_finite",
 ]
 
@@ -132,8 +128,8 @@ class QuadraticMu(CorrectionSpec):
     dist: str = "euclidean"
 
     def __post_init__(self):
-        if self.mu < 0:
-            raise ValueError("mu must be nonnegative")
+        if not 0 <= self.mu < INF:
+            raise ValueError("mu must be finite and nonnegative")
         if self.dist not in ("euclidean", "dissipation"):
             raise ValueError("dist must be 'euclidean' or 'dissipation'")
 
@@ -146,8 +142,8 @@ class PowerLq(CorrectionSpec):
     gamma: float
 
     def __post_init__(self):
-        if self.q <= 1 or self.gamma <= 1:
-            raise ValueError("q and gamma must exceed 1")
+        if not (1 < self.q < INF and 1 < self.gamma < INF):
+            raise ValueError("q and gamma must be finite and exceed 1")
 
 
 def _zero_correction(z, zp, d=None):
@@ -288,51 +284,6 @@ class RisProblem:
 
     def clip(self, z) -> NDArray[np.float64]:
         return np.clip(_as_z(z), self._lo, self._hi)
-
-
-def _check_dims(problem: RisProblem, s: State) -> None:
-    if s.u.shape != (problem.n_u,) and not (problem.n_u == 0 and s.u.size == 0):
-        raise ValueError(f"u has shape {s.u.shape}, expected ({problem.n_u},)")
-    if s.z.shape != (problem.n_z,):
-        raise ValueError(f"z has shape {s.z.shape}, expected ({problem.n_z},)")
-
-
-def eval_energy(problem: RisProblem, t: float, s: State) -> float:
-    """E(t, u, z); +infinity exactly on constraint violation."""
-    _check_dims(problem, s)
-    if not (-1e-12 <= t <= problem.horizon + 1e-12):
-        raise ValueError(f"t={t} outside [0, {problem.horizon}]")
-    v = float(problem.energy(t, s.u, s.z))
-    if math.isnan(v) or v == -INF:
-        raise ValueError("energy returned an inadmissible value")
-    return v
-
-
-def eval_dissipation(problem: RisProblem, z_from, z_to) -> float:
-    """d(z_from, z_to) in [0, +infinity]."""
-    z_from, z_to = _as_z(z_from), _as_z(z_to)
-    if z_from.shape != (problem.n_z,) or z_to.shape != (problem.n_z,):
-        raise ValueError("dissipation arguments have wrong dimension")
-    v = float(problem.dissipation(z_from, z_to))
-    if math.isnan(v) or v < -1e-12:
-        raise ValueError("dissipation must be nonnegative")
-    return max(v, 0.0)
-
-
-def eval_correction(problem: RisProblem, z_from, z_to) -> float:
-    """delta(z_from, z_to) in [0, +infinity]."""
-    v = float(problem.correction(_as_z(z_from), _as_z(z_to)))
-    if math.isnan(v) or v < -1e-12:
-        raise ValueError("correction must be nonnegative")
-    return max(v, 0.0)
-
-
-def eval_power(problem: RisProblem, t: float, s: State) -> float:
-    """Analytic partial_t E; defined only where the energy is finite."""
-    _check_dims(problem, s)
-    if not is_finite(eval_energy(problem, t, s)):
-        raise ValueError("power undefined at infinite energy")
-    return float(problem.power(t, s.u, s.z))
 
 
 # ---------------------------------------------------------------------------

@@ -23,9 +23,7 @@ together, each row with its own box, grid and zoom depth, in chunks of
 ``chunk_rows`` rows (as many as fit in ``_ROW_POINTS`` objective points);
 every row gets the bits it would get alone.  The scheme searches a run of
 steps from one state as one chunk of rows, and the next steps of runs in
-lockstep as one batch; a residual batch is many chunks;
-``global_min_corrected`` is a batch of one, so every caller sees the same
-bits.
+lockstep as one batch; a residual batch is many chunks.
 """
 
 from __future__ import annotations
@@ -46,7 +44,6 @@ __all__ = [
     "oracle_grid_min",
     "reduce_energy",
     "reduced_value",
-    "global_min_corrected",
     "global_min_rows",
     "chunk_rows",
     "require_search",
@@ -73,8 +70,6 @@ _MERGE_POINTS = _ZOOM_POINTS**2
 class MinResult:
     argmin: NDArray[np.float64]
     value: float
-    method: str
-    certified_global: bool
     tolerance: float
     u: Optional[NDArray[np.float64]] = None
 
@@ -117,13 +112,7 @@ def oracle_grid_min(
             if v < best_v:
                 best_v, best_x = v, np.array(combo)
     spacing = max((hi - lo) / (r - 1) for (lo, hi), r in zip(box, res))
-    return MinResult(
-        argmin=best_x,
-        value=best_v,
-        method="grid",
-        certified_global=True,
-        tolerance=spacing,
-    )
+    return MinResult(argmin=best_x, value=best_v, tolerance=spacing)
 
 
 # ---------------------------------------------------------------------------
@@ -134,12 +123,12 @@ def reduce_energy(problem: RisProblem, t: float, z) -> MinResult:
     """I(t, z) with a minimizing u from the problem's ``solve_u``."""
     z = np.atleast_1d(np.asarray(z, dtype=float))
     if not problem.in_box(z):
-        return MinResult(np.empty(0), INF, "closed-form", True, 0.0, u=None)
+        return MinResult(np.empty(0), INF, 0.0, u=None)
     v = float(problem.reduced_vec(t, z[None])[0])
     if problem.n_u == 0:
-        return MinResult(z, v, "closed-form", True, 0.0, u=np.empty(0))
+        return MinResult(z, v, 0.0, u=np.empty(0))
     u = np.asarray(problem.solve_u(t, z), float)
-    return MinResult(z, v, "closed-form", True, 1e-12, u=u)
+    return MinResult(z, v, 1e-12, u=u)
 
 
 def reduced_value(problem: RisProblem, t: float, z) -> float:
@@ -529,17 +518,3 @@ def _step_rows(problem: RisProblem, ts: NDArray, Z_prev: NDArray) -> tuple[NDArr
     if not np.count_nonzero(back):
         return x, v
     return np.where(back[:, None], Z_prev, x), np.where(back, stay, v)
-
-
-def global_min_corrected(problem: RisProblem, t: float, z_prev) -> MinResult:
-    """Minimize z -> I(t,z) + d(z_prev,z) + delta(z_prev,z) over the box: a
-    batch of one of ``global_min_rows``, certified global."""
-    z_prev = np.atleast_1d(np.asarray(z_prev, dtype=float))
-    x, v = global_min_rows(problem, [t], z_prev[None])
-    return MinResult(
-        argmin=x[0],
-        value=float(v[0]),
-        method="grid",
-        certified_global=True,
-        tolerance=DESCENT_TOL,
-    )

@@ -59,8 +59,10 @@ class SchemeConfig:
     def __post_init__(self):
         if self.scheme not in ("E", "BV", "VE"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
+        if not 0 < self.tau < math.inf:
+            raise ValueError(f"tau must be finite and positive, got {self.tau}")
+        if not math.isfinite(self.epsilon):
+            raise ValueError(f"epsilon must be finite, got {self.epsilon}")
         if self.scheme == "BV":
             if self.epsilon <= 0:
                 raise ValueError("BV scheme needs epsilon > 0")

@@ -1,4 +1,4 @@
-"""Stability diagnostics: residual stability, minimal sets, exponent checks.
+"""Stability diagnostics: residual stability, exponent checks.
 
 The residual R(t, z) = I(t, z) - inf_{z'} ( I(t, z') + d(z, z') + delta(z, z') )
 is nonnegative and vanishes exactly on the corrected stable set.  It reuses
@@ -24,17 +24,8 @@ from typing import Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from .core import RisProblem, State, is_finite
-from .reduced import (
-    DESCENT_TOL,
-    GRID_RESOLUTION,
-    NEAR_OPTIMAL_BAND,
-    global_min_corrected,
-    global_min_rows,
-    reduce_energy,
-    step_objective,
-    zoom_search,
-)
+from .core import RisProblem, is_finite
+from .reduced import global_min_rows
 
 __all__ = [
     "StabilityReport",
@@ -42,8 +33,6 @@ __all__ = [
     "residual_rows",
     "ResidualMemo",
     "use_memo",
-    "minimal_set",
-    "is_Q_stable",
     "correction_ratio_check",
     "exponent_check",
     "ExponentReport",
@@ -145,56 +134,6 @@ def use_memo(memo: ResidualMemo | None, problem: RisProblem) -> ResidualMemo:
     if memo.problem is not problem:
         raise ValueError("residual memo belongs to another problem")
     return memo
-
-
-def minimal_set(problem: RisProblem, t: float, z) -> list[NDArray[np.float64]]:
-    """Argmin of I(t, .) + d(z, .) + delta(z, .): all candidates within band."""
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    best = global_min_corrected(problem, t, z)
-    out = [best.argmin]
-    # sweep a coarse grid for further members (n_z == 1 only; higher
-    # dimensions report the single best candidate): every sampled local
-    # minimum near the optimal value is refined before the band test
-    if problem.n_z == 1:
-        lo, hi = problem.z_box[0]
-        hi = min(hi, float(z[0])) if problem.unidirectional else hi
-        f = step_objective(problem, t, z)
-        xs = np.linspace(lo, hi, GRID_RESOLUTION)
-        vals = f(xs[:, None])
-        spacing = xs[1] - xs[0] if len(xs) > 1 else 0.0
-        coarse_band = max(NEAR_OPTIMAL_BAND, spacing**2 + 1e-6)
-        left_ok = np.r_[True, vals[1:] <= vals[:-1]]
-        right_ok = np.r_[vals[:-1] <= vals[1:], True]
-        idx = np.flatnonzero(left_ok & right_ok & (vals <= best.value + coarse_band))
-        if idx.size:
-            xs_ref, vals_ref = zoom_search(
-                lambda sel: f, xs[None, idx, None], vals[None, idx], np.array([[spacing]]),
-                np.array([[lo]]), np.array([[hi]]), DESCENT_TOL,
-            )
-            for x, v in zip(xs_ref[0, :, 0], vals_ref[0]):
-                if v <= best.value + NEAR_OPTIMAL_BAND:
-                    if all(abs(x - float(m[0])) > 1e-7 for m in out):
-                        out.append(np.array([x]))
-    return out
-
-
-def is_Q_stable(
-    problem: RisProblem,
-    t: float,
-    s: State,
-    Q: float,
-    tol: float = 1e-8,
-) -> bool:
-    """(D, Q)-stability: residual <= Q and u attains the reduced energy."""
-    rep = residual_stability(problem, t, s.z)
-    if rep.residual > Q + tol:
-        return False
-    if problem.n_u > 0:
-        e_here = problem.energy(t, s.u, s.z)
-        i_here = reduce_energy(problem, t, s.z).value
-        if e_here > i_here + tol * (1.0 + abs(i_here)):
-            return False
-    return True
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from risolve.reduced import global_min_rows
 from risolve.models import (
     Damage1dSpec,
     Delamination0dSpec,
@@ -11,6 +12,13 @@ from risolve.models import (
     make_plasticity0d,
     make_toy1d,
 )
+
+
+def step_min(problem, t, z_prev):
+    """The step search of one row (t, z_prev): the minimizer and value of a
+    batch of one of ``global_min_rows``."""
+    x, v = global_min_rows(problem, [t], [z_prev])
+    return x[0], float(v[0])
 
 
 @pytest.fixture

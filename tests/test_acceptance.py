@@ -21,7 +21,6 @@ from risolve import (
     correction_ratio_check,
     exponent_check,
     gamma_limit_study,
-    global_min_corrected,
     interpolate,
     jump_cost,
     oracle_grid_min,
@@ -46,6 +45,8 @@ from risolve.models import (
     make_toy1d,
 )
 from risolve.scheme import jump_onset
+
+from conftest import step_min
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -297,11 +298,9 @@ class TestDamageOracleEquivalence:
             grid = oracle_grid_min(
                 objective, list(prob.z_box), resolution=1001, vectorized=True
             )
-            res = global_min_corrected(prob, t, z_prev)
-            assert np.all(np.abs(res.argmin - grid.argmin) <= 2 * cell + 1e-12), (
-                n, res.argmin, grid.argmin
-            )
-            assert abs(res.value - grid.value) <= 1e-6, (n, res.value, grid.value)
+            x, value = step_min(prob, t, z_prev)
+            assert np.all(np.abs(x - grid.argmin) <= 2 * cell + 1e-12), (n, x, grid.argmin)
+            assert abs(value - grid.value) <= 1e-6, (n, value, grid.value)
         assert time.monotonic() - start < 60.0
 
 

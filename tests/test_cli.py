@@ -130,6 +130,13 @@ class TestParseCorrection:
         for bad in ("quartic:1", "quadratic", "trivial:1:1", "trivial:2:-1", "power:2"):
             with pytest.raises(ConfigError):
                 parse_correction(bad)
+        # a non-finite parameter is refused with the descriptor named
+        for bad in (
+            "power:2:inf", "trivial:inf:1", "trivial:nan:1e-4",
+            "quadratic:nan", "quadratic:inf", "power:nan:2",
+        ):
+            with pytest.raises(ConfigError, match=f"'{bad}'"):
+                parse_correction(bad)
 
 
 class TestLoadConfig:
@@ -154,10 +161,18 @@ class TestLoadConfig:
         p.write_text(TOY_CONFIG + "\n[plotting]\nstyle = dark\n")
         assert main(["solve", "--config", str(p)]) == EXIT_ERROR
 
-    def test_negative_tau_rejected(self, tmp_path):
+    def test_negative_tau_rejected(self, tmp_path, capsys):
         p = tmp_path / "bad.ini"
-        p.write_text(TOY_CONFIG.replace("tau = 0.02", "tau = -1"))
+        for tau in ("-1", "nan", "inf"):
+            p.write_text(TOY_CONFIG.replace("tau = 0.02", f"tau = {tau}"))
+            assert main(["solve", "--config", str(p)]) == EXIT_ERROR
+            assert "tau must be" in capsys.readouterr().err
+
+    def test_negative_probe_count_rejected(self, tmp_path, capsys):
+        p = tmp_path / "bad.ini"
+        p.write_text(TOY_CONFIG + "\n[verify]\nprobe_count = -5\n")
         assert main(["solve", "--config", str(p)]) == EXIT_ERROR
+        assert "'probe_count'" in capsys.readouterr().err
 
     def test_tau_not_dividing_the_span_fails_loudly(self, tmp_path, capsys):
         # 0.3 steps end at t = 0.9 of [0, 1]: no CSV, no certificate of [0, 0.9]

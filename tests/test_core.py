@@ -1,4 +1,4 @@
-"""Problem abstraction: states, corrections, evaluation wrappers."""
+"""Problem abstraction: states, corrections, model values of the maps."""
 
 import math
 
@@ -12,10 +12,6 @@ from risolve import (
     State,
     Trajectory,
     TrivialH,
-    eval_correction,
-    eval_dissipation,
-    eval_energy,
-    eval_power,
 )
 from risolve.core import INF, is_finite, median, unique
 from risolve.models import Damage1dSpec, make_damage1d
@@ -115,29 +111,18 @@ class TestEvalWrappers:
 
     def test_damage_dissipation_examples(self):
         prob = make_damage1d(Damage1dSpec())
-        assert eval_dissipation(prob, [1.0, 1.0], [0.5, 1.0]) == pytest.approx(0.5)
+        d = prob.dissipation(np.array([1.0, 1.0]), np.array([0.5, 1.0]))
+        assert float(d) == pytest.approx(0.5)
         prob1 = make_damage1d(Damage1dSpec(N=1))
-        assert eval_dissipation(prob1, [0.5], [0.6]) == INF
-
-    def test_eval_energy_rejects_out_of_horizon_times(self):
-        p = _simple_problem()
-        s = State(u=np.empty(0), z=[1.0])
-        assert eval_energy(p, 0.5, s) == pytest.approx(0.5)
-        with pytest.raises(ValueError):
-            eval_energy(p, 2.0, s)
-
-    def test_eval_dissipation_dimension_check(self):
-        p = _simple_problem()
-        with pytest.raises(ValueError):
-            eval_dissipation(p, [0.0, 0.0], [1.0])
+        assert float(prob1.dissipation(np.array([0.5]), np.array([0.6]))) == INF
 
     def test_eval_correction_nonnegative(self):
         p = _simple_problem(QuadraticMu(mu=1.0))
-        assert eval_correction(p, [0.0], [1.0]) == pytest.approx(0.5)
+        assert float(p.correction(np.array([0.0]), np.array([1.0]))) == pytest.approx(0.5)
 
     def test_eval_power(self, toy_convex):
         s = State(u=np.empty(0), z=[3.0])
-        assert eval_power(toy_convex, 0.5, s) == pytest.approx(-6.0)
+        assert float(toy_convex.power(0.5, s.u, s.z)) == pytest.approx(-6.0)
 
 
 class TestTrajectory:

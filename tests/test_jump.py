@@ -12,7 +12,6 @@ from risolve import (
     SchemeConfig,
     TrivialH,
     augmented_variation,
-    global_min_corrected,
     interpolate,
     jump,
     jump_cost,
@@ -30,6 +29,8 @@ from risolve.models import (
     make_plasticity0d,
 )
 from risolve.reduced import chunk_rows
+
+from conftest import step_min
 
 
 def _quadratic_problem(correction=None):
@@ -79,11 +80,11 @@ class TestViscousChain:
 
     def test_one_search_per_point(self, monkeypatch):
         # each step is the witness of the point's residual search, the
-        # minimizer global_min_corrected finds, bit for bit
+        # minimizer the step search finds, bit for bit
         prob = _quadratic_problem(QuadraticMu(mu=1.0))
         z, expected = np.array([3.0]), [np.array([3.0])]
         for _ in range(100):
-            step = global_min_corrected(prob, 0.0, z).argmin
+            step, _ = step_min(prob, 0.0, z)
             if abs(step[0] - z[0]) < 1e-10:
                 break
             z = step

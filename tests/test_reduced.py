@@ -15,7 +15,6 @@ from risolve import (
     QuadraticMu,
     ResidualMemo,
     RisProblem,
-    global_min_corrected,
     global_min_rows,
     oracle_grid_min,
     reduce_energy,
@@ -26,6 +25,8 @@ from risolve import reduced
 from risolve.jump import _build_chain
 from risolve.reduced import step_objective
 from risolve.models import Damage1dSpec, make_damage1d
+
+from conftest import step_min
 
 
 def _quadratic_problem(correction=None):
@@ -58,7 +59,6 @@ class TestOracleGridMin:
         res = oracle_grid_min(
             lambda x: (x[0] - 0.3) ** 2, [(-1.0, 1.0)], resolution=2001
         )
-        assert res.certified_global
         assert abs(res.argmin[0] - 0.3) <= res.tolerance
 
     def test_vectorized_matches_scalar(self):
@@ -128,50 +128,50 @@ class TestGlobalMinCorrected:
         # min z^2/2 + |z - 3|: brute force oracle, then the production path
         prob = _quadratic_problem()
         xo, vo = _brute_force_1d(lambda x: 0.5 * x * x + abs(x - 3.0), -10, 10)
-        res = global_min_corrected(prob, 0.0, [3.0])
-        assert res.value == pytest.approx(vo, abs=1e-9)
-        assert res.argmin[0] == pytest.approx(xo, abs=1e-6)
-        assert res.argmin[0] == pytest.approx(1.0, abs=1e-6)
+        x, value = step_min(prob, 0.0, [3.0])
+        assert value == pytest.approx(vo, abs=1e-9)
+        assert x[0] == pytest.approx(xo, abs=1e-6)
+        assert x[0] == pytest.approx(1.0, abs=1e-6)
 
     def test_soft_threshold_with_quadratic_correction(self):
         prob = _quadratic_problem(QuadraticMu(mu=1.0))
         xo, vo = _brute_force_1d(
             lambda x: 0.5 * x * x + abs(x - 3.0) + 0.5 * (x - 3.0) ** 2, -10, 10
         )
-        res = global_min_corrected(prob, 0.0, [3.0])
-        assert res.value == pytest.approx(vo, abs=1e-9)
-        assert res.argmin[0] == pytest.approx(xo, abs=1e-6)
-        assert res.argmin[0] == pytest.approx(2.0, abs=1e-6)
+        x, value = step_min(prob, 0.0, [3.0])
+        assert value == pytest.approx(vo, abs=1e-9)
+        assert x[0] == pytest.approx(xo, abs=1e-6)
+        assert x[0] == pytest.approx(2.0, abs=1e-6)
 
     def test_stay_put_when_stable(self):
         prob = _quadratic_problem()
-        res = global_min_corrected(prob, 0.0, [0.5])
+        x, value = step_min(prob, 0.0, [0.5])
         # |I'(0.5)| = 0.5 < 1, so staying is optimal and ties break to z_prev
-        assert res.argmin[0] == pytest.approx(0.5)
-        assert res.value == pytest.approx(0.125)
+        assert x[0] == pytest.approx(0.5)
+        assert value == pytest.approx(0.125)
 
     def test_never_worse_than_staying(self, toy_doublewell):
         for t in (0.0, 0.3, 0.7, 1.0):
             for z0 in (-1.0, 0.0, 1.0):
                 stay = reduced_value(toy_doublewell, t, [z0])
-                res = global_min_corrected(toy_doublewell, t, [z0])
-                assert res.value <= stay + 1e-12
+                _, value = step_min(toy_doublewell, t, [z0])
+                assert value <= stay + 1e-12
 
     def test_unidirectional_search_clipped(self):
         prob = make_damage1d(Damage1dSpec(N=1, w_D=(0.0, 1.0)))
-        res = global_min_corrected(prob, 0.5, [0.7])
-        assert res.argmin[0] <= 0.7 + 1e-12
+        x, _ = step_min(prob, 0.5, [0.7])
+        assert x[0] <= 0.7 + 1e-12
 
     def test_box_corner_is_reachable(self):
         # at strong loading the single-cell damage jumps exactly onto z = 0
         prob = make_damage1d(Damage1dSpec(N=1, w_D=(0.0, 4.0)))
-        res = global_min_corrected(prob, 1.0, [1.0])
-        assert res.argmin[0] == 0.0
+        x, _ = step_min(prob, 1.0, [1.0])
+        assert x[0] == 0.0
 
     def test_infeasible_previous_state_raises(self):
         prob = _quadratic_problem()
         with pytest.raises(ValueError):
-            global_min_corrected(prob, 0.0, [50.0])
+            step_min(prob, 0.0, [50.0])
 
 
 def _random_steps(prob, count, seed):
@@ -197,9 +197,8 @@ class TestZoomSearch:
                 return v + h(d) if h is not None else v
 
             oracle = oracle_grid_min(objective, prob.z_box, 401, vectorized=True)
-            res = global_min_corrected(prob, t, z_prev)
-            assert res.certified_global
-            assert res.value <= oracle.value + 1e-12
+            _, value = step_min(prob, t, z_prev)
+            assert value <= oracle.value + 1e-12
 
     def test_stopped_row_leaves_the_batch(self):
         # row 0 starts stopped (zero half-width) at -0.0; row 1 zooms on
@@ -472,9 +471,9 @@ class TestRowBatch:
         ts, Z = self._rows(prob, 29, extra)
         X, V = global_min_rows(prob, ts, Z)
         for p, (t, z) in enumerate(zip(ts, Z)):
-            one = global_min_corrected(prob, t, z)
-            assert (_bits(X[p]) == _bits(one.argmin)).all()
-            assert _bits(V[p]) == _bits(one.value)
+            x, value = step_min(prob, t, z)
+            assert (_bits(X[p]) == _bits(x)).all()
+            assert _bits(V[p]) == _bits(value)
 
     def test_single_cell_bar_and_chunks(self, monkeypatch):
         # the 1-cell damage bar: boxes [0, z_prev] of every width, searched
@@ -486,9 +485,9 @@ class TestRowBatch:
         X3, V3 = global_min_rows(prob, ts, Z)
         assert (_bits(X3) == _bits(X)).all() and (_bits(V3) == _bits(V)).all()
         for p, (t, z) in enumerate(zip(ts, Z)):
-            one = global_min_corrected(prob, t, z)
-            assert (_bits(X[p]) == _bits(one.argmin)).all()
-            assert _bits(V[p]) == _bits(one.value)
+            x, value = step_min(prob, t, z)
+            assert (_bits(X[p]) == _bits(x)).all()
+            assert _bits(V[p]) == _bits(value)
 
     def test_symmetric_ties_pick_one_side(self):
         # a bar with a weak gradient term breaking one cell of (1, 1): the
@@ -499,8 +498,8 @@ class TestRowBatch:
         ts = np.linspace(0.5, 0.85, 8)
         X, _ = global_min_rows(prob, ts, np.ones((len(ts), 2)))
         for p, t in enumerate(ts):
-            one = global_min_corrected(prob, t, [1.0, 1.0]).argmin
-            assert (_bits(X[p]) == _bits(one)).all()
+            x, _ = step_min(prob, t, [1.0, 1.0])
+            assert (_bits(X[p]) == _bits(x)).all()
         assert {tuple(x) for x in X} == {(0.0, 1.0)}
 
     @pytest.mark.parametrize("sort_whole", [0, 1 << 20])

@@ -19,7 +19,7 @@ from risolve import (
     solve_lockstep,
 )
 from risolve import reduced, scheme
-from risolve.reduced import global_min_corrected, reduce_energy, reduced_value
+from risolve.reduced import reduce_energy, reduced_value
 from risolve.scheme import detect_jumps, jump_onset
 from risolve.models import (
     Delamination0dSpec,
@@ -28,6 +28,8 @@ from risolve.models import (
     make_toy1d,
 )
 
+from conftest import step_min
+
 
 class TestSchemeConfig:
     def test_unknown_scheme_rejected(self):
@@ -35,12 +37,16 @@ class TestSchemeConfig:
             SchemeConfig(scheme="implicit-euler")
 
     def test_tau_must_be_positive(self):
-        with pytest.raises(ValueError):
-            SchemeConfig(tau=0.0)
+        for tau in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="tau"):
+                SchemeConfig(tau=tau)
 
     def test_bv_needs_epsilon(self):
         with pytest.raises(ValueError):
             SchemeConfig(scheme="BV", tau=1e-3)
+        for eps in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="epsilon"):
+                SchemeConfig(scheme="BV", tau=1e-3, epsilon=eps)
 
     def test_bv_warns_outside_regime(self):
         with pytest.warns(UserWarning):
@@ -133,7 +139,7 @@ class TestSolveIncremental:
 
 
 def _stepwise(problem, cfg):
-    """The scheme one step at a time: a ``global_min_corrected`` call and
+    """The scheme one step at a time: a batch of one of the step search and
     the maps on single pairs per step."""
     t0, t1 = cfg.t_span if cfg.t_span is not None else (0.0, problem.horizon)
     prob = problem.with_correction(scheme._scheme_correction(cfg))
@@ -146,12 +152,10 @@ def _stepwise(problem, cfg):
     vals, diss, corr, gains = (np.empty(n_steps) for _ in range(4))
     for n in range(1, n_steps + 1):
         t = times[n]
-        res = global_min_corrected(prob, t, z)
-        z_new = res.argmin
+        z_new, vals[n - 1] = step_min(prob, t, z)
         diss[n - 1] = prob.dissipation(z, z_new)
         corr[n - 1] = prob.correction(z, z_new)
-        vals[n - 1] = res.value
-        gains[n - 1] = max(0.0, reduced_value(prob, t, z) - res.value)
+        gains[n - 1] = max(0.0, reduced_value(prob, t, z) - vals[n - 1])
         u = prob.solve_u(t, z_new) if prob.n_u else np.empty(0)
         states.append(State(u=u, z=z_new))
         z = z_new

@@ -1,4 +1,4 @@
-"""Residual stability, minimal sets, ratio probe, exponent compatibility."""
+"""Residual stability, ratio probe, exponent compatibility."""
 
 from dataclasses import replace
 from fractions import Fraction
@@ -10,22 +10,14 @@ import pytest
 from risolve import (
     QuadraticMu,
     ResidualMemo,
-    State,
     TrivialH,
     correction_ratio_check,
     exponent_check,
-    is_Q_stable,
-    minimal_set,
     residual_stability,
 )
 from risolve import solve_incremental, stability
 from risolve.cli import load_config
-from risolve.models import (
-    Damage1dSpec,
-    Toy1dSpec,
-    make_damage1d,
-    make_toy1d,
-)
+from risolve.models import Damage1dSpec, make_damage1d
 
 
 class TestResidualMemo:
@@ -80,46 +72,6 @@ class TestResidualStability:
     def test_infinite_energy_state_rejected(self, toy_convex):
         with pytest.raises(ValueError):
             residual_stability(toy_convex, 0.5, [20.0])
-
-
-class TestMinimalSet:
-    def test_single_minimizer_convex(self, toy_convex):
-        ms = minimal_set(toy_convex, 1.0, [0.0])
-        assert len(ms) == 1
-        assert ms[0][0] == pytest.approx(1.0, abs=1e-6)
-
-    def test_fixed_point_of_minimal_set_is_stable(self, toy_convex):
-        ms = minimal_set(toy_convex, 1.0, [1.5])
-        assert any(abs(m[0] - 1.5) < 1e-9 for m in ms)
-
-    def test_symmetric_double_well_two_members(self):
-        # unloaded symmetric wells with tiny kappa: both bottoms are minimal
-        prob = make_toy1d(
-            Toy1dSpec(well="doublewell", kappa=1e-12, ell=(0.0, 0.0), z_box=(-3.0, 3.0))
-        )
-        ms = minimal_set(prob, 0.0, [0.0])
-        xs = sorted(float(m[0]) for m in ms)
-        assert len(xs) >= 2
-        assert xs[0] == pytest.approx(-1.0, abs=1e-3)
-        assert xs[-1] == pytest.approx(1.0, abs=1e-3)
-
-
-class TestQStability:
-    def test_threshold(self, toy_convex):
-        s = State(u=np.empty(0), z=[0.0])
-        assert is_Q_stable(toy_convex, 1.0, s, Q=0.6)
-        assert not is_Q_stable(toy_convex, 1.0, s, Q=0.4)
-
-    def test_u_must_attain_reduced_energy(self, delamination):
-        # brittle bonded state: equilibrium u is determined; a perturbed u fails
-        from risolve import reduce_energy
-
-        t, z = 0.25, np.array([1.0])
-        res = reduce_energy(delamination, t, z)
-        good = State(u=res.u, z=z)
-        assert is_Q_stable(delamination, t, good, Q=1.0)
-        bad = State(u=res.u + np.array([0.1, 0.1]), z=z)
-        assert not is_Q_stable(delamination, t, bad, Q=1.0)
 
 
 class TestCorrectionRatio:

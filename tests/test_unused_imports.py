@@ -1,0 +1,55 @@
+"""Every module-level import of the package, the tests and the tools is used.
+
+No linter is a dependency, so this is a small stdlib ``ast`` scan: a name a
+module-level import binds must appear as a name somewhere in the module.  A
+package ``__init__.py`` is its public API and is not scanned.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SCANNED = [ROOT / "src" / "risolve", ROOT / "tests", ROOT / "tools"]
+
+
+def _bindings(tree: ast.Module):
+    """(line, bound name) of every import at module level."""
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.asname or alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                if alias.name != "*":
+                    yield node.lineno, alias.asname or alias.name
+
+
+def unused_imports(source: str) -> list[tuple[int, str]]:
+    """(line, name) of every module-level import ``source`` never uses."""
+    tree = ast.parse(source)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [(line, name) for line, name in _bindings(tree) if name not in used]
+
+
+def test_no_unused_module_imports():
+    found = [
+        f"{path.relative_to(ROOT)}:{line}: {name}"
+        for folder in SCANNED
+        for path in sorted(folder.rglob("*.py"))
+        if path.name != "__init__.py"
+        for line, name in unused_imports(path.read_text())
+    ]
+    assert not found, "unused imports:\n" + "\n".join(found)
+
+
+def test_scan_finds_an_unused_import():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import numpy as np\n"
+        "from typing import Optional, Sequence as Seq\n"
+        "def f(x: Optional[int]) -> None:\n"
+        "    import json\n"
+        "    return os.path.join(x)\n"
+    )
+    assert unused_imports(source) == [(3, "np"), (4, "Seq")]
