@@ -8,7 +8,6 @@ from .core import (
     PowerLq,
     QuadraticMu,
     RisProblem,
-    State,
     Trajectory,
     TrivialH,
     build_correction,

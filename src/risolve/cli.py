@@ -25,10 +25,10 @@ from .core import (
     PowerLq,
     QuadraticMu,
     RisProblem,
-    State,
     Trajectory,
     TrivialH,
     median,
+    sup_distance,
 )
 from .jump import jump_cost
 from .models import (
@@ -47,7 +47,6 @@ from .scheme import (
     SchemeConfig,
     _scheme_correction,
     interpolate,
-    jump_flags,
     jump_records,
     solve_incremental,
     solve_lockstep,
@@ -76,12 +75,22 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def _floats(text: str) -> list[float]:
-    return [float(p) for p in text.replace(",", " ").split()]
+def _number(text: str | float, key: str, cast=float):
+    """``cast(text)``, the value of ``key``; a ConfigError naming the key
+    when it is not a number."""
+    try:
+        return cast(text)
+    except ValueError:
+        what = "an integer" if cast is int else "a number"
+        raise ConfigError(f"{key!r} must be {what}, got {text!r}") from None
+
+
+def _floats(text: str, key: str) -> list[float]:
+    return [_number(p, key) for p in text.replace(",", " ").split()]
 
 
 def _pair(text: str, key: str) -> tuple[float, float]:
-    vals = _floats(text)
+    vals = _floats(text, key)
     if len(vals) != 2:
         raise ConfigError(f"key {key!r} needs exactly two numbers, got {text!r}")
     return (vals[0], vals[1])
@@ -168,13 +177,10 @@ def _build_model(sec) -> tuple[str, object, RisProblem]:
     corr = parse_correction(sec["correction"]) if "correction" in sec else "default"
 
     if kind == "toy1d":
-        kw = {}
-        for key, cast in (
-            ("well", str), ("a", float), ("b", float), ("w", float),
-            ("kappa", float), ("horizon", float),
-        ):
+        kw = {"well": sec["well"]} if "well" in sec else {}
+        for key in ("a", "b", "w", "kappa", "horizon"):
             if key in sec:
-                kw[key] = cast(sec[key])
+                kw[key] = _number(sec[key], key)
         if "ell" in sec:
             kw["ell"] = _pair(sec["ell"], "ell")
         if "z_box" in sec:
@@ -188,7 +194,7 @@ def _build_model(sec) -> tuple[str, object, RisProblem]:
         kw = {}
         for key in ("C", "sigma_y", "horizon"):
             if key in sec:
-                kw[key] = float(sec[key])
+                kw[key] = _number(sec[key], key)
         if "eps" in sec:
             kw["eps"] = _pair(sec["eps"], "eps")
         if "z_box" in sec:
@@ -201,13 +207,13 @@ def _build_model(sec) -> tuple[str, object, RisProblem]:
     if kind == "damage1d":
         kw = {}
         if "N" in sec:
-            kw["N"] = int(sec["N"])
+            kw["N"] = _number(sec["N"], "N", int)
         for key in ("eta", "r", "grad_weight", "horizon"):
             if key in sec:
-                kw[key] = float(sec[key])
+                kw[key] = _number(sec[key], key)
         for key in ("E0", "kappa"):
             if key in sec:
-                vals = _floats(sec[key])
+                vals = _floats(sec[key], key)
                 kw[key] = vals[0] if len(vals) == 1 else tuple(vals)
         if "w_D" in sec:
             kw["w_D"] = _pair(sec["w_D"], "w_D")
@@ -220,14 +226,14 @@ def _build_model(sec) -> tuple[str, object, RisProblem]:
     kw = {}
     for key in ("k_minus", "k_plus", "a0", "kappa", "horizon"):
         if key in sec:
-            kw[key] = float(sec[key])
+            kw[key] = _number(sec[key], key)
     if "ell" in sec:
         kw["ell"] = _pair(sec["ell"], "ell")
     if corr != "default":
         kw["correction"] = corr
     spec = Delamination0dSpec(**kw)
     brittle = _bool(sec["brittle"], "brittle") if "brittle" in sec else True
-    k = float(sec["k"]) if "k" in sec else None
+    k = _number(sec["k"], "k") if "k" in sec else None
     return kind, spec, make_delamination0d(spec, brittle=brittle, k=k)
 
 
@@ -257,13 +263,13 @@ def load_config(path: str | Path) -> RunConfig:
         _check_keys("scheme", sec.keys(), _SCHEME_KEYS)
     kw = {
         "scheme": sec.get("scheme", "VE"),
-        "tau": float(sec.get("tau", 1e-2)),
-        "epsilon": float(sec.get("epsilon", 0.0)),
+        "tau": _number(sec.get("tau", 1e-2), "tau"),
+        "epsilon": _number(sec.get("epsilon", 0.0), "epsilon"),
         # the model's own correction doubles as the scheme correction
         "correction": getattr(spec, "correction", None),
     }
     if "initial_z" in sec:
-        kw["initial_z"] = tuple(_floats(sec["initial_z"]))
+        kw["initial_z"] = tuple(_floats(sec["initial_z"], "initial_z"))
     else:
         kw["initial_z"] = tuple(0.0 for _ in range(problem.n_z))
     if "t_span" in sec:
@@ -276,15 +282,11 @@ def load_config(path: str | Path) -> RunConfig:
     vsec = cp["verify"] if "verify" in cp else {}
     if vsec:
         _check_keys("verify", vsec.keys(), _VERIFY_KEYS)
-    tol = TolConfig(
-        minimality_tol=float(vsec.get("minimality_tol", 1e-8)),
-        stability_tol=float(vsec.get("stability_tol", 1e-6)),
-        balance_tol=float(vsec.get("balance_tol", 5e-2)),
-        jump_tol=float(vsec.get("jump_tol", 5e-2)),
-        probe_count=int(vsec.get("probe_count", 512)),
-    )
-    if tol.probe_count < 0:
-        raise ConfigError(f"key 'probe_count' must be >= 0, got {tol.probe_count}")
+    tols = {k: _number(vsec[k], k, int if k == "probe_count" else float) for k in vsec}
+    try:
+        tol = TolConfig(**tols)
+    except ValueError as exc:
+        raise ConfigError(f"bad [verify] values: {exc}") from exc
 
     osec = cp["output"] if "output" in cp else {}
     if osec:
@@ -322,19 +324,18 @@ def write_trajectory_csv(
     n_u = 0 so are the energies, I(t, z) in the box and +infinity outside."""
     prob = disc.problem
     memo = use_memo(memo, prob)
-    flags = jump_flags(disc)
+    flags = disc.flags
     cum = np.concatenate([[0.0], np.cumsum(disc.step_diss)])
-    Z = np.array([s.z for s in disc.states])
+    times, Z, U = disc.times.tolist(), disc.Z, disc.U
     resids = memo.fill(disc.times, Z)
     if prob.n_u == 0:
         energies = np.where(prob.inside(Z), prob.reduced_vec(disc.times, Z), INF).tolist()
     else:
-        energies = [prob.energy(float(t), s.u, s.z) for t, s in zip(disc.times, disc.states)]
+        energies = list(map(prob.energy, times, U, Z))
     lines = [CSV_VERSION, ",".join(_csv_columns(prob))]
-    for n, t in enumerate(disc.times):
-        s = disc.states[n]
-        power = prob.power(float(t), s.u, s.z)
-        row = [float(t), *s.z.tolist(), *s.u.tolist(), energies[n], power,
+    for n, t in enumerate(times):
+        power = prob.power(t, U[n], Z[n])
+        row = [t, *Z[n].tolist(), *U[n].tolist(), energies[n], power,
                float(disc.step_diss[n - 1]) if n > 0 else 0.0,
                float(cum[n]), resids[n]]
         lines.append(",".join(_fmt(x) for x in row) + f",{int(flags[n])}")
@@ -365,7 +366,6 @@ def read_trajectory_csv(path: Path, problem: RisProblem) -> Trajectory:
         raise ConfigError("CSV row width does not match the header")
     nz, nu = problem.n_z, problem.n_u
     times = data[:, 0]
-    # one finiteness check of the t, z and u columns, not one per State
     bad = np.argwhere(~np.isfinite(data[:, : 1 + nz + nu]))
     if len(bad):
         n, j = bad[0]
@@ -373,13 +373,10 @@ def read_trajectory_csv(path: Path, problem: RisProblem) -> Trajectory:
             f"trajectory file {path}: {cols[j]} is not finite in the row of "
             f"t = {float(times[n])!r} (node {n})"
         )
-    states = tuple(
-        map(State._checked, data[:, 1 + nz : 1 + nz + nu], data[:, 1 : 1 + nz])
-    )
-    records = jump_records(problem, times, states, data[:, -1].astype(int))
+    Z, U = data[:, 1 : 1 + nz], data[:, 1 + nz : 1 + nz + nu]
+    records = jump_records(problem, times, Z, data[:, -1].astype(int))
     tau = median(np.diff(times)) if len(times) > 1 else 0.0
-    return Trajectory(times=times, states=states, jump_records=records,
-                      meta={"tau": tau})
+    return Trajectory(times=times, Z=Z, U=U, jump_records=records, meta={"tau": tau})
 
 
 def certificate_lines(cert: Certificate) -> list[str]:
@@ -453,7 +450,7 @@ def _sweep_run(run: RunConfig, axis: str, value: float) -> tuple[RisProblem, Sch
 
 def cmd_sweep(args) -> int:
     run = load_config(args.config)
-    values = _floats(args.values)
+    values = _floats(args.values, "--values")
     if len(values) < 2:
         raise ConfigError("sweep needs at least two values")
     if args.axis == "k" and run.model_kind != "delamination0d":
@@ -493,14 +490,8 @@ def cmd_sweep(args) -> int:
         disc, traj, jt, bal = res
         if probe is None:
             probe = np.linspace(float(traj.times[0]), float(traj.times[-1]), 129)
-        if prev_traj is not None:
-            sup = max(
-                float(np.linalg.norm(traj.state_at(t).z - prev_traj.state_at(t).z))
-                for t in probe
-            )
-        else:
-            sup = float("nan")
-        zfin = float(np.linalg.norm(traj.states[-1].z))
+        sup = sup_distance(traj, prev_traj, probe) if prev_traj is not None else float("nan")
+        zfin = float(np.linalg.norm(traj.Z[-1]))
         lines.append(",".join(_fmt(x) for x in (v, jt, zfin, bal, sup)))
         prev_traj = traj
     (out / f"{run.prefix}_sweep_{args.axis}.csv").write_text("\n".join(lines) + "\n")
@@ -515,8 +506,8 @@ def cmd_jumpcost(args) -> int:
     # not (0 <= t <= T) is also true for a nan
     if not 0.0 <= args.t <= problem.horizon:
         raise ConfigError(f"--t must lie in [0, {problem.horizon:g}], got {args.t!r}")
-    z_minus = np.asarray(_floats(args.z_minus))
-    z_plus = np.asarray(_floats(args.z_plus))
+    z_minus = np.asarray(_floats(args.z_minus, "--z-minus"))
+    z_plus = np.asarray(_floats(args.z_plus, "--z-plus"))
     if z_minus.shape != (problem.n_z,) or z_plus.shape != (problem.n_z,):
         raise ConfigError(f"endpoints must have dimension {problem.n_z}")
     for name, z in (("--z-minus", z_minus), ("--z-plus", z_plus)):

@@ -17,7 +17,6 @@ import numpy as np
 from numpy.typing import NDArray
 
 __all__ = [
-    "State",
     "RisProblem",
     "CorrectionSpec",
     "TrivialH",
@@ -25,6 +24,7 @@ __all__ = [
     "PowerLq",
     "build_correction",
     "Trajectory",
+    "sup_distance",
     "JumpRecord",
     "is_finite",
 ]
@@ -64,30 +64,6 @@ def _as_z(z) -> NDArray[np.float64]:
     if a.ndim != 1:
         raise ValueError("z must be a 1-d vector")
     return a
-
-
-@dataclass(frozen=True)
-class State:
-    """A pair (u, z); u may be empty for reduced problems."""
-
-    u: NDArray[np.float64]
-    z: NDArray[np.float64]
-
-    def __post_init__(self):
-        object.__setattr__(self, "u", np.atleast_1d(np.asarray(self.u, dtype=float)))
-        object.__setattr__(self, "z", _as_z(self.z))
-        if not (np.all(np.isfinite(self.u)) and np.all(np.isfinite(self.z))):
-            raise ValueError("state entries must be finite")
-
-    @classmethod
-    def _checked(cls, u: NDArray[np.float64], z: NDArray[np.float64]) -> "State":
-        """A state from a 1-d float ``u`` and ``z`` whose entries the caller
-        has already checked finite: ``__post_init__``'s result, without its
-        conversions and check."""
-        s = object.__new__(cls)
-        object.__setattr__(s, "u", u)
-        object.__setattr__(s, "z", z)
-        return s
 
 
 # ---------------------------------------------------------------------------
@@ -303,31 +279,45 @@ class JumpRecord:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Time nodes with states; left-continuous piecewise-constant in between."""
+    """Node times with the node states, row n of ``Z`` (N, n_z) and of
+    ``U`` (N, n_u) the state at ``times[n]``; left-continuous
+    piecewise-constant in between (``nodes_at``)."""
 
     times: NDArray[np.float64]
-    states: tuple[State, ...]
+    Z: NDArray[np.float64]
+    U: NDArray[np.float64]
     jump_records: tuple[JumpRecord, ...] = ()
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
         object.__setattr__(self, "times", t)
-        if len(t) != len(self.states) or len(t) == 0:
-            raise ValueError("times and states must align and be nonempty")
+        for name in ("Z", "U"):
+            a = np.asarray(getattr(self, name), dtype=float)
+            if a.ndim != 2 or len(a) != len(t):
+                raise ValueError(f"{name} must have one row per node time")
+            if not np.isfinite(a).all():
+                raise ValueError("state entries must be finite")
+            object.__setattr__(self, name, a)
+        if len(t) == 0:
+            raise ValueError("a trajectory needs at least one node")
         if np.any(np.diff(t) <= 0):
             raise ValueError("node times must be strictly increasing")
 
-    def state_at(self, t: float) -> State:
-        """Value of the left-continuous interpolant at time t."""
-        times = self.times
-        if t <= times[0]:
-            return self.states[0]
-        # state on (t^{n-1}, t^n] is the node-n state
-        n = int(np.searchsorted(times, t, side="left"))
-        n = min(n, len(times) - 1)
-        return self.states[n]
+    def nodes_at(self, ts) -> NDArray[np.intp]:
+        """Per time of ``ts``, the node whose state the left-continuous
+        interpolant takes there: node n on (t_{n-1}, t_n], node 0 up to
+        t_0 and the last node past T."""
+        n = np.searchsorted(self.times, ts, side="left")
+        return np.minimum(n, len(self.times) - 1)
 
     @property
     def n_nodes(self) -> int:
-        return len(self.states)
+        return len(self.times)
+
+
+def sup_distance(a: Trajectory, b: Trajectory, probes) -> float:
+    """The largest Euclidean distance between the z of ``a`` and of ``b``
+    over the times ``probes``."""
+    d = a.Z[a.nodes_at(probes)] - b.Z[b.nodes_at(probes)]
+    return float(np.sqrt(np.vecdot(d, d)).max())

@@ -393,8 +393,7 @@ def augmented_variation(
     ``problem`` to price the jumps from.
     """
     costs = _use_costs(costs, problem)
-    times = traj.times[1:]
-    Z = np.array([s.z for s in traj.states])
+    times, Z = traj.times[1:], traj.Z
     steps = problem.dissipation(Z[:-1], Z[1:])
     total = sum(steps[(t0 < times) & (times <= t1 + 1e-12)].tolist(), 0.0)
     for rec in traj.jump_records:

@@ -22,9 +22,9 @@ from .core import (
     JumpRecord,
     QuadraticMu,
     RisProblem,
-    State,
     Trajectory,
     median,
+    sup_distance,
 )
 from .reduced import chunk_rows, global_min_rows, reduce_energy
 
@@ -37,7 +37,6 @@ __all__ = [
     "refine_study",
     "ConvergenceReport",
     "detect_jumps",
-    "jump_flags",
     "jump_records",
     "jump_onset",
 ]
@@ -76,8 +75,13 @@ class SchemeConfig:
 
 @dataclass(frozen=True)
 class DiscreteTrajectory:
+    """A scheme run: node n is the state (``Z[n]``, ``U[n]``) at
+    ``times[n]``, and entry n - 1 of each step array belongs to the step
+    from node n - 1 to node n."""
+
     times: NDArray[np.float64]
-    states: tuple[State, ...]
+    Z: NDArray[np.float64]  # (N, n_z) node states
+    U: NDArray[np.float64]  # (N, n_u) their minimizing u
     step_values: NDArray[np.float64]  # minimized objective per step
     step_diss: NDArray[np.float64]  # d(z^{n-1}, z^n) per step
     step_corr: NDArray[np.float64]  # delta(z^{n-1}, z^n) per step
@@ -93,7 +97,9 @@ class DiscreteTrajectory:
 
     @cached_property
     def flags(self) -> NDArray[np.bool_]:
-        """``jump_flags``, computed once and read-only: the CSV writer,
+        """Per node, whether the step into it dissipates far more than the
+        median step; the first node, which no step leads into, is never
+        flagged.  Computed once and read-only: the CSV writer,
         ``interpolate`` and ``detect_jumps`` share it."""
         return _flag_steps(self.step_diss)
 
@@ -104,9 +110,6 @@ def _scheme_correction(cfg: SchemeConfig) -> Optional[CorrectionSpec]:
     if cfg.scheme == "BV":
         return QuadraticMu(mu=cfg.epsilon / cfg.tau, dist="euclidean")
     return cfg.correction
-
-
-_NO_U = np.empty(0)  # the u of every node of a problem with n_u = 0
 
 
 class _Run:
@@ -137,9 +140,11 @@ class _Run:
         if not math.isfinite(r0.value):
             raise ValueError("initial state has infinite energy")
         self.prob, self.cfg, self.times, self.z = prob, cfg, times, z
-        self.states = [State(u=r0.u, z=z)]
         self.Z = np.empty((n_steps + 1, prob.n_z))  # the node states
-        self.Z[0] = z
+        self.U = np.empty((n_steps + 1, prob.n_u))  # and their u
+        self.Z[0], self.U[0] = z, r0.u
+        if not np.isfinite(self.U[0]).all():
+            raise ValueError("state entries must be finite")
         self.vals = np.empty(n_steps)
         self.cap = chunk_rows(prob.n_z)
         self.n, self.k = 1, 1
@@ -175,15 +180,11 @@ class _Run:
         X, ts = X[:m], ts[:m]
         self.vals[self.n - 1 : self.n - 1 + m] = V[:m]
         self.Z[self.n : self.n + m] = X
-        # one finiteness check a block, not one per State
-        finite = np.isfinite(X).all()
-        us = [_NO_U] * m
+        U = self.U[self.n : self.n + m]
         if prob.n_u:
-            us = [np.atleast_1d(np.asarray(prob.solve_u(t, x), dtype=float)) for t, x in zip(ts, X)]
-            finite = finite and np.isfinite(np.concatenate(us, axis=None)).all()
-        if not finite:
+            U[:] = [prob.solve_u(t, x) for t, x in zip(ts, X)]
+        if not (np.isfinite(X).all() and np.isfinite(U).all()):
             raise ValueError("state entries must be finite")
-        self.states.extend(map(State._checked, us, X))
         self.z = X[-1]
         self.n += m
         self.k = 1 if moved else min(2 * self.k, self.cap)
@@ -196,7 +197,8 @@ class _Run:
         gain = prob.reduced_vec(self.times[1:], Z_from) - self.vals
         return DiscreteTrajectory(
             times=self.times,
-            states=tuple(self.states),
+            Z=self.Z,
+            U=self.U,
             step_values=self.vals,
             step_diss=d,
             step_corr=prob.correction(Z_from, Z_to, d),
@@ -307,18 +309,12 @@ def _runs(flags: NDArray[np.bool_]) -> list[tuple[int, int]]:
 
 
 def _flag_steps(step_diss: NDArray) -> NDArray[np.bool_]:
-    """``jump_flags`` of the step dissipations ``step_diss``, read-only."""
+    """``DiscreteTrajectory.flags`` of the step dissipations ``step_diss``,
+    read-only."""
     med = median(step_diss) if step_diss.size else 0.0
     flags = np.r_[False, step_diss > max(JUMP_THRESH * med, JUMP_FLOOR)]
     flags.flags.writeable = False
     return flags
-
-
-def jump_flags(disc: DiscreteTrajectory) -> NDArray[np.bool_]:
-    """Per node, whether the step into it dissipates far more than the
-    median step; the first node, which no step leads into, is never flagged.
-    Computed once per trajectory (``DiscreteTrajectory.flags``)."""
-    return disc.flags
 
 
 def detect_jumps(disc: DiscreteTrajectory) -> list[tuple[int, int]]:
@@ -326,16 +322,16 @@ def detect_jumps(disc: DiscreteTrajectory) -> list[tuple[int, int]]:
 
     Consecutive flagged steps merge into one discontinuity.
     """
-    return _runs(jump_flags(disc)[1:])
+    return _runs(disc.flags[1:])
 
 
 def jump_records(
-    problem: RisProblem, times: NDArray, states: Sequence[State], flags
+    problem: RisProblem, times: NDArray, Z: NDArray, flags
 ) -> tuple[JumpRecord, ...]:
-    """One record per run of flagged nodes (``jump_flags``; the first
-    node's flag is ignored): the states before and after the run and,
-    inside it, the state reached by the step of largest dissipation."""
-    Z = np.array([s.z for s in states])
+    """One record per run of flagged nodes (``DiscreteTrajectory.flags``;
+    the first node's flag is ignored), from the (N, n_z) node states ``Z``:
+    the states before and after the run and, inside it, the state reached
+    by the step of largest dissipation."""
     d = problem.dissipation(Z[:-1], Z[1:])  # d[a]: the step into node a + 1
     records = []
     for a, b in _runs(np.asarray(flags[1:], dtype=bool)):
@@ -343,9 +339,9 @@ def jump_records(
         records.append(
             JumpRecord(
                 t=float(times[a + 1]),
-                z_left=states[a].z,
-                z_inner=states[k + 1].z,
-                z_right=states[b + 1].z,
+                z_left=Z[a],
+                z_inner=Z[k + 1],
+                z_right=Z[b + 1],
                 t_end=float(times[b + 1]),
             )
         )
@@ -356,10 +352,9 @@ def interpolate(disc: DiscreteTrajectory) -> Trajectory:
     """Left-continuous piecewise-constant interpolant with jump records."""
     return Trajectory(
         times=disc.times,
-        states=disc.states,
-        jump_records=jump_records(
-            disc.problem, disc.times, disc.states, jump_flags(disc)
-        ),
+        Z=disc.Z,
+        U=disc.U,
+        jump_records=jump_records(disc.problem, disc.times, disc.Z, disc.flags),
         meta={"scheme": disc.config.scheme, "tau": disc.config.tau},
     )
 
@@ -397,14 +392,7 @@ def refine_study(
         trajs.append(traj)
         jumps.append([rec.t for rec in traj.jump_records])
         residuals.append(balance_residual(disc))
-    sups = []
-    for a, b in zip(trajs, trajs[1:]):
-        sups.append(
-            max(
-                float(np.linalg.norm(a.state_at(t).z - b.state_at(t).z))
-                for t in probes
-            )
-        )
+    sups = [sup_distance(a, b, probes) for a, b in zip(trajs, trajs[1:])]
     # Cauchy proxy: the pairwise gaps shrink (1.05 slack for plateaus at 0)
     cauchy = all(s2 <= 1.05 * s1 + 2 * taus[i] for i, (s1, s2) in enumerate(zip(sups, sups[1:])))
     return ConvergenceReport(

@@ -114,17 +114,18 @@ class ResidualMemo:
 
     def seed_from(self, disc) -> None:
         """Take R(t_n, z_n) from a scheme run of this memo's problem
-        wherever step n stayed put: the bytes of z_n are those of z_{n-1},
+        wherever step n stayed put: row n of ``disc.Z`` has the bytes of row
+        n - 1 (compared through an int64 view, so -0.0 differs from 0.0),
         so the step's gain is the same minimization, and z_n its witness."""
         use_memo(self, disc.problem)
-        states = disc.states
-        for n in range(1, len(states)):
-            z = states[n].z
-            if z.tobytes() == states[n - 1].z.tobytes():
-                self._values.setdefault(
-                    (float(disc.times[n]), z.tobytes()),
-                    (float(disc.step_gain[n - 1]), z),
-                )
+        Z = disc.Z
+        bits = Z.view(np.int64)
+        stayed = np.flatnonzero((bits[1:] == bits[:-1]).all(axis=1)) + 1
+        for n in stayed.tolist():
+            self._values.setdefault(
+                (float(disc.times[n]), Z[n].tobytes()),
+                (float(disc.step_gain[n - 1]), Z[n]),
+            )
 
 
 def use_memo(memo: ResidualMemo | None, problem: RisProblem) -> ResidualMemo:

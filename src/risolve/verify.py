@@ -9,6 +9,7 @@ model, and the adhesive-to-brittle penalty-limit study.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -16,7 +17,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from . import models
-from .core import RisProblem, Trajectory, is_finite, unique
+from .core import RisProblem, Trajectory, is_finite, sup_distance, unique
 from .jump import DP_RESOLUTION, JumpCosts, augmented_variation, jump_cost
 from .reduced import reduce_energy, reduced_value
 from .scheme import (
@@ -49,6 +50,14 @@ class TolConfig:
     balance_tol: float = 5e-2
     jump_tol: float = 5e-2
     probe_count: int = 512
+
+    def __post_init__(self):
+        for key in ("minimality_tol", "stability_tol", "balance_tol", "jump_tol"):
+            value = getattr(self, key)
+            if not 0 <= value < math.inf:
+                raise ValueError(f"{key!r} must be finite and nonnegative, got {value}")
+        if self.probe_count < 0:
+            raise ValueError(f"'probe_count' must be >= 0, got {self.probe_count}")
 
 
 @dataclass(frozen=True)
@@ -97,7 +106,7 @@ def _stable_probes(traj: Trajectory, probes: NDArray) -> list[float]:
     return [float(t) for t in probes if not _in_jump_window(traj, float(t))]
 
 
-def _power_integral(problem: RisProblem, traj: Trajectory) -> float:
+def _power_integral(problem: RisProblem, traj: Trajectory | DiscreteTrajectory) -> float:
     """Midpoint quadrature of the partial time derivative of the energy.
 
     On each interval the internal variable is frozen at its left node value
@@ -108,7 +117,7 @@ def _power_integral(problem: RisProblem, traj: Trajectory) -> float:
     for n in range(1, len(traj.times)):
         a, b = float(traj.times[n - 1]), float(traj.times[n])
         tm = 0.5 * (a + b)
-        z = traj.states[n - 1].z
+        z = traj.Z[n - 1]
         if problem.n_u == 0:
             u = np.empty(0)
         else:
@@ -127,13 +136,12 @@ def balance_residual(disc: DiscreteTrajectory) -> float:
     the chain at a single jump time would add time-alignment noise instead.
     """
     problem = disc.problem
-    traj = interpolate(disc)
-    e0 = reduce_energy(problem, float(traj.times[0]), traj.states[0].z).value
-    eT = reduce_energy(problem, float(traj.times[-1]), traj.states[-1].z).value
+    e0 = reduced_value(problem, float(disc.times[0]), disc.Z[0])
+    eT = reduced_value(problem, float(disc.times[-1]), disc.Z[-1])
     var = float(np.sum(disc.step_diss) + np.sum(disc.step_corr))
     for a, b in detect_jumps(disc):
         var += float(np.sum(disc.step_gain[a : b + 1]))
-    return abs(eT + var - e0 - _power_integral(problem, traj))
+    return abs(eT + var - e0 - _power_integral(problem, disc))
 
 
 def _jump_checks(
@@ -192,14 +200,14 @@ def _certify(
         # each stored u must attain the reduced energy at its own node time;
         # off-node probes would penalize the piecewise-constant interpolant
         # for load movement instead
-        for t, s in zip(traj.times, traj.states):
-            e_here = problem.energy(float(t), s.u, s.z)
-            i_here = reduce_energy(problem, float(t), s.z).value
+        for t, u, z in zip(traj.times.tolist(), traj.U, traj.Z):
+            e_here = problem.energy(t, u, z)
+            i_here = reduced_value(problem, t, z)
             minim = max(minim, abs(e_here - i_here))
     ts = _stable_probes(traj, probes)
-    stab = max([stab, *memo.fill(ts, [traj.state_at(t).z for t in ts])])
-    e0 = reduce_energy(problem, float(traj.times[0]), traj.states[0].z).value
-    eT = reduce_energy(problem, float(traj.times[-1]), traj.states[-1].z).value
+    stab = max([stab, *memo.fill(ts, traj.Z[traj.nodes_at(ts)])])
+    e0 = reduced_value(problem, float(traj.times[0]), traj.Z[0])
+    eT = reduced_value(problem, float(traj.times[-1]), traj.Z[-1])
     if augmented:
         # one store prices each jump for the variation and the jump checks,
         # from the residuals of the stability probes
@@ -208,7 +216,7 @@ def _certify(
             problem, traj, float(traj.times[0]), float(traj.times[-1]), costs
         )
     else:
-        Z = np.array([s.z for s in traj.states])
+        Z = traj.Z
         var = sum(problem.dissipation(Z[:-1], Z[1:]).tolist())
     balance = abs(eT + var - e0 - _power_integral(problem, traj))
     jumps = _jump_checks(problem, traj, tol, costs) if augmented else ()
@@ -279,9 +287,7 @@ def ve_equals_e(
     tol = tol or TolConfig()
     plain = problem.with_correction(None)
     ts = _stable_probes(traj, _probe_times(traj, tol.probe_count))
-    residuals = ResidualMemo(plain).fill(
-        ts, [traj.state_at(t).z for t in ts]
-    )
+    residuals = ResidualMemo(plain).fill(ts, traj.Z[traj.nodes_at(ts)])
     stab = max([0.0, *residuals])
     max_dc = 0.0
     jr = []
@@ -328,7 +334,8 @@ def plasticity_stress_check(
     if sigma is None or sigma_y is None:
         raise ValueError("problem does not expose a stress map")
     probes = [float(t) for t in _probe_times(traj, probe_count)]
-    stress = [abs(float(sigma(t, traj.state_at(t).z))) for t in probes]
+    Z = traj.Z[traj.nodes_at(probes)]
+    stress = [abs(float(sigma(t, z))) for t, z in zip(probes, Z)]
     worst = max([0.0, *stress])
     check_every = max(1, len(probes) // 16)
     picked = [
@@ -336,7 +343,7 @@ def plasticity_stress_check(
         if not _in_jump_window(traj, probes[i])
     ]
     residuals = ResidualMemo(problem.with_correction(None)).fill(
-        [probes[i] for i in picked], [traj.state_at(probes[i]).z for i in picked]
+        [probes[i] for i in picked], Z[picked]
     )
     agree = all(
         (r <= 1e-6) == (stress[i] <= sigma_y + 1e-5) for i, r in zip(picked, residuals)
@@ -375,6 +382,7 @@ def gamma_limit_study(
     disc_b = solve_incremental(brittle, scheme_cfg)
     traj_b = interpolate(disc_b)
     probes = np.linspace(float(traj_b.times[0]), float(traj_b.times[-1]), probe_count)
+    Z_b = traj_b.Z[traj_b.nodes_at(probes)]
 
     violations, dists, egaps, trajs = [], [], [], []
     for k in ks:
@@ -383,19 +391,14 @@ def gamma_limit_study(
         traj = interpolate(disc)
         trajs.append(traj)
         viol = 0.0
-        dist = 0.0
         egap = 0.0
         gap_of = adh.extras["gap"]
-        for t in probes:
-            s = traj.state_at(float(t))
-            r = reduce_energy(adh, float(t), s.z)
-            viol = max(viol, float(s.z[0]) * gap_of(r.u) ** 2)
-            sb = traj_b.state_at(float(t))
-            dist = max(dist, float(np.linalg.norm(s.z - sb.z)))
-            eb = reduce_energy(brittle, float(t), sb.z).value
-            egap = max(egap, abs(r.value - eb))
+        for t, z, z_b in zip(probes.tolist(), traj.Z[traj.nodes_at(probes)], Z_b):
+            r = reduce_energy(adh, t, z)
+            viol = max(viol, float(z[0]) * gap_of(r.u) ** 2)
+            egap = max(egap, abs(r.value - reduced_value(brittle, t, z_b)))
         violations.append(viol)
-        dists.append(dist)
+        dists.append(sup_distance(traj, traj_b, probes))
         egaps.append(egap)
 
     # recovery-sequence probe: rescaling a brittle competitor by z_k/z must

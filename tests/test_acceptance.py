@@ -65,7 +65,7 @@ class TestConvexClosedForm:
         corr = QuadraticMu(mu=mu) if mu > 0 else None
         cfg = SchemeConfig(scheme="VE", tau=tau, correction=corr, initial_z=(0.0,))
         disc = solve_incremental(prob.with_correction(corr), cfg)
-        zs = np.array([s.z[0] for s in disc.states])
+        zs = disc.Z[:, 0]
         exact = np.maximum(2 * disc.times - 1.0, 0.0)
         elapsed = time.monotonic() - start
         assert np.max(np.abs(zs - exact)) <= 5 * tau
@@ -84,7 +84,7 @@ class TestPlasticityReturnMap:
         prob = make_plasticity0d(Plasticity0dSpec(correction=corr))
         cfg = SchemeConfig(scheme="VE", tau=tau, correction=corr, initial_z=(0.0,))
         disc = solve_incremental(prob, cfg)
-        zs = np.array([s.z[0] for s in disc.states])
+        zs = disc.Z[:, 0]
         exact = np.maximum(disc.times - 1.0, 0.0)
         assert np.max(np.abs(zs - exact)) <= 5 * tau
 
@@ -226,8 +226,8 @@ class TestShippedConfigStability:
         run = load_config(config)
         disc = solve_incremental(run.problem, run.scheme)
         worst = 0.0
-        for t, s in zip(disc.times, disc.states):
-            rep = residual_stability(run.problem, float(t), s.z)
+        for t, z in zip(disc.times, disc.Z):
+            rep = residual_stability(run.problem, float(t), z)
             worst = max(worst, rep.residual)
         assert worst <= 1e-6 + 1e-8, worst
 
@@ -242,9 +242,9 @@ class TestShippedConfigStability:
         disc = solve_incremental(run.problem, scheme)
         n = next(
             n for n in range(1, len(disc.times))
-            if disc.states[n].z.tobytes() == disc.states[n - 1].z.tobytes()
+            if disc.Z[n].tobytes() == disc.Z[n - 1].tobytes()
         )
-        t, z = float(disc.times[n]), disc.states[n].z
+        t, z = float(disc.times[n]), disc.Z[n]
         assert residual_stability(disc.problem, t, z).residual == 0.0
 
 
@@ -288,7 +288,7 @@ class TestDamageOracleEquivalence:
 
         for n in range(1, len(disc.times)):
             t = float(disc.times[n])
-            z_prev = disc.states[n - 1].z
+            z_prev = disc.Z[n - 1]
 
             def objective(pts):
                 d = prob.dissipation(z_prev, pts)

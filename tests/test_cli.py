@@ -174,6 +174,27 @@ class TestLoadConfig:
         assert main(["solve", "--config", str(p)]) == EXIT_ERROR
         assert "'probe_count'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key, text",
+        [
+            ("tau", TOY_CONFIG.replace("tau = 0.02", "tau = small")),
+            ("probe_count", TOY_CONFIG + "\n[verify]\nprobe_count = many\n"),
+            ("C", (CONFIG_DIR / "plasticity0d.ini").read_text().replace("C = 1.0", "C = big")),
+            ("stability_tol", TOY_CONFIG + "\n[verify]\nstability_tol = nan\n"),
+            ("balance_tol", TOY_CONFIG + "\n[verify]\nbalance_tol = -0.1\n"),
+        ],
+        ids=["tau-small", "probe_count-many", "C-big", "stability_tol-nan", "balance_tol-negative"],
+    )
+    def test_bad_value_names_its_key(self, tmp_path, capsys, key, text):
+        # a config error before any run, naming the key
+        assert key in text
+        p = tmp_path / "bad.ini"
+        p.write_text(text)
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(p), "--out-dir", str(out)]) == EXIT_ERROR
+        assert f"'{key}'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_tau_not_dividing_the_span_fails_loudly(self, tmp_path, capsys):
         # 0.3 steps end at t = 0.9 of [0, 1]: no CSV, no certificate of [0, 0.9]
         p = tmp_path / "bad.ini"
@@ -287,7 +308,7 @@ class TestSolveAndVerify:
         run = load_config(toy_cfg)
         traj = read_trajectory_csv(out / "toy_trajectory.csv", run.problem)
         assert traj.n_nodes == 51
-        zs = np.array([s.z[0] for s in traj.states])
+        zs = traj.Z[:, 0]
         exact = np.maximum(2 * traj.times - 1.0, 0.0)
         assert np.max(np.abs(zs - exact)) <= 5 * 0.02
 
@@ -349,7 +370,7 @@ class TestSolveAndVerify:
         assert main(["solve", "--config", str(p), "--out-dir", str(out)]) == EXIT_PASS
         run = load_config(p)
         traj = read_trajectory_csv(out / "toy_trajectory.csv", run.problem)
-        assert all(s.z[0] == pytest.approx(0.3) for s in traj.states)
+        assert traj.Z[:, 0] == pytest.approx(np.full(traj.n_nodes, 0.3))
 
 
 class TestSweep:
@@ -570,8 +591,8 @@ def test_csv_energies_are_the_node_energies(config, tmp_path):
     rows = (tmp_path / "t.csv").read_text().splitlines()[2:]
     col = cli._csv_columns(disc.problem).index("energy")
     got = np.array([float(row.split(",")[col]) for row in rows])
-    expected = np.array([disc.problem.energy(float(t), s.u, s.z)
-                         for t, s in zip(disc.times, disc.states)])
+    expected = np.array([disc.problem.energy(float(t), u, z)
+                         for t, u, z in zip(disc.times, disc.U, disc.Z)])
     assert len(rows) == 2001 and disc.problem.n_u == 0
     assert (got.view(np.int64) == expected.view(np.int64)).all()
 

@@ -1,4 +1,4 @@
-"""Problem abstraction: states, corrections, model values of the maps."""
+"""Problem abstraction: corrections, model values of the maps, trajectories."""
 
 import math
 
@@ -9,11 +9,10 @@ from risolve import (
     PowerLq,
     QuadraticMu,
     RisProblem,
-    State,
     Trajectory,
     TrivialH,
 )
-from risolve.core import INF, is_finite, median, unique
+from risolve.core import INF, is_finite, median, sup_distance, unique
 from risolve.models import Damage1dSpec, make_damage1d
 
 
@@ -23,15 +22,6 @@ def test_infinity_is_math_inf():
     assert is_finite(1e300)
     with pytest.raises(ValueError):
         is_finite(float("nan"))
-
-
-def test_state_validation():
-    s = State(u=[1.0], z=[0.5])
-    assert s.z.shape == (1,)
-    with pytest.raises(ValueError):
-        State(u=[1.0], z=[float("nan")])
-    with pytest.raises(ValueError):
-        State(u=[float("inf")], z=[0.0])
 
 
 class TestCorrectionSpecs:
@@ -106,8 +96,7 @@ class TestEvalWrappers:
     def test_energy_box_indicator(self):
         spec = Damage1dSpec()
         prob = make_damage1d(spec)
-        s = State(u=np.zeros(prob.n_u), z=np.array([1.5, 0.5]))
-        assert prob.energy(0.5, s.u, s.z) == INF
+        assert prob.energy(0.5, np.zeros(prob.n_u), np.array([1.5, 0.5])) == INF
 
     def test_damage_dissipation_examples(self):
         prob = make_damage1d(Damage1dSpec())
@@ -121,28 +110,52 @@ class TestEvalWrappers:
         assert float(p.correction(np.array([0.0]), np.array([1.0]))) == pytest.approx(0.5)
 
     def test_eval_power(self, toy_convex):
-        s = State(u=np.empty(0), z=[3.0])
-        assert float(toy_convex.power(0.5, s.u, s.z)) == pytest.approx(-6.0)
+        assert float(toy_convex.power(0.5, np.empty(0), np.array([3.0]))) == pytest.approx(-6.0)
 
 
 class TestTrajectory:
     def test_left_continuous_interpolant(self):
-        states = tuple(State(u=np.empty(0), z=[float(i)]) for i in range(3))
-        traj = Trajectory(times=np.array([0.0, 1.0, 2.0]), states=states)
-        assert traj.state_at(0.0).z[0] == 0.0
-        assert traj.state_at(0.5).z[0] == 1.0  # state on (t0, t1] is node 1
-        assert traj.state_at(1.0).z[0] == 1.0
-        assert traj.state_at(1.5).z[0] == 2.0
+        traj = Trajectory(
+            times=np.array([0.0, 1.0, 2.0]), Z=np.arange(3.0)[:, None], U=np.empty((3, 0))
+        )
+        # before t0, at each node, between nodes and after T, in one call:
+        # the state on (t_{n-1}, t_n] is node n's
+        ts = np.array([-1.0, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0])
+        assert traj.nodes_at(ts).tolist() == [0, 0, 1, 1, 2, 2, 2]
+        assert traj.Z[traj.nodes_at(ts), 0].tolist() == [0.0, 0.0, 1.0, 1.0, 2.0, 2.0, 2.0]
         assert traj.n_nodes == 3
 
+    def test_node_entries_must_be_finite(self):
+        times = np.array([0.0, 1.0])
+        traj = Trajectory(times=times, Z=[[0.5], [0.5]], U=[[1.0], [1.0]])
+        assert traj.Z.shape == (2, 1) and traj.U.shape == (2, 1)
+        with pytest.raises(ValueError, match="finite"):
+            Trajectory(times=times, Z=[[0.5], [float("nan")]], U=[[1.0], [1.0]])
+        with pytest.raises(ValueError, match="finite"):
+            Trajectory(times=times, Z=[[0.5], [0.5]], U=[[float("inf")], [1.0]])
+
+    def test_sup_distance_is_the_largest_probe_distance(self):
+        rng = np.random.default_rng(0)
+        times = np.array([0.0, 0.5, 1.0])
+        a = Trajectory(times=times, Z=rng.normal(size=(3, 2)), U=np.empty((3, 0)))
+        b = Trajectory(times=times[[0, 2]], Z=rng.normal(size=(2, 2)), U=np.empty((2, 0)))
+        probes = np.linspace(-0.5, 1.5, 17)
+        per_probe = [
+            float(np.linalg.norm(a.Z[a.nodes_at(t)] - b.Z[b.nodes_at(t)])) for t in probes
+        ]
+        assert sup_distance(a, b, probes) == max(per_probe)
+
     def test_times_must_increase(self):
-        states = tuple(State(u=np.empty(0), z=[0.0]) for _ in range(2))
         with pytest.raises(ValueError):
-            Trajectory(times=np.array([0.0, 0.0]), states=states)
+            Trajectory(times=np.array([0.0, 0.0]), Z=np.zeros((2, 1)), U=np.empty((2, 0)))
 
     def test_times_states_must_align(self):
+        # Z and U need one row per node time, and there is at least one node
+        for Z, U in ((np.zeros((1, 1)), np.empty((2, 0))), (np.zeros((2, 1)), np.empty((3, 0)))):
+            with pytest.raises(ValueError, match="one row per node time"):
+                Trajectory(times=np.array([0.0, 1.0]), Z=Z, U=U)
         with pytest.raises(ValueError):
-            Trajectory(times=np.array([0.0]), states=())
+            Trajectory(times=np.array([]), Z=np.zeros((0, 1)), U=np.empty((0, 0)))
 
 
 def test_with_correction_returns_new_problem():

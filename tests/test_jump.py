@@ -354,7 +354,7 @@ class TestAugmentedVariation:
         prob, traj = doublewell_run
         t0, t1 = float(traj.times[0]), float(traj.times[-1])
         plain = sum(
-            prob.dissipation(traj.states[n - 1].z, traj.states[n].z)
+            prob.dissipation(traj.Z[n - 1], traj.Z[n])
             for n in range(1, len(traj.times))
         )
         assert augmented_variation(prob, traj, t0, t1) >= plain - 1e-12

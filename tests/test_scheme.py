@@ -11,7 +11,6 @@ from risolve import (
     QuadraticMu,
     RisProblem,
     SchemeConfig,
-    State,
     TrivialH,
     interpolate,
     refine_study,
@@ -60,7 +59,7 @@ class TestSolveIncremental:
         tau = 1e-2
         cfg = SchemeConfig(scheme="E", tau=tau, initial_z=(0.0,))
         disc = solve_incremental(toy_convex, cfg)
-        zs = np.array([s.z[0] for s in disc.states])
+        zs = disc.Z[:, 0]
         exact = np.maximum(2 * disc.times - 1.0, 0.0)
         assert np.max(np.abs(zs - exact)) <= 5 * tau
 
@@ -74,7 +73,7 @@ class TestSolveIncremental:
             initial_z=(0.0,),
         )
         disc = solve_incremental(plasticity, cfg)
-        zs = np.array([s.z[0] for s in disc.states])
+        zs = disc.Z[:, 0]
         exact = np.maximum(disc.times - 1.0, 0.0)
         assert np.max(np.abs(zs - exact)) <= 5 * tau
 
@@ -93,16 +92,14 @@ class TestSolveIncremental:
                 initial_z=(0.0,),
             ),
         )
-        za = np.array([s.z[0] for s in a.states])
-        zb = np.array([s.z[0] for s in b.states])
-        assert np.max(np.abs(za - zb)) < 1e-9
+        assert np.max(np.abs(a.Z - b.Z)) < 1e-9
 
     def test_constant_load_stays_put(self):
         prob = make_toy1d(Toy1dSpec(well="convex", ell=(0.0, 0.0)))
         disc = solve_incremental(
             prob, SchemeConfig(scheme="E", tau=0.1, initial_z=(0.3,))
         )
-        assert all(s.z[0] == pytest.approx(0.3) for s in disc.states)
+        assert disc.Z[:, 0] == pytest.approx(np.full(disc.n_steps + 1, 0.3))
         assert np.all(disc.step_diss == 0.0)
         assert np.all(disc.step_gain == 0.0)
 
@@ -148,7 +145,7 @@ def _stepwise(problem, cfg):
     times[-1] = t1 if abs(times[-1] - t1) < 1e-9 else times[-1]
     z = prob.clip(np.asarray(cfg.initial_z, dtype=float))
     r0 = reduce_energy(prob, times[0], z)
-    states = [State(u=r0.u if r0.u is not None else np.empty(0), z=z)]
+    Z, U = [z], [r0.u if r0.u is not None else np.empty(0)]
     vals, diss, corr, gains = (np.empty(n_steps) for _ in range(4))
     for n in range(1, n_steps + 1):
         t = times[n]
@@ -156,10 +153,10 @@ def _stepwise(problem, cfg):
         diss[n - 1] = prob.dissipation(z, z_new)
         corr[n - 1] = prob.correction(z, z_new)
         gains[n - 1] = max(0.0, reduced_value(prob, t, z) - vals[n - 1])
-        u = prob.solve_u(t, z_new) if prob.n_u else np.empty(0)
-        states.append(State(u=u, z=z_new))
+        U.append(prob.solve_u(t, z_new) if prob.n_u else np.empty(0))
+        Z.append(z_new)
         z = z_new
-    return times, states, vals, diss, corr, gains
+    return times, np.array(Z), np.array(U), vals, diss, corr, gains
 
 
 def _bits(a):
@@ -168,14 +165,11 @@ def _bits(a):
 
 
 def _assert_same_bits(disc, ref):
-    times, states, vals, diss, corr, gains = ref
-    assert len(disc.states) == len(states)
-    for a, b in zip(disc.states, states):
-        assert np.array_equal(_bits(a.z), _bits(b.z))
-        assert np.array_equal(_bits(a.u), _bits(b.u))
     for a, b in zip(
-        (disc.times, disc.step_values, disc.step_diss, disc.step_corr, disc.step_gain),
-        (times, vals, diss, corr, gains),
+        (disc.times, disc.Z, disc.U, disc.step_values, disc.step_diss,
+         disc.step_corr, disc.step_gain),
+        ref,
+        strict=True,
     ):
         assert np.array_equal(_bits(a), _bits(b))
 
@@ -273,7 +267,7 @@ class TestStationaryBlocks:
             left -= blocks[-1]
         assert [rows for rows, _ in calls] == blocks
         assert len(calls) <= math.ceil(math.log2(cap)) + math.ceil(n / cap)
-        assert all(s.z.tobytes() == disc.states[0].z.tobytes() for s in disc.states)
+        assert (_bits(disc.Z) == _bits(disc.Z[0])).all()
 
     def test_infeasible_row_past_a_move_does_not_escape(self, monkeypatch):
         # the state leaves z = 0 at t = 0.6 inside the block of rows 0.4 to
@@ -284,7 +278,7 @@ class TestStationaryBlocks:
         disc = solve_incremental(prob, cfg)
         assert (4, True) in calls
         _assert_same_bits(disc, _stepwise(prob, cfg))
-        assert disc.states[6].z[0] > 0.1
+        assert disc.Z[6, 0] > 0.1
 
     def test_infeasible_row_of_a_stuck_state_raises(self):
         # from z = 0, still stuck at t = 0.4, the step is infeasible: the
@@ -303,7 +297,7 @@ def _assert_same_run(a, b):
     assert a.config == b.config
     assert a.problem.correction_spec == b.problem.correction_spec
     _assert_same_bits(
-        a, (b.times, b.states, b.step_values, b.step_diss, b.step_corr, b.step_gain)
+        a, (b.times, b.Z, b.U, b.step_values, b.step_diss, b.step_corr, b.step_gain)
     )
 
 
@@ -471,8 +465,9 @@ class TestInterpolate:
         # rec.t is the first post-jump node: the last pre-jump state lives
         # one step earlier on the left-continuous interpolant
         tau = traj.meta["tau"]
-        assert traj.state_at(rec.t - tau).z[0] == pytest.approx(rec.z_left[0])
-        assert traj.state_at(rec.t_end).z[0] == pytest.approx(rec.z_right[0])
+        left, right = traj.Z[traj.nodes_at([rec.t - tau, rec.t_end]), 0]
+        assert left == pytest.approx(rec.z_left[0])
+        assert right == pytest.approx(rec.z_right[0])
 
 
 class TestRefineStudy:

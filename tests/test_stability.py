@@ -150,11 +150,11 @@ class TestSeededMemo:
         seeded.seed_from(disc)
         stayed = [
             n for n in range(1, len(disc.times))
-            if disc.states[n].z.tobytes() == disc.states[n - 1].z.tobytes()
+            if disc.Z[n].tobytes() == disc.Z[n - 1].tobytes()
         ]
         assert len(stayed) >= len(disc.times) // 2
         ts = disc.times[stayed]
-        Z = np.array([disc.states[n].z for n in stayed])
+        Z = disc.Z[stayed]
         fresh = ResidualMemo(disc.problem).fill(ts, Z)
 
         def unpriced(*args, **kwargs):
@@ -174,17 +174,17 @@ class TestSeededMemo:
         seeded.seed_from(disc)
         stayed = [
             n for n in range(1, len(disc.times))
-            if disc.states[n].z.tobytes() == disc.states[n - 1].z.tobytes()
+            if disc.Z[n].tobytes() == disc.Z[n - 1].tobytes()
         ][:: 10]
         fresh = ResidualMemo(disc.problem)
-        fresh.fill(disc.times[stayed], [disc.states[n].z for n in stayed])
+        fresh.fill(disc.times[stayed], disc.Z[stayed])
 
         def unpriced(*args, **kwargs):
             raise AssertionError("a seeded witness was computed")
 
         monkeypatch.setattr(stability, "residual_rows", unpriced)
         for n in stayed:
-            t, z = disc.times[n], disc.states[n].z
+            t, z = disc.times[n], disc.Z[n]
             assert seeded.witness(t, z).tobytes() == z.tobytes()
             assert fresh.witness(t, z).tobytes() == z.tobytes()
 

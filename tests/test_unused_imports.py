@@ -1,8 +1,11 @@
-"""Every module-level import of the package, the tests and the tools is used.
+"""Every module-level import of the package, the tests and the tools is
+used, and every name a module exports is defined.
 
 No linter is a dependency, so this is a small stdlib ``ast`` scan: a name a
 module-level import binds must appear as a name somewhere in the module.  A
-package ``__init__.py`` is its public API and is not scanned.
+package ``__init__.py`` is its public API and is not scanned for that.
+Every name of a module's ``__all__`` must be bound at its top level, by a
+def, a class, an assignment or an import; else ``import *`` fails on it.
 """
 
 import ast
@@ -31,6 +34,32 @@ def unused_imports(source: str) -> list[tuple[int, str]]:
     return [(line, name) for line, name in _bindings(tree) if name not in used]
 
 
+def _defined(tree: ast.Module) -> set[str]:
+    """The names a module binds at top level."""
+    names = {name for _, name in _bindings(tree)}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return names
+
+
+def stale_exports(source: str) -> list[str]:
+    """Every name of the ``__all__`` of ``source`` that it does not define."""
+    tree = ast.parse(source)
+    exported = [
+        name
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+        for name in ast.literal_eval(node.value)
+    ]
+    defined = _defined(tree)
+    return [name for name in exported if name not in defined]
+
+
 def test_no_unused_module_imports():
     found = [
         f"{path.relative_to(ROOT)}:{line}: {name}"
@@ -53,3 +82,25 @@ def test_scan_finds_an_unused_import():
         "    return os.path.join(x)\n"
     )
     assert unused_imports(source) == [(3, "np"), (4, "Seq")]
+
+
+def test_every_export_is_defined():
+    found = [
+        f"{path.relative_to(ROOT)}: {name}"
+        for folder in SCANNED
+        for path in sorted(folder.rglob("*.py"))
+        for name in stale_exports(path.read_text())
+    ]
+    assert not found, "names in __all__ that the module does not define:\n" + "\n".join(found)
+
+
+def test_scan_finds_a_stale_export():
+    source = (
+        "from os import path as p\n"
+        "import numpy\n"
+        "__all__ = ['f', 'C', 'X', 'Y', 'p', 'numpy', 'gone']\n"
+        "def f(): pass\n"
+        "class C: pass\n"
+        "X = Y = 1\n"
+    )
+    assert stale_exports(source) == ["gone"]

@@ -10,7 +10,6 @@ from risolve import (
     JumpRecord,
     QuadraticMu,
     SchemeConfig,
-    State,
     TolConfig,
     Trajectory,
     TrivialH,
@@ -78,16 +77,9 @@ class TestCertificates:
         prob, traj = delam_run
         # re-bond a node far past the debonding time: at strong loading the
         # bonded state is no longer stable and the certificate must fail
-        states = list(traj.states)
-        i = (3 * traj.n_nodes) // 4
-        bad = dataclasses.replace(states[i], z=np.array([1.0]))
-        states[i] = bad
-        forged = Trajectory(
-            times=traj.times,
-            states=tuple(states),
-            jump_records=traj.jump_records,
-            meta=traj.meta,
-        )
+        Z = traj.Z.copy()
+        Z[(3 * traj.n_nodes) // 4] = 1.0
+        forged = dataclasses.replace(traj, Z=Z)
         cert = verify_VE(prob, forged)
         assert not cert.passed
         assert not cert.verdict["stability"]
@@ -102,12 +94,9 @@ class TestJumpPricing:
         times = np.array([0.0, 0.25, 0.5, 0.75])
         n = problem.n_z
         zs = [np.ones(n), np.ones(n), np.asarray(z_inner, float), np.zeros(n)]
-        states = tuple(
-            State(u=np.atleast_1d(reduce_energy(problem, t, z).u), z=z)
-            for t, z in zip(times, zs)
-        )
+        U = [reduce_energy(problem, t, z).u for t, z in zip(times, zs)]
         rec = JumpRecord(t=0.5, z_left=zs[1], z_inner=zs[2], z_right=zs[3], t_end=0.75)
-        return Trajectory(times=times, states=states, jump_records=(rec,),
+        return Trajectory(times=times, Z=np.array(zs), U=np.array(U), jump_records=(rec,),
                           meta={"tau": 0.25})
 
     @pytest.mark.parametrize(
