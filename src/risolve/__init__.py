@@ -16,7 +16,6 @@ from .reduced import (
     MinResult,
     global_min_rows,
     oracle_grid_min,
-    reduce_energy,
     reduced_value,
 )
 from .stability import (

@@ -320,22 +320,19 @@ def write_trajectory_csv(
 ) -> None:
     """Write the node table; ``memo`` keeps the node residuals for reuse.
 
-    The residuals the memo lacks are computed together, in batches; with
-    n_u = 0 so are the energies, I(t, z) in the box and +infinity outside."""
+    The residuals the memo lacks are computed together, in batches, and
+    the energies and powers of all nodes in one call each."""
     prob = disc.problem
     memo = use_memo(memo, prob)
     flags = disc.flags
     cum = np.concatenate([[0.0], np.cumsum(disc.step_diss)])
-    times, Z, U = disc.times.tolist(), disc.Z, disc.U
-    resids = memo.fill(disc.times, Z)
-    if prob.n_u == 0:
-        energies = np.where(prob.inside(Z), prob.reduced_vec(disc.times, Z), INF).tolist()
-    else:
-        energies = list(map(prob.energy, times, U, Z))
+    times, Z, U = disc.times, disc.Z, disc.U
+    resids = memo.fill(times, Z)
+    energies = prob.energy(times, U, Z).tolist()
+    powers = prob.power(times, U, Z).tolist()
     lines = [CSV_VERSION, ",".join(_csv_columns(prob))]
-    for n, t in enumerate(times):
-        power = prob.power(t, U[n], Z[n])
-        row = [t, *Z[n].tolist(), *U[n].tolist(), energies[n], power,
+    for n, t in enumerate(times.tolist()):
+        row = [t, *Z[n].tolist(), *U[n].tolist(), energies[n], powers[n],
                float(disc.step_diss[n - 1]) if n > 0 else 0.0,
                float(cum[n]), resids[n]]
         lines.append(",".join(_fmt(x) for x in row) + f",{int(flags[n])}")
@@ -361,7 +358,19 @@ def read_trajectory_csv(path: Path, problem: RisProblem) -> Trajectory:
         raise ConfigError(
             f"CSV schema mismatch: got {cols}, expected {expected}"
         )
-    data = np.array([[float(x) for x in ln.split(",")] for ln in lines[2:]])
+    try:
+        data = np.array([[float(x) for x in ln.split(",")] for ln in lines[2:]])
+    except ValueError:  # a field that is not a number, or rows of unequal width
+        data = np.empty((0, 0))
+        for n, row in enumerate(ln.split(",") for ln in lines[2:]):
+            for col, x in zip(cols, row):
+                try:
+                    float(x)
+                except ValueError:
+                    raise ConfigError(
+                        f"trajectory file {path}: {col} is not a number, got {x!r}, "
+                        f"in the row of t = {row[0].strip()} (node {n})"
+                    ) from None
     if data.shape[1] != len(cols):
         raise ConfigError("CSV row width does not match the header")
     nz, nu = problem.n_z, problem.n_u

@@ -122,6 +122,11 @@ class PowerLq(CorrectionSpec):
             raise ValueError("q and gamma must be finite and exceed 1")
 
 
+def _no_u(t, Z) -> NDArray[np.float64]:
+    """The empty u of a problem with n_u = 0, one per state of the batch."""
+    return np.empty(np.broadcast_shapes(np.shape(t), np.shape(Z)[:-1]) + (0,))
+
+
 def _zero_correction(z, zp, d=None):
     return np.zeros(np.broadcast_shapes(np.shape(z), np.shape(zp))[:-1])
 
@@ -180,34 +185,36 @@ def build_correction(spec: Optional[CorrectionSpec], problem: "RisProblem"):
 class RisProblem:
     """A finite-dimensional rate-independent system.
 
-    Three broadcasting maps define it.  Each takes states of shape
-    (..., n_z) and returns values of the broadcast shape (...), so one
-    definition serves a single state, a batch, and all pairs of two batches:
-    reduced_vec(t, Z) is the reduced energy I(t, z) = min_u E(t, u, z) of
-    in-box states, where t is a time or an array of times broadcasting
-    against Z.shape[:-1]; dissipation(Z_from, Z_to) is an asymmetric
-    extended quasi-distance (``inf`` encodes forbidden directions such as
-    healing); correction(Z_from, Z_to, D=None) is the viscous perturbation
-    delta of the VE scheme and stability function, built by
-    :meth:`with_correction`, which takes D = d(Z_from, Z_to) when given.
-    A map must act elementwise whatever the memory layout of its batch: the
-    step search passes cell-major batches, Z[..., i] one contiguous plane
-    per cell, which a map prices fastest plane by plane.
+    Broadcasting maps define it.  Each takes states of shape (..., n_z),
+    minimizing displacements of shape (..., n_u) and a time or an array of
+    times, all broadcasting against each other, and returns values of the
+    broadcast shape (...), so one definition serves a single state, a batch,
+    and all pairs of two batches: reduced_vec(t, Z) is the reduced energy
+    I(t, z) = min_u E(t, u, z) of in-box states; energy(t, U, Z) is
+    E(t, u, z), +infinity exactly where constraints are violated;
+    solve_u(t, Z) returns a minimizing u of shape (..., n_u); power(t, U, Z)
+    is the analytic partial time derivative of the energy;
+    dissipation(Z_from, Z_to) is an asymmetric extended quasi-distance
+    (``inf`` encodes forbidden directions such as healing);
+    correction(Z_from, Z_to, D=None) is the viscous perturbation delta of
+    the VE scheme and stability function, built by :meth:`with_correction`,
+    which takes D = d(Z_from, Z_to) when given.  A map must act elementwise
+    whatever the memory layout of its batch: the step search passes
+    cell-major batches, Z[..., i] one contiguous plane per cell, which a
+    map prices fastest plane by plane.
 
-    energy(t, u, z) is +infinity exactly where constraints are violated.
-    With n_u = 0 it may be omitted and is then I(t, z) in the box, +infinity
-    outside; with n_u > 0 it is required, and so is solve_u(t, z), which
-    returns a minimizing u.  ``power`` is the analytic partial time
-    derivative of the energy.
+    With n_u > 0, energy and solve_u are required.  With n_u = 0 there is
+    no u to eliminate, so E = I: the problem derives energy as I(t, z) in
+    the box and +infinity outside, and solve_u as an empty (..., 0) u.
     """
 
     n_u: int
     n_z: int
     reduced_vec: Callable[[float, NDArray], NDArray]
-    power: Callable[[float, NDArray, NDArray], float]
+    power: Callable[[float, NDArray, NDArray], NDArray]
     dissipation: Callable[[NDArray, NDArray], NDArray]
     z_box: Sequence[tuple[float, float]]
-    energy: Optional[Callable[[float, NDArray, NDArray], float]] = None
+    energy: Optional[Callable[[float, NDArray, NDArray], NDArray]] = None
     horizon: float = 1.0
     correction: Callable[[NDArray, NDArray], NDArray] = _zero_correction
     correction_spec: Optional[CorrectionSpec] = None
@@ -235,15 +242,14 @@ class RisProblem:
         # the box widened by the 1e-12 that ``inside`` allows
         object.__setattr__(self, "_lo_tol", self._lo - 1e-12)
         object.__setattr__(self, "_hi_tol", self._hi + 1e-12)
-        derived = getattr(self.energy, "__func__", None) is RisProblem._box_energy
-        if self.energy is None or derived:
+        if self.n_u == 0:
             # bound to this copy, so a copy with another reduced_vec follows it
             object.__setattr__(self, "energy", self._box_energy)
+            object.__setattr__(self, "solve_u", _no_u)
 
-    def _box_energy(self, t, u, z) -> float:
-        if not self.in_box(z):
-            return INF
-        return float(self.reduced_vec(t, np.asarray(z, dtype=float)[None])[0])
+    def _box_energy(self, t, U, Z) -> NDArray:
+        Z = np.asarray(Z, dtype=float)
+        return np.where(self.inside(Z), self.reduced_vec(t, Z), INF)
 
     def with_correction(self, spec: Optional[CorrectionSpec]) -> "RisProblem":
         """Copy of the problem using the correction described by ``spec``."""

@@ -8,6 +8,7 @@ u-elimination, so reduced energies are exact up to rounding.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
@@ -79,8 +80,8 @@ def make_toy1d(spec: Toy1dSpec) -> RisProblem:
         b, w = spec.b, spec.w
         W = lambda z: b * (z * z - w * w) ** 2 / w ** 4
 
-    def power(t, u, z):
-        return -dell(t) * float(z[0])
+    def power(t, U, Z):
+        return -dell(t) * np.asarray(Z, dtype=float)[..., 0]
 
     def dissipation(z, zp):
         return kappa * np.abs(_step(z, zp))
@@ -125,8 +126,11 @@ def make_plasticity0d(spec: Plasticity0dSpec) -> RisProblem:
     eps, deps = _affine(spec.eps)
     C, sy = spec.C, spec.sigma_y
 
-    def power(t, u, z):
-        return C * (eps(t) - float(z[0])) * deps(t)
+    def sigma(t, Z):
+        return C * (eps(t) - np.asarray(Z, dtype=float)[..., 0])
+
+    def power(t, U, Z):
+        return sigma(t, Z) * deps(t)
 
     def dissipation(z, zp):
         return sy * np.abs(_step(z, zp))
@@ -144,7 +148,7 @@ def make_plasticity0d(spec: Plasticity0dSpec) -> RisProblem:
         reduced_vec=reduced_vec,
         name="plasticity0d",
         extras={
-            "sigma": lambda t, z: C * (eps(t) - float(z[0])),
+            "sigma": sigma,
             "sigma_y": sy,
             "C": C,
             "eps": eps,
@@ -208,9 +212,10 @@ def make_damage1d(spec: Damage1dSpec) -> RisProblem:
     # a cell-major batch, as the step search builds, gives contiguous planes,
     # and no (N,) vector broadcasts over the rows.  Every sum over cells
     # starts from zeros and adds cell 0, cell 1, ... in order, so a batch
-    # in either layout and a single state get the same bits.  Each map
-    # computes in place, in buffers of the batch's shape that it allocates
-    # (0-d for a single state), in the order of the written formula.
+    # in either layout and a single state get the same bits.  The maps of
+    # the step search compute in place, in buffers of the batch's shape
+    # that they allocate (0-d for a single state), in the order of the
+    # written formula.
 
     def stiff(Z) -> list:
         """The stiffness (eta + (1 - eta) z_i) E0_i of each cell, a plane per
@@ -235,26 +240,34 @@ def make_damage1d(spec: Damage1dSpec) -> RisProblem:
         total /= r * h ** (r - 1)
         return total
 
-    def energy(t, u, z):
-        if np.any(z < -1e-12) or np.any(z > 1.0 + 1e-12):
-            return INF
-        nodes = np.concatenate([[0.0], np.asarray(u, float), [wD(t)]])
-        z = np.asarray(z, float)
-        el = 0.5 * float(np.sum(np.array(stiff(z)) * np.diff(nodes) ** 2)) / h
-        # a batch of one: numpy's scalar power can differ from its array
-        # power in the last bit
-        return el + float(grad_term(z[None])[0])
+    def node(t, U, i):
+        """Node i of the bar: 0 at the clamp, u_i inside, w_D(t) at the end."""
+        return 0.0 if i == 0 else wD(t) if i == N else U[..., i - 1]
 
-    def solve_u(t, z):
-        # series springs: strain splits inversely to stiffness
-        comp = h / np.array(stiff(np.asarray(z, float)))
-        return wD(t) * np.cumsum(comp)[:-1] / np.sum(comp)
+    def energy(t, U, Z):
+        """sum_i k_i (u_{i+1} - u_i)^2 / (2 h) plus the gradient term, and
+        +infinity off the box [0, 1]^N."""
+        U, Z = np.asarray(U, dtype=float), np.asarray(Z, dtype=float)
+        el = 0.0
+        for i, k in enumerate(stiff(Z)):
+            el = el + k * np.square(node(t, U, i + 1) - node(t, U, i))
+        inside = np.logical_and.reduce((Z >= -1e-12) & (Z <= 1.0 + 1e-12), axis=-1)
+        return np.where(inside, 0.5 * el / h + grad_term(Z), INF)
 
-    def power(t, u, z):
+    def solve_u(t, Z):
+        """Series springs: the strain splits inversely to stiffness, so u_i
+        is w_D(t) times the compliance of cells 0..i-1 over the total."""
+        w = wD(t)
+        comp = list(itertools.accumulate(h / k for k in stiff(np.asarray(Z, dtype=float))))
+        U = np.empty(np.broadcast_shapes(np.shape(w), np.shape(comp[0])) + (N - 1,))
+        for i in range(N - 1):
+            U[..., i] = w * comp[i] / comp[-1]
+        return U
+
+    def power(t, U, Z):
         # only the boundary cell touches the imposed displacement
-        nodes = np.concatenate([[0.0], np.asarray(u, float), [wD(t)]])
-        kN = stiff(np.asarray(z, float))[-1]
-        return kN * (nodes[-1] - nodes[-2]) / h * dwD(t)
+        U, kN = np.asarray(U, dtype=float), stiff(np.asarray(Z, dtype=float))[-1]
+        return (node(t, U, N) - node(t, U, N - 1)) * kN / h * dwD(t)
 
     def dissipation(z, zp):
         """sum_i kappa_i |zp_i - z_i|, +infinity if a cell heals."""
@@ -294,7 +307,7 @@ def make_damage1d(spec: Damage1dSpec) -> RisProblem:
         z_box=tuple((0.0, 1.0) for _ in range(N)),
         horizon=spec.horizon,
         unidirectional=True,
-        solve_u=solve_u if N > 1 else None,
+        solve_u=solve_u,
         reduced_vec=reduced_vec,
         name="damage1d",
         extras={"h": h, "eta": eta, "E0": E0, "kappa": kap, "w_D": wD},
@@ -344,39 +357,40 @@ def make_delamination0d(
     ztol = spec.z_tol
     ks = km * kp / (km + kp)
 
-    def gap(u):
-        return float(u[1]) - float(u[0])
+    def gap(U):
+        U = np.asarray(U, dtype=float)
+        return U[..., 1] - U[..., 0]
 
-    def energy(t, u, z):
-        zz = float(z[0])
-        if zz < -1e-12 or zz > 1.0 + 1e-12:
-            return INF
-        g = gap(u)
-        if g < -1e-10:
-            return INF  # nonpenetration
-        e = 0.5 * km * float(u[0]) ** 2 + 0.5 * kp * (ell(t) - float(u[1])) ** 2
-        e -= a0 * zz
+    def energy(t, U, Z):
+        U, zz = np.asarray(U, dtype=float), np.asarray(Z, dtype=float)[..., 0]
+        g = gap(U)
+        e = 0.5 * km * U[..., 0] ** 2 + 0.5 * kp * (ell(t) - U[..., 1]) ** 2
+        e = e - a0 * zz
+        # off the box, and a penetrating gap (nonpenetration), cost +infinity
+        bad = (zz < -1e-12) | (zz > 1.0 + 1e-12) | (g < -1e-10)
         if brittle:
-            if zz > ztol and abs(g) > 1e-10:
-                return INF
-            return e
-        return e + 0.5 * k * zz * g * g
+            bad |= (zz > ztol) & (np.abs(g) > 1e-10)  # an open gap while bonded
+        else:
+            e = e + 0.5 * k * zz * g * g
+        return np.where(bad, INF, e)
 
-    def solve_u(t, z):
-        zz = float(z[0])
-        L = ell(t)
-        if brittle and zz > ztol:
-            u = kp * L / (km + kp)
-            return np.array([u, u])
-        if brittle or k * zz <= 1e-300:
-            return np.array([0.0, L])
-        keff = 1.0 / (1.0 / km + 1.0 / (k * zz) + 1.0 / kp)
-        u1 = keff * L / km
-        u2 = L - keff * L / kp
-        return np.array([u1, u2])
+    def solve_u(t, Z):
+        zz, L = np.asarray(Z, dtype=float)[..., 0], ell(t)
+        if brittle:
+            # bonded, both springs stretch as one series spring
+            bonded, u1 = zz > ztol, kp * L / (km + kp)
+            u2 = u1
+        else:
+            kz = k * zz
+            bonded = kz > 1e-300
+            keff = 1.0 / (1.0 / km + 1.0 / np.maximum(kz, 1e-300) + 1.0 / kp)
+            u1, u2 = keff * L / km, L - keff * L / kp
+        # debonded, the springs part: u = (0, ell(t))
+        U = np.where(bonded, u1, 0.0), np.where(bonded, u2, L)
+        return np.stack(np.broadcast_arrays(*U), axis=-1)
 
-    def power(t, u, z):
-        return kp * (ell(t) - float(u[1])) * dell(t)
+    def power(t, U, Z):
+        return kp * (ell(t) - np.asarray(U, dtype=float)[..., 1]) * dell(t)
 
     def dissipation(z, zp):
         dz = _step(z, zp)

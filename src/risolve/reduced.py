@@ -1,5 +1,8 @@
 """Reduced energy I(t, z) = min_u E(t, u, z) and global minimization backends.
 
+The u-elimination is the problem's own: ``reduced_vec`` gives I and
+``solve_u`` a minimizing u, both broadcasting maps; this module searches z.
+
 Two engines coexist on purpose: a brute-force grid oracle (exhaustive,
 certifiable, slow) and the production path.  Tests pit one against the other.
 
@@ -31,7 +34,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -42,7 +45,6 @@ __all__ = [
     "MinResult",
     "GRID_RESOLUTION",
     "oracle_grid_min",
-    "reduce_energy",
     "reduced_value",
     "global_min_rows",
     "chunk_rows",
@@ -71,7 +73,6 @@ class MinResult:
     argmin: NDArray[np.float64]
     value: float
     tolerance: float
-    u: Optional[NDArray[np.float64]] = None
 
 
 def oracle_grid_min(
@@ -116,23 +117,12 @@ def oracle_grid_min(
 
 
 # ---------------------------------------------------------------------------
-# u-elimination
-
-
-def reduce_energy(problem: RisProblem, t: float, z) -> MinResult:
-    """I(t, z) with a minimizing u from the problem's ``solve_u``."""
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    if not problem.in_box(z):
-        return MinResult(np.empty(0), INF, 0.0, u=None)
-    v = float(problem.reduced_vec(t, z[None])[0])
-    if problem.n_u == 0:
-        return MinResult(z, v, 0.0, u=np.empty(0))
-    u = np.asarray(problem.solve_u(t, z), float)
-    return MinResult(z, v, 1e-12, u=u)
+# reduced energy
 
 
 def reduced_value(problem: RisProblem, t: float, z) -> float:
-    """Cheap I(t, z): value only, no MinResult allocation."""
+    """I(t, z) of one state: +infinity off the box.  A minimizing u is the
+    problem's ``solve_u(t, z)``."""
     z = np.atleast_1d(np.asarray(z, dtype=float))
     if not problem.in_box(z):
         return INF

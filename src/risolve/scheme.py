@@ -26,7 +26,7 @@ from .core import (
     median,
     sup_distance,
 )
-from .reduced import chunk_rows, global_min_rows, reduce_energy
+from .reduced import chunk_rows, global_min_rows, reduced_value
 
 __all__ = [
     "SchemeConfig",
@@ -127,6 +127,9 @@ class _Run:
 
     def __init__(self, prob: RisProblem, cfg: SchemeConfig):
         t0, t1 = cfg.t_span if cfg.t_span is not None else (0.0, prob.horizon)
+        if not 0.0 <= t0 < t1 <= prob.horizon:  # also true for a nan
+            raise ValueError(f"t_span = ({t0:g}, {t1:g}) must satisfy "
+                             f"0 <= t0 < t1 <= {prob.horizon:g}, the model's horizon")
         n_steps = max(1, round((t1 - t0) / cfg.tau))
         times = t0 + cfg.tau * np.arange(n_steps + 1)
         if abs(times[-1] - t1) > 1e-9:
@@ -136,15 +139,11 @@ class _Run:
             )
         times[-1] = t1
         z = prob.clip(np.asarray(cfg.initial_z, dtype=float))
-        r0 = reduce_energy(prob, times[0], z)
-        if not math.isfinite(r0.value):
+        if not math.isfinite(reduced_value(prob, times[0], z)):
             raise ValueError("initial state has infinite energy")
         self.prob, self.cfg, self.times, self.z = prob, cfg, times, z
         self.Z = np.empty((n_steps + 1, prob.n_z))  # the node states
-        self.U = np.empty((n_steps + 1, prob.n_u))  # and their u
-        self.Z[0], self.U[0] = z, r0.u
-        if not np.isfinite(self.U[0]).all():
-            raise ValueError("state entries must be finite")
+        self.Z[0] = z
         self.vals = np.empty(n_steps)
         self.cap = chunk_rows(prob.n_z)
         self.n, self.k = 1, 1
@@ -154,8 +153,7 @@ class _Run:
         ts = self.times[self.n : self.n + self.k]
         Z = np.empty((len(ts), len(self.z)))
         Z[:] = self.z
-        self.block = ts, Z
-        return self.block
+        return ts, Z
 
     def failed(self, exc: Exception) -> None:
         """The block's own search raised ``exc``: raise it for a block of
@@ -171,34 +169,33 @@ class _Run:
         block's minimizers ``X`` and values ``V``; the trajectory once the
         last step is kept."""
         prob, z = self.prob, self.z
-        ts = self.block[0]
         # keep up to the first row whose argmin leaves the bytes of z
         diff = (X.view(np.int64) != z.view(np.int64)).ravel()
         first = int(diff.argmax())
         moved = bool(diff[first])
-        m = first // prob.n_z + 1 if moved else len(ts)
-        X, ts = X[:m], ts[:m]
+        m = first // prob.n_z + 1 if moved else len(X)
+        X = X[:m]
         self.vals[self.n - 1 : self.n - 1 + m] = V[:m]
         self.Z[self.n : self.n + m] = X
-        U = self.U[self.n : self.n + m]
-        if prob.n_u:
-            U[:] = [prob.solve_u(t, x) for t, x in zip(ts, X)]
-        if not (np.isfinite(X).all() and np.isfinite(U).all()):
+        if not np.isfinite(X).all():
             raise ValueError("state entries must be finite")
         self.z = X[-1]
         self.n += m
         self.k = 1 if moved else min(2 * self.k, self.cap)
         if self.n < len(self.times):
             return None
-        # every step priced at once: the maps act elementwise, so each step
-        # gets the bits it gets in a block of its own
+        # every node and step priced at once: the maps act elementwise, so
+        # each gets the bits it gets alone
+        U = prob.solve_u(self.times, self.Z)
+        if not np.isfinite(U).all():
+            raise ValueError("state entries must be finite")
         Z_from, Z_to = self.Z[:-1], self.Z[1:]
         d = prob.dissipation(Z_from, Z_to)
         gain = prob.reduced_vec(self.times[1:], Z_from) - self.vals
         return DiscreteTrajectory(
             times=self.times,
             Z=self.Z,
-            U=self.U,
+            U=U,
             step_values=self.vals,
             step_diss=d,
             step_corr=prob.correction(Z_from, Z_to, d),

@@ -19,7 +19,7 @@ from numpy.typing import NDArray
 from . import models
 from .core import RisProblem, Trajectory, is_finite, sup_distance, unique
 from .jump import DP_RESOLUTION, JumpCosts, augmented_variation, jump_cost
-from .reduced import reduce_energy, reduced_value
+from .reduced import reduced_value
 from .scheme import (
     DiscreteTrajectory,
     SchemeConfig,
@@ -93,17 +93,14 @@ def _probe_times(traj: Trajectory, count: int) -> NDArray:
     return unique(np.concatenate([np.linspace(t0, t1, count), traj.times]))
 
 
-def _in_jump_window(traj: Trajectory, t: float) -> bool:
+def _in_jump_window(traj: Trajectory, ts: NDArray) -> NDArray[np.bool_]:
+    """Per time of ``ts``, whether it lies in the window (t - tau, t_end)
+    of a jump record, shifted by 1e-12, where stability is not due."""
     tau = float(traj.meta.get("tau", 0.0))
-    for rec in traj.jump_records:
-        if rec.t - tau - 1e-12 < t < rec.t_end - 1e-12:
-            return True
-    return False
-
-
-def _stable_probes(traj: Trajectory, probes: NDArray) -> list[float]:
-    """The probe times outside every jump window, where stability is due."""
-    return [float(t) for t in probes if not _in_jump_window(traj, float(t))]
+    lo = np.array([rec.t - tau - 1e-12 for rec in traj.jump_records])
+    hi = np.array([rec.t_end - 1e-12 for rec in traj.jump_records])
+    ts = np.asarray(ts, dtype=float)[:, None]
+    return ((lo < ts) & (ts < hi)).any(axis=1)
 
 
 def _power_integral(problem: RisProblem, traj: Trajectory | DiscreteTrajectory) -> float:
@@ -113,16 +110,12 @@ def _power_integral(problem: RisProblem, traj: Trajectory | DiscreteTrajectory) 
     and u re-equilibrated at the midpoint, matching the envelope formula for
     the reduced power.
     """
+    t = traj.times
+    tm, Z = 0.5 * (t[:-1] + t[1:]), traj.Z[:-1]
     total = 0.0
-    for n in range(1, len(traj.times)):
-        a, b = float(traj.times[n - 1]), float(traj.times[n])
-        tm = 0.5 * (a + b)
-        z = traj.Z[n - 1]
-        if problem.n_u == 0:
-            u = np.empty(0)
-        else:
-            u = problem.solve_u(tm, z)
-        total += (b - a) * problem.power(tm, u, z)
+    # left to right from 0.0: from Python 3.12, sum() of floats compensates
+    for term in (np.diff(t) * problem.power(tm, problem.solve_u(tm, Z), Z)).tolist():
+        total += term
     return total
 
 
@@ -194,18 +187,16 @@ def _certify(
 ) -> Certificate:
     memo = use_memo(memo, problem)
     probes = _probe_times(traj, tol.probe_count)
-    minim = 0.0
-    stab = 0.0
-    if problem.n_u > 0:
-        # each stored u must attain the reduced energy at its own node time;
-        # off-node probes would penalize the piecewise-constant interpolant
-        # for load movement instead
-        for t, u, z in zip(traj.times.tolist(), traj.U, traj.Z):
-            e_here = problem.energy(t, u, z)
-            i_here = reduced_value(problem, t, z)
-            minim = max(minim, abs(e_here - i_here))
-    ts = _stable_probes(traj, probes)
-    stab = max([stab, *memo.fill(ts, traj.Z[traj.nodes_at(ts)])])
+    # each stored u must attain the reduced energy at its own node time, a
+    # node of finite I(t, z); off-node probes would penalize the
+    # piecewise-constant interpolant for load movement instead
+    inside = problem.inside(traj.Z)
+    t, U, Z = traj.times[inside], traj.U[inside], traj.Z[inside]
+    I = problem.reduced_vec(t, Z)
+    due = np.isfinite(I)
+    minim = float(np.abs(problem.energy(t[due], U[due], Z[due]) - I[due]).max(initial=0.0))
+    ts = probes[~_in_jump_window(traj, probes)]
+    stab = max([0.0, *memo.fill(ts, traj.Z[traj.nodes_at(ts)])])
     e0 = reduced_value(problem, float(traj.times[0]), traj.Z[0])
     eT = reduced_value(problem, float(traj.times[-1]), traj.Z[-1])
     if augmented:
@@ -286,7 +277,8 @@ def ve_equals_e(
     sliding jump (cost equals dissipation)."""
     tol = tol or TolConfig()
     plain = problem.with_correction(None)
-    ts = _stable_probes(traj, _probe_times(traj, tol.probe_count))
+    probes = _probe_times(traj, tol.probe_count)
+    ts = probes[~_in_jump_window(traj, probes)]
     residuals = ResidualMemo(plain).fill(ts, traj.Z[traj.nodes_at(ts)])
     stab = max([0.0, *residuals])
     max_dc = 0.0
@@ -333,21 +325,14 @@ def plasticity_stress_check(
     sigma_y = problem.extras.get("sigma_y")
     if sigma is None or sigma_y is None:
         raise ValueError("problem does not expose a stress map")
-    probes = [float(t) for t in _probe_times(traj, probe_count)]
+    probes = _probe_times(traj, probe_count)
     Z = traj.Z[traj.nodes_at(probes)]
-    stress = [abs(float(sigma(t, z))) for t, z in zip(probes, Z)]
-    worst = max([0.0, *stress])
-    check_every = max(1, len(probes) // 16)
-    picked = [
-        i for i in range(0, len(probes), check_every)
-        if not _in_jump_window(traj, probes[i])
-    ]
-    residuals = ResidualMemo(problem.with_correction(None)).fill(
-        [probes[i] for i in picked], Z[picked]
-    )
-    agree = all(
-        (r <= 1e-6) == (stress[i] <= sigma_y + 1e-5) for i, r in zip(picked, residuals)
-    )
+    stress = np.abs(sigma(probes, Z))
+    worst = float(stress.max(initial=0.0))
+    picked = np.arange(0, len(probes), max(1, len(probes) // 16))
+    picked = picked[~_in_jump_window(traj, probes[picked])]
+    residuals = ResidualMemo(problem.with_correction(None)).fill(probes[picked], Z[picked])
+    agree = np.array_equal(np.array(residuals) <= 1e-6, stress[picked] <= sigma_y + 1e-5)
     return StressCheckReport(
         passed=worst <= sigma_y + tol,
         max_abs_stress=worst,
@@ -382,7 +367,8 @@ def gamma_limit_study(
     disc_b = solve_incremental(brittle, scheme_cfg)
     traj_b = interpolate(disc_b)
     probes = np.linspace(float(traj_b.times[0]), float(traj_b.times[-1]), probe_count)
-    Z_b = traj_b.Z[traj_b.nodes_at(probes)]
+    # the scheme's nodes lie in the box, where I is reduced_vec
+    I_b = brittle.reduced_vec(probes, traj_b.Z[traj_b.nodes_at(probes)])
 
     violations, dists, egaps, trajs = [], [], [], []
     for k in ks:
@@ -390,16 +376,11 @@ def gamma_limit_study(
         disc = solve_incremental(adh, scheme_cfg)
         traj = interpolate(disc)
         trajs.append(traj)
-        viol = 0.0
-        egap = 0.0
-        gap_of = adh.extras["gap"]
-        for t, z, z_b in zip(probes.tolist(), traj.Z[traj.nodes_at(probes)], Z_b):
-            r = reduce_energy(adh, t, z)
-            viol = max(viol, float(z[0]) * gap_of(r.u) ** 2)
-            egap = max(egap, abs(r.value - reduced_value(brittle, t, z_b)))
-        violations.append(viol)
+        Z = traj.Z[traj.nodes_at(probes)]
+        gap = adh.extras["gap"](adh.solve_u(probes, Z))
+        violations.append(float((Z[:, 0] * gap**2).max(initial=0.0)))
         dists.append(sup_distance(traj, traj_b, probes))
-        egaps.append(egap)
+        egaps.append(float(np.abs(adh.reduced_vec(probes, Z) - I_b).max(initial=0.0)))
 
     # recovery-sequence probe: rescaling a brittle competitor by z_k/z must
     # asymptotically not beat the brittle residual from below

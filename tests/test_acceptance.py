@@ -25,7 +25,6 @@ from risolve import (
     jump_cost,
     oracle_grid_min,
     plasticity_stress_check,
-    reduce_energy,
     reduced_value,
     refine_study,
     residual_stability,
@@ -382,7 +381,7 @@ class TestCoreInvariantSuite:
                 t = 0.5 * prob.horizon
                 if not is_finite(reduced_value(prob, t, z)):
                     continue
-                u = reduce_energy(prob, t, z).u
+                u = prob.solve_u(t, z)
                 p = prob.power(t, u, z)
                 fd = (prob.energy(t + dt, u, z) - prob.energy(t - dt, u, z)) / (2 * dt)
                 assert abs(p - fd) <= 1e-5 * (1.0 + abs(p))

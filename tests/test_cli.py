@@ -204,6 +204,19 @@ class TestLoadConfig:
         assert "does not divide" in capsys.readouterr().err
         assert not (out / "toy_trajectory.csv").exists()
 
+    @pytest.mark.parametrize("span", ["0, 3", "1, 0", "0.5, 0.5"])
+    def test_t_span_outside_the_horizon_fails_loudly(self, tmp_path, capsys, span):
+        # toy_convex.ini has horizon 1: no certificate of [0, 3], and an
+        # empty or reversed span names t_span, not tau
+        p = tmp_path / "bad.ini"
+        text = (CONFIG_DIR / "toy_convex.ini").read_text()
+        p.write_text(text.replace("[scheme]\n", f"[scheme]\nt_span = {span}\n"))
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(p), "--out-dir", str(out)]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert "t_span" in err and "does not divide" not in err
+        assert not (out / "toy_convex_trajectory.csv").exists()
+
     def test_missing_file(self, tmp_path):
         assert main(["solve", "--config", str(tmp_path / "nope.ini")]) == EXIT_ERROR
 
@@ -355,6 +368,23 @@ class TestSolveAndVerify:
         err = capsys.readouterr().err
         assert "z_1 is not finite" in err and f"t = {float(parts[0])!r}" in err
         with pytest.raises(ConfigError, match="z_1 is not finite"):
+            read_trajectory_csv(csv, load_config(toy_cfg).problem)
+
+    def test_non_numeric_entry_names_its_row_and_column(self, toy_cfg, tmp_path, capsys):
+        out = tmp_path / "out"
+        main(["solve", "--config", str(toy_cfg), "--out-dir", str(out)])
+        csv = out / "toy_trajectory.csv"
+        lines = csv.read_text().splitlines()
+        parts = lines[7].split(",")  # node 5, t = 0.1
+        parts[-3] = "abc"  # cum_var_d
+        lines[7] = ",".join(parts)
+        csv.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["verify", "--config", str(toy_cfg), str(csv)]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert "cum_var_d is not a number, got 'abc'" in err
+        assert f"t = {parts[0]} (node 5)" in err
+        with pytest.raises(ConfigError, match="cum_var_d is not a number"):
             read_trajectory_csv(csv, load_config(toy_cfg).problem)
 
     def test_empty_trajectory_rejected(self, toy_cfg, tmp_path):
@@ -584,7 +614,7 @@ def test_shipped_delamination_csv_has_no_negative_zero(counted_delam_solve):
 
 @pytest.mark.parametrize("config", ["plasticity0d.ini", "toy_convex.ini"])
 def test_csv_energies_are_the_node_energies(config, tmp_path):
-    # one reduced_vec call prices every node with the bits of prob.energy
+    # one energy call prices every node with the bits of its own call
     run = load_config(CONFIG_DIR / config)
     disc = solve_incremental(run.problem, run.scheme)
     write_trajectory_csv(tmp_path / "t.csv", disc)

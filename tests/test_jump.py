@@ -38,7 +38,7 @@ def _quadratic_problem(correction=None):
         n_u=0,
         n_z=1,
         reduced_vec=lambda t, Z: 0.5 * Z[..., 0] ** 2,
-        power=lambda t, u, z: 0.0,
+        power=lambda t, U, Z: np.zeros(np.shape(Z)[:-1]),
         dissipation=lambda z, zp: np.abs(np.asarray(zp)[..., 0] - np.asarray(z)[..., 0]),
         z_box=((-10.0, 10.0),),
     )

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from risolve import PowerLq, QuadraticMu, reduce_energy, reduced_value
+from risolve import PowerLq, QuadraticMu, reduced_value
 from risolve.core import INF
 from risolve.reduced import step_objective
 from risolve.models import (
@@ -143,15 +143,16 @@ class TestDamage1d:
 class TestDelamination0d:
     def test_brittle_bonded_energy_is_series_spring(self, delamination):
         # ks = km kp / (km + kp) = 2, L = 2t, bonded: ks L^2 / 2 - a0 z
-        t = 0.5
-        res = reduce_energy(delamination, t, np.array([1.0]))
-        assert res.value == pytest.approx(0.5 * 2.0 * 1.0 - 1.0)
-        assert res.u[0] == pytest.approx(res.u[1])  # gap closed
+        t, z = 0.5, np.array([1.0])
+        assert reduced_value(delamination, t, z) == pytest.approx(0.5 * 2.0 * 1.0 - 1.0)
+        u = delamination.solve_u(t, z)
+        assert u[0] == pytest.approx(u[1])  # gap closed
 
     def test_detached_energy(self, delamination):
-        res = reduce_energy(delamination, 0.5, np.array([0.0]))
-        assert res.value == pytest.approx(0.0)
-        assert res.u[1] - res.u[0] == pytest.approx(1.0)  # gap = ell
+        z = np.array([0.0])
+        assert reduced_value(delamination, 0.5, z) == pytest.approx(0.0)
+        u = delamination.solve_u(0.5, z)
+        assert u[1] - u[0] == pytest.approx(1.0)  # gap = ell
 
     def test_open_gap_with_bonding_is_infinite(self, delamination):
         assert delamination.energy(0.5, np.array([0.0, 1.0]), np.array([1.0])) == INF
@@ -225,7 +226,9 @@ _LAYOUT_MODELS = {
 def test_maps_are_layout_independent(name):
     """A (P, M, n_z) batch in C order, its cell-major copy (Z[..., j] one
     contiguous plane, as the step search builds it) and each state priced
-    alone give the same bits, in every map and in the step objective."""
+    alone give the same bits, in every map and in the step objective.  The
+    maps of u take the batch's own minimizing u, (P, M, n_u), cell-major
+    with the cell-major batch."""
     prob = _LAYOUT_MODELS[name]()
     P, M, n = 3, 6, prob.n_z
     rng = np.random.default_rng(23)
@@ -244,28 +247,50 @@ def test_maps_are_layout_independent(name):
     assert _bits(Zc).tobytes() == _bits(Z).tobytes()
 
     t_rows, zp_rows = ts[:, None], Zp[:, None, :]
+    U = prob.solve_u(t_rows, Z)
+    assert U.shape == (P, M, prob.n_u)
+    Uc = np.moveaxis(np.ascontiguousarray(np.moveaxis(U, -1, 0)), 0, -1)
+    # each map of (Z, U) over a batch, and of (p, z, u) for one state
     maps = {
         "reduced_vec": (
-            lambda X: prob.reduced_vec(t_rows, X),
-            lambda p, z: prob.reduced_vec(ts[p], z[None])[0],
+            lambda X, V: prob.reduced_vec(t_rows, X),
+            lambda p, z, u: prob.reduced_vec(ts[p], z[None])[0],
         ),
         "dissipation": (
-            lambda X: prob.dissipation(zp_rows, X),
-            lambda p, z: prob.dissipation(Zp[p], z),
+            lambda X, V: prob.dissipation(zp_rows, X),
+            lambda p, z, u: prob.dissipation(Zp[p], z),
         ),
         "correction": (
-            lambda X: prob.correction(zp_rows, X),
-            lambda p, z: prob.correction(Zp[p], z),
+            lambda X, V: prob.correction(zp_rows, X),
+            lambda p, z, u: prob.correction(Zp[p], z),
         ),
         "step_objective": (
-            lambda X: step_objective(prob, t_rows, zp_rows)(X),
-            lambda p, z: step_objective(prob, ts[p], Zp[p])(z[None])[0],
+            lambda X, V: step_objective(prob, t_rows, zp_rows)(X),
+            lambda p, z, u: step_objective(prob, ts[p], Zp[p])(z[None])[0],
+        ),
+        "solve_u": (
+            lambda X, V: prob.solve_u(t_rows, X),
+            lambda p, z, u: prob.solve_u(ts[p], z),
+        ),
+        "energy": (
+            lambda X, V: prob.energy(t_rows, V, X),
+            lambda p, z, u: prob.energy(ts[p], u, z),
+        ),
+        "power": (
+            lambda X, V: prob.power(t_rows, V, X),
+            lambda p, z, u: prob.power(ts[p], u, z),
         ),
     }
+    if "sigma" in prob.extras:
+        sigma = prob.extras["sigma"]
+        maps["sigma"] = (lambda X, V: sigma(t_rows, X), lambda p, z, u: sigma(ts[p], z))
+    if "gap" in prob.extras:
+        gap = prob.extras["gap"]
+        maps["gap"] = (lambda X, V: gap(V), lambda p, z, u: gap(u))
     for key, (batch, alone) in maps.items():
-        a, b = batch(Z), batch(Zc)
-        single = np.array([[alone(p, Z[p, m]) for m in range(M)] for p in range(P)])
-        assert a.shape == (P, M), key
+        a, b = batch(Z, U), batch(Zc, Uc)
+        single = np.array([[alone(p, Z[p, m], U[p, m]) for m in range(M)] for p in range(P)])
+        assert a.shape[:2] == (P, M) and a.shape == single.shape, key
         assert _bits(a).tobytes() == _bits(b).tobytes(), key
         assert _bits(a).tobytes() == _bits(single).tobytes(), key
     if prob.unidirectional:

@@ -17,7 +17,6 @@ from risolve import (
     RisProblem,
     global_min_rows,
     oracle_grid_min,
-    reduce_energy,
     reduced_value,
 )
 from risolve.core import INF
@@ -34,7 +33,7 @@ def _quadratic_problem(correction=None):
         n_u=0,
         n_z=1,
         reduced_vec=lambda t, Z: 0.5 * Z[..., 0] ** 2,
-        power=lambda t, u, z: 0.0,
+        power=lambda t, U, Z: np.zeros(np.shape(Z)[:-1]),
         dissipation=lambda z, zp: np.abs(np.asarray(zp)[..., 0] - np.asarray(z)[..., 0]),
         z_box=((-10.0, 10.0),),
     )
@@ -82,9 +81,8 @@ class TestOracleGridMin:
 class TestReduceEnergy:
     def test_toy_energy_direct(self, toy_convex):
         # E(0.5, z=1) = 0.5 - 1
-        res = reduce_energy(toy_convex, 0.5, [1.0])
-        assert res.value == pytest.approx(-0.5)
-        assert res.u.size == 0
+        assert reduced_value(toy_convex, 0.5, [1.0]) == pytest.approx(-0.5)
+        assert toy_convex.solve_u(0.5, np.array([1.0])).shape == (0,)
 
     def test_out_of_box_is_infinite(self, toy_convex):
         assert reduced_value(toy_convex, 0.5, [20.0]) == INF
@@ -95,8 +93,8 @@ class TestReduceEnergy:
         prob = make_damage1d(Damage1dSpec(N=4, w_D=(0.0, 1.0)))
         t = 0.5
         z = np.ones(4)
-        res = reduce_energy(prob, t, z)
-        assert res.value == pytest.approx(0.5 * 1.0 * 0.5**2)  # 1/2 E0 w^2
+        value, u = reduced_value(prob, t, z), prob.solve_u(t, z)
+        assert value == pytest.approx(0.5 * 1.0 * 0.5**2)  # 1/2 E0 w^2
         w = 0.5
         x = prob.extras
 
@@ -110,12 +108,11 @@ class TestReduceEnergy:
             return 0.5 * np.sum(k * np.diff(nodes, axis=1) ** 2, axis=1) / x["h"]
 
         U = np.random.default_rng(2).uniform(0.0, w, size=(200, 3))
-        scalar = np.array([prob.energy(t, u, z) for u in U])
-        assert np.allclose(energy(U), scalar, rtol=0.0, atol=1e-12)
+        assert np.allclose(energy(U), prob.energy(t, U, z), rtol=0.0, atol=1e-12)
         grid = oracle_grid_min(energy, [(0.0, w)] * 3, resolution=81, vectorized=True)
-        assert grid.value >= res.value - 1e-12
-        assert grid.value - res.value < 1e-3
-        assert np.allclose(res.u, grid.argmin, atol=2 * grid.tolerance)
+        assert grid.value >= value - 1e-12
+        assert grid.value - value < 1e-3
+        assert np.allclose(u, grid.argmin, atol=2 * grid.tolerance)
 
     def test_residual_stiffness_single_cell(self):
         prob = make_damage1d(Damage1dSpec(N=1, w_D=(0.0, 1.0)))

@@ -18,7 +18,7 @@ from risolve import (
     solve_lockstep,
 )
 from risolve import reduced, scheme
-from risolve.reduced import reduce_energy, reduced_value
+from risolve.reduced import reduced_value
 from risolve.scheme import detect_jumps, jump_onset
 from risolve.models import (
     Delamination0dSpec,
@@ -144,8 +144,7 @@ def _stepwise(problem, cfg):
     times = t0 + cfg.tau * np.arange(n_steps + 1)
     times[-1] = t1 if abs(times[-1] - t1) < 1e-9 else times[-1]
     z = prob.clip(np.asarray(cfg.initial_z, dtype=float))
-    r0 = reduce_energy(prob, times[0], z)
-    Z, U = [z], [r0.u if r0.u is not None else np.empty(0)]
+    Z, U = [z], [prob.solve_u(times[0], z)]
     vals, diss, corr, gains = (np.empty(n_steps) for _ in range(4))
     for n in range(1, n_steps + 1):
         t = times[n]
@@ -153,7 +152,7 @@ def _stepwise(problem, cfg):
         diss[n - 1] = prob.dissipation(z, z_new)
         corr[n - 1] = prob.correction(z, z_new)
         gains[n - 1] = max(0.0, reduced_value(prob, t, z) - vals[n - 1])
-        U.append(prob.solve_u(t, z_new) if prob.n_u else np.empty(0))
+        U.append(prob.solve_u(t, z_new))
         Z.append(z_new)
         z = z_new
     return times, np.array(Z), np.array(U), vals, diss, corr, gains
@@ -204,7 +203,7 @@ def _guarded_toy(t_forbid):
         n_u=0,
         n_z=1,
         reduced_vec=reduced_vec,
-        power=lambda t, u, z: -2.0 * float(z[0]),
+        power=lambda t, U, Z: -2.0 * np.asarray(Z)[..., 0],
         dissipation=lambda z, zp: np.abs(np.asarray(zp)[..., 0] - np.asarray(z)[..., 0]),
         z_box=((-10.0, 10.0),),
     )

@@ -24,7 +24,6 @@ from risolve import (
 )
 from risolve import jump, verify
 from risolve.models import Delamination0dSpec
-from risolve.reduced import reduce_energy
 
 
 @pytest.fixture
@@ -94,9 +93,9 @@ class TestJumpPricing:
         times = np.array([0.0, 0.25, 0.5, 0.75])
         n = problem.n_z
         zs = [np.ones(n), np.ones(n), np.asarray(z_inner, float), np.zeros(n)]
-        U = [reduce_energy(problem, t, z).u for t, z in zip(times, zs)]
+        Z = np.array(zs)
         rec = JumpRecord(t=0.5, z_left=zs[1], z_inner=zs[2], z_right=zs[3], t_end=0.75)
-        return Trajectory(times=times, Z=np.array(zs), U=np.array(U), jump_records=(rec,),
+        return Trajectory(times=times, Z=Z, U=problem.solve_u(times, Z), jump_records=(rec,),
                           meta={"tau": 0.25})
 
     @pytest.mark.parametrize(
