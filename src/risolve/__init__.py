@@ -40,10 +40,8 @@ from .jump import (
     CostBound,
     JumpChain,
     JumpCosts,
-    augmented_variation,
     incremental_cost,
     jump_cost,
-    transition_cost,
     viscous_chain,
 )
 from .verify import (

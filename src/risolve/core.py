@@ -317,10 +317,6 @@ class Trajectory:
         n = np.searchsorted(self.times, ts, side="left")
         return np.minimum(n, len(self.times) - 1)
 
-    @property
-    def n_nodes(self) -> int:
-        return len(self.times)
-
 
 def sup_distance(a: Trajectory, b: Trajectory, probes) -> float:
     """The largest Euclidean distance between the z of ``a`` and of ``b``

@@ -1,4 +1,4 @@
-"""Transition costs, viscous chains, jump cost bounds, augmented variation.
+"""Viscous chains, jump cost bounds and incremental costs Delta_c = c - d.
 
 The true jump cost is an infimum over curves on compact parameter sets; we
 search over pure-jump chains plus discretized sliding segments (optimal
@@ -30,7 +30,7 @@ from typing import Optional, Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from .core import INF, RisProblem, Trajectory, is_finite, unique
+from .core import INF, RisProblem, is_finite, unique
 from .reduced import chunk_rows
 from .stability import ResidualMemo, use_memo
 
@@ -38,11 +38,9 @@ __all__ = [
     "JumpChain",
     "CostBound",
     "JumpCosts",
-    "transition_cost",
     "viscous_chain",
     "jump_cost",
     "incremental_cost",
-    "augmented_variation",
 ]
 
 DP_RESOLUTION = 201  # DP grid points (n_z = 1)
@@ -113,21 +111,6 @@ def _build_chain(
         link_gap=link_gap,
         point_residual=tuple(pr),
     )
-
-
-def transition_cost(problem: RisProblem, t: float, chain: JumpChain) -> float:
-    """Evaluate a chain's cost, re-deriving every stored quantity."""
-    memo = ResidualMemo(problem)
-    fresh = _build_chain(problem, t, chain.points, chain.kinds, memo)
-    for got, exp, name in (
-        (fresh.link_diss, chain.link_diss, "link_diss"),
-        (fresh.link_gap, chain.link_gap, "link_gap"),
-        (fresh.point_residual, chain.point_residual, "point_residual"),
-    ):
-        for g, e in zip(got, exp):
-            if is_finite(g) != is_finite(e) or (is_finite(g) and abs(g - e) > 1e-9):
-                raise ValueError(f"inconsistent chain: stored {name} {e} != {g}")
-    return fresh.cost
 
 
 def viscous_chain(
@@ -378,27 +361,3 @@ def incremental_cost(
         return INF
     return max(bound.upper - d, 0.0)
 
-
-def augmented_variation(
-    problem: RisProblem,
-    traj: Trajectory,
-    t0: float,
-    t1: float,
-    costs: JumpCosts | None = None,
-) -> float:
-    """Var_{d,c} over [t0, t1]: step dissipations plus Delta_c at jumps.
-
-    Membership of a jump uses the half-open window (t0, t1], which makes
-    additivity across an interior split exact.  ``costs`` is a store for
-    ``problem`` to price the jumps from.
-    """
-    costs = _use_costs(costs, problem)
-    times, Z = traj.times[1:], traj.Z
-    steps = problem.dissipation(Z[:-1], Z[1:])
-    total = sum(steps[(t0 < times) & (times <= t1 + 1e-12)].tolist(), 0.0)
-    for rec in traj.jump_records:
-        if t0 < rec.t <= t1 + 1e-12:
-            total += incremental_cost(
-                problem, rec.t, rec.z_left, rec.z_right, costs
-            )
-    return total

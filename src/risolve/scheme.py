@@ -91,10 +91,6 @@ class DiscreteTrajectory:
     problem: RisProblem  # problem with the scheme's correction installed
     config: SchemeConfig
 
-    @property
-    def n_steps(self) -> int:
-        return len(self.times) - 1
-
     @cached_property
     def flags(self) -> NDArray[np.bool_]:
         """Per node, whether the step into it dissipates far more than the

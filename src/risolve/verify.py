@@ -5,6 +5,11 @@ corrected stability off jumps, and the energy-dissipation balance with the
 augmented variation — plus per-jump cost identities, the plain (uncorrected)
 variant, coincidence detection, the yield-surface check for the plasticity
 model, and the adhesive-to-brittle penalty-limit study.
+
+Every balance, the scheme's (``balance_residual``) and the certificate's,
+is |E(T) + Var - E(0) - W| with its own variation Var, priced by one
+function: W is the exact load work of the piecewise-constant z, telescoped
+from the reduced energy, so ``power`` plays no part in it.
 """
 
 from __future__ import annotations
@@ -17,8 +22,8 @@ import numpy as np
 from numpy.typing import NDArray
 
 from . import models
-from .core import RisProblem, Trajectory, is_finite, sup_distance, unique
-from .jump import DP_RESOLUTION, JumpCosts, augmented_variation, jump_cost
+from .core import INF, RisProblem, Trajectory, is_finite, sup_distance, unique
+from .jump import DP_RESOLUTION, JumpCosts, incremental_cost, jump_cost
 from .reduced import reduced_value
 from .scheme import (
     DiscreteTrajectory,
@@ -103,24 +108,31 @@ def _in_jump_window(traj: Trajectory, ts: NDArray) -> NDArray[np.bool_]:
     return ((lo < ts) & (ts < hi)).any(axis=1)
 
 
-def _power_integral(problem: RisProblem, traj: Trajectory | DiscreteTrajectory) -> float:
-    """Midpoint quadrature of the partial time derivative of the energy.
+def _balance(problem: RisProblem, traj: Trajectory | DiscreteTrajectory, var: float) -> float:
+    """|E(T) + var - E(0) - W| for the variation ``var`` of ``traj``.
 
-    On each interval the internal variable is frozen at its left node value
-    and u re-equilibrated at the midpoint, matching the envelope formula for
-    the reduced power.
+    W is the exact load work of the piecewise-constant z, telescoped over
+    the steps: W = sum_n [I(t_n, z_{n-1}) - I(t_{n-1}, z_{n-1})], from one
+    ``reduced_vec`` call at the nodes and one at each step's end time.  A
+    node off the box, or an infinite energy, makes the balance +infinity.
     """
-    t = traj.times
-    tm, Z = 0.5 * (t[:-1] + t[1:]), traj.Z[:-1]
-    total = 0.0
+    t, Z = traj.times, traj.Z
+    if not problem.inside(Z).all():
+        return INF
+    I_node = problem.reduced_vec(t, Z)  # I(t_n, z_n)
+    I_step = problem.reduced_vec(t[1:], Z[:-1])  # I(t_n, z_{n-1})
+    if not (np.isfinite(I_node).all() and np.isfinite(I_step).all()):
+        return INF
+    work = 0.0
     # left to right from 0.0: from Python 3.12, sum() of floats compensates
-    for term in (np.diff(t) * problem.power(tm, problem.solve_u(tm, Z), Z)).tolist():
-        total += term
-    return total
+    for term in (I_step - I_node[:-1]).tolist():
+        work += term
+    return abs(float(I_node[-1]) + var - float(I_node[0]) - work)
 
 
 def balance_residual(disc: DiscreteTrajectory) -> float:
-    """|E(T) + Var_{d,c}(0, T) - E(0) - integral of power| for a scheme run.
+    """|E(T) + Var_{d,c}(0, T) - E(0) - W| for a scheme run, W the exact
+    load work (see ``_balance``).
 
     The variation is assembled from the run's own step data: per-step d and
     delta everywhere, plus the recorded step gains over detected jump
@@ -128,13 +140,10 @@ def balance_residual(disc: DiscreteTrajectory) -> float:
     cost (links plus per-point residuals along the actual chain); re-pricing
     the chain at a single jump time would add time-alignment noise instead.
     """
-    problem = disc.problem
-    e0 = reduced_value(problem, float(disc.times[0]), disc.Z[0])
-    eT = reduced_value(problem, float(disc.times[-1]), disc.Z[-1])
     var = float(np.sum(disc.step_diss) + np.sum(disc.step_corr))
     for a, b in detect_jumps(disc):
         var += float(np.sum(disc.step_gain[a : b + 1]))
-    return abs(eT + var - e0 - _power_integral(problem, disc))
+    return _balance(disc.problem, disc, var)
 
 
 def _jump_checks(
@@ -197,19 +206,16 @@ def _certify(
     minim = float(np.abs(problem.energy(t[due], U[due], Z[due]) - I[due]).max(initial=0.0))
     ts = probes[~_in_jump_window(traj, probes)]
     stab = max([0.0, *memo.fill(ts, traj.Z[traj.nodes_at(ts)])])
-    e0 = reduced_value(problem, float(traj.times[0]), traj.Z[0])
-    eT = reduced_value(problem, float(traj.times[-1]), traj.Z[-1])
+    # the variation: d over the node steps, plus Delta_c at each jump when
+    # augmented (Var_{d,c})
+    var = sum(problem.dissipation(traj.Z[:-1], traj.Z[1:]).tolist())
     if augmented:
         # one store prices each jump for the variation and the jump checks,
         # from the residuals of the stability probes
         costs = JumpCosts(memo)
-        var = augmented_variation(
-            problem, traj, float(traj.times[0]), float(traj.times[-1]), costs
-        )
-    else:
-        Z = traj.Z
-        var = sum(problem.dissipation(Z[:-1], Z[1:]).tolist())
-    balance = abs(eT + var - e0 - _power_integral(problem, traj))
+        for rec in traj.jump_records:
+            var += incremental_cost(problem, rec.t, rec.z_left, rec.z_right, costs)
+    balance = _balance(problem, traj, var)
     jumps = _jump_checks(problem, traj, tol, costs) if augmented else ()
     verdict = {
         "minimality": minim <= tol.minimality_tol,

@@ -320,7 +320,7 @@ class TestSolveAndVerify:
         main(["solve", "--config", str(toy_cfg), "--out-dir", str(out)])
         run = load_config(toy_cfg)
         traj = read_trajectory_csv(out / "toy_trajectory.csv", run.problem)
-        assert traj.n_nodes == 51
+        assert len(traj.times) == 51
         zs = traj.Z[:, 0]
         exact = np.maximum(2 * traj.times - 1.0, 0.0)
         assert np.max(np.abs(zs - exact)) <= 5 * 0.02
@@ -400,7 +400,7 @@ class TestSolveAndVerify:
         assert main(["solve", "--config", str(p), "--out-dir", str(out)]) == EXIT_PASS
         run = load_config(p)
         traj = read_trajectory_csv(out / "toy_trajectory.csv", run.problem)
-        assert traj.Z[:, 0] == pytest.approx(np.full(traj.n_nodes, 0.3))
+        assert traj.Z[:, 0] == pytest.approx(np.full(len(traj.times), 0.3))
 
 
 class TestSweep:

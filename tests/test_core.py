@@ -123,7 +123,7 @@ class TestTrajectory:
         ts = np.array([-1.0, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0])
         assert traj.nodes_at(ts).tolist() == [0, 0, 1, 1, 2, 2, 2]
         assert traj.Z[traj.nodes_at(ts), 0].tolist() == [0.0, 0.0, 1.0, 1.0, 2.0, 2.0, 2.0]
-        assert traj.n_nodes == 3
+        assert len(traj.times) == 3
 
     def test_node_entries_must_be_finite(self):
         times = np.array([0.0, 1.0])

@@ -37,6 +37,15 @@ def test_digests_every_output_of_one_config(tmp_path, capsys):
         "delamination0d.ini jumpcost stdout rc=0",
         "delamination0d.ini jumpcost delamination0d_jumpcost.txt",
         "delamination0d.ini jumpcost delamination0d_jumpcost_chain.csv",
+        "delamination0d.ini solve E stdout rc=0",
+        "delamination0d.ini solve E delamination0d_E_certificate.txt",
+        "delamination0d.ini solve E delamination0d_E_trajectory.csv",
+        "delamination0d.ini verify E stdout rc=0",
+        "delamination0d.ini verify E delamination0d_E_verify_certificate.txt",
+        "delamination0d.ini sweep epsilon stdout rc=0",
+        "delamination0d.ini sweep epsilon delamination0d_sweep_epsilon.csv",
+        "delamination0d.ini sweep mu stdout rc=0",
+        "delamination0d.ini sweep mu delamination0d_sweep_mu.csv",
     ]
     # the digests are of the bytes the command line writes, and no
     # temporary path leaks into them

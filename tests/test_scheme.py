@@ -99,7 +99,7 @@ class TestSolveIncremental:
         disc = solve_incremental(
             prob, SchemeConfig(scheme="E", tau=0.1, initial_z=(0.3,))
         )
-        assert disc.Z[:, 0] == pytest.approx(np.full(disc.n_steps + 1, 0.3))
+        assert disc.Z[:, 0] == pytest.approx(np.full(len(disc.times), 0.3))
         assert np.all(disc.step_diss == 0.0)
         assert np.all(disc.step_gain == 0.0)
 
@@ -107,7 +107,7 @@ class TestSolveIncremental:
         disc = solve_incremental(
             toy_convex, SchemeConfig(scheme="E", tau=0.25, initial_z=(0.0,))
         )
-        assert disc.n_steps == 4
+        assert len(disc.times) - 1 == 4
         for arr in (disc.step_values, disc.step_diss, disc.step_corr, disc.step_gain):
             assert arr.shape == (4,)
 
@@ -121,7 +121,7 @@ class TestSolveIncremental:
         # 0.1 * 3 lands 5.6e-17 past t = 0.3, which the last node snaps to
         cfg = SchemeConfig(scheme="E", tau=0.1, t_span=(0.0, 0.3))
         disc = solve_incremental(toy_convex, cfg)
-        assert disc.n_steps == 3 and disc.times[-1] == 0.3
+        assert len(disc.times) - 1 == 3 and disc.times[-1] == 0.3
 
     def test_infinite_initial_energy_rejected(self, toy_convex):
         import dataclasses
@@ -257,7 +257,7 @@ class TestStationaryBlocks:
         cfg = SchemeConfig(scheme="E", tau=1e-3, initial_z=(0.3,))
         calls = _counted_rows(monkeypatch)
         disc = solve_incremental(prob, cfg)
-        n, cap = disc.n_steps, reduced.chunk_rows(1)
+        n, cap = len(disc.times) - 1, reduced.chunk_rows(1)
         # blocks double from one row up to cap, then take cap rows until
         # the steps run out: O(log n + n / cap) searches, not n
         blocks, left = [], n
@@ -374,7 +374,7 @@ class TestLockstep:
         calls = _counted_rows(monkeypatch)
         discs = solve_lockstep(runs)
         assert all((d.step_diss > 0).all() for d in discs)
-        steps = [d.n_steps for d in discs]
+        steps = [len(d.times) - 1 for d in discs]
         assert len(calls) < sum(steps)
         assert len(calls) == max(steps)  # one search a round
         assert max(rows for rows, _ in calls) == len(runs)

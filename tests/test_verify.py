@@ -9,6 +9,7 @@ from risolve import (
     CostBound,
     JumpRecord,
     QuadraticMu,
+    RisProblem,
     SchemeConfig,
     TolConfig,
     Trajectory,
@@ -56,6 +57,36 @@ class TestBalance:
             res.append(balance_residual(disc))
         assert res[1] < res[0]
 
+    @staticmethod
+    def _cubic_load(reduced_vec):
+        """A 1-d problem with load ell(t) = t^3 on the box [-10, 10]."""
+        return RisProblem(
+            n_u=0,
+            n_z=1,
+            reduced_vec=reduced_vec,
+            power=lambda t, U, Z: -3.0 * np.asarray(t) ** 2 * Z[..., 0],
+            dissipation=lambda Z, Zp: np.abs(Zp[..., 0] - Z[..., 0]),
+            z_box=[(-10.0, 10.0)],
+        )
+
+    def test_load_work_exact_for_cubic_load(self):
+        # I = z^2/2 - t^3 z with z frozen at 1: E(T) - E(0) is the load work
+        # -1, so the balance is rounding; a midpoint rule on 11 nodes is off
+        # by sum(dt^3)/4 = 2.5e-3
+        prob = self._cubic_load(lambda t, Z: 0.5 * Z[..., 0] ** 2 - np.asarray(t) ** 3 * Z[..., 0])
+        times = np.linspace(0.0, 1.0, 11)
+        Z = np.ones((11, 1))
+        traj = Trajectory(times=times, Z=Z, U=prob.solve_u(times, Z))
+        assert verify_E(prob, traj).balance_residual <= 1e-14
+
+    def test_node_off_box_is_infinite(self):
+        # sqrt(10 - z) warns past z = 10: the balance must not price I there
+        prob = self._cubic_load(lambda t, Z: np.sqrt(10.0 - Z[..., 0]) - np.asarray(t) ** 3)
+        times = np.linspace(0.0, 1.0, 3)
+        Z = np.array([[0.0], [20.0], [0.0]])
+        traj = Trajectory(times=times, Z=Z, U=prob.solve_u(times, Z))
+        assert verify._balance(prob, traj, 0.0) == np.inf
+
 
 class TestCertificates:
     def test_plain_scheme_certified(self, toy_convex, convex_run):
@@ -77,7 +108,7 @@ class TestCertificates:
         # re-bond a node far past the debonding time: at strong loading the
         # bonded state is no longer stable and the certificate must fail
         Z = traj.Z.copy()
-        Z[(3 * traj.n_nodes) // 4] = 1.0
+        Z[(3 * len(traj.times)) // 4] = 1.0
         forged = dataclasses.replace(traj, Z=Z)
         cert = verify_VE(prob, forged)
         assert not cert.passed

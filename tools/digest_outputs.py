@@ -8,8 +8,12 @@ perfbench workloads, so two checkouts can be compared byte for byte.
 Each config gets ``solve``, ``verify`` of the CSV it wrote, a ``sweep``
 over tau = 2 tau0, tau0 (tau0 the config's own) and a ``jumpcost`` at
 t = horizon from the config's ``initial_z`` to the last state of its solve
-CSV.  Each seed gets one round of every operation of the three perfbench
-workloads, built by ``perfbench/workloads.py`` (imported, never changed).
+CSV.  Then a copy of the config with ``scheme = E`` (outputs prefixed
+``<prefix>_E``) gets ``solve`` and ``verify``, and the config itself a BV
+``sweep`` over epsilon = 20 tau0, 40 tau0 (epsilon/tau >= 10, so the BV
+scheme does not warn) and a ``sweep`` over mu = 0.5, 2.0.  Each seed gets
+one round of every operation of the three perfbench workloads, built by
+``perfbench/workloads.py`` (imported, never changed).
 Every command runs through ``risolve.cli.main`` of the checkout this script
 sits in, with its outputs in a temporary directory.  One line per captured
 stdout (with the exit code) and per output file, after the command that
@@ -24,6 +28,7 @@ outputs: no difference means every CSV, certificate and stdout kept its bytes.
 from __future__ import annotations
 
 import argparse
+import configparser
 import contextlib
 import hashlib
 import io
@@ -83,6 +88,33 @@ def digest_config(cli_main, load_config, config: Path) -> None:
                 ["jumpcost", *base, "--t", repr(run.problem.horizon),
                  "--z-minus", ",".join(map(repr, run.scheme.initial_z)),
                  "--z-plus", ",".join(last)])
+        with tempfile.TemporaryDirectory() as cfg_dir:
+            config_e = Path(cfg_dir) / name
+            prefix_e = _write_e_config(config, config_e, run.prefix)
+            base_e = ["--config", str(config_e), "--out-dir", tmp]
+            dig.run(f"{name} solve E", ["solve", *base_e])
+            csv_e = out / f"{prefix_e}_trajectory.csv"
+            dig.run(f"{name} verify E", ["verify", *base_e, str(csv_e)])
+        dig.run(f"{name} sweep epsilon",
+                ["sweep", *base, "--axis", "epsilon",
+                 "--values", f"{20 * tau!r},{40 * tau!r}"])
+        dig.run(f"{name} sweep mu", ["sweep", *base, "--axis", "mu", "--values", "0.5,2.0"])
+
+
+def _write_e_config(config: Path, dest: Path, prefix: str) -> str:
+    """Write ``config`` with ``scheme = E`` and its outputs prefixed
+    ``<prefix>_E`` to ``dest``; return that prefix."""
+    cp = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#", ";"))
+    cp.optionxform = str
+    cp.read(config)
+    for section in ("scheme", "output"):
+        if not cp.has_section(section):
+            cp.add_section(section)
+    cp["scheme"]["scheme"] = "E"
+    cp["output"]["prefix"] = f"{prefix}_E"
+    with open(dest, "w") as fh:
+        cp.write(fh)
+    return f"{prefix}_E"
 
 
 def digest_workload(cli_main, build, name: str, seed: int) -> None:
