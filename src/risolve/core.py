@@ -262,7 +262,9 @@ class RisProblem:
         return np.logical_and.reduce((Z >= self._lo_tol) & (Z <= self._hi_tol), axis=-1)
 
     def in_box(self, z) -> bool:
-        return bool(self.inside(z).all())
+        """Whether every state of an (..., n_z) batch lies in the box."""
+        Z = np.asarray(z, dtype=float)
+        return bool(((Z >= self._lo_tol) & (Z <= self._hi_tol)).all())
 
     def clip(self, z) -> NDArray[np.float64]:
         return np.clip(_as_z(z), self._lo, self._hi)

@@ -145,10 +145,14 @@ def step_objective(problem: RisProblem, t, z_prev) -> Callable[[NDArray], NDArra
     search hands them cell-major batches.
     """
 
+    dissipation, reduced_vec, correction = (
+        problem.dissipation, problem.reduced_vec, problem.correction
+    )
+
     def f(pts):
-        d = problem.dissipation(z_prev, pts)
-        vals = problem.reduced_vec(t, pts) + d
-        vals += problem.correction(z_prev, pts, d)
+        d = dissipation(z_prev, pts)
+        vals = reduced_vec(t, pts) + d
+        vals += correction(z_prev, pts, d)
         vals[~np.isfinite(vals)] = INF
         return vals
 
@@ -234,33 +238,37 @@ def zoom_search(
     h = np.asarray(half_width, dtype=float)
     widest = h.max(axis=1).tolist()
     counts = {w: _level_count(w, tol) for w in set(widest)}
-    left = np.array([counts[w] for w in widest])  # each batch row's levels
+    ends = sorted(set(counts.values()))
+    # each objective row's levels, read when rows leave the batch
+    levels = np.array([counts[w] for w in widest]) if len(ends) > 1 else None
     # rows[i] is batch row i's objective row, dest[i] its row of the output
     # into_c/into_v (seen as P * k rows of one start once merged), which
     # takes its result when it stops
     rows = dest = np.arange(P)
     into_c, into_v, copies = out_c, out_v, None
     # the batch is kept as its buffer of n planes, (n, R, k, M), and the
-    # centres (n, R, k, 1), window offsets (n, R, 1, M) and boxes
-    # (n, R, 1, 1) broadcast against it.  _ZOOM_FACTOR is a power of two, so
+    # centres (n, R, k, 1) and window offsets (n, R, 1, M) broadcast
+    # against it; the boxes are copied to its shape once, so that a level
+    # clips without broadcasting.  _ZOOM_FACTOR is a power of two, so
     # scaling by it is exact: a level's offsets, the last level's times
     # _ZOOM_FACTOR, have the bits of offs times its half-width
     c = out_c.transpose(2, 0, 1)[..., None]
     step = offs.T[:, None, None, :] * h.T[:, :, None, None]
-    lo, hi = lo.T[:, :, None, None], hi.T[:, :, None, None]
     f = objective(slice(None))
     buf, pts, planes, first = _window_batch(P, k, offs)
-    ends = sorted(set(counts.values()))
+    box = np.empty((2, *buf.shape))
+    box[0], box[1] = lo.T[:, :, None, None], hi.T[:, :, None, None]
+    lo, hi = box
     level = 0
     for end in ends:
         if end > ends[0]:
             # the rows whose schedule ends at this level leave the batch
-            go = left >= end
+            go = levels[rows] >= end
             if level:
                 stop = ~go
                 into_c[dest[stop]] = c[..., 0][:, stop].transpose(1, 2, 0)
                 into_v[dest[stop]] = vals.reshape(-1)[best].reshape(-1, k)[stop]
-            rows, dest, left = rows[go], dest[go], left[go]
+            rows, dest = rows[go], dest[go]
             c, step, lo, hi = c[:, go], step[:, go], lo[:, go], hi[:, go]
             f = objective(rows)
             buf, pts, planes, first = _window_batch(len(rows), k, offs)
@@ -284,16 +292,17 @@ def zoom_search(
                     row, start = np.nonzero(~keep)
                     copies = dest[row] * k + start, dest[row] * k + same[row, start]
                     row, start = np.nonzero(keep)
-                    rows, dest, left = rows[row], dest[row] * k + start, left[row]
+                    rows, dest = rows[row], dest[row] * k + start
                     c, best = c[:, row, start, None], best.reshape(-1, k)[row, start]
-                    step, lo, hi, k = step[:, row], lo[:, row], hi[:, row], 1
+                    lo, hi = lo[:, row, start, None], hi[:, row, start, None]
+                    step, k = step[:, row], 1
                     f = objective(rows)
                     buf, pts, planes, first = _window_batch(len(rows), 1, offs)
     if not level:
         return out_c, out_v
     c, v = c[..., 0].transpose(1, 2, 0), vals.reshape(-1)[best].reshape(-1, k)
     if len(dest) == len(into_c):
-        return np.ascontiguousarray(c), v
+        return c, v
     into_c[dest], into_v[dest] = c, v
     if copies is not None:
         to, src = copies
@@ -398,35 +407,50 @@ def _grid_zoom(
     Z_prev: NDArray,
     lo: NDArray,
     hi: NDArray,
-) -> tuple[NDArray, ...]:
-    """Per row, the best ``_ZOOM_STARTS`` points of a grid of
-    ``GRID_RESOLUTION`` points per axis over the search box plus z_prev,
-    then their zoomed refinements: the (P, _ZOOM_STARTS, n) starts, their
-    values, and the same for the refinements.  ``objective`` gives the step
-    objective of a selection of rows, as ``zoom_search`` takes it."""
+) -> tuple[NDArray, NDArray]:
+    """Per row, the step's candidates and their values, (P, 1 + 2 k, n) and
+    (P, 1 + 2 k) for k = ``_ZOOM_STARTS``: staying at z_prev, the best k
+    points of a grid of ``GRID_RESOLUTION`` points per axis over the search
+    box plus z_prev, then their zoomed refinements.  ``objective`` gives
+    the step objective of a selection of rows, as ``zoom_search`` takes it.
+
+    z_prev itself, not the grid's clipped copy of it, is one more point of
+    its row's grid batch: the maps act elementwise, so its value has the
+    bits of a batch of its own, I(t, z_prev) + 0 + 0, and a state that
+    stays has a residual of exactly 0.  Raises ValueError, before the zoom,
+    when a row's staying value is infinite."""
     P, n = Z_prev.shape
     k = _ZOOM_STARTS
     spacing = (hi - lo) / (GRID_RESOLUTION - 1)
     axes = [_grid_axis(lo[:, j], hi[:, j], spacing[:, j], Z_prev[:, j]) for j in range(n)]
-    starts, start_vals = np.empty((P, k, n)), np.empty((P, k))
+    cands, vals = np.empty((P, 1 + 2 * k, n)), np.empty((P, 1 + 2 * k))
+    cands[:, 0] = Z_prev
     for rows, ax in _grid_groups(axes):
         R, shape = len(ax[0]), [a.shape[1] for a in ax]
-        # the "ij" mesh of the row's axes, cell-major: one plane per axis
-        mesh = np.empty((n, R, *shape))
+        M = math.prod(shape)
+        # the "ij" mesh of the row's axes, cell-major, one plane per axis,
+        # with z_prev after it: mesh is a view of the batch's buffer
+        buf = np.empty((n, R, M + 1))
+        mesh = buf[:, :, :M].reshape(n, R, *shape)
         for j, a in enumerate(ax):
             mesh[j] = a.reshape(-1, *(m if i == j else 1 for i, m in enumerate(shape)))
-        pts = mesh.transpose(*range(1, n + 2), 0).reshape(R, -1, n)
-        vals = objective(rows)(pts)
-        best = _first_k(vals, k)
+        buf[:, :, M] = Z_prev[rows].T
+        grid = objective(rows)(buf.transpose(1, 2, 0))
+        vals[rows, 0] = grid[:, M]
+        best = _first_k(grid[:, :M], k)
         if best.shape[1] < k:
             # a grid of fewer points repeats its last start; a repeated
             # candidate changes no choice
             best = best[:, np.minimum(np.arange(k), best.shape[1] - 1)]
-        best += np.arange(0, vals.size, vals.shape[1])[:, None]  # into a plane
-        starts[rows] = mesh.reshape(n, -1).take(best, axis=1).transpose(1, 2, 0)
-        start_vals[rows] = vals.reshape(-1).take(best)
-    centers, values = zoom_search(objective, starts, start_vals, spacing, lo, hi, DESCENT_TOL)
-    return starts, start_vals, centers, values
+        best += np.arange(0, grid.size, M + 1)[:, None]  # into a plane
+        cands[rows, 1 : k + 1] = buf.reshape(n, -1).take(best, axis=1).transpose(1, 2, 0)
+        vals[rows, 1 : k + 1] = grid.reshape(-1).take(best)
+    if not np.isfinite(vals[:, 0]).all():
+        raise ValueError("infeasible step: previous state has infinite objective")
+    cands[:, k + 1 :], vals[:, k + 1 :] = zoom_search(
+        objective, cands[:, 1 : k + 1], vals[:, 1 : k + 1], spacing, lo, hi, DESCENT_TOL
+    )
+    return cands, vals
 
 
 def chunk_rows(n_z: int) -> int:
@@ -470,32 +494,32 @@ def global_min_rows(problem: RisProblem, ts, Z_prev) -> tuple[NDArray, NDArray]:
 
 def _step_rows(problem: RisProblem, ts: NDArray, Z_prev: NDArray) -> tuple[NDArray, NDArray]:
     """``global_min_rows`` for one chunk of rows."""
-    f = _row_objective(problem, ts, Z_prev)
-    # I(t, z_prev) + 0 + 0 bit for bit, so a state that stays has a
-    # residual of exactly 0
-    stay = f(Z_prev[:, None, :])[:, 0] if problem.inside(Z_prev).all() else None
-    if stay is None or not np.isfinite(stay).all():
+    if not problem.in_box(Z_prev):
         raise ValueError("infeasible step: previous state has infinite objective")
+    f = _row_objective(problem, ts, Z_prev)
     lo, hi = _search_boxes(problem, Z_prev)
-    # a selection of rows is an index array, or slice(None) for every row
-    starts, start_vals, centers, values = _grid_zoom(
+    # the candidates: staying put, the grid's best points and their
+    # refinements, which the coarse runners-up join for the tie-break; a
+    # selection of rows is an index array, or slice(None) for every row
+    cands, vals = _grid_zoom(
         lambda sel: f if isinstance(sel, slice) else _row_objective(problem, ts[sel], Z_prev[sel]),
         Z_prev, lo, hi,
     )
-    # the candidates: staying put, the grid's best points and their
-    # refinements, which the coarse runners-up join for the tie-break
-    cands = np.concatenate([Z_prev[:, None, :], starts, centers], axis=1)
-    vals = np.concatenate([stay[:, None], start_vals, values], axis=1)
-    # of the candidates within the band of the best, the first nearest
-    # z_prev; vecdot is the BLAS dot np.linalg.norm takes, bit for bit
-    near = vals <= (np.minimum.reduce(vals, axis=1) + NEAR_OPTIMAL_BAND)[:, None]
+    stay = vals[:, 0]
+    # of the candidates within the band of the best (vals holds no nan),
+    # the first nearest z_prev; vecdot is the BLAS dot np.linalg.norm
+    # takes, bit for bit
+    far = vals > (np.minimum.reduce(vals, axis=1) + NEAR_OPTIMAL_BAND)[:, None]
     step = cands - Z_prev[:, None, :]
-    dist = np.where(near, np.sqrt(np.vecdot(step, step)), INF)
+    dist = np.sqrt(np.vecdot(step, step))
+    dist[far] = INF
     pick = dist.argmin(axis=1) + np.arange(0, vals.size, vals.shape[1])  # into flat
     x, v = cands.reshape(-1, Z_prev.shape[1]).take(pick, axis=0), vals.reshape(-1).take(pick)
     # snap to box edges when the search stopped a hair away from them
     off = np.abs(x[:, :, None] - problem._box)
-    hit = (0 < off) & (off < 1e-8)
+    hit = off < 1e-8
+    if np.count_nonzero(hit):
+        hit &= 0 < off
     if np.count_nonzero(hit):
         snapped = np.where(
             hit[..., 0], problem._lo, np.where(hit[..., 1], problem._hi, x)

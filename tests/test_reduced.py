@@ -249,7 +249,7 @@ class TestZoomSearch:
         assert all(ok for _, ok in searched)
         sizes = {shape for shape, _ in searched}
         window = reduced._ZOOM_POINTS**2
-        assert (3, 129 * 129) in sizes  # the grid
+        assert (3, 129 * 129 + 1) in sizes  # the grid and the staying state
         assert (3, reduced._ZOOM_STARTS * window) in sizes  # the zoom's first level
         # then the 12 starts zoom their 6 distinct windows, one a batch row,
         # before and after the row of the smallest box stops with its one
@@ -315,7 +315,7 @@ class TestZoomSearch:
         assert (c == 0.0).all()
         assert {pts.shape for pts in seen} == {(1, 2 * reduced._ZOOM_POINTS, 1)}
 
-    def test_lone_flowing_step_makes_twelve_objective_calls(self, plasticity, monkeypatch):
+    def test_lone_flowing_step_makes_eleven_objective_calls(self, plasticity, monkeypatch):
         calls = []
         objective = reduced.step_objective
 
@@ -332,10 +332,11 @@ class TestZoomSearch:
         # on the yield surface at t = 1.499 and loaded on to t = 1.5: it flows
         x, _ = global_min_rows(plasticity, [1.5], [[0.499]])
         assert x[0, 0] == pytest.approx(0.5, abs=1e-7)
-        # staying put, the 129-point grid plus z_prev, then 10 zoom levels:
-        # the box's half-width 10/128 stays at least DESCENT_TOL for 10 shrinks
+        # the 129-point grid plus z_prev's clipped copy, and z_prev itself
+        # for staying put, then 10 zoom levels: the box's half-width 10/128
+        # stays at least DESCENT_TOL for 10 shrinks
         window = reduced._ZOOM_STARTS * reduced._ZOOM_POINTS
-        assert calls == [(1, 1, 1), (1, 130, 1)] + [(1, window, 1)] * 10
+        assert calls == [(1, 131, 1)] + [(1, window, 1)] * 10
 
     def test_rows_stop_at_their_scheduled_level(self):
         tol, factor = reduced.DESCENT_TOL, reduced._ZOOM_FACTOR
