@@ -264,7 +264,7 @@ class RisProblem:
     def in_box(self, z) -> bool:
         """Whether every state of an (..., n_z) batch lies in the box."""
         Z = np.asarray(z, dtype=float)
-        return bool(((Z >= self._lo_tol) & (Z <= self._hi_tol)).all())
+        return np.count_nonzero((Z >= self._lo_tol) & (Z <= self._hi_tol)) == Z.size
 
     def clip(self, z) -> NDArray[np.float64]:
         return np.clip(_as_z(z), self._lo, self._hi)

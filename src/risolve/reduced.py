@@ -153,7 +153,9 @@ def step_objective(problem: RisProblem, t, z_prev) -> Callable[[NDArray], NDArra
         d = dissipation(z_prev, pts)
         vals = reduced_vec(t, pts) + d
         vals += correction(z_prev, pts, d)
-        vals[~np.isfinite(vals)] = INF
+        finite = np.isfinite(vals)
+        if np.count_nonzero(finite) < vals.size:
+            vals[~finite] = INF
         return vals
 
     return f
@@ -179,6 +181,8 @@ def _window_offsets(n: int) -> NDArray:
 
 
 _WINDOWS = {n: _window_offsets(n) for n in (1, 2)}  # the zoom runs for n_z <= 2
+# each axis's offsets as an (n, 1, 1, M) plane of a zoom batch
+_WINDOW_PLANES = {n: offs.T[:, None, None, :] for n, offs in _WINDOWS.items()}
 
 
 def _level_count(width: float, tol: float) -> int:
@@ -236,9 +240,11 @@ def zoom_search(
     m = len(offs)
     merge = m >= _MERGE_POINTS
     h = np.asarray(half_width, dtype=float)
-    widest = h.max(axis=1).tolist()
+    widest = np.maximum.reduce(h, axis=1).tolist()
     counts = {w: _level_count(w, tol) for w in set(widest)}
     ends = sorted(set(counts.values()))
+    if not ends[-1]:
+        return out_c, out_v
     # each objective row's levels, read when rows leave the batch
     levels = np.array([counts[w] for w in widest]) if len(ends) > 1 else None
     # rows[i] is batch row i's objective row, dest[i] its row of the output
@@ -246,19 +252,21 @@ def zoom_search(
     # takes its result when it stops
     rows = dest = np.arange(P)
     into_c, into_v, copies = out_c, out_v, None
-    # the batch is kept as its buffer of n planes, (n, R, k, M), and the
-    # centres (n, R, k, 1) and window offsets (n, R, 1, M) broadcast
-    # against it; the boxes are copied to its shape once, so that a level
-    # clips without broadcasting.  _ZOOM_FACTOR is a power of two, so
+    # The batch is kept as its buffer of n planes, (n, W * M) for its
+    # W = R * k windows of M points, and so are the window offsets, the
+    # boxes and the centres, each repeated over its window's points: a
+    # level's arithmetic is then ufuncs of operands of one shape, which
+    # numpy runs without broadcasting.  _ZOOM_FACTOR is a power of two, so
     # scaling by it is exact: a level's offsets, the last level's times
     # _ZOOM_FACTOR, have the bits of offs times its half-width
-    c = out_c.transpose(2, 0, 1)[..., None]
-    step = offs.T[:, None, None, :] * h.T[:, :, None, None]
     f = objective(slice(None))
-    buf, pts, planes, first = _window_batch(P, k, offs)
-    box = np.empty((2, *buf.shape))
-    box[0], box[1] = lo.T[:, :, None, None], hi.T[:, :, None, None]
-    lo, hi = box
+    buf, pts, first = _window_batch(P, k, m, n)
+    grid = np.empty((4, n, P, k, m))  # centres, offsets, lower and upper box
+    grid[0] = out_c.transpose(2, 0, 1)[..., None]
+    np.multiply(_WINDOW_PLANES[n], h.T[..., None, None], out=grid[1])
+    grid[2], grid[3] = lo.T[..., None, None], hi.T[..., None, None]
+    grid = grid.reshape(4, n, -1)
+    c, step, lo, hi = grid[0], grid[1], grid[2], grid[3]
     level = 0
     for end in ends:
         if end > ends[0]:
@@ -266,12 +274,13 @@ def zoom_search(
             go = levels[rows] >= end
             if level:
                 stop = ~go
-                into_c[dest[stop]] = c[..., 0][:, stop].transpose(1, 2, 0)
-                into_v[dest[stop]] = vals.reshape(-1)[best].reshape(-1, k)[stop]
+                into_c[dest[stop]] = c[:, ::m].reshape(n, -1, k)[:, stop].transpose(1, 2, 0)
+                into_v[dest[stop]] = vals.reshape(-1).take(best).reshape(-1, k)[stop]
             rows, dest = rows[go], dest[go]
-            c, step, lo, hi = c[:, go], step[:, go], lo[:, go], hi[:, go]
+            c, step, lo, hi = (a.reshape(n, len(go), -1)[:, go].reshape(n, -1)
+                               for a in (c, step, lo, hi))
             f = objective(rows)
-            buf, pts, planes, first = _window_batch(len(rows), k, offs)
+            buf, pts, first = _window_batch(len(rows), k, m, n)
         while level < end:
             level += 1
             step *= _ZOOM_FACTOR  # h becomes this window's spacing
@@ -280,10 +289,10 @@ def zoom_search(
             np.minimum(buf, hi, out=buf)
             vals = f(pts)
             best = vals.reshape(-1, m).argmin(axis=1) + first  # into a plane
-            c = planes.take(best, axis=1).reshape(n, -1, k, 1)
+            c = buf.take(best.repeat(m), axis=1)
             if merge:
                 merge = False
-                same = _first_equal(c[..., 0].transpose(1, 2, 0))
+                same = _first_equal(c[:, ::m].reshape(n, -1, k).transpose(1, 2, 0))
                 keep = same == np.arange(k)
                 if not keep.all():
                     # the output as P * k rows of one start; each start that
@@ -293,14 +302,13 @@ def zoom_search(
                     copies = dest[row] * k + start, dest[row] * k + same[row, start]
                     row, start = np.nonzero(keep)
                     rows, dest = rows[row], dest[row] * k + start
-                    c, best = c[:, row, start, None], best.reshape(-1, k)[row, start]
-                    lo, hi = lo[:, row, start, None], hi[:, row, start, None]
-                    step, k = step[:, row], 1
+                    win, k = row * k + start, 1  # the windows that go on
+                    c, step, lo, hi = (a.reshape(n, -1, m)[:, win].reshape(n, -1)
+                                       for a in (c, step, lo, hi))
+                    best = best[win]
                     f = objective(rows)
-                    buf, pts, planes, first = _window_batch(len(rows), 1, offs)
-    if not level:
-        return out_c, out_v
-    c, v = c[..., 0].transpose(1, 2, 0), vals.reshape(-1)[best].reshape(-1, k)
+                    buf, pts, first = _window_batch(len(rows), 1, m, n)
+    c, v = c[:, ::m].reshape(n, -1, k).transpose(1, 2, 0), vals.reshape(-1).take(best).reshape(-1, k)
     if len(dest) == len(into_c):
         return c, v
     into_c[dest], into_v[dest] = c, v
@@ -310,16 +318,14 @@ def zoom_search(
     return out_c, out_v
 
 
-def _window_batch(P: int, k: int, offs: NDArray) -> tuple[NDArray, ...]:
-    """An empty batch for P rows of k windows of the M points ``offs``, as
-    its buffer of n planes, (n, P, k, M), and as the (P, k * M, n) batch the
+def _window_batch(P: int, k: int, m: int, n: int) -> tuple[NDArray, ...]:
+    """An empty batch for P rows of k windows of m points of n axes, as its
+    buffer of n planes, (n, P * k * m), and as the (P, k * m, n) batch the
     objective takes, cell-major as the grid's: pts[..., j] is one contiguous
-    plane.  With them, the (n, P * k * M) planes and the index in a plane of
-    each window's first point."""
-    m, n = offs.shape
-    buf = np.empty((n, P, k, m))
+    plane.  With them, the index in a plane of each window's first point."""
+    buf = np.empty((n, P * k * m))
     pts = buf.reshape(n, P, k * m).transpose(1, 2, 0)
-    return buf, pts, buf.reshape(n, -1), np.arange(0, P * k * m, m)
+    return buf, pts, np.arange(0, P * k * m, m)
 
 
 def _first_equal(c: NDArray) -> NDArray:
@@ -344,29 +350,31 @@ def _search_boxes(problem: RisProblem, Z_prev: NDArray) -> tuple[NDArray, NDArra
 _GRID_STEPS = np.arange(GRID_RESOLUTION, dtype=float)  # a grid axis in units of its spacing
 
 
-def _grid_axis(lo: NDArray, hi: NDArray, spacing: NDArray, z: NDArray) -> NDArray:
-    """Per row, np.sort(np.append(np.linspace(lo, hi, GRID_RESOLUTION),
-    np.clip(z, lo, hi))): the grid of one axis with z among its points, a
-    value the grid holds already included."""
+def _grid_axes(lo: NDArray, hi: NDArray, spacing: NDArray, Z: NDArray) -> NDArray:
+    """Per axis j and row p, np.sort(np.append(np.linspace(lo, hi,
+    GRID_RESOLUTION), np.clip(z, lo, hi))) of the row's (lo, hi, z) on axis
+    j: the grid of each axis with z among its points, a value the grid holds
+    already included, as one (n, P, GRID_RESOLUTION + 1) array."""
     res = GRID_RESOLUTION
-    row = np.empty((len(z), res + 1))
-    y = row[:, :res]
-    np.multiply(_GRID_STEPS, spacing[:, None], out=y)
-    y += lo[:, None]
-    y[:, -1] = hi
+    lo, hi = lo.T, hi.T
+    axes = np.empty((len(lo), len(Z), res + 1))
+    y = axes[:, :, :res]
+    np.multiply(_GRID_STEPS, spacing.T[:, :, None], out=y)
+    y += lo[:, :, None]
+    y[:, :, -1] = hi
     # z lies in the box up to 1e-12; a +-0 tie dedups against the grid's end
-    row[:, res] = np.minimum(np.maximum(z, lo), hi)
-    row.sort(axis=1, kind="stable")  # a -0.0 and a 0.0 keep np.unique's order
-    return row
+    axes[:, :, res] = np.minimum(np.maximum(Z.T, lo), hi)
+    axes.sort(axis=2, kind="stable")  # a -0.0 and a 0.0 keep np.unique's order
+    return axes
 
 
-def _grid_groups(axes: list[NDArray]) -> list[tuple]:
+def _grid_groups(axes: NDArray) -> list[tuple]:
     """The rows of equal grid shape, each as a row selection and its axes of
-    np.unique's values (each (R, m_j)): one selection of every row when no
-    row repeats a value."""
-    repeats = [row[:, 1:] == row[:, :-1] for row in axes]
-    if not any(map(np.count_nonzero, repeats)):
-        return [(slice(None), axes)]
+    np.unique's values (each (R, m_j)), from the (n, P, m) ``axes``: one
+    selection of every row when no row repeats a value."""
+    repeats = axes[:, :, 1:] == axes[:, :, :-1]
+    if not np.count_nonzero(repeats):
+        return [(slice(None), list(axes))]
     keeps = []
     for rep in repeats:
         keep = np.ones((len(rep), rep.shape[1] + 1), dtype=bool)
@@ -393,7 +401,7 @@ def _first_k(vals: NDArray, k: int) -> NDArray:
     not sorted whole."""
     P, m = vals.shape
     if m <= k or vals.size <= _SORT_WHOLE:
-        return np.argsort(vals, axis=1, kind="stable")[:, :k]
+        return vals.argsort(axis=1, kind="stable")[:, :k]
     kth = np.partition(vals, k - 1, axis=1)[:, k - 1, None]
     # at least k candidates a row, each row's in index order; the stable
     # lexsort orders them by row, then by value
@@ -422,7 +430,7 @@ def _grid_zoom(
     P, n = Z_prev.shape
     k = _ZOOM_STARTS
     spacing = (hi - lo) / (GRID_RESOLUTION - 1)
-    axes = [_grid_axis(lo[:, j], hi[:, j], spacing[:, j], Z_prev[:, j]) for j in range(n)]
+    axes = _grid_axes(lo, hi, spacing, Z_prev)
     cands, vals = np.empty((P, 1 + 2 * k, n)), np.empty((P, 1 + 2 * k))
     cands[:, 0] = Z_prev
     for rows, ax in _grid_groups(axes):
@@ -445,7 +453,7 @@ def _grid_zoom(
         best += np.arange(0, grid.size, M + 1)[:, None]  # into a plane
         cands[rows, 1 : k + 1] = buf.reshape(n, -1).take(best, axis=1).transpose(1, 2, 0)
         vals[rows, 1 : k + 1] = grid.reshape(-1).take(best)
-    if not np.isfinite(vals[:, 0]).all():
+    if np.count_nonzero(np.isfinite(vals[:, 0])) < P:
         raise ValueError("infeasible step: previous state has infinite objective")
     cands[:, k + 1 :], vals[:, k + 1 :] = zoom_search(
         objective, cands[:, 1 : k + 1], vals[:, 1 : k + 1], spacing, lo, hi, DESCENT_TOL
@@ -520,13 +528,13 @@ def _step_rows(problem: RisProblem, ts: NDArray, Z_prev: NDArray) -> tuple[NDArr
     hit = off < 1e-8
     if np.count_nonzero(hit):
         hit &= 0 < off
-    if np.count_nonzero(hit):
-        snapped = np.where(
-            hit[..., 0], problem._lo, np.where(hit[..., 1], problem._hi, x)
-        )
-        vs = f(snapped[:, None, :])[:, 0]
-        take = hit.any(axis=(1, 2)) & (vs <= v + NEAR_OPTIMAL_BAND)
-        x, v = np.where(take[:, None], snapped, x), np.where(take, vs, v)
+        if np.count_nonzero(hit):
+            snapped = np.where(
+                hit[..., 0], problem._lo, np.where(hit[..., 1], problem._hi, x)
+            )
+            vs = f(snapped[:, None, :])[:, 0]
+            take = hit.any(axis=(1, 2)) & (vs <= v + NEAR_OPTIMAL_BAND)
+            x, v = np.where(take[:, None], snapped, x), np.where(take, vs, v)
     # the step objective can never beat simply staying put by less than 0
     back = v > stay
     if not np.count_nonzero(back):

@@ -173,7 +173,7 @@ class _Run:
         X = X[:m]
         self.vals[self.n - 1 : self.n - 1 + m] = V[:m]
         self.Z[self.n : self.n + m] = X
-        if not np.isfinite(X).all():
+        if np.count_nonzero(np.isfinite(X)) < X.size:
             raise ValueError("state entries must be finite")
         self.z = X[-1]
         self.n += m
@@ -206,15 +206,14 @@ def _search_blocks(prob: RisProblem, blocks: list[tuple[NDArray, NDArray]]) -> l
     ``global_min_rows`` call over the rows of all blocks.  When that call
     raises, each block is searched alone, and a block whose own search
     raises gets the exception instead."""
-    try:
-        if len(blocks) == 1:
-            X, V = global_min_rows(prob, *blocks[0])
-        else:
-            ts, Z = (np.concatenate(part) for part in zip(*blocks))
-            X, V = global_min_rows(prob, ts, Z)
-    except Exception as exc:
-        if len(blocks) == 1:
+    if len(blocks) == 1:
+        try:
+            return [global_min_rows(prob, *blocks[0])]
+        except Exception as exc:
             return [exc]
+    try:
+        X, V = global_min_rows(prob, *(np.concatenate(part) for part in zip(*blocks)))
+    except Exception:
         return [_search_blocks(prob, [b])[0] for b in blocks]
     out, a = [], 0
     for ts, _ in blocks:
