@@ -94,8 +94,9 @@ def _build_chain(
     so far exceed ``cutoff``, which its full cost would too."""
     pts = [np.atleast_1d(np.asarray(p, float)) for p in points]
     P = np.array(pts)
-    link_diss = tuple(problem.dissipation(P[:-1], P[1:]).tolist())
-    link_gap = tuple(problem.correction(P[:-1], P[1:]).tolist())
+    d = problem.dissipation(P[:-1], P[1:])
+    link_diss = tuple(d.tolist())
+    link_gap = tuple(problem.correction(P[:-1], P[1:], d).tolist())
     links = sum(link_diss) + sum(link_gap)
     heads, size = P[:-1], chunk_rows(problem.n_z)
     pr: list[float] = []
@@ -204,9 +205,10 @@ def _dp_chain(
     ivals = np.asarray(problem.reduced_vec(t, pts), dtype=float)
     if not (is_finite(ivals[src]) and is_finite(ivals[dst])):
         return None
-    # all-pairs link weights d + delta
+    # all-pairs link weights d + delta, d priced once
     a, b = pts[:, None], pts[None]
-    D = problem.dissipation(a, b) + problem.correction(a, b)
+    D = problem.dissipation(a, b)
+    D = D + problem.correction(a, b, D)
     D[~np.isfinite(D)] = INF
     np.fill_diagonal(D, 0.0)
     # grid-restricted residual per node

@@ -108,18 +108,26 @@ def _in_jump_window(traj: Trajectory, ts: NDArray) -> NDArray[np.bool_]:
     return ((lo < ts) & (ts < hi)).any(axis=1)
 
 
-def _balance(problem: RisProblem, traj: Trajectory | DiscreteTrajectory, var: float) -> float:
+def _balance(
+    problem: RisProblem,
+    traj: Trajectory | DiscreteTrajectory,
+    var: float,
+    I_node: NDArray | None = None,
+) -> float:
     """|E(T) + var - E(0) - W| for the variation ``var`` of ``traj``.
 
     W is the exact load work of the piecewise-constant z, telescoped over
     the steps: W = sum_n [I(t_n, z_{n-1}) - I(t_{n-1}, z_{n-1})], from one
     ``reduced_vec`` call at the nodes and one at each step's end time.  A
-    node off the box, or an infinite energy, makes the balance +infinity.
+    caller that has priced the nodes, every one in the box, passes their
+    I(t_n, z_n) as ``I_node``.  A node off the box, or an infinite energy,
+    makes the balance +infinity.
     """
     t, Z = traj.times, traj.Z
-    if not problem.inside(Z).all():
-        return INF
-    I_node = problem.reduced_vec(t, Z)  # I(t_n, z_n)
+    if I_node is None:
+        if not problem.inside(Z).all():
+            return INF
+        I_node = problem.reduced_vec(t, Z)  # I(t_n, z_n)
     I_step = problem.reduced_vec(t[1:], Z[:-1])  # I(t_n, z_{n-1})
     if not (np.isfinite(I_node).all() and np.isfinite(I_step).all()):
         return INF
@@ -215,7 +223,8 @@ def _certify(
         costs = JumpCosts(memo)
         for rec in traj.jump_records:
             var += incremental_cost(problem, rec.t, rec.z_left, rec.z_right, costs)
-    balance = _balance(problem, traj, var)
+    # I prices every node when every node lies in the box
+    balance = _balance(problem, traj, var, I if inside.all() else None)
     jumps = _jump_checks(problem, traj, tol, costs) if augmented else ()
     verdict = {
         "minimality": minim <= tol.minimality_tol,

@@ -1,5 +1,6 @@
 """Viscous chains, jump cost bounds and incremental costs."""
 
+import dataclasses
 from unittest import mock
 
 import numpy as np
@@ -302,6 +303,26 @@ class TestDijkstra:
     def test_unreachable_end_gives_no_chain(self, delamination):
         # the brittle bond never heals: no chain climbs from 0 to 1
         assert jump._dp_chain(delamination, 0.5, np.array([0.0]), np.array([1.0]), 41) is None
+
+    @pytest.mark.parametrize("spec", [TrivialH(h=lambda r: r**3), QuadraticMu(1.0, "dissipation")])
+    def test_link_matrix_prices_d_once(self, toy_doublewell, spec):
+        # a correction defined on d takes the link matrix's d instead of
+        # pricing the (m, m) pairs again, and the path keeps its bits
+        real = toy_doublewell.with_correction(spec)
+        shapes = []
+
+        def counted(z, zp):
+            shapes.append(np.broadcast_shapes(np.shape(z)[:-1], np.shape(zp)[:-1]))
+            return real.dissipation(z, zp)
+
+        spied = dataclasses.replace(real, dissipation=counted).with_correction(spec)
+        for res in (41, 81):
+            shapes.clear()
+            path = jump._dp_chain(spied, 0.5, np.array([-1.0]), np.array([1.0]), res)
+            pairs = [s for s in shapes if len(s) == 2]
+            assert len(pairs) == 1 and pairs[0][0] == pairs[0][1] >= res
+            expected = jump._dp_chain(real, 0.5, np.array([-1.0]), np.array([1.0]), res)
+            assert np.array_equal(np.array(path), np.array(expected))
 
 
 class TestAugmentedVariation:

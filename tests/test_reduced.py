@@ -23,7 +23,16 @@ from risolve.core import INF
 from risolve import reduced
 from risolve.jump import _build_chain
 from risolve.reduced import step_objective
-from risolve.models import Damage1dSpec, make_damage1d
+from risolve.models import (
+    Damage1dSpec,
+    Delamination0dSpec,
+    Plasticity0dSpec,
+    Toy1dSpec,
+    make_damage1d,
+    make_delamination0d,
+    make_plasticity0d,
+    make_toy1d,
+)
 
 from conftest import step_min
 
@@ -337,6 +346,37 @@ class TestZoomSearch:
         # stays at least DESCENT_TOL for 10 shrinks
         window = reduced._ZOOM_STARTS * reduced._ZOOM_POINTS
         assert calls == [(1, 131, 1)] + [(1, window, 1)] * 10
+
+    @pytest.mark.parametrize(
+        "model, t, z_prev",
+        [
+            # on the box's upper and lower edge, unloaded or inside the yield surface
+            (make_plasticity0d(Plasticity0dSpec(eps=(5.0, 0.0))), 1.0, [5.0]),
+            (make_plasticity0d(Plasticity0dSpec(eps=(-5.2, 0.0))), 1.0, [-5.0]),
+            # -0.0, which the grid's 0.0 repeats
+            (make_toy1d(Toy1dSpec(ell=(0.0, 2.0))), 0.0, [-0.0]),
+            # unidirectional: the search box ends at hi = z_prev
+            (make_damage1d(Damage1dSpec()), 0.05, [0.6, 0.6]),
+            (make_delamination0d(Delamination0dSpec()), 0.0, [0.5]),
+            # 5e-13 past the box, which ``inside`` accepts; the grid's
+            # clipped copy of z_prev is the box's edge 10.0
+            (make_toy1d(Toy1dSpec(ell=(10.0, 0.0))), 0.5, [10.0 + 5e-13]),
+        ],
+        ids=["upper-edge", "lower-edge", "minus-zero", "damage-clip", "delamination-clip",
+             "outside-by-5e-13"],
+    )
+    def test_staying_row_returns_z_prev_and_its_objective(self, model, t, z_prev):
+        # the staying value is z_prev itself priced in the grid call: the
+        # bits of step_objective at z_prev, alone or among other rows
+        z_prev = np.array(z_prev)
+        assert model.in_box(z_prev)
+        stay = step_objective(model, t, z_prev)(z_prev[None])[0]
+        rows = _random_steps(model, 5, seed=41)
+        ts = np.array([t] + [r for r, _ in rows])
+        Z = np.array([z_prev] + [z for _, z in rows])
+        for X, V in (global_min_rows(model, [t], [z_prev]), global_min_rows(model, ts, Z)):
+            assert X[0].tobytes() == z_prev.tobytes()
+            assert V[0].tobytes() == stay.tobytes()
 
     def test_rows_stop_at_their_scheduled_level(self):
         tol, factor = reduced.DESCENT_TOL, reduced._ZOOM_FACTOR
