@@ -253,20 +253,21 @@ def zoom_search(
     rows = dest = np.arange(P)
     into_c, into_v, copies = out_c, out_v, None
     # The batch is kept as its buffer of n planes, (n, W * M) for its
-    # W = R * k windows of M points, and so are the window offsets, the
-    # boxes and the centres, each repeated over its window's points: a
-    # level's arithmetic is then ufuncs of operands of one shape, which
+    # W = R * k windows of M points, and so are the window offsets and the
+    # boxes, each repeated over its window's points; the centres c are
+    # (n, W).  A level writes each centre over its window, then adds the
+    # offsets and clips in place, ufuncs of operands of one shape, which
     # numpy runs without broadcasting.  _ZOOM_FACTOR is a power of two, so
     # scaling by it is exact: a level's offsets, the last level's times
     # _ZOOM_FACTOR, have the bits of offs times its half-width
     f = objective(slice(None))
-    buf, pts, first = _window_batch(P, k, m, n)
-    grid = np.empty((4, n, P, k, m))  # centres, offsets, lower and upper box
-    grid[0] = out_c.transpose(2, 0, 1)[..., None]
-    np.multiply(_WINDOW_PLANES[n], h.T[..., None, None], out=grid[1])
-    grid[2], grid[3] = lo.T[..., None, None], hi.T[..., None, None]
-    grid = grid.reshape(4, n, -1)
-    c, step, lo, hi = grid[0], grid[1], grid[2], grid[3]
+    buf, windows, pts, first = _window_batch(P, k, m, n)
+    grid = np.empty((3, n, P, k, m))  # offsets, lower and upper box
+    np.multiply(_WINDOW_PLANES[n], h.T[..., None, None], out=grid[0])
+    grid[1], grid[2] = lo.T[..., None, None], hi.T[..., None, None]
+    grid = grid.reshape(3, n, -1)
+    step, lo, hi = grid[0], grid[1], grid[2]
+    c = out_c.transpose(2, 0, 1).reshape(n, -1)
     level = 0
     for end in ends:
         if end > ends[0]:
@@ -274,25 +275,26 @@ def zoom_search(
             go = levels[rows] >= end
             if level:
                 stop = ~go
-                into_c[dest[stop]] = c[:, ::m].reshape(n, -1, k)[:, stop].transpose(1, 2, 0)
+                into_c[dest[stop]] = c.reshape(n, -1, k)[:, stop].transpose(1, 2, 0)
                 into_v[dest[stop]] = vals.reshape(-1).take(best).reshape(-1, k)[stop]
             rows, dest = rows[go], dest[go]
             c, step, lo, hi = (a.reshape(n, len(go), -1)[:, go].reshape(n, -1)
                                for a in (c, step, lo, hi))
             f = objective(rows)
-            buf, pts, first = _window_batch(len(rows), k, m, n)
+            buf, windows, pts, first = _window_batch(len(rows), k, m, n)
         while level < end:
             level += 1
             step *= _ZOOM_FACTOR  # h becomes this window's spacing
-            np.add(c, step, out=buf)
+            windows[...] = c[:, :, None]
+            buf += step
             np.maximum(buf, lo, out=buf)
             np.minimum(buf, hi, out=buf)
             vals = f(pts)
             best = vals.reshape(-1, m).argmin(axis=1) + first  # into a plane
-            c = buf.take(best.repeat(m), axis=1)
+            c = buf.take(best, axis=1)
             if merge:
                 merge = False
-                same = _first_equal(c[:, ::m].reshape(n, -1, k).transpose(1, 2, 0))
+                same = _first_equal(c.reshape(n, -1, k).transpose(1, 2, 0))
                 keep = same == np.arange(k)
                 if not keep.all():
                     # the output as P * k rows of one start; each start that
@@ -303,12 +305,11 @@ def zoom_search(
                     row, start = np.nonzero(keep)
                     rows, dest = rows[row], dest[row] * k + start
                     win, k = row * k + start, 1  # the windows that go on
-                    c, step, lo, hi = (a.reshape(n, -1, m)[:, win].reshape(n, -1)
-                                       for a in (c, step, lo, hi))
-                    best = best[win]
+                    c, best = c[:, win], best[win]
+                    step, lo, hi = (a.reshape(n, -1, m)[:, win].reshape(n, -1) for a in (step, lo, hi))
                     f = objective(rows)
-                    buf, pts, first = _window_batch(len(rows), 1, m, n)
-    c, v = c[:, ::m].reshape(n, -1, k).transpose(1, 2, 0), vals.reshape(-1).take(best).reshape(-1, k)
+                    buf, windows, pts, first = _window_batch(len(rows), 1, m, n)
+    c, v = c.reshape(n, -1, k).transpose(1, 2, 0), vals.reshape(-1).take(best).reshape(-1, k)
     if len(dest) == len(into_c):
         return c, v
     into_c[dest], into_v[dest] = c, v
@@ -320,12 +321,13 @@ def zoom_search(
 
 def _window_batch(P: int, k: int, m: int, n: int) -> tuple[NDArray, ...]:
     """An empty batch for P rows of k windows of m points of n axes, as its
-    buffer of n planes, (n, P * k * m), and as the (P, k * m, n) batch the
-    objective takes, cell-major as the grid's: pts[..., j] is one contiguous
-    plane.  With them, the index in a plane of each window's first point."""
+    buffer of n planes, (n, P * k * m), as its (n, P * k, m) windows and as
+    the (P, k * m, n) batch the objective takes, cell-major as the grid's:
+    pts[..., j] is one contiguous plane.  With them, the index in a plane of
+    each window's first point."""
     buf = np.empty((n, P * k * m))
     pts = buf.reshape(n, P, k * m).transpose(1, 2, 0)
-    return buf, pts, np.arange(0, P * k * m, m)
+    return buf, buf.reshape(n, -1, m), pts, np.arange(0, P * k * m, m)
 
 
 def _first_equal(c: NDArray) -> NDArray:
