@@ -340,8 +340,9 @@ def _first_equal(c: NDArray) -> NDArray:
 
 def _search_boxes(problem: RisProblem, Z_prev: NDArray) -> tuple[NDArray, NDArray]:
     """Per row, the lower and upper corners of the box the step searches."""
-    lo, hi = np.empty_like(Z_prev), np.empty_like(Z_prev)
-    lo[:], hi[:] = problem._lo, problem._hi
+    box = np.empty((2, *Z_prev.shape))
+    box[...] = problem._box.T[:, None, :]
+    lo, hi = box[0], box[1]
     if problem.unidirectional:
         # d is infinite above z_prev: clip the search space there
         hi = np.where(Z_prev < hi, Z_prev, hi)
@@ -530,14 +531,17 @@ def _step_rows(problem: RisProblem, ts: NDArray, Z_prev: NDArray) -> tuple[NDArr
     hit = off < 1e-8
     if np.count_nonzero(hit):
         hit &= 0 < off
-        if np.count_nonzero(hit):
-            snapped = np.where(
-                hit[..., 0], problem._lo, np.where(hit[..., 1], problem._hi, x)
-            )
-            vs = f(snapped[:, None, :])[:, 0]
-            take = hit.any(axis=(1, 2)) & (vs <= v + NEAR_OPTIMAL_BAND)
-            x, v = np.where(take[:, None], snapped, x), np.where(take, vs, v)
-    # the step objective can never beat simply staying put by less than 0
+    if not np.count_nonzero(hit):
+        # unsnapped, no pick lies above staying put: z_prev is candidate 0,
+        # at distance 0, so it is the pick when it lies in the band of the
+        # best, and a pick in the band lies below it otherwise
+        return x, v
+    snapped = np.where(hit[..., 0], problem._lo, np.where(hit[..., 1], problem._hi, x))
+    vs = f(snapped[:, None, :])[:, 0]
+    take = hit.any(axis=(1, 2)) & (vs <= v + NEAR_OPTIMAL_BAND)
+    x, v = np.where(take[:, None], snapped, x), np.where(take, vs, v)
+    # a snapped point may lie up to the band above its pick: the step
+    # objective can never beat simply staying put by less than 0
     back = v > stay
     if not np.count_nonzero(back):
         return x, v
