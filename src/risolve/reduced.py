@@ -17,9 +17,12 @@ The zoom fixes its level schedule before its first level: a row zooms as
 many levels as its widest half-width, shrunk by ``_ZOOM_FACTOR`` a level,
 stays at least ``DESCENT_TOL`` (10 levels for a 1-d row over a box of width
 10), and leaves the batch after its last.  A level is then the objective
-call and a few array operations, so a lone step, as every flowing step of
-a plasticity run is, costs little more than its 12 objective calls
-(staying put, the grid and 10 levels).
+call and eight array operations on operands of one shape.  A lone step, as
+every flowing step of a plasticity run is, makes 11 objective calls: the
+grid, whose batch prices the staying state as one more point, and 10
+levels.  Those calls take a little under half of its time; the rest is the
+numpy calls of the grid, the zoom and the tie-break on arrays of a few
+dozen points, whose cost does not grow with them.
 
 ``global_min_rows`` takes rows (ts[p], Z_prev[p]) and searches them
 together, each row with its own box, grid and zoom depth, in chunks of
@@ -252,6 +255,11 @@ def zoom_search(
     # takes its result when it stops
     rows = dest = np.arange(P)
     into_c, into_v, copies = out_c, out_v, None
+    sel = slice(None)  # the rows in the batch
+    if not ends[0]:
+        # a row that zooms no level keeps its centres and never enters it
+        rows = dest = sel = np.flatnonzero(levels)
+        ends = ends[1:]
     # The batch is kept as its buffer of n planes, (n, W * M) for its
     # W = R * k windows of M points, and so are the window offsets and the
     # boxes, each repeated over its window's points; the centres c are
@@ -260,14 +268,14 @@ def zoom_search(
     # numpy runs without broadcasting.  _ZOOM_FACTOR is a power of two, so
     # scaling by it is exact: a level's offsets, the last level's times
     # _ZOOM_FACTOR, have the bits of offs times its half-width
-    f = objective(slice(None))
-    buf, windows, pts, first = _window_batch(P, k, m, n)
-    grid = np.empty((3, n, P, k, m))  # offsets, lower and upper box
-    np.multiply(_WINDOW_PLANES[n], h.T[..., None, None], out=grid[0])
-    grid[1], grid[2] = lo.T[..., None, None], hi.T[..., None, None]
-    grid = grid.reshape(3, n, -1)
-    step, lo, hi = grid[0], grid[1], grid[2]
-    c = out_c.transpose(2, 0, 1).reshape(n, -1)
+    f = objective(sel)
+    buf, windows, pts, first = _window_batch(len(rows), k, m, n)
+    tiled = np.empty((3, n, len(rows), k, m))  # offsets, lower and upper box
+    np.multiply(_WINDOW_PLANES[n], h[sel].T[..., None, None], out=tiled[0])
+    tiled[1], tiled[2] = lo[sel].T[..., None, None], hi[sel].T[..., None, None]
+    tiled = tiled.reshape(3, n, -1)
+    step, lo, hi = tiled[0], tiled[1], tiled[2]
+    c = out_c[sel].transpose(2, 0, 1).reshape(n, -1)
     level = 0
     for end in ends:
         if end > ends[0]:
@@ -466,7 +474,9 @@ def _grid_zoom(
 
 def chunk_rows(n_z: int) -> int:
     """Rows one chunk of ``global_min_rows`` searches together: as many as
-    fit in ``_ROW_POINTS`` objective points, at least one."""
+    fit in ``_ROW_POINTS`` objective points, at least one.  A row counts its
+    grid, (GRID_RESOLUTION + 1) ** n_z points, or its first zoom level, if
+    larger; the grid's batch holds one point more a row, the staying state."""
     per_row = max((GRID_RESOLUTION + 1) ** n_z, _ZOOM_STARTS * _ZOOM_POINTS**n_z)
     return max(1, _ROW_POINTS // per_row)
 
