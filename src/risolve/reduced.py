@@ -257,7 +257,7 @@ def zoom_search(
     into_c, into_v, copies = out_c, out_v, None
     sel = slice(None)  # the rows in the batch
     if not ends[0]:
-        # a row that zooms no level keeps its centres and never enters it
+        # a row that zooms no level keeps its centres and never enters the batch
         rows = dest = sel = np.flatnonzero(levels)
         ends = ends[1:]
     # The batch is kept as its buffer of n planes, (n, W * M) for its
