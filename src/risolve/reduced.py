@@ -184,8 +184,6 @@ def _window_offsets(n: int) -> NDArray:
 
 
 _WINDOWS = {n: _window_offsets(n) for n in (1, 2)}  # the zoom runs for n_z <= 2
-# each axis's offsets as an (n, 1, 1, M) plane of a zoom batch
-_WINDOW_PLANES = {n: offs.T[:, None, None, :] for n, offs in _WINDOWS.items()}
 
 
 def _level_count(width: float, tol: float) -> int:
@@ -271,7 +269,7 @@ def zoom_search(
     f = objective(sel)
     buf, windows, pts, first = _window_batch(len(rows), k, m, n)
     tiled = np.empty((3, n, len(rows), k, m))  # offsets, lower and upper box
-    np.multiply(_WINDOW_PLANES[n], h[sel].T[..., None, None], out=tiled[0])
+    np.multiply(offs.T[:, None, None, :], h[sel].T[..., None, None], out=tiled[0])
     tiled[1], tiled[2] = lo[sel].T[..., None, None], hi[sel].T[..., None, None]
     tiled = tiled.reshape(3, n, -1)
     step, lo, hi = tiled[0], tiled[1], tiled[2]
