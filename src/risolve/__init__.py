@@ -13,9 +13,7 @@ from .core import (
     build_correction,
 )
 from .reduced import (
-    MinResult,
     global_min_rows,
-    oracle_grid_min,
     reduced_value,
 )
 from .stability import (

@@ -1,28 +1,27 @@
-"""Reduced energy I(t, z) = min_u E(t, u, z) and global minimization backends.
+"""Reduced energy I(t, z) = min_u E(t, u, z) and the global step search.
 
 The u-elimination is the problem's own: ``reduced_vec`` gives I and
 ``solve_u`` a minimizing u, both broadcasting maps; this module searches z.
 
-Two engines coexist on purpose: a brute-force grid oracle (exhaustive,
-certifiable, slow) and the production path.  Tests pit one against the other.
+The search minimizes the step objective I(t, z) + d(z_prev, z) +
+delta(z_prev, z) (``step_objective``), assembled from the problem's three
+broadcasting maps ``reduced_vec``, ``dissipation`` and ``correction``: a
+coarse grid, then a batched zoom on its best points (``zoom_search``).  It
+runs for n_z <= 2; for larger n_z there is no certified search yet, and a
+step there raises.
 
-The production path minimizes the step objective
-I(t, z) + d(z_prev, z) + delta(z_prev, z) (``step_objective``), assembled
-from the problem's three broadcasting maps ``reduced_vec``, ``dissipation``
-and ``correction``: a coarse grid, then a batched zoom on its best points
-(``zoom_search``).  It runs for n_z <= 2; for larger n_z there is no
-certified search yet, and a step there raises.
-
-The zoom fixes its level schedule before its first level: a row zooms as
-many levels as its widest half-width, shrunk by ``_ZOOM_FACTOR`` a level,
-stays at least ``DESCENT_TOL`` (10 levels for a 1-d row over a box of width
-10), and leaves the batch after its last.  A level is then the objective
-call and eight array operations on operands of one shape.  A lone step, as
-every flowing step of a plasticity run is, makes 11 objective calls: the
-grid, whose batch prices the staying state as one more point, and 10
-levels.  Those calls take a little under half of its time; the rest is the
-numpy calls of the grid, the zoom and the tie-break on arrays of a few
-dozen points, whose cost does not grow with them.
+Each dimension has its own zoom shape (``_ZOOM_SHAPES``): a 1-d row zooms
+its best grid point with 65-point windows, a 2-d row its 4 best with
+17-point windows per axis.  A level shrinks the half-width to the window's
+spacing, 1/32 or 1/8 of it, so both shapes reach the same final half-width
+2**-30 of the first.  The zoom fixes its level schedule before its first
+level: a row zooms as many levels as its widest half-width, shrunk a level,
+stays at least ``DESCENT_TOL`` (6 levels for a 1-d row over a box of width
+10, 10 for a 2-d one), and leaves the batch after its last.  A level is
+then the objective call and eight array operations on operands of one
+shape.  A lone step, as every flowing step of a plasticity run is, makes 7
+objective calls: the grid, whose batch prices the staying state as one more
+point, and 6 levels.
 
 ``global_min_rows`` takes rows (ts[p], Z_prev[p]) and searches them
 together, each row with its own box, grid and zoom depth, in chunks of
@@ -34,10 +33,9 @@ lockstep as one batch; a residual batch is many chunks.
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from numpy.typing import NDArray
@@ -45,9 +43,7 @@ from numpy.typing import NDArray
 from .core import INF, RisProblem
 
 __all__ = [
-    "MinResult",
     "GRID_RESOLUTION",
-    "oracle_grid_min",
     "reduced_value",
     "global_min_rows",
     "chunk_rows",
@@ -57,66 +53,18 @@ __all__ = [
 ]
 
 GRID_RESOLUTION = 129  # coarse grid points per axis of the step search
-_GRID_BUDGET = 10_000_000  # points of an oracle grid
 _ROW_POINTS = 1 << 16  # objective points a batch of step rows holds at once
 DESCENT_TOL = 1e-10  # zoom half-width at which a search stops
 NEAR_OPTIMAL_BAND = 1e-9  # step values this close to the best one tie
-_ZOOM_STARTS = 4  # best coarse-grid points the zoom refines
-_ZOOM_POINTS = 17  # zoom window points per axis, the centre included
-_ZOOM_FACTOR = 2 / (_ZOOM_POINTS - 1)  # each level's half-width: the last spacing
+# per n_z, the zoom's window points per axis (the centre included, 2**j + 1
+# so that each level's half-width factor, the window's spacing, is a power
+# of two) and the best grid points it refines.  In 1-d the best grid
+# point's zoom is the search: over the 87,490 1-d rows of every shipped
+# config's commands and perfbench seeds 0-2, no other start's zoom beat it
+# by more than 2.2e-16, and one 65-point window makes 6 levels where 17
+# points make 10
+_ZOOM_SHAPES = {1: (65, 1), 2: (17, 4)}
 _SORT_WHOLE = 1024  # grid values up to which a stable sort beats a partition
-# zoom window points from which merging repeated starts pays: the 289 of a
-# 2-d window, not the 17 of a 1-d one, where the check costs more than a
-# repeated window
-_MERGE_POINTS = _ZOOM_POINTS**2
-
-
-@dataclass(frozen=True)
-class MinResult:
-    argmin: NDArray[np.float64]
-    value: float
-    tolerance: float
-
-
-def oracle_grid_min(
-    objective: Callable,
-    box: Sequence[tuple[float, float]],
-    resolution,
-    vectorized: bool = False,
-) -> MinResult:
-    """Exhaustive evaluation of ``objective`` on a regular grid over ``box``.
-
-    ``resolution`` is an int or per-dimension sequence.  With
-    ``vectorized=True`` the objective receives an (M, dim) array, each
-    column contiguous, and must return M values.  Budget: 1e7 points.
-    """
-    dim = len(box)
-    if np.isscalar(resolution):
-        res = [int(resolution)] * dim
-    else:
-        res = [int(r) for r in resolution]
-    if any(r < 2 for r in res):
-        raise ValueError("resolution must be >= 2 per dimension")
-    total = math.prod(res)
-    if total > _GRID_BUDGET:
-        raise ValueError(f"grid budget exceeded: {total} > {_GRID_BUDGET}")
-    axes = [np.linspace(lo, hi, r) for (lo, hi), r in zip(box, res)]
-    if vectorized:
-        mesh = np.meshgrid(*axes, indexing="ij")
-        # cell-major, as the step search's batches: pts[:, j] is contiguous
-        pts = np.stack([m.ravel() for m in mesh], axis=0).T
-        vals = np.asarray(objective(pts), dtype=float)
-        vals = np.where(np.isnan(vals), INF, vals)
-        i = int(np.argmin(vals))
-        best_x, best_v = pts[i].copy(), float(vals[i])
-    else:
-        best_v, best_x = INF, np.array([a[0] for a in axes])
-        for combo in itertools.product(*axes):
-            v = float(objective(np.array(combo)))
-            if v < best_v:
-                best_v, best_x = v, np.array(combo)
-    spacing = max((hi - lo) / (r - 1) for (lo, hi), r in zip(box, res))
-    return MinResult(argmin=best_x, value=best_v, tolerance=spacing)
 
 
 # ---------------------------------------------------------------------------
@@ -173,26 +121,31 @@ def _row_objective(problem: RisProblem, ts: NDArray, Z_prev: NDArray) -> Callabl
     return step_objective(problem, ts[:, None], Z_prev[:, None, :])
 
 
+@functools.cache
 def _window_offsets(n: int) -> NDArray:
-    """Points of one zoom window in units of its spacing, centre first and
-    then by distance, so a tie in value keeps the point nearest the centre."""
-    half = (_ZOOM_POINTS - 1) // 2
+    """Points of one zoom window of n axes in units of its spacing, centre
+    first and then by distance, so a tie in value keeps the point nearest
+    the centre."""
+    half = (_ZOOM_SHAPES[n][0] - 1) // 2
     axis = np.arange(-half, half + 1, dtype=float)
     mesh = np.meshgrid(*([axis] * n), indexing="ij")
     offs = np.stack([m.ravel() for m in mesh], axis=-1)
     return offs[np.argsort(np.abs(offs).sum(axis=1), kind="stable")]
 
 
-_WINDOWS = {n: _window_offsets(n) for n in (1, 2)}  # the zoom runs for n_z <= 2
+def _zoom_factor(n: int) -> float:
+    """Each zoom level's half-width over the last's in n axes: the window's
+    spacing, 2 / (points - 1), a power of two."""
+    return 2 / (_ZOOM_SHAPES[n][0] - 1)
 
 
-def _level_count(width: float, tol: float) -> int:
+def _level_count(width: float, tol: float, factor: float) -> int:
     """The zoom levels of a row whose widest half-width is ``width``: each
-    level multiplies it by ``_ZOOM_FACTOR``, and a level runs while it is at
+    level multiplies it by ``factor``, and a level runs while it is at
     least ``tol``.  A Python float multiplies as a float64 array does."""
     count = 0
     while width >= tol:
-        width *= _ZOOM_FACTOR
+        width *= factor
         count += 1
     return count
 
@@ -214,13 +167,14 @@ def zoom_search(
     an (R, M, n) batch of those R rows to (R, M) values.  The batch is
     cell-major, a view of one buffer whose (R, M) plane of each axis is
     contiguous; every level writes its windows into it.  Each level
-    evaluates a window of ``_ZOOM_POINTS`` per axis spanning +-half_width
-    around each centre (clipped to the box) in one batched call, moves each
-    centre to its window's best point, and shrinks the half-width to the
-    window's spacing.  A centre's value never rises.
+    evaluates a window around each centre in one batched call, of the
+    points per axis ``_ZOOM_SHAPES`` gives n (65 in 1-d, 17 in 2-d),
+    spanning +-half_width (clipped to the box), moves each centre to its
+    window's best point, and shrinks the half-width to the window's
+    spacing.  A centre's value never rises.
 
     The schedule is fixed before the first level.  A level multiplies each
-    half-width by ``_ZOOM_FACTOR``, and rounding is monotone, so a row's
+    half-width by ``_zoom_factor(n)``, and rounding is monotone, so a row's
     widest half-width after l levels is its first widest one multiplied l
     times: the row zooms ``_level_count`` levels, as many as a test of its
     widest half-width before each level would run.  A row leaves the batch
@@ -228,21 +182,21 @@ def zoom_search(
     when it is searched alone; the values are read from the last level's
     batch only then.
 
-    Windows of at least ``_MERGE_POINTS`` points are merged after the first
-    level: a start whose centre has the bits of an earlier start of its row
-    would zoom the same windows to the same end, so it leaves the batch and
-    takes that start's result.  The rest zoom one window per batch row, in
-    a buffer of their own.
+    When a row has more than one start (k > 1), they are merged after the
+    first level: a start whose centre has the bits of an earlier start of
+    its row would zoom the same windows to the same end, so it leaves the
+    batch and takes that start's result.  The rest zoom one window per
+    batch row, in a buffer of their own.
     """
     out_c = np.array(centers, dtype=float)
     out_v = np.array(values, dtype=float)
     P, k, n = out_c.shape
-    offs = _WINDOWS[n]
+    offs, factor = _window_offsets(n), _zoom_factor(n)
     m = len(offs)
-    merge = m >= _MERGE_POINTS
+    merge = k > 1
     h = np.asarray(half_width, dtype=float)
     widest = np.maximum.reduce(h, axis=1).tolist()
-    counts = {w: _level_count(w, tol) for w in set(widest)}
+    counts = {w: _level_count(w, tol, factor) for w in set(widest)}
     ends = sorted(set(counts.values()))
     if not ends[-1]:
         return out_c, out_v
@@ -263,9 +217,9 @@ def zoom_search(
     # boxes, each repeated over its window's points; the centres c are
     # (n, W).  A level writes each centre over its window, then adds the
     # offsets and clips in place, ufuncs of operands of one shape, which
-    # numpy runs without broadcasting.  _ZOOM_FACTOR is a power of two, so
+    # numpy runs without broadcasting.  The factor is a power of two, so
     # scaling by it is exact: a level's offsets, the last level's times
-    # _ZOOM_FACTOR, have the bits of offs times its half-width
+    # the factor, have the bits of offs times its half-width
     f = objective(sel)
     buf, windows, pts, first = _window_batch(len(rows), k, m, n)
     tiled = np.empty((3, n, len(rows), k, m))  # offsets, lower and upper box
@@ -290,7 +244,7 @@ def zoom_search(
             buf, windows, pts, first = _window_batch(len(rows), k, m, n)
         while level < end:
             level += 1
-            step *= _ZOOM_FACTOR  # h becomes this window's spacing
+            step *= factor  # h becomes this window's spacing
             windows[...] = c[:, :, None]
             buf += step
             np.maximum(buf, lo, out=buf)
@@ -407,8 +361,10 @@ def _first_k(vals: NDArray, k: int) -> NDArray:
     ``np.argsort(vals, axis=1, kind="stable")[:, :k]``: tied values keep
     index order on every CPU, where numpy's default sort breaks ties by the
     CPU it dispatches to.  A row of m < k values gives m.  A large batch is
-    not sorted whole."""
+    not sorted whole, and one start is the first least value."""
     P, m = vals.shape
+    if k == 1:
+        return vals.argmin(axis=1)[:, None]
     if m <= k or vals.size <= _SORT_WHOLE:
         return vals.argsort(axis=1, kind="stable")[:, :k]
     kth = np.partition(vals, k - 1, axis=1)[:, k - 1, None]
@@ -426,10 +382,11 @@ def _grid_zoom(
     hi: NDArray,
 ) -> tuple[NDArray, NDArray]:
     """Per row, the step's candidates and their values, (P, 1 + 2 k, n) and
-    (P, 1 + 2 k) for k = ``_ZOOM_STARTS``: staying at z_prev, the best k
-    points of a grid of ``GRID_RESOLUTION`` points per axis over the search
-    box plus z_prev, then their zoomed refinements.  ``objective`` gives
-    the step objective of a selection of rows, as ``zoom_search`` takes it.
+    (P, 1 + 2 k) for the k starts ``_ZOOM_SHAPES`` gives n (1 in 1-d, 4 in
+    2-d): staying at z_prev, the best k points of a grid of
+    ``GRID_RESOLUTION`` points per axis over the search box plus z_prev,
+    then their zoomed refinements.  ``objective`` gives the step objective
+    of a selection of rows, as ``zoom_search`` takes it.
 
     z_prev itself, not the grid's clipped copy of it, is one more point of
     its row's grid batch: the maps act elementwise, so its value has the
@@ -437,7 +394,7 @@ def _grid_zoom(
     stays has a residual of exactly 0.  Raises ValueError, before the zoom,
     when a row's staying value is infinite."""
     P, n = Z_prev.shape
-    k = _ZOOM_STARTS
+    k = _ZOOM_SHAPES[n][1]
     spacing = (hi - lo) / (GRID_RESOLUTION - 1)
     axes = _grid_axes(lo, hi, spacing, Z_prev)
     cands, vals = np.empty((P, 1 + 2 * k, n)), np.empty((P, 1 + 2 * k))
@@ -473,10 +430,11 @@ def _grid_zoom(
 def chunk_rows(n_z: int) -> int:
     """Rows one chunk of ``global_min_rows`` searches together: as many as
     fit in ``_ROW_POINTS`` objective points, at least one.  A row counts its
-    grid, (GRID_RESOLUTION + 1) ** n_z points, or its first zoom level, if
-    larger; the grid's batch holds one point more a row, the staying state."""
-    per_row = max((GRID_RESOLUTION + 1) ** n_z, _ZOOM_STARTS * _ZOOM_POINTS**n_z)
-    return max(1, _ROW_POINTS // per_row)
+    grid, (GRID_RESOLUTION + 1) ** n_z points, which is more than its zoom's
+    first level in every shape of ``_ZOOM_SHAPES`` (130 > 65 in 1-d,
+    130 ** 2 > 4 * 17 ** 2 in 2-d); the grid's batch holds one point more a
+    row, the staying state."""
+    return max(1, _ROW_POINTS // (GRID_RESOLUTION + 1) ** n_z)
 
 
 def require_search(n_z: int) -> None:
@@ -518,8 +476,8 @@ def _step_rows(problem: RisProblem, ts: NDArray, Z_prev: NDArray) -> tuple[NDArr
     f = _row_objective(problem, ts, Z_prev)
     lo, hi = _search_boxes(problem, Z_prev)
     # the candidates: staying put, the grid's best points and their
-    # refinements, which the coarse runners-up join for the tie-break; a
-    # selection of rows is an index array, or slice(None) for every row
+    # refinements; a selection of rows is an index array, or slice(None)
+    # for every row
     cands, vals = _grid_zoom(
         lambda sel: f if isinstance(sel, slice) else _row_objective(problem, ts[sel], Z_prev[sel]),
         Z_prev, lo, hi,

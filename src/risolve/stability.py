@@ -166,7 +166,7 @@ def correction_ratio_check(
         if not is_finite(d) or d == 0.0:
             rows.append(RatioEntry(scale=s, ratio=float("nan"), skipped=True))
             continue
-        rows.append(RatioEntry(scale=s, ratio=float(problem.correction(z, zp)) / d))
+        rows.append(RatioEntry(scale=s, ratio=float(problem.correction(z, zp, d)) / d))
     kept = [r.ratio for r in rows if not r.skipped]
     ok = (
         len(kept) >= 2

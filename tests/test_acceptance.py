@@ -23,7 +23,6 @@ from risolve import (
     gamma_limit_study,
     interpolate,
     jump_cost,
-    oracle_grid_min,
     plasticity_stress_check,
     reduced_value,
     refine_study,
@@ -46,6 +45,7 @@ from risolve.models import (
 from risolve.scheme import jump_onset
 
 from conftest import step_min
+from grid_oracle import oracle_grid_min
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 

@@ -7,14 +7,17 @@ from hypothesis import strategies as st
 
 from risolve import (
     QuadraticMu,
+    TrivialH,
     correction_ratio_check,
     reduced_value,
     residual_stability,
 )
 from risolve.core import INF, is_finite
-from risolve.models import Toy1dSpec, make_toy1d
+from risolve.models import Plasticity0dSpec, Toy1dSpec, make_plasticity0d, make_toy1d
+from risolve.reduced import NEAR_OPTIMAL_BAND, step_objective
 
 from conftest import step_min
+from grid_oracle import oracle_grid_min
 
 
 def _sample_z(prob, rng, n):
@@ -140,3 +143,49 @@ class TestStepInvariants:
                 moved = np.linalg.norm(x - z) > 1e-6
                 if rep.residual > 1e-8:
                     assert moved
+
+
+_corrections = st.one_of(
+    st.none(),
+    st.builds(QuadraticMu, mu=st.floats(0.1, 10.0),
+              dist=st.sampled_from(["euclidean", "dissipation"])),
+    st.floats(0.1, 10.0).map(lambda c: TrivialH(h=lambda r: c * r * r)),
+)
+
+
+class TestStepSearchAgainstOracle:
+    """The step search of random convex 1-d rows against a 20,001-point
+    grid: never more than the grid's error below it, never more than the
+    tie band above it, and never above staying put."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        plastic=st.booleans(),
+        stiffness=st.floats(0.1, 10.0),
+        yield_stress=st.floats(0.1, 5.0),
+        load=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+        t_frac=st.floats(0.0, 1.0),
+        z_frac=st.floats(0.0, 1.0),
+        correction=_corrections,
+    )
+    def test_within_grid_error_of_oracle(self, plastic, stiffness, yield_stress, load,
+                                         t_frac, z_frac, correction):
+        if plastic:
+            prob = make_plasticity0d(Plasticity0dSpec(
+                C=stiffness, sigma_y=yield_stress, eps=load, correction=correction))
+        else:
+            prob = make_toy1d(Toy1dSpec(
+                a=stiffness, kappa=yield_stress, ell=load, correction=correction))
+        (lo, hi), = prob.z_box
+        t, z_prev = t_frac * prob.horizon, np.array([lo + z_frac * (hi - lo)])
+        f = step_objective(prob, t, z_prev)
+        x, value = step_min(prob, t, z_prev)
+        oracle = oracle_grid_min(f, prob.z_box, 20_001, vectorized=True)
+        # f is convex: its least value lies within a grid spacing of the
+        # grid's best point, and above it by no more than its neighbours' rise
+        near = np.clip(oracle.argmin + [[-oracle.tolerance], [oracle.tolerance]], lo, hi)
+        grid_error = float(np.max(f(near) - oracle.value))
+        assert oracle.value - grid_error - 1e-12 <= value
+        assert value <= oracle.value + NEAR_OPTIMAL_BAND
+        assert value <= f(z_prev[None])[0]
+        assert value == f(x[None])[0]

@@ -16,7 +16,6 @@ from risolve import (
     ResidualMemo,
     RisProblem,
     global_min_rows,
-    oracle_grid_min,
     reduced_value,
 )
 from risolve.core import INF
@@ -35,6 +34,7 @@ from risolve.models import (
 )
 
 from conftest import step_min
+from grid_oracle import oracle_grid_min
 
 
 def _quadratic_problem(correction=None):
@@ -257,9 +257,10 @@ class TestZoomSearch:
         searched = [(shape, ok) for shape, ok in seen if shape[1] > 1]
         assert all(ok for _, ok in searched)
         sizes = {shape for shape, _ in searched}
-        window = reduced._ZOOM_POINTS**2
+        points, starts = reduced._ZOOM_SHAPES[2]
+        window = points**2
         assert (3, 129 * 129 + 1) in sizes  # the grid and the staying state
-        assert (3, reduced._ZOOM_STARTS * window) in sizes  # the zoom's first level
+        assert (3, starts * window) in sizes  # the zoom's first level
         # then the 12 starts zoom their 6 distinct windows, one a batch row,
         # before and after the row of the smallest box stops with its one
         assert (6, window) in sizes and (5, window) in sizes
@@ -303,7 +304,7 @@ class TestZoomSearch:
             assert value.tobytes() == v[:, j : j + 1].tobytes()
         # the first level prices every start's window; the next ones price
         # one window per distinct centre, the centre first
-        window = reduced._ZOOM_POINTS**2
+        window = reduced._ZOOM_SHAPES[2][0] ** 2
         assert seen[0].shape == (2, 4 * window, 2)
         assert len(seen) > 2
         for pts in seen[1:]:
@@ -311,20 +312,29 @@ class TestZoomSearch:
             centres = {tuple(x) for x in pts[:, 0]}
             assert len(centres) == 6 and (0.0, 0.0) in centres
 
-    def test_repeated_1d_starts_stay(self):
-        # a 17-point window costs less than the check: 1-d starts that meet
-        # go on zooming side by side
+    def test_repeated_1d_starts_merge(self):
+        # a row of more than one start merges them after the first level in
+        # 1-d too: both starts meet at the box's corner 0 and zoom on as one
+        # window, with the bits each gets alone
         seen = []
         objective = self._bowl([[-1.0]], seen)
         centers, values = np.array([[[0.05], [0.03]]]), np.array([[1.1025, 1.0609]])
-        c, _ = reduced.zoom_search(
-            objective, centers, values, np.full((1, 1), 0.1), np.zeros((1, 1)),
-            np.ones((1, 1)), 1e-10,
-        )
+        half, lo, hi = np.full((1, 1), 0.1), np.zeros((1, 1)), np.ones((1, 1))
+        c, v = reduced.zoom_search(objective, centers, values, half, lo, hi, 1e-10)
         assert (c == 0.0).all()
-        assert {pts.shape for pts in seen} == {(1, 2 * reduced._ZOOM_POINTS, 1)}
+        for j in range(2):
+            alone, value = reduced.zoom_search(
+                self._bowl([[-1.0]], []), centers[:, j : j + 1], values[:, j : j + 1],
+                half, lo, hi, 1e-10,
+            )
+            assert alone.tobytes() == c[:, j : j + 1].tobytes()
+            assert value.tobytes() == v[:, j : j + 1].tobytes()
+        window = reduced._ZOOM_SHAPES[1][0]
+        assert seen[0].shape == (1, 2 * window, 1)
+        assert len(seen) > 1
+        assert {pts.shape for pts in seen[1:]} == {(1, window, 1)}
 
-    def test_lone_flowing_step_makes_eleven_objective_calls(self, plasticity, monkeypatch):
+    def test_lone_flowing_step_makes_seven_objective_calls(self, plasticity, monkeypatch):
         calls = []
         objective = reduced.step_objective
 
@@ -342,10 +352,10 @@ class TestZoomSearch:
         x, _ = global_min_rows(plasticity, [1.5], [[0.499]])
         assert x[0, 0] == pytest.approx(0.5, abs=1e-7)
         # the 129-point grid plus z_prev's clipped copy, and z_prev itself
-        # for staying put, then 10 zoom levels: the box's half-width 10/128
-        # stays at least DESCENT_TOL for 10 shrinks
-        window = reduced._ZOOM_STARTS * reduced._ZOOM_POINTS
-        assert calls == [(1, 131, 1)] + [(1, window, 1)] * 10
+        # for staying put, then 6 zoom levels of the best grid point's
+        # 65-point window: the box's half-width 10/128 stays at least
+        # DESCENT_TOL for 6 shrinks by 1/32
+        assert calls == [(1, 131, 1)] + [(1, 65, 1)] * 6
 
     @pytest.mark.parametrize(
         "model, t, z_prev",
@@ -379,7 +389,7 @@ class TestZoomSearch:
             assert V[0].tobytes() == stay.tobytes()
 
     def test_rows_stop_at_their_scheduled_level(self):
-        tol, factor = reduced.DESCENT_TOL, reduced._ZOOM_FACTOR
+        tol, factor = reduced.DESCENT_TOL, reduced._zoom_factor(2)
         edge = tol / factor**3  # exactly tol after three levels
         half = np.array([
             [edge, tol / 2],  # lands on tol: a fourth level runs
@@ -424,9 +434,19 @@ class TestZoomSearch:
             assert value.tobytes() == v[p : p + 1].tobytes()
 
     def test_zoom_factor_scales_exactly(self):
-        # the zoom rescales each level's offsets by _ZOOM_FACTOR, which must
-        # be a power of two to keep the bits of offsets times half-width
-        assert math.frexp(reduced._ZOOM_FACTOR)[0] == 0.5
+        # the zoom rescales each level's offsets by its dimension's factor,
+        # which must be a power of two to keep the bits of offsets times
+        # half-width.  On a box of width 10 (first half-width 10/128) a 1-d
+        # row zooms 6 levels of 1/32 and a 2-d row 10 of 1/8: both end at
+        # the half-width 10/128 * 2**-30
+        first, tol = 10 / 128, reduced.DESCENT_TOL
+        levels = {}
+        for n in reduced._ZOOM_SHAPES:
+            factor = reduced._zoom_factor(n)
+            assert math.frexp(factor)[0] == 0.5 and factor < 1
+            levels[n] = reduced._level_count(first, tol, factor)
+            assert first * factor ** levels[n] == math.ldexp(first, -30)
+        assert levels == {1: 6, 2: 10}
 
     def test_more_than_two_dimensions_fail_loudly(self):
         prob = make_damage1d(Damage1dSpec(N=3))
@@ -550,13 +570,17 @@ class TestRowBatch:
             P, m = rng.integers(1, 6), rng.integers(1, 400)
             vals = rng.integers(0, rng.integers(1, 6), size=(P, m)).astype(float)
             vals[rng.random((P, m)) < 0.1] = INF
-            expected = np.argsort(vals, axis=1, kind="stable")[:, :4]
-            assert np.array_equal(reduced._first_k(vals, 4), expected)
+            order = np.argsort(vals, axis=1, kind="stable")
+            for k in (1, 4):  # the starts of a 1-d and of a 2-d zoom
+                assert np.array_equal(reduced._first_k(vals, k), order[:, :k])
 
     def test_chunk_rows(self, monkeypatch):
         # one chunk holds _ROW_POINTS objective points, a 1-d row 130 of
         # them and a 2-d row 130 ** 2; a grid of 130 ** 3 points or more
         # overflows a chunk alone, which leaves one row
         assert [reduced.chunk_rows(n) for n in (1, 2, 3, 4)] == [504, 3, 1, 1]
+        # a row's grid holds more points than its zoom's first level
+        for n, (points, starts) in reduced._ZOOM_SHAPES.items():
+            assert starts * points**n < 130**n
         monkeypatch.setattr(reduced, "_ROW_POINTS", 100)
         assert reduced.chunk_rows(1) == 1

@@ -91,6 +91,31 @@ class TestCorrectionRatio:
         _, ok = correction_ratio_check(prob, [0.0], [1.0], scales)
         assert not ok
 
+    @pytest.mark.parametrize(
+        "spec",
+        [TrivialH(h=lambda r: r**2), QuadraticMu(mu=2.0, dist="dissipation")],
+        ids=["trivial-h", "mu-on-d"],
+    )
+    def test_correction_on_d_prices_d_once(self, toy_convex, spec):
+        # a correction defined on d takes the probe's d: one dissipation
+        # call per scale, and each ratio has the bits of the correction
+        # pricing d itself
+        calls = []
+
+        def dissipation(z, zp):
+            calls.append(1)
+            return toy_convex.dissipation(z, zp)
+
+        prob = replace(toy_convex, dissipation=dissipation).with_correction(spec)
+        scales = [2.0 ** (-k) for k in range(6)]
+        rows, ok = correction_ratio_check(prob, [0.3], [1.0], scales)
+        assert ok and len(calls) == len(scales)
+        for row in rows:
+            zp = np.array([0.3 + row.scale])
+            d = float(toy_convex.dissipation(np.array([0.3]), zp))
+            expected = float(prob.correction(np.array([0.3]), zp)) / d
+            assert np.float64(row.ratio).tobytes() == np.float64(expected).tobytes()
+
     def test_forbidden_direction_skipped(self):
         prob = make_damage1d(Damage1dSpec())
         rows, ok = correction_ratio_check(

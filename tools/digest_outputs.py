@@ -4,6 +4,7 @@ perfbench workloads, so two checkouts can be compared byte for byte.
     python tools/digest_outputs.py                           # configs/*.ini, seeds 0,1,2
     python tools/digest_outputs.py configs/damage1d.ini --seeds 0
     python tools/digest_outputs.py configs/delamination0d.ini --seeds ""
+    python tools/digest_outputs.py --keep /tmp/out  # also save every output
 
 Each config gets ``solve``, ``verify`` of the CSV it wrote, a ``sweep``
 over tau = 2 tau0, tau0 (tau0 the config's own) and a ``jumpcost`` at
@@ -23,6 +24,11 @@ wrote or changed it:
 
 Run the script in the parent checkout and in the change, and diff the two
 outputs: no difference means every CSV, certificate and stdout kept its bytes.
+With ``--keep DIR`` each output is also saved as it is digested, under
+``DIR/<label>/`` (the label's spaces as ``_``): every file a command wrote or
+changed, its stdout as ``stdout.txt`` and its exit code as ``exit_code.txt``
+(``rc=<code>``).  ``tools/compare_outputs.py`` then says how two such
+directories differ.
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ import contextlib
 import hashlib
 import io
 import os
+import shutil
 import sys
 import tempfile
 from pathlib import Path
@@ -47,35 +54,51 @@ def _sha(data: bytes) -> str:
 
 class Digester:
     """Runs CLI commands in one directory and prints the digests of their
-    stdout and of the files each one wrote or changed."""
+    stdout and of the files each one wrote or changed; with a ``keep``
+    directory, saves each of them there too."""
 
-    def __init__(self, cli_main, out: Path):
+    def __init__(self, cli_main, out: Path, keep: Path | None = None):
         self.cli_main = cli_main
         self.out = out
+        self.keep = keep
         self.seen: dict[str, str] = {}
 
+    def _kept(self, label: str) -> Path | None:
+        if self.keep is None:
+            return None
+        path = self.keep / label.replace(" ", "_")
+        path.mkdir(parents=True, exist_ok=True)
+        return path
+
     def files(self, label: str) -> None:
+        kept = self._kept(label)
         for path in sorted(self.out.iterdir()):
             digest = _sha(path.read_bytes())
             if self.seen.get(path.name) != digest:
                 self.seen[path.name] = digest
                 print(f"{digest}  {label} {path.name}")
+                if kept is not None:
+                    shutil.copyfile(path, kept / path.name)
 
     def run(self, label: str, argv: list[str]) -> None:
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
             rc = self.cli_main(argv)
         print(f"{_sha(buf.getvalue().encode())}  {label} stdout rc={rc}")
+        kept = self._kept(label)
+        if kept is not None:
+            (kept / "stdout.txt").write_text(buf.getvalue())
+            (kept / "exit_code.txt").write_text(f"rc={rc}\n")
         self.files(label)
 
 
-def digest_config(cli_main, load_config, config: Path) -> None:
+def digest_config(cli_main, load_config, config: Path, keep: Path | None) -> None:
     name = config.name
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
         run = load_config(config)
         base = ["--config", str(config), "--out-dir", tmp]
-        dig = Digester(cli_main, out)
+        dig = Digester(cli_main, out, keep)
         dig.run(f"{name} solve", ["solve", *base])
         csv = out / f"{run.prefix}_trajectory.csv"
         dig.run(f"{name} verify", ["verify", *base, str(csv)])
@@ -117,11 +140,11 @@ def _write_e_config(config: Path, dest: Path, prefix: str) -> str:
     return f"{prefix}_E"
 
 
-def digest_workload(cli_main, build, name: str, seed: int) -> None:
+def digest_workload(cli_main, build, name: str, seed: int, keep: Path | None) -> None:
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
         wl = build(seed, out)
-        dig = Digester(cli_main, out)
+        dig = Digester(cli_main, out, keep)
         dig.files(f"{name} seed {seed} input")
         for i, op in enumerate(wl.ops):
             dig.run(f"{name} seed {seed} op {i} {op.kind}", op.argv)
@@ -133,7 +156,11 @@ def main(argv=None) -> int:
                     help="INI configs (default: configs/*.ini of this checkout)")
     ap.add_argument("--seeds", default=SEEDS,
                     help=f"comma-separated perfbench seeds, empty for none (default {SEEDS})")
+    ap.add_argument("--keep", type=Path, metavar="DIR",
+                    help="also save every output under DIR (a new directory), "
+                         "one directory per command")
     args = ap.parse_args(argv)
+    keep = args.keep.resolve() if args.keep else None
     seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
     configs = args.configs or sorted((ROOT / "configs").glob("*.ini"))
 
@@ -144,14 +171,14 @@ def main(argv=None) -> int:
     from risolve.cli import load_config, main as cli_main
 
     for config in configs:
-        digest_config(cli_main, load_config, config.resolve())
+        digest_config(cli_main, load_config, config.resolve(), keep)
     if seeds:
         sys.dont_write_bytecode = True  # leave perfbench/ as it is
         import workloads
 
         for name, build in workloads.WORKLOADS.items():
             for seed in seeds:
-                digest_workload(cli_main, build, name, seed)
+                digest_workload(cli_main, build, name, seed, keep)
     return 0
 
 
