@@ -18,11 +18,9 @@ from .reduced import (
 )
 from .stability import (
     ResidualMemo,
-    StabilityReport,
     correction_ratio_check,
     exponent_check,
     residual_rows,
-    residual_stability,
 )
 from .scheme import (
     DiscreteTrajectory,
@@ -31,6 +29,7 @@ from .scheme import (
     interpolate,
     jump_onset,
     refine_study,
+    scheme_problem,
     solve_incremental,
     solve_lockstep,
 )

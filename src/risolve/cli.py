@@ -1,7 +1,10 @@
 """Command-line front end: solve, sweep, jumpcost, verify.
 
 Configs are INI documents with sections [model], [scheme], [verify] and
-[output]; unknown sections or keys are rejected with a diagnostic.  All
+[output]; unknown sections or keys are rejected with a diagnostic.  The
+keys of [model], [scheme] and [verify] are the fields of the model's spec
+dataclass, of ``SchemeConfig`` and of ``TolConfig``, each parsed by its
+declared type; a key left out takes the dataclass default.  All
 floating-point output uses 17 significant digits so CSV round-trips are
 lossless, and identical configs produce byte-identical files.
 
@@ -13,9 +16,10 @@ from __future__ import annotations
 import argparse
 import configparser
 import sys
-from dataclasses import replace
+from dataclasses import dataclass, replace
+from functools import cache
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -45,9 +49,9 @@ from .reduced import require_search
 from .scheme import (
     DiscreteTrajectory,
     SchemeConfig,
-    _scheme_correction,
     interpolate,
     jump_records,
+    scheme_problem,
     solve_incremental,
     solve_lockstep,
 )
@@ -89,13 +93,6 @@ def _floats(text: str, key: str) -> list[float]:
     return [_number(p, key) for p in text.replace(",", " ").split()]
 
 
-def _pair(text: str, key: str) -> tuple[float, float]:
-    vals = _floats(text, key)
-    if len(vals) != 2:
-        raise ConfigError(f"key {key!r} needs exactly two numbers, got {text!r}")
-    return (vals[0], vals[1])
-
-
 def _bool(text: str, key: str) -> bool:
     t = text.strip().lower()
     if t in ("1", "true", "yes", "on"):
@@ -135,106 +132,88 @@ def parse_correction(text: str) -> Optional[CorrectionSpec]:
     raise ConfigError(f"unknown correction kind {kind!r}")
 
 
-_MODEL_KEYS = {
-    "toy1d": {"kind", "well", "a", "b", "w", "kappa", "ell", "horizon", "z_box", "correction"},
-    "plasticity0d": {"kind", "C", "sigma_y", "eps", "horizon", "z_box", "correction"},
-    "damage1d": {"kind", "N", "E0", "eta", "r", "grad_weight", "kappa", "w_D", "horizon", "correction"},
-    "delamination0d": {"kind", "k_minus", "k_plus", "a0", "kappa", "ell", "horizon", "brittle", "k", "correction"},
+_MODELS = {
+    "toy1d": (Toy1dSpec, make_toy1d),
+    "plasticity0d": (Plasticity0dSpec, make_plasticity0d),
+    "damage1d": (Damage1dSpec, make_damage1d),
+    "delamination0d": (Delamination0dSpec, make_delamination0d),
 }
-_SCHEME_KEYS = {"scheme", "tau", "epsilon", "initial_z", "t_span"}
-_VERIFY_KEYS = {"minimality_tol", "stability_tol", "balance_tol", "jump_tol", "probe_count"}
 _OUTPUT_KEYS = {"out_dir", "prefix"}
+# the declared types of a class's fields or a function's parameters, read
+# once a process: a command that loads a config per operation pays once
+_type_hints = cache(get_type_hints)
 
 
+@dataclass(frozen=True)
 class RunConfig:
     """Parsed config: model spec/problem factory plus scheme and tolerances."""
 
-    def __init__(self, model_kind, model_spec, problem, scheme, tol, out_dir, prefix):
-        self.model_kind = model_kind
-        self.model_spec = model_spec
-        self.problem = problem
-        self.scheme = scheme
-        self.tol = tol
-        self.out_dir = out_dir
-        self.prefix = prefix
+    model_kind: str
+    model_spec: object
+    problem: RisProblem
+    scheme: SchemeConfig
+    tol: TolConfig
+    out_dir: str
+    prefix: str
 
 
 def _check_keys(section: str, present, allowed) -> None:
-    extra = set(present) - allowed
+    extra = set(present) - set(allowed)
     if extra:
         raise ConfigError(
             f"unknown key(s) in [{section}]: {', '.join(sorted(extra))}"
         )
 
 
+def _value(hint, text: str, key: str):
+    """``text``, the value of ``key``, parsed as its declared type ``hint``:
+    a str, bool, int or correction, one finite number, two (a
+    ``tuple[float, float]``) or any count (one number gives a float for
+    ``Union[float, tuple]``)."""
+    if get_origin(hint) is Union and type(None) in get_args(hint):
+        (hint,) = set(get_args(hint)) - {type(None)}  # Optional[X] parses as X
+    if hint is str:
+        return text
+    if hint is bool:
+        return _bool(text, key)
+    if hint is CorrectionSpec:
+        return parse_correction(text)
+    scalar = hint in (int, float)
+    vals = [_number(text, key, hint)] if scalar else _floats(text, key)
+    if not all(-INF < v < INF for v in vals):  # also false for a nan
+        raise ConfigError(f"{key!r} must be finite, got {text!r}")
+    if hint == tuple[float, float] and len(vals) != 2:
+        raise ConfigError(f"key {key!r} needs exactly two numbers, got {text!r}")
+    if scalar or (hint == Union[float, tuple] and len(vals) == 1):
+        return vals[0]
+    return tuple(vals)
+
+
+def _parse(section: str, sec, hints: dict) -> dict:
+    """The keys of ``sec`` parsed by the types ``hints`` declares for them;
+    a ConfigError names a key ``hints`` lacks or a value not of its type."""
+    _check_keys(section, sec.keys(), hints)
+    return {key: _value(hints[key], text, key) for key, text in sec.items()}
+
+
 def _build_model(sec) -> tuple[str, object, RisProblem]:
+    """The [model] keys are the fields of the kind's spec dataclass and the
+    keyword options of its maker (brittle and k of the delamination)."""
     kind = sec.get("kind")
     if kind is None:
         raise ConfigError("[model] section needs a 'kind' key")
-    if kind not in _MODEL_KEYS:
+    if kind not in _MODELS:
         raise ConfigError(f"unknown model kind {kind!r}")
-    _check_keys("model", sec.keys(), _MODEL_KEYS[kind])
-    corr = parse_correction(sec["correction"]) if "correction" in sec else "default"
-
-    if kind == "toy1d":
-        kw = {"well": sec["well"]} if "well" in sec else {}
-        for key in ("a", "b", "w", "kappa", "horizon"):
-            if key in sec:
-                kw[key] = _number(sec[key], key)
-        if "ell" in sec:
-            kw["ell"] = _pair(sec["ell"], "ell")
-        if "z_box" in sec:
-            kw["z_box"] = _pair(sec["z_box"], "z_box")
-        if corr != "default":
-            kw["correction"] = corr
-        spec = Toy1dSpec(**kw)
-        return kind, spec, make_toy1d(spec)
-
-    if kind == "plasticity0d":
-        kw = {}
-        for key in ("C", "sigma_y", "horizon"):
-            if key in sec:
-                kw[key] = _number(sec[key], key)
-        if "eps" in sec:
-            kw["eps"] = _pair(sec["eps"], "eps")
-        if "z_box" in sec:
-            kw["z_box"] = _pair(sec["z_box"], "z_box")
-        if corr != "default":
-            kw["correction"] = corr
-        spec = Plasticity0dSpec(**kw)
-        return kind, spec, make_plasticity0d(spec)
-
-    if kind == "damage1d":
-        kw = {}
-        if "N" in sec:
-            kw["N"] = _number(sec["N"], "N", int)
-        for key in ("eta", "r", "grad_weight", "horizon"):
-            if key in sec:
-                kw[key] = _number(sec[key], key)
-        for key in ("E0", "kappa"):
-            if key in sec:
-                vals = _floats(sec[key], key)
-                kw[key] = vals[0] if len(vals) == 1 else tuple(vals)
-        if "w_D" in sec:
-            kw["w_D"] = _pair(sec["w_D"], "w_D")
-        if corr != "default":
-            kw["correction"] = corr
-        spec = Damage1dSpec(**kw)
-        return kind, spec, make_damage1d(spec)
-
-    # delamination0d
-    kw = {}
-    for key in ("k_minus", "k_plus", "a0", "kappa", "horizon"):
-        if key in sec:
-            kw[key] = _number(sec[key], key)
-    if "ell" in sec:
-        kw["ell"] = _pair(sec["ell"], "ell")
-    if corr != "default":
-        kw["correction"] = corr
-    spec = Delamination0dSpec(**kw)
-    brittle = _bool(sec["brittle"], "brittle") if "brittle" in sec else True
-    k = _number(sec["k"], "k") if "k" in sec else None
-    return kind, spec, make_delamination0d(spec, brittle=brittle, k=k)
+    cls, make = _MODELS[kind]
+    fields = _type_hints(cls)
+    options = {k: v for k, v in _type_hints(make).items() if k not in ("spec", "return")}
+    kw = _parse("model", sec, {"kind": str, **fields, **options})
+    del kw["kind"]
+    try:
+        spec = cls(**{key: kw.pop(key) for key in fields if key in kw})
+        return kind, spec, make(spec, **kw)
+    except ValueError as exc:
+        raise ConfigError(f"bad [model] values: {exc}") from exc
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -258,39 +237,21 @@ def load_config(path: str | Path) -> RunConfig:
 
     kind, spec, problem = _build_model(cp["model"])
 
-    sec = cp["scheme"] if "scheme" in cp else {}
-    if sec:
-        _check_keys("scheme", sec.keys(), _SCHEME_KEYS)
-    kw = {
-        "scheme": sec.get("scheme", "VE"),
-        "tau": _number(sec.get("tau", 1e-2), "tau"),
-        "epsilon": _number(sec.get("epsilon", 0.0), "epsilon"),
-        # the model's own correction doubles as the scheme correction
-        "correction": getattr(spec, "correction", None),
-    }
-    if "initial_z" in sec:
-        kw["initial_z"] = tuple(_floats(sec["initial_z"], "initial_z"))
-    else:
-        kw["initial_z"] = tuple(0.0 for _ in range(problem.n_z))
-    if "t_span" in sec:
-        kw["t_span"] = _pair(sec["t_span"], "t_span")
+    kw = _parse("scheme", cp["scheme"] if "scheme" in cp else {}, _type_hints(SchemeConfig))
+    kw.setdefault("initial_z", (0.0,) * problem.n_z)
     try:
         scheme = SchemeConfig(**kw)
     except ValueError as exc:
         raise ConfigError(f"bad [scheme] values: {exc}") from exc
 
-    vsec = cp["verify"] if "verify" in cp else {}
-    if vsec:
-        _check_keys("verify", vsec.keys(), _VERIFY_KEYS)
-    tols = {k: _number(vsec[k], k, int if k == "probe_count" else float) for k in vsec}
+    tols = _parse("verify", cp["verify"] if "verify" in cp else {}, _type_hints(TolConfig))
     try:
         tol = TolConfig(**tols)
     except ValueError as exc:
         raise ConfigError(f"bad [verify] values: {exc}") from exc
 
     osec = cp["output"] if "output" in cp else {}
-    if osec:
-        _check_keys("output", osec.keys(), _OUTPUT_KEYS)
+    _check_keys("output", osec.keys(), _OUTPUT_KEYS)
     out_dir = osec.get("out_dir", "out")
     prefix = osec.get("prefix", kind)
     return RunConfig(kind, spec, problem, scheme, tol, out_dir, prefix)
@@ -448,8 +409,8 @@ def _sweep_run(run: RunConfig, axis: str, value: float) -> tuple[RisProblem, Sch
     elif axis == "epsilon":
         scheme = replace(scheme, scheme="BV", epsilon=value)
     elif axis == "mu":
-        corr = QuadraticMu(mu=value)
-        scheme = replace(scheme, scheme="VE", correction=corr)
+        problem = problem.with_correction(QuadraticMu(mu=value))
+        scheme = replace(scheme, scheme="VE")
     elif axis == "k":
         problem = make_delamination0d(run.model_spec, brittle=False, k=value)
     else:
@@ -556,8 +517,7 @@ def cmd_jumpcost(args) -> int:
 def cmd_verify(args) -> int:
     run = load_config(args.config)
     traj = read_trajectory_csv(Path(args.trajectory), run.problem)
-    # the problem the scheme solved, as in solve_incremental
-    problem = run.problem.with_correction(_scheme_correction(run.scheme))
+    problem = scheme_problem(run.problem, run.scheme)  # as solve_incremental solved it
     cert = _certify(run, problem, traj)
     text = "\n".join(certificate_lines(cert)) + "\n"
     sys.stdout.write(text)

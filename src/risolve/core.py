@@ -197,11 +197,12 @@ class RisProblem:
     dissipation(Z_from, Z_to) is an asymmetric extended quasi-distance
     (``inf`` encodes forbidden directions such as healing);
     correction(Z_from, Z_to, D=None) is the viscous perturbation delta of
-    the VE scheme and stability function, built by :meth:`with_correction`,
-    which takes D = d(Z_from, Z_to) when given.  A map must act elementwise
-    whatever the memory layout of its batch: the step search passes
-    cell-major batches, Z[..., i] one contiguous plane per cell, which a
-    map prices fastest plane by plane.
+    the VE scheme and stability function, which takes D = d(Z_from, Z_to)
+    when given; the problem derives it from ``correction_spec`` and its own
+    dissipation, so a copy with another d or spec prices delta with them.
+    A map must act elementwise whatever the memory layout of its batch:
+    the step search passes cell-major batches, Z[..., i] one contiguous
+    plane per cell, which a map prices fastest plane by plane.
 
     With n_u > 0, energy and solve_u are required.  With n_u = 0 there is
     no u to eliminate, so E = I: the problem derives energy as I(t, z) in
@@ -216,7 +217,9 @@ class RisProblem:
     z_box: Sequence[tuple[float, float]]
     energy: Optional[Callable[[float, NDArray, NDArray], NDArray]] = None
     horizon: float = 1.0
-    correction: Callable[[NDArray, NDArray], NDArray] = _zero_correction
+    # derived from correction_spec, as energy is when n_u = 0: a value
+    # given here is replaced
+    correction: Optional[Callable[[NDArray, NDArray], NDArray]] = None
     correction_spec: Optional[CorrectionSpec] = None
     unidirectional: bool = False
     solve_u: Optional[Callable[[float, NDArray], NDArray]] = None
@@ -233,8 +236,8 @@ class RisProblem:
         for lo, hi in self.z_box:
             if not (lo < hi) or not (math.isfinite(lo) and math.isfinite(hi)):
                 raise ValueError("z_box intervals must be bounded and nonempty")
-        if self.horizon <= 0:
-            raise ValueError("horizon must be positive")
+        if not 0 < self.horizon < INF:  # also true for a nan
+            raise ValueError(f"horizon must be finite and positive, got {self.horizon}")
         box = np.array(self.z_box, dtype=float).reshape(self.n_z, 2)
         object.__setattr__(self, "_box", box)  # rows (lo, hi)
         object.__setattr__(self, "_lo", box[:, 0].copy())
@@ -246,6 +249,7 @@ class RisProblem:
             # bound to this copy, so a copy with another reduced_vec follows it
             object.__setattr__(self, "energy", self._box_energy)
             object.__setattr__(self, "solve_u", _no_u)
+        object.__setattr__(self, "correction", build_correction(self.correction_spec, self))
 
     def _box_energy(self, t, U, Z) -> NDArray:
         Z = np.asarray(Z, dtype=float)
@@ -253,8 +257,7 @@ class RisProblem:
 
     def with_correction(self, spec: Optional[CorrectionSpec]) -> "RisProblem":
         """Copy of the problem using the correction described by ``spec``."""
-        out = dataclasses.replace(self, correction_spec=spec)
-        return dataclasses.replace(out, correction=build_correction(spec, out))
+        return dataclasses.replace(self, correction_spec=spec)
 
     def inside(self, Z) -> NDArray[np.bool_]:
         """Per state of an (..., n_z) batch, whether it lies in the box."""

@@ -34,6 +34,10 @@ __all__ = [
 ]
 
 
+# the brittle interface counts as bonded where z exceeds this
+Z_TOL = 1e-12
+
+
 def _step(z, zp) -> NDArray:
     """z' - z over broadcast batches of one-cell states, one value a state."""
     return np.asarray(zp, dtype=float)[..., 0] - np.asarray(z, dtype=float)[..., 0]
@@ -327,7 +331,6 @@ class Delamination0dSpec:
     kappa: float = 0.5
     ell: tuple[float, float] = (0.0, 2.0)  # affine pull program
     horizon: float = 1.0
-    z_tol: float = 1e-12
     correction: Optional[CorrectionSpec] = field(
         default_factory=lambda: TrivialH(h=lambda r: r * r)
     )
@@ -352,9 +355,10 @@ def make_delamination0d(
     """
     if not brittle and (k is None or k <= 0):
         raise ValueError("adhesive variant needs a positive penalty k")
+    if brittle and k is not None:
+        raise ValueError(f"the brittle variant takes no penalty 'k', got {k}")
     km, kp, a0, kappa = spec.k_minus, spec.k_plus, spec.a0, spec.kappa
     ell, dell = _affine(spec.ell)
-    ztol = spec.z_tol
     ks = km * kp / (km + kp)
 
     def gap(U):
@@ -369,7 +373,7 @@ def make_delamination0d(
         # off the box, and a penetrating gap (nonpenetration), cost +infinity
         bad = (zz < -1e-12) | (zz > 1.0 + 1e-12) | (g < -1e-10)
         if brittle:
-            bad |= (zz > ztol) & (np.abs(g) > 1e-10)  # an open gap while bonded
+            bad |= (zz > Z_TOL) & (np.abs(g) > 1e-10)  # an open gap while bonded
         else:
             e = e + 0.5 * k * zz * g * g
         return np.where(bad, INF, e)
@@ -378,7 +382,7 @@ def make_delamination0d(
         zz, L = np.asarray(Z, dtype=float)[..., 0], ell(t)
         if brittle:
             # bonded, both springs stretch as one series spring
-            bonded, u1 = zz > ztol, kp * L / (km + kp)
+            bonded, u1 = zz > Z_TOL, kp * L / (km + kp)
             u2 = u1
         else:
             kz = k * zz
@@ -401,7 +405,7 @@ def make_delamination0d(
         L = ell(t)
         if brittle:
             bonded = 0.5 * ks * L * L - a0 * zz
-            return np.where(zz > ztol, bonded, -a0 * zz)
+            return np.where(zz > Z_TOL, bonded, -a0 * zz)
         kz = k * zz
         keff = np.where(
             kz > 1e-300,

@@ -1,9 +1,11 @@
 """Time-incremental minimization schemes and interpolants.
 
-Three flavours share one driver: the plain scheme (no correction), the
-viscosity-penalized scheme (eps/(2 tau) squared-distance penalty, an
-approximation of the vanishing-viscosity limit), and the corrected scheme
-with a user-chosen viscous correction.
+Three flavours share one driver and differ only in the correction of the
+problem they solve (``scheme_problem``): the plain scheme E removes the
+problem's correction, the viscosity-penalized scheme BV installs the
+eps/(2 tau) squared-distance penalty (an approximation of the
+vanishing-viscosity limit), and the corrected scheme VE keeps the
+problem's own viscous correction.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .core import (
-    CorrectionSpec,
     JumpRecord,
     QuadraticMu,
     RisProblem,
@@ -31,6 +32,7 @@ from .reduced import chunk_rows, global_min_rows, reduced_value
 __all__ = [
     "SchemeConfig",
     "DiscreteTrajectory",
+    "scheme_problem",
     "solve_incremental",
     "solve_lockstep",
     "interpolate",
@@ -50,7 +52,6 @@ ONSET_GAIN = 0.05  # jump_onset's threshold on the step gain, in units of tau
 class SchemeConfig:
     scheme: str = "VE"  # E | BV | VE
     tau: float = 1e-2
-    correction: Optional[CorrectionSpec] = None  # VE only
     epsilon: float = 0.0  # BV only
     initial_z: Sequence[float] = (0.0,)
     t_span: Optional[tuple[float, float]] = None
@@ -100,12 +101,17 @@ class DiscreteTrajectory:
         return _flag_steps(self.step_diss)
 
 
-def _scheme_correction(cfg: SchemeConfig) -> Optional[CorrectionSpec]:
+def scheme_problem(problem: RisProblem, cfg: SchemeConfig) -> RisProblem:
+    """The problem the scheme of ``cfg`` solves and its certificate checks:
+    a copy of ``problem`` without a correction (E), with the penalty
+    QuadraticMu(epsilon / tau) (BV) or with the problem's own (VE)."""
     if cfg.scheme == "E":
-        return None
-    if cfg.scheme == "BV":
-        return QuadraticMu(mu=cfg.epsilon / cfg.tau, dist="euclidean")
-    return cfg.correction
+        spec = None
+    elif cfg.scheme == "BV":
+        spec = QuadraticMu(mu=cfg.epsilon / cfg.tau, dist="euclidean")
+    else:
+        spec = problem.correction_spec
+    return problem.with_correction(spec)
 
 
 class _Run:
@@ -229,8 +235,9 @@ def solve_lockstep(
     ``runs``, stepping the runs that share a step objective in lockstep.
 
     Runs share a step objective when they have the same problem object and
-    equal scheme corrections: the runs of an E or VE tau sweep do, those of a BV tau sweep (whose correction scales
-    with 1/tau), a mu sweep or a k sweep do not.  Each round advances every
+    their ``scheme_problem`` copies equal corrections: the runs of an E or
+    VE tau sweep do, those of a BV tau sweep (whose correction scales with
+    1/tau), a mu sweep or a k sweep do not.  Each round advances every
     unfinished run of a group by its next block of steps (``_Run``), and
     one ``global_min_rows`` call searches the rows of all of them.  Every
     row gets the bits it gets alone, so each run equals its solo run to
@@ -238,21 +245,22 @@ def solve_lockstep(
     drops out: its entry is the exception, and the other runs go on.
     """
     out: list = [None] * len(runs)
-    # (problem, correction, corrected problem, [(index, run)])
+    # (problem, scheme problem, [(index, run)])
     groups: list[tuple] = []
     for i, (problem, cfg) in enumerate(runs):
         try:
-            spec = _scheme_correction(cfg)
+            prob = scheme_problem(problem, cfg)
+            spec = prob.correction_spec
             group = next(
-                (g for g in groups if g[0] is problem and g[1] == spec), None
+                (g for g in groups if g[0] is problem and g[1].correction_spec == spec), None
             )
             if group is None:
-                group = (problem, spec, problem.with_correction(spec), [])
+                group = (problem, prob, [])
                 groups.append(group)
-            group[3].append((i, _Run(group[2], cfg)))
+            group[2].append((i, _Run(group[1], cfg)))
         except Exception as exc:
             out[i] = exc
-    for _, _, prob, live in groups:
+    for _, prob, live in groups:
         while live:
             found = _search_blocks(prob, [run.next_block() for _, run in live])
             for (i, run), res in zip(live, found):

@@ -8,11 +8,10 @@ probes and for jump pricing.
 
 ``residual_rows`` prices many (t, z) at once through one
 ``global_min_rows`` call, which works through them in chunks of a fixed
-point budget; ``residual_stability`` is its batch of one.  A memo's
-``fill`` computes every residual it lacks of a list in that one call, and
-``seed_from`` takes the residuals of nodes a scheme run stayed at from its
-step gains.  A memo keeps each residual's witness too, the step from z at
-t, which a viscous chain walks along.
+point budget.  A memo's ``fill`` computes every residual it lacks of a
+list in that one call, and ``seed_from`` takes the residuals of nodes a
+scheme run stayed at from its step gains.  A memo keeps each residual's
+witness too, the step from z at t, which a viscous chain walks along.
 """
 
 from __future__ import annotations
@@ -28,8 +27,6 @@ from .core import RisProblem, is_finite
 from .reduced import global_min_rows
 
 __all__ = [
-    "StabilityReport",
-    "residual_stability",
     "residual_rows",
     "ResidualMemo",
     "use_memo",
@@ -39,13 +36,6 @@ __all__ = [
 ]
 
 _CLAMP_TOL = 1e-9  # floating slop a negative residual may show before it raises
-
-
-@dataclass(frozen=True)
-class StabilityReport:
-    residual: float
-    witness: NDArray[np.float64]
-    y_value: float
 
 
 def residual_rows(problem: RisProblem, ts, Z) -> tuple[NDArray, NDArray, NDArray]:
@@ -65,16 +55,6 @@ def residual_rows(problem: RisProblem, ts, Z) -> tuple[NDArray, NDArray, NDArray
         # minimizer disagrees with itself; surface it
         raise RuntimeError(f"negative residual {residual[low][0]} beyond clamp tolerance")
     return np.maximum(residual, 0.0), witness, y_value
-
-
-def residual_stability(problem: RisProblem, t: float, z) -> StabilityReport:
-    """R(t, z) with the best competitor found as witness: a batch of one of
-    ``residual_rows``."""
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    residual, witness, y_value = residual_rows(problem, [t], z[None])
-    return StabilityReport(
-        residual=float(residual[0]), witness=witness[0], y_value=float(y_value[0])
-    )
 
 
 class ResidualMemo:

@@ -32,7 +32,7 @@ from .scheme import (
     interpolate,
     solve_incremental,
 )
-from .stability import ResidualMemo, residual_stability, use_memo
+from .stability import ResidualMemo, residual_rows, use_memo
 
 __all__ = [
     "TolConfig",
@@ -415,8 +415,8 @@ def _liminf_probe(spec, ks: Sequence[float], brittle: RisProblem) -> bool:
     """Sample that the adhesive residual at the largest penalty dominates
     the brittle one."""
     t = 0.5 * brittle.horizon
-    z = np.array([1.0])
-    r_b = residual_stability(brittle, t, z).residual
+    z = np.array([[1.0]])
+    r_b = float(residual_rows(brittle, [t], z)[0][0])
     adh = models.make_delamination0d(spec, brittle=False, k=ks[-1])
-    r_k = residual_stability(adh, t, z).residual
+    r_k = float(residual_rows(adh, [t], z)[0][0])
     return r_k >= r_b - max(0.05 * max(r_b, 1.0), 1e-6)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from risolve.reduced import global_min_rows
+from risolve.stability import residual_rows
 from risolve.models import (
     Damage1dSpec,
     Delamination0dSpec,
@@ -19,6 +20,13 @@ def step_min(problem, t, z_prev):
     batch of one of ``global_min_rows``."""
     x, v = global_min_rows(problem, [t], [z_prev])
     return x[0], float(v[0])
+
+
+def residual_at(problem, t, z):
+    """R(t, z) of one state and the best competitor found: a batch of one
+    of ``residual_rows``."""
+    residual, witness, _ = residual_rows(problem, [t], [np.atleast_1d(z)])
+    return float(residual[0]), witness[0]
 
 
 @pytest.fixture

@@ -3,12 +3,15 @@
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from risolve import (
+    SchemeConfig,
+    TolConfig,
     cli,
     interpolate,
     jump,
@@ -32,6 +35,7 @@ from risolve.cli import (
     write_trajectory_csv,
 )
 from risolve.core import PowerLq, QuadraticMu, TrivialH
+from risolve.models import Damage1dSpec, Delamination0dSpec, Plasticity0dSpec, Toy1dSpec
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = ROOT / "configs"
@@ -166,7 +170,9 @@ class TestLoadConfig:
         for tau in ("-1", "nan", "inf"):
             p.write_text(TOY_CONFIG.replace("tau = 0.02", f"tau = {tau}"))
             assert main(["solve", "--config", str(p)]) == EXIT_ERROR
-            assert "tau must be" in capsys.readouterr().err
+            # a negative tau fails SchemeConfig, a non-finite one the parser
+            err = capsys.readouterr().err
+            assert "tau must be finite and positive" in err or "'tau' must be finite" in err
 
     def test_negative_probe_count_rejected(self, tmp_path, capsys):
         p = tmp_path / "bad.ini"
@@ -277,6 +283,123 @@ class TestLoadConfig:
         assert rc == EXIT_ERROR
         assert capsys.readouterr().err == solve_err
         assert not out.exists()  # no CSV, not even a header
+
+
+# every key of each kind set to a value other than its default, and the
+# objects the parser must build from it
+_EVERY_KEY = {
+    "toy1d": (
+        "well = doublewell\na = 2.0\nb = 0.5\nw = 1.5\nkappa = 0.7\nell = 0.5, 3.0\n"
+        "horizon = 2.0\nz_box = -3, 3\ncorrection = quadratic:2.5\n",
+        Toy1dSpec(well="doublewell", a=2.0, b=0.5, w=1.5, kappa=0.7, ell=(0.5, 3.0),
+                  horizon=2.0, z_box=(-3.0, 3.0), correction=QuadraticMu(mu=2.5)),
+        "initial_z = 0.5",
+        (0.5,),
+    ),
+    "plasticity0d": (
+        "C = 2.0\nsigma_y = 0.5\neps = 0.1, 2.0\nhorizon = 3.0\nz_box = -4, 4\n"
+        "correction = power:2:3\n",
+        Plasticity0dSpec(C=2.0, sigma_y=0.5, eps=(0.1, 2.0), horizon=3.0, z_box=(-4.0, 4.0),
+                         correction=PowerLq(q=2.0, gamma=3.0)),
+        "initial_z = 0.5",
+        (0.5,),
+    ),
+    "damage1d": (
+        "N = 3\nE0 = 1.0, 2.0, 3.0\neta = 0.5\nr = 3.0\ngrad_weight = 2.0\n"
+        "kappa = 1.0, 2.0, 0.5\nw_D = 0.5, 3.0\nhorizon = 2.0\n"
+        "correction = quadratic:0.5:dissipation\n",
+        Damage1dSpec(N=3, E0=(1.0, 2.0, 3.0), eta=0.5, r=3.0, grad_weight=2.0,
+                     kappa=(1.0, 2.0, 0.5), w_D=(0.5, 3.0), horizon=2.0,
+                     correction=QuadraticMu(mu=0.5, dist="dissipation")),
+        "initial_z = 1.0, 1.0, 1.0",
+        (1.0, 1.0, 1.0),
+    ),
+    "delamination0d": (
+        "k_minus = 3.0\nk_plus = 5.0\na0 = 0.5\nkappa = 0.25\nell = 0.5, 1.5\n"
+        "horizon = 2.0\ncorrection = quadratic:1.5\nbrittle = false\nk = 40.0\n",
+        Delamination0dSpec(k_minus=3.0, k_plus=5.0, a0=0.5, kappa=0.25, ell=(0.5, 1.5),
+                           horizon=2.0, correction=QuadraticMu(mu=1.5)),
+        "initial_z = 0.5",
+        (0.5,),
+    ),
+}
+
+
+class TestConfigKeys:
+    """The [model], [scheme] and [verify] keys are the fields of the spec
+    dataclasses, ``SchemeConfig`` and ``TolConfig``."""
+
+    @pytest.mark.parametrize("kind", sorted(_EVERY_KEY))
+    def test_every_key_parses_to_the_spec_built_directly(self, kind, tmp_path):
+        model, spec, initial_z, z0 = _EVERY_KEY[kind]
+        p = tmp_path / "all.ini"
+        p.write_text(
+            f"[model]\nkind = {kind}\n{model}\n"
+            f"[scheme]\nscheme = BV\ntau = 1e-3\nepsilon = 0.05\n{initial_z}\n"
+            "t_span = 0.1, 0.9\n\n"
+            "[verify]\nminimality_tol = 1e-7\nstability_tol = 1e-5\nbalance_tol = 0.1\n"
+            "jump_tol = 0.2\nprobe_count = 64\n"
+        )
+        run = load_config(p)
+        scheme_cfg = SchemeConfig(scheme="BV", tau=1e-3, epsilon=0.05, initial_z=z0,
+                                  t_span=(0.1, 0.9))
+        tol = TolConfig(minimality_tol=1e-7, stability_tol=1e-5, balance_tol=0.1,
+                        jump_tol=0.2, probe_count=64)
+        assert (run.model_spec, run.scheme, run.tol) == (spec, scheme_cfg, tol)
+        # every field of the three differs from its default
+        for obj in (spec, scheme_cfg, tol):
+            default = type(obj)()
+            same = [f.name for f in fields(obj) if getattr(obj, f.name) == getattr(default, f.name)]
+            assert same == [], same
+        if kind == "delamination0d":
+            assert run.problem.name == "delamination0d-adhesive"
+
+    @pytest.mark.parametrize(
+        "section, line",
+        [("model", "z_tol = 1e-10"), ("scheme", "correction = quadratic:1.0")],
+        ids=["model-z_tol", "scheme-correction"],
+    )
+    def test_key_without_a_field_rejected(self, tmp_path, capsys, section, line):
+        config = CONFIG_DIR / ("delamination0d.ini" if section == "model" else "toy_convex.ini")
+        p = tmp_path / "bad.ini"
+        p.write_text(config.read_text().replace(f"[{section}]\n", f"[{section}]\n{line}\n"))
+        assert main(["solve", "--config", str(p), "--out-dir", str(tmp_path)]) == EXIT_ERROR
+        key = line.split(" = ")[0]
+        assert f"unknown key(s) in [{section}]: {key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, old, new",
+        [
+            ("horizon", "horizon = 1.0", "horizon = inf"),
+            ("horizon", "horizon = 1.0", "horizon = nan"),
+            ("a", "a = 1.0", "a = nan"),
+            ("ell", "ell = 0.0, 2.0", "ell = 0, nan"),
+            ("kappa", "kappa = 1.0", "kappa = inf"),
+        ],
+        ids=["horizon-inf", "horizon-nan", "a-nan", "ell-nan", "kappa-inf"],
+    )
+    def test_non_finite_model_number_names_its_key(self, tmp_path, capsys, key, old, new):
+        text = (CONFIG_DIR / "toy_convex.ini").read_text()
+        assert old in text
+        p = tmp_path / "bad.ini"
+        p.write_text(text.replace(old, new))
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(p), "--out-dir", str(out)]) == EXIT_ERROR
+        assert capsys.readouterr().err == f"error: {key!r} must be finite, got {new.split(' = ')[1]!r}\n"
+        assert not out.exists()
+
+    def test_brittle_model_refuses_k(self, tmp_path, capsys):
+        text = (CONFIG_DIR / "delamination0d.ini").read_text()
+        p = tmp_path / "bad.ini"
+        p.write_text(text.replace("brittle = true\n", "brittle = true\nk = 5.0\n"))
+        assert main(["solve", "--config", str(p), "--out-dir", str(tmp_path)]) == EXIT_ERROR
+        assert "'k'" in capsys.readouterr().err
+        # left out, brittle defaults to true: k is refused as well
+        p.write_text(text.replace("brittle = true\n", "k = 5.0\n"))
+        with pytest.raises(ConfigError, match="'k'"):
+            load_config(p)
+        p.write_text(text.replace("brittle = true\n", "brittle = false\nk = 5.0\n"))
+        assert load_config(p).problem.name == "delamination0d-adhesive"
 
 
 class TestSolveAndVerify:

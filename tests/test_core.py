@@ -1,5 +1,6 @@
 """Problem abstraction: corrections, model values of the maps, trajectories."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -163,6 +164,24 @@ def test_with_correction_returns_new_problem():
     q = p.with_correction(QuadraticMu(mu=1.0))
     assert p.correction(np.array([0.0]), np.array([1.0])) == 0.0
     assert q.correction(np.array([0.0]), np.array([1.0])) == pytest.approx(0.5)
+
+
+def test_a_copy_with_another_dissipation_prices_its_correction_with_it():
+    # delta = h(d) of the copy's own d: h(3 |dz|) = 9 for dz = 1, not h(|dz|) = 1
+    p = _simple_problem(TrivialH(h=lambda r: r * r))
+    q = dataclasses.replace(
+        p, dissipation=lambda z, zp: 3.0 * np.abs(np.asarray(zp)[..., 0] - np.asarray(z)[..., 0])
+    )
+    z, zp = np.array([0.0]), np.array([1.0])
+    assert float(p.correction(z, zp)) == 1.0
+    assert float(q.correction(z, zp)) == 9.0
+    assert q.correction_spec is p.correction_spec
+
+
+@pytest.mark.parametrize("horizon", [0.0, -1.0, math.inf, math.nan])
+def test_horizon_must_be_finite_and_positive(horizon):
+    with pytest.raises(ValueError, match="horizon must be finite and positive"):
+        dataclasses.replace(_simple_problem(), horizon=horizon)
 
 
 def test_clip_and_in_box():

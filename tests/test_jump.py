@@ -28,7 +28,7 @@ from risolve.models import (
 )
 from risolve.reduced import chunk_rows
 
-from conftest import step_min
+from conftest import residual_at, step_min
 
 
 def _quadratic_problem(correction=None):
@@ -155,11 +155,9 @@ class TestJumpCost:
         # can only improve on it
         t = 0.9
         z_minus, z_plus = np.array([-0.8]), np.array([1.2])
-        from risolve import residual_stability
-
-        direct = toy_doublewell.dissipation(z_minus, z_plus) + residual_stability(
+        direct = toy_doublewell.dissipation(z_minus, z_plus) + residual_at(
             toy_doublewell, t, z_minus
-        ).residual
+        )[0]
         bound = jump_cost(toy_doublewell, t, z_minus, z_plus)
         assert bound.upper <= direct + 1e-9
 
@@ -328,14 +326,9 @@ class TestDijkstra:
 class TestAugmentedVariation:
     @pytest.fixture
     def doublewell_run(self, toy_doublewell):
-        cfg = SchemeConfig(
-            scheme="VE",
-            tau=5e-3,
-            correction=QuadraticMu(mu=1.0),
-            initial_z=(-1.0,),
-        )
+        cfg = SchemeConfig(scheme="VE", tau=5e-3, initial_z=(-1.0,))
         prob = toy_doublewell.with_correction(QuadraticMu(mu=1.0))
-        disc = solve_incremental(toy_doublewell, cfg)
+        disc = solve_incremental(prob, cfg)
         return prob, interpolate(disc)
 
     def test_dominates_plain_variation(self, doublewell_run):

@@ -181,6 +181,10 @@ class TestDelamination0d:
         with pytest.raises(ValueError):
             make_delamination0d(Delamination0dSpec(), brittle=False)
 
+    def test_brittle_takes_no_penalty(self):
+        with pytest.raises(ValueError, match="'k'"):
+            make_delamination0d(Delamination0dSpec(), k=5.0)
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             Delamination0dSpec(k_minus=0.0)

@@ -10,13 +10,12 @@ from risolve import (
     TrivialH,
     correction_ratio_check,
     reduced_value,
-    residual_stability,
 )
 from risolve.core import INF, is_finite
 from risolve.models import Plasticity0dSpec, Toy1dSpec, make_plasticity0d, make_toy1d
 from risolve.reduced import NEAR_OPTIMAL_BAND, step_objective
 
-from conftest import step_min
+from conftest import residual_at, step_min
 from grid_oracle import oracle_grid_min
 
 
@@ -126,9 +125,9 @@ class TestStepInvariants:
         prob = make_toy1d(
             Toy1dSpec(well="doublewell", ell=(0.0, 3.0), z_box=(-3.0, 3.0))
         )
-        rep = residual_stability(prob, t, [z0])
-        assert rep.residual >= 0.0
-        assert is_finite(reduced_value(prob, t, rep.witness))
+        residual, witness = residual_at(prob, t, [z0])
+        assert residual >= 0.0
+        assert is_finite(reduced_value(prob, t, witness))
 
     def test_residual_zero_iff_step_stays(self, all_models, rng):
         # the scheme's one-step minimizer and the stability residual must
@@ -138,10 +137,10 @@ class TestStepInvariants:
                 t = 0.5 * prob.horizon
                 if not is_finite(reduced_value(prob, t, z)):
                     continue
-                rep = residual_stability(prob, t, z)
+                residual, _ = residual_at(prob, t, z)
                 x, _ = step_min(prob, t, z)
                 moved = np.linalg.norm(x - z) > 1e-6
-                if rep.residual > 1e-8:
+                if residual > 1e-8:
                     assert moved
 
 

@@ -52,6 +52,22 @@ class TestSchemeConfig:
             SchemeConfig(scheme="BV", tau=1e-2, epsilon=1e-3)
 
 
+class TestSchemeProblem:
+    def test_each_scheme_installs_its_correction(self, damage):
+        # E removes the model's correction, BV installs QuadraticMu(epsilon /
+        # tau), VE keeps the model's own; each solves a copy
+        for name, epsilon, spec in [
+            ("E", 0.0, None),
+            ("BV", 2.5, QuadraticMu(mu=10.0)),
+            ("VE", 0.0, damage.correction_spec),
+        ]:
+            cfg = SchemeConfig(scheme=name, tau=0.25, epsilon=epsilon, initial_z=(1.0, 1.0))
+            prob = scheme.scheme_problem(damage, cfg)
+            assert prob is not damage and prob.correction_spec == spec
+            disc = solve_incremental(damage, cfg)
+            assert disc.problem is not damage and disc.problem.correction_spec == spec
+
+
 class TestSolveIncremental:
     def test_play_operator_closed_form(self, toy_convex):
         # a=1, kappa=1, ell=2t: the rate-independent response is
@@ -66,13 +82,8 @@ class TestSolveIncremental:
     def test_plasticity_return_mapping(self, plasticity):
         # C=1, sigma_y=1, eps=t on [0,2]: p(t) = max(t - 1, 0)
         tau = 1e-2
-        cfg = SchemeConfig(
-            scheme="VE",
-            tau=tau,
-            correction=TrivialH(h=lambda r: r**4),
-            initial_z=(0.0,),
-        )
-        disc = solve_incremental(plasticity, cfg)
+        cfg = SchemeConfig(scheme="VE", tau=tau, initial_z=(0.0,))
+        disc = solve_incremental(plasticity.with_correction(TrivialH(h=lambda r: r**4)), cfg)
         zs = disc.Z[:, 0]
         exact = np.maximum(disc.times - 1.0, 0.0)
         assert np.max(np.abs(zs - exact)) <= 5 * tau
@@ -84,13 +95,8 @@ class TestSolveIncremental:
             SchemeConfig(scheme="BV", tau=tau, epsilon=eps, initial_z=(0.0,)),
         )
         b = solve_incremental(
-            toy_convex,
-            SchemeConfig(
-                scheme="VE",
-                tau=tau,
-                correction=QuadraticMu(mu=eps / tau),
-                initial_z=(0.0,),
-            ),
+            toy_convex.with_correction(QuadraticMu(mu=eps / tau)),
+            SchemeConfig(scheme="VE", tau=tau, initial_z=(0.0,)),
         )
         assert np.max(np.abs(a.Z - b.Z)) < 1e-9
 
@@ -139,7 +145,7 @@ def _stepwise(problem, cfg):
     """The scheme one step at a time: a batch of one of the step search and
     the maps on single pairs per step."""
     t0, t1 = cfg.t_span if cfg.t_span is not None else (0.0, problem.horizon)
-    prob = problem.with_correction(scheme._scheme_correction(cfg))
+    prob = scheme.scheme_problem(problem, cfg)
     n_steps = max(1, round((t1 - t0) / cfg.tau))
     times = t0 + cfg.tau * np.arange(n_steps + 1)
     times[-1] = t1 if abs(times[-1] - t1) < 1e-9 else times[-1]
@@ -213,40 +219,35 @@ class TestStationaryBlocks:
     """Runs of steps priced as one row batch equal the scheme step by step."""
 
     @pytest.mark.parametrize(
-        "name, cfg",
+        "name, corr, cfg",
         [
-            ("toy_convex", SchemeConfig(scheme="E", tau=1e-2, initial_z=(0.0,))),
+            ("toy_convex", None, SchemeConfig(scheme="E", tau=1e-2, initial_z=(0.0,))),
             (
-                "toy_convex",
-                SchemeConfig(scheme="VE", tau=1e-2, correction=PowerLq(2, 3), initial_z=(0.0,)),
+                "toy_convex", PowerLq(2, 3),
+                SchemeConfig(scheme="VE", tau=1e-2, initial_z=(0.0,)),
             ),
             (
-                "toy_doublewell",
-                SchemeConfig(
-                    scheme="VE", tau=1e-2, correction=QuadraticMu(mu=0.01), initial_z=(-1.0,)
-                ),
+                "toy_doublewell", QuadraticMu(mu=0.01),
+                SchemeConfig(scheme="VE", tau=1e-2, initial_z=(-1.0,)),
             ),
-            ("plasticity", SchemeConfig(scheme="BV", tau=1e-2, epsilon=0.5, initial_z=(0.0,))),
+            (
+                "plasticity", None,
+                SchemeConfig(scheme="BV", tau=1e-2, epsilon=0.5, initial_z=(0.0,)),
+            ),
             # debonds, then searches the degenerate box [0, 0]
             (
-                "delamination",
-                SchemeConfig(
-                    scheme="VE", tau=1e-2, correction=TrivialH(h=lambda r: r * r),
-                    initial_z=(1.0,),
-                ),
+                "delamination", TrivialH(h=lambda r: r * r),
+                SchemeConfig(scheme="VE", tau=1e-2, initial_z=(1.0,)),
             ),
             (
-                "damage",
-                SchemeConfig(
-                    scheme="VE", tau=2.5e-2, correction=TrivialH(h=lambda r: 1e-4 * r**4),
-                    initial_z=(1.0, 1.0),
-                ),
+                "damage", TrivialH(h=lambda r: 1e-4 * r**4),
+                SchemeConfig(scheme="VE", tau=2.5e-2, initial_z=(1.0, 1.0)),
             ),
         ],
         ids=["convex-E", "convex-VE", "doublewell", "plasticity-BV", "delamination", "damage"],
     )
-    def test_equals_stepwise_loop(self, name, cfg, request, monkeypatch):
-        prob = request.getfixturevalue(name)
+    def test_equals_stepwise_loop(self, name, corr, cfg, request, monkeypatch):
+        prob = request.getfixturevalue(name).with_correction(corr)
         calls = _counted_rows(monkeypatch)
         disc = solve_incremental(prob, cfg)
         _assert_same_bits(disc, _stepwise(prob, cfg))
@@ -308,30 +309,27 @@ class TestLockstep:
     """Runs stepped in lockstep equal their solo runs to the bit."""
 
     @pytest.mark.parametrize(
-        "name, cfg, taus, shared",
+        "name, corr, cfg, taus, shared",
         [
             (
-                "plasticity",
-                SchemeConfig(scheme="VE", correction=TrivialH(h=lambda r: r**4)),
-                [4e-2, 2e-2, 1e-2],
-                True,
+                "plasticity", TrivialH(h=lambda r: r**4), SchemeConfig(scheme="VE"),
+                [4e-2, 2e-2, 1e-2], True,
             ),
             # each tau has its own correction mu = epsilon / tau
-            ("plasticity", SchemeConfig(scheme="BV", epsilon=0.5), [4e-2, 2e-2, 1e-2], False),
             (
-                "damage",
-                SchemeConfig(
-                    scheme="VE", correction=TrivialH(h=lambda r: 1e-4 * r**4),
-                    initial_z=(1.0, 1.0),
-                ),
-                [5e-2, 2.5e-2],
-                True,
+                "plasticity", None, SchemeConfig(scheme="BV", epsilon=0.5),
+                [4e-2, 2e-2, 1e-2], False,
+            ),
+            (
+                "damage", TrivialH(h=lambda r: 1e-4 * r**4),
+                SchemeConfig(scheme="VE", initial_z=(1.0, 1.0)), [5e-2, 2.5e-2], True,
             ),
         ],
         ids=["plasticity-VE", "plasticity-BV", "damage"],
     )
-    def test_tau_sweep_equals_solo_runs(self, name, cfg, taus, shared, request, monkeypatch):
-        prob = request.getfixturevalue(name)
+    def test_tau_sweep_equals_solo_runs(self, name, corr, cfg, taus, shared, request,
+                                        monkeypatch):
+        prob = request.getfixturevalue(name).with_correction(corr)
         runs = _tau_runs(prob, cfg, taus)
         calls = _counted_rows(monkeypatch)
         solo = [solve_incremental(p, c) for p, c in runs]
@@ -344,8 +342,7 @@ class TestLockstep:
 
     def test_k_list_equals_solo_runs(self):
         spec = Delamination0dSpec()
-        cfg = SchemeConfig(scheme="VE", tau=1e-2, correction=TrivialH(h=lambda r: r * r),
-                           initial_z=(1.0,))
+        cfg = SchemeConfig(scheme="VE", tau=1e-2, initial_z=(1.0,))
         runs = [(make_delamination0d(spec, brittle=False, k=k), cfg) for k in (5.0, 50.0, 500.0)]
         for (p, c), disc in zip(runs, solve_lockstep(runs)):
             _assert_same_run(disc, solve_incremental(p, c))
@@ -382,12 +379,8 @@ class TestLockstep:
 
 class TestJumpDetection:
     def test_single_jump_run(self, toy_doublewell):
-        cfg = SchemeConfig(
-            scheme="VE",
-            tau=1e-2,
-            correction=QuadraticMu(mu=0.01),
-            initial_z=(-1.0,),
-        )
+        cfg = SchemeConfig(scheme="VE", tau=1e-2, initial_z=(-1.0,))
+        toy_doublewell = toy_doublewell.with_correction(QuadraticMu(mu=0.01))
         disc = solve_incremental(toy_doublewell, cfg)
         runs = detect_jumps(disc)
         assert len(runs) == 1
@@ -402,12 +395,8 @@ class TestJumpDetection:
         assert jump_onset(disc) is None
 
     def test_onset_matches_detected_jump_for_weak_correction(self, toy_doublewell):
-        cfg = SchemeConfig(
-            scheme="VE",
-            tau=1e-2,
-            correction=QuadraticMu(mu=0.01),
-            initial_z=(-1.0,),
-        )
+        cfg = SchemeConfig(scheme="VE", tau=1e-2, initial_z=(-1.0,))
+        toy_doublewell = toy_doublewell.with_correction(QuadraticMu(mu=0.01))
         disc = solve_incremental(toy_doublewell, cfg)
         (a, _), = detect_jumps(disc)
         assert jump_onset(disc) == pytest.approx(float(disc.times[a + 1]))
@@ -437,12 +426,8 @@ class TestJumpDetection:
 
 class TestInterpolate:
     def test_jump_record_fields(self, toy_doublewell):
-        cfg = SchemeConfig(
-            scheme="VE",
-            tau=1e-2,
-            correction=QuadraticMu(mu=0.01),
-            initial_z=(-1.0,),
-        )
+        cfg = SchemeConfig(scheme="VE", tau=1e-2, initial_z=(-1.0,))
+        toy_doublewell = toy_doublewell.with_correction(QuadraticMu(mu=0.01))
         disc = solve_incremental(toy_doublewell, cfg)
         traj = interpolate(disc)
         assert len(traj.jump_records) == 1
@@ -453,12 +438,8 @@ class TestInterpolate:
         assert traj.meta["scheme"] == "VE"
 
     def test_interpolant_is_left_continuous_at_jump(self, toy_doublewell):
-        cfg = SchemeConfig(
-            scheme="VE",
-            tau=1e-2,
-            correction=QuadraticMu(mu=0.01),
-            initial_z=(-1.0,),
-        )
+        cfg = SchemeConfig(scheme="VE", tau=1e-2, initial_z=(-1.0,))
+        toy_doublewell = toy_doublewell.with_correction(QuadraticMu(mu=0.01))
         traj = interpolate(solve_incremental(toy_doublewell, cfg))
         rec = traj.jump_records[0]
         # rec.t is the first post-jump node: the last pre-jump state lives

@@ -13,18 +13,19 @@ from risolve import (
     TrivialH,
     correction_ratio_check,
     exponent_check,
-    residual_stability,
 )
 from risolve import solve_incremental, stability
 from risolve.cli import load_config
 from risolve.models import Damage1dSpec, make_damage1d
+
+from conftest import residual_at
 
 
 class TestResidualMemo:
     def test_computes_each_point_once(self, toy_convex, monkeypatch):
         rows = []
         real = stability.residual_rows
-        expected = residual_stability(toy_convex, 1.0, [0.0]).residual
+        expected, _ = residual_at(toy_convex, 1.0, [0.0])
 
         def counted(problem, ts, Z):
             rows.extend(zip(ts.tolist(), Z.tolist()))
@@ -49,20 +50,18 @@ class TestResidualStability:
     def test_unstable_convex_state(self, toy_convex):
         # t=1: I(z) = z^2/2 - 2z; from z=0 the best competitor is z'=1:
         # I(1) + d(0,1) = -1.5 + 1 = -0.5, so R = 0 - (-0.5) = 0.5
-        rep = residual_stability(toy_convex, 1.0, [0.0])
-        assert rep.residual == pytest.approx(0.5, abs=1e-8)
-        assert rep.witness[0] == pytest.approx(1.0, abs=1e-6)
+        residual, witness = residual_at(toy_convex, 1.0, [0.0])
+        assert residual == pytest.approx(0.5, abs=1e-8)
+        assert witness[0] == pytest.approx(1.0, abs=1e-6)
 
     def test_stable_state_has_zero_residual(self, toy_convex):
         # |I'(1.5)| = |1.5 - 2| = 0.5 < kappa at t=1: inside the stable set
-        rep = residual_stability(toy_convex, 1.0, [1.5])
-        assert rep.residual == 0.0
+        residual, _ = residual_at(toy_convex, 1.0, [1.5])
+        assert residual == 0.0
 
     def test_correction_enlarges_stable_set(self, toy_convex):
-        plain = residual_stability(toy_convex, 1.0, [0.0]).residual
-        corrected = residual_stability(
-            toy_convex.with_correction(QuadraticMu(mu=1.0)), 1.0, [0.0]
-        ).residual
+        plain, _ = residual_at(toy_convex, 1.0, [0.0])
+        corrected, _ = residual_at(toy_convex.with_correction(QuadraticMu(mu=1.0)), 1.0, [0.0])
         assert corrected <= plain
         # brute force the corrected infimum: z^2/2 - 2z + |z| + (z^2)/2
         zs = np.linspace(-10, 10, 200001)
@@ -71,7 +70,7 @@ class TestResidualStability:
 
     def test_infinite_energy_state_rejected(self, toy_convex):
         with pytest.raises(ValueError):
-            residual_stability(toy_convex, 0.5, [20.0])
+            residual_at(toy_convex, 0.5, [20.0])
 
 
 class TestCorrectionRatio:
@@ -229,10 +228,10 @@ class TestFill:
         ts = np.array([0.2, 0.7, 0.9])
         Z = np.array([[-1.0], [0.3], [1.2]])
         memo.fill(ts, Z)
-        reports = [residual_stability(toy_doublewell, t, z) for t, z in zip(ts, Z)]
+        witnesses = [residual_at(toy_doublewell, t, z)[1] for t, z in zip(ts, Z)]
         monkeypatch.setattr(stability, "residual_rows", None)  # nothing is searched twice
-        for t, z, rep in zip(ts, Z, reports):
-            assert memo.witness(t, z).tobytes() == rep.witness.tobytes()
+        for t, z, witness in zip(ts, Z, witnesses):
+            assert memo.witness(t, z).tobytes() == witness.tobytes()
 
     def test_fill_equals_single_calls(self, toy_doublewell):
         memo = ResidualMemo(toy_doublewell)
@@ -241,5 +240,5 @@ class TestFill:
         got = memo.fill(ts, Z)
         assert got[0] == got[1] and got[2] == got[4]
         for r, t, z in zip(got, ts, Z):
-            assert r == residual_stability(toy_doublewell, t, z).residual
+            assert r == residual_at(toy_doublewell, t, z)[0]
         assert memo.fill([], np.empty((0, 1))) == []

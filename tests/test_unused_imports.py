@@ -6,6 +6,8 @@ module-level import binds must appear as a name somewhere in the module.  A
 package ``__init__.py`` is its public API and is not scanned for that.
 Every name of a module's ``__all__`` must be bound at its top level, by a
 def, a class, an assignment or an import; else ``import *`` fails on it.
+No module of the package imports a ``_``-prefixed name from a sibling: a
+name another module needs is public.
 """
 
 import ast
@@ -60,6 +62,18 @@ def stale_exports(source: str) -> list[str]:
     return [name for name in exported if name not in defined]
 
 
+def private_imports(source: str) -> list[tuple[int, str]]:
+    """(line, name) of every ``_``-prefixed name ``source`` imports from a
+    sibling module (a relative import), at any depth."""
+    return [
+        (node.lineno, alias.name)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+
+
 def test_no_unused_module_imports():
     found = [
         f"{path.relative_to(ROOT)}:{line}: {name}"
@@ -104,3 +118,25 @@ def test_scan_finds_a_stale_export():
         "X = Y = 1\n"
     )
     assert stale_exports(source) == ["gone"]
+
+
+def test_no_private_names_imported_from_siblings():
+    package = ROOT / "src" / "risolve"
+    found = [
+        f"{path.relative_to(ROOT)}:{line}: {name}"
+        for path in sorted(package.rglob("*.py"))
+        for line, name in private_imports(path.read_text())
+    ]
+    assert not found, "private names imported from a sibling module:\n" + "\n".join(found)
+
+
+def test_scan_finds_a_private_import():
+    source = (
+        "from ._impl import helper\n"
+        "from .scheme import SchemeConfig, _scheme_correction\n"
+        "from os.path import _joinrealpath\n"
+        "def f():\n"
+        "    from . import _private as p\n"
+        "    return p\n"
+    )
+    assert private_imports(source) == [(2, "_scheme_correction"), (5, "_private")]

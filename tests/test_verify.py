@@ -35,12 +35,7 @@ def convex_run(toy_convex):
 
 @pytest.fixture
 def delam_run(delamination):
-    cfg = SchemeConfig(
-        scheme="VE",
-        tau=5e-3,
-        correction=TrivialH(h=lambda r: r * r),
-        initial_z=(1.0,),
-    )
+    cfg = SchemeConfig(scheme="VE", tau=5e-3, initial_z=(1.0,))
     return delamination, interpolate(solve_incremental(delamination, cfg))
 
 
@@ -156,28 +151,18 @@ class TestJumpPricing:
 
 class TestCoincidence:
     def test_plasticity_coincides(self, plasticity):
-        cfg = SchemeConfig(
-            scheme="VE",
-            tau=1e-2,
-            correction=TrivialH(h=lambda r: r**4),
-            initial_z=(0.0,),
-        )
+        cfg = SchemeConfig(scheme="VE", tau=1e-2, initial_z=(0.0,))
         prob = plasticity.with_correction(TrivialH(h=lambda r: r**4))
-        traj = interpolate(solve_incremental(plasticity, cfg))
+        traj = interpolate(solve_incremental(prob, cfg))
         rep = ve_equals_e(prob, traj)
         assert rep.equal
         assert rep.global_stability_residual <= 1e-6
         assert rep.max_delta_c <= 1e-6
 
     def test_doublewell_does_not_coincide(self, toy_doublewell):
-        cfg = SchemeConfig(
-            scheme="VE",
-            tau=5e-3,
-            correction=QuadraticMu(mu=1.0),
-            initial_z=(-1.0,),
-        )
+        cfg = SchemeConfig(scheme="VE", tau=5e-3, initial_z=(-1.0,))
         prob = toy_doublewell.with_correction(QuadraticMu(mu=1.0))
-        traj = interpolate(solve_incremental(toy_doublewell, cfg))
+        traj = interpolate(solve_incremental(prob, cfg))
         rep = ve_equals_e(prob, traj)
         assert not rep.equal
         # the corrected run clings to the left well past plain global
@@ -189,13 +174,10 @@ class TestStressCheck:
     def test_yield_admissibility(self, plasticity):
         # the quartic correction overshoots the yield surface by O(tau^3):
         # tau = 2e-3 keeps it ~3e-8, far inside the admissibility tolerance
-        cfg = SchemeConfig(
-            scheme="VE",
-            tau=2e-3,
-            correction=TrivialH(h=lambda r: r**4),
-            initial_z=(0.0,),
+        cfg = SchemeConfig(scheme="VE", tau=2e-3, initial_z=(0.0,))
+        traj = interpolate(
+            solve_incremental(plasticity.with_correction(TrivialH(h=lambda r: r**4)), cfg)
         )
-        traj = interpolate(solve_incremental(plasticity, cfg))
         rep = plasticity_stress_check(plasticity, traj)
         assert rep.passed
         assert rep.max_abs_stress <= rep.yield_stress + 1e-6
@@ -209,7 +191,7 @@ class TestStressCheck:
 class TestGammaLimit:
     def test_needs_enough_increasing_k(self):
         spec = Delamination0dSpec()
-        cfg = SchemeConfig(scheme="VE", tau=2e-2, correction=spec.correction)
+        cfg = SchemeConfig(scheme="VE", tau=2e-2)
         with pytest.raises(ValueError):
             gamma_limit_study(spec, [4.0, 16.0, 8.0, 32.0], cfg)
         with pytest.raises(ValueError):
@@ -217,12 +199,7 @@ class TestGammaLimit:
 
     def test_small_penalty_sweep(self):
         spec = Delamination0dSpec()
-        cfg = SchemeConfig(
-            scheme="VE",
-            tau=2e-2,
-            correction=spec.correction,
-            initial_z=(1.0,),
-        )
+        cfg = SchemeConfig(scheme="VE", tau=2e-2, initial_z=(1.0,))
         rep = gamma_limit_study(spec, [4.0, 16.0, 64.0, 256.0], cfg, probe_count=33)
         assert len(rep.adhesive_trajs) == 4
         # penalization tightens the bonding constraint monotonically
