@@ -198,8 +198,11 @@ class RisProblem:
     (``inf`` encodes forbidden directions such as healing);
     correction(Z_from, Z_to, D=None) is the viscous perturbation delta of
     the VE scheme and stability function, which takes D = d(Z_from, Z_to)
-    when given; the problem derives it from ``correction_spec`` and its own
-    dissipation, so a copy with another d or spec prices delta with them.
+    when given.  Left at None, it is derived from ``correction_spec`` and
+    the problem's own dissipation, and a copy derives it again, so a copy
+    with another d or spec prices delta with them; a map given here (the
+    layer trace in ``perfbench`` gives a counted one) is used as it is and
+    kept by copies, until :meth:`with_correction` installs another spec.
     A map must act elementwise whatever the memory layout of its batch:
     the step search passes cell-major batches, Z[..., i] one contiguous
     plane per cell, which a map prices fastest plane by plane.
@@ -217,8 +220,6 @@ class RisProblem:
     z_box: Sequence[tuple[float, float]]
     energy: Optional[Callable[[float, NDArray, NDArray], NDArray]] = None
     horizon: float = 1.0
-    # derived from correction_spec, as energy is when n_u = 0: a value
-    # given here is replaced
     correction: Optional[Callable[[NDArray, NDArray], NDArray]] = None
     correction_spec: Optional[CorrectionSpec] = None
     unidirectional: bool = False
@@ -249,7 +250,12 @@ class RisProblem:
             # bound to this copy, so a copy with another reduced_vec follows it
             object.__setattr__(self, "energy", self._box_energy)
             object.__setattr__(self, "solve_u", _no_u)
-        object.__setattr__(self, "correction", build_correction(self.correction_spec, self))
+        corr = self.correction
+        if corr is None or getattr(corr, "_derived", False):
+            # none given, or the derived map of the problem this one copies
+            corr = build_correction(self.correction_spec, self)
+            corr._derived = True
+            object.__setattr__(self, "correction", corr)
 
     def _box_energy(self, t, U, Z) -> NDArray:
         Z = np.asarray(Z, dtype=float)
@@ -257,7 +263,7 @@ class RisProblem:
 
     def with_correction(self, spec: Optional[CorrectionSpec]) -> "RisProblem":
         """Copy of the problem using the correction described by ``spec``."""
-        return dataclasses.replace(self, correction_spec=spec)
+        return dataclasses.replace(self, correction_spec=spec, correction=None)
 
     def inside(self, Z) -> NDArray[np.bool_]:
         """Per state of an (..., n_z) batch, whether it lies in the box."""

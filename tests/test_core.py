@@ -178,6 +178,21 @@ def test_a_copy_with_another_dissipation_prices_its_correction_with_it():
     assert q.correction_spec is p.correction_spec
 
 
+def test_a_given_correction_map_is_used_and_kept_until_with_correction():
+    def counted(z, zp, d=None):
+        calls.append(1)
+        return 7.0 + 0.0 * np.asarray(zp)[..., 0]
+
+    calls = []
+    p = dataclasses.replace(_simple_problem(TrivialH(h=lambda r: r * r)), correction=counted)
+    z, zp = np.array([0.0]), np.array([1.0])
+    assert p.correction is counted and float(p.correction(z, zp)) == 7.0
+    q = dataclasses.replace(p, dissipation=lambda z, zp: 3.0 * np.abs(zp - z)[..., 0])
+    assert q.correction is counted and len(calls) == 1
+    r = q.with_correction(TrivialH(h=lambda r: r * r))
+    assert float(r.correction(z, zp)) == 9.0 and len(calls) == 1
+
+
 @pytest.mark.parametrize("horizon", [0.0, -1.0, math.inf, math.nan])
 def test_horizon_must_be_finite_and_positive(horizon):
     with pytest.raises(ValueError, match="horizon must be finite and positive"):
