@@ -36,8 +36,6 @@ from .scheme import (
 from .jump import (
     CostBound,
     JumpChain,
-    JumpCosts,
-    incremental_cost,
     jump_cost,
     viscous_chain,
 )

@@ -31,7 +31,6 @@ from .core import (
     RisProblem,
     Trajectory,
     TrivialH,
-    median,
     sup_distance,
 )
 from .jump import jump_cost
@@ -239,6 +238,8 @@ def load_config(path: str | Path) -> RunConfig:
 
     kw = _parse("scheme", cp["scheme"] if "scheme" in cp else {}, _type_hints(SchemeConfig))
     kw.setdefault("initial_z", (0.0,) * problem.n_z)
+    if len(kw["initial_z"]) != problem.n_z:
+        raise ConfigError(f"'initial_z' needs n_z = {problem.n_z} numbers, got {kw['initial_z']}")
     try:
         scheme = SchemeConfig(**kw)
     except ValueError as exc:
@@ -345,8 +346,7 @@ def read_trajectory_csv(path: Path, problem: RisProblem) -> Trajectory:
         )
     Z, U = data[:, 1 : 1 + nz], data[:, 1 + nz : 1 + nz + nu]
     records = jump_records(problem, times, Z, data[:, -1].astype(int))
-    tau = median(np.diff(times)) if len(times) > 1 else 0.0
-    return Trajectory(times=times, Z=Z, U=U, jump_records=records, meta={"tau": tau})
+    return Trajectory(times=times, Z=Z, U=U, jump_records=records)
 
 
 def certificate_lines(cert: Certificate) -> list[str]:

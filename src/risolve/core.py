@@ -304,7 +304,6 @@ class Trajectory:
     Z: NDArray[np.float64]
     U: NDArray[np.float64]
     jump_records: tuple[JumpRecord, ...] = ()
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)

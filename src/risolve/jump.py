@@ -1,4 +1,4 @@
-"""Viscous chains, jump cost bounds and incremental costs Delta_c = c - d.
+"""Viscous chains and jump cost bounds.
 
 The true jump cost is an infimum over curves on compact parameter sets; we
 search over pure-jump chains plus discretized sliding segments (optimal
@@ -37,10 +37,8 @@ from .stability import ResidualMemo, use_memo
 __all__ = [
     "JumpChain",
     "CostBound",
-    "JumpCosts",
     "viscous_chain",
     "jump_cost",
-    "incremental_cost",
 ]
 
 DP_RESOLUTION = 201  # DP grid points (n_z = 1)
@@ -118,10 +116,10 @@ def viscous_chain(
     problem: RisProblem,
     t: float,
     z_start,
-    max_steps: int = _MAX_CHAIN_STEPS,
     memo: ResidualMemo | None = None,
 ) -> JumpChain:
-    """Iterate the minimal-set map at fixed t until it fixes a point.
+    """Iterate the minimal-set map at fixed t until it fixes a point, for
+    at most ``_MAX_CHAIN_STEPS`` steps.
 
     Each step goes to the witness of the point's residual search in
     ``memo`` (made if None), so one search gives both the step and the
@@ -131,7 +129,7 @@ def viscous_chain(
     z = np.atleast_1d(np.asarray(z_start, float))
     pts = [z]
     converged = False
-    for _ in range(max_steps):
+    for _ in range(_MAX_CHAIN_STEPS):
         step = memo.witness(t, z)
         if float(np.max(np.abs(step - z))) < 1e-10:
             converged = True
@@ -303,63 +301,3 @@ def jump_cost(
         lower = max(lower, min(dp_values) - modulus - 1e-9)
     lower = min(lower, best.cost)
     return CostBound(upper=best.cost, lower=lower, witness=best)
-
-
-class JumpCosts:
-    """Jump-cost bounds of one problem, each (t, z_minus, z_plus,
-    dp_resolution) priced once.
-
-    Every bound is priced from ``memo``: a certificate hands over the memo
-    of its stability probes, so a point both price is minimized once.  A
-    store lives for one certificate or one call, never longer.
-    """
-
-    def __init__(self, memo: ResidualMemo):
-        self.memo = memo
-        self._bounds: dict[tuple, CostBound] = {}
-
-    def __call__(
-        self, t: float, z_minus, z_plus, dp_resolution: int = DP_RESOLUTION
-    ) -> CostBound:
-        z_minus = np.atleast_1d(np.asarray(z_minus, float))
-        z_plus = np.atleast_1d(np.asarray(z_plus, float))
-        key = (float(t), z_minus.tobytes(), z_plus.tobytes(), dp_resolution)
-        bound = self._bounds.get(key)
-        if bound is None:
-            bound = jump_cost(
-                self.memo.problem, t, z_minus, z_plus, self.memo, dp_resolution
-            )
-            self._bounds[key] = bound
-        return bound
-
-
-def _use_costs(costs: JumpCosts | None, problem: RisProblem) -> JumpCosts:
-    if costs is None:
-        return JumpCosts(ResidualMemo(problem))
-    if costs.memo.problem is not problem:
-        raise ValueError("jump-cost store belongs to another problem")
-    return costs
-
-
-def incremental_cost(
-    problem: RisProblem,
-    t: float,
-    z_minus,
-    z_plus,
-    costs: JumpCosts | None = None,
-) -> float:
-    """Delta_c = c(t, z_minus, z_plus) - d(z_minus, z_plus) >= 0.
-
-    ``costs`` is a store for ``problem`` to price the pair from.
-    """
-    z_minus = np.atleast_1d(np.asarray(z_minus, float))
-    z_plus = np.atleast_1d(np.asarray(z_plus, float))
-    if np.allclose(z_minus, z_plus, atol=1e-14):
-        return 0.0
-    costs = _use_costs(costs, problem)
-    bound = costs(t, z_minus, z_plus)
-    d = float(problem.dissipation(z_minus, z_plus))
-    if not is_finite(bound.upper):
-        return INF
-    return max(bound.upper - d, 0.0)
-

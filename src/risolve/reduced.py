@@ -64,7 +64,6 @@ NEAR_OPTIMAL_BAND = 1e-9  # step values this close to the best one tie
 # by more than 2.2e-16, and one 65-point window makes 6 levels where 17
 # points make 10
 _ZOOM_SHAPES = {1: (65, 1), 2: (17, 4)}
-_SORT_WHOLE = 1024  # grid values up to which a stable sort beats a partition
 
 
 # ---------------------------------------------------------------------------
@@ -360,12 +359,13 @@ def _first_k(vals: NDArray, k: int) -> NDArray:
     """Per row, the first ``k`` indices of the stable ascending order,
     ``np.argsort(vals, axis=1, kind="stable")[:, :k]``: tied values keep
     index order on every CPU, where numpy's default sort breaks ties by the
-    CPU it dispatches to.  A row of m < k values gives m.  A large batch is
-    not sorted whole, and one start is the first least value."""
+    CPU it dispatches to.  A row of m < k values gives m.  Rows of more
+    values are partitioned, not sorted, and one start is the first least
+    value."""
     P, m = vals.shape
     if k == 1:
         return vals.argmin(axis=1)[:, None]
-    if m <= k or vals.size <= _SORT_WHOLE:
+    if m <= k:
         return vals.argsort(axis=1, kind="stable")[:, :k]
     kth = np.partition(vals, k - 1, axis=1)[:, k - 1, None]
     # at least k candidates a row, each row's in index order; the stable

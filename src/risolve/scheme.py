@@ -46,6 +46,7 @@ __all__ = [
 JUMP_THRESH = 10.0  # step is a jump candidate beyond this multiple of median
 JUMP_FLOOR = 1e-6
 ONSET_GAIN = 0.05  # jump_onset's threshold on the step gain, in units of tau
+_REFINE_PROBES = 257  # times at which refine_study compares interpolants
 
 
 @dataclass(frozen=True)
@@ -355,7 +356,6 @@ def interpolate(disc: DiscreteTrajectory) -> Trajectory:
         Z=disc.Z,
         U=disc.U,
         jump_records=jump_records(disc.problem, disc.times, disc.Z, disc.flags),
-        meta={"scheme": disc.config.scheme, "tau": disc.config.tau},
     )
 
 
@@ -372,14 +372,14 @@ def refine_study(
     problem: RisProblem,
     cfg: SchemeConfig,
     tau_list: Sequence[float],
-    probe_count: int = 257,
 ) -> ConvergenceReport:
-    """Re-run the scheme over decreasing tau and compare interpolants."""
+    """Re-run the scheme over decreasing tau and compare interpolants at
+    ``_REFINE_PROBES`` times."""
     taus = list(tau_list)
     if len(taus) < 3 or any(b >= a for a, b in zip(taus, taus[1:])):
         raise ValueError("need >= 3 strictly decreasing tau values")
     t0, t1 = cfg.t_span if cfg.t_span is not None else (0.0, problem.horizon)
-    probes = np.linspace(t0, t1, probe_count)
+    probes = np.linspace(t0, t1, _REFINE_PROBES)
     trajs = []
     jumps = []
     residuals = []

@@ -23,7 +23,7 @@ from numpy.typing import NDArray
 
 from . import models
 from .core import INF, RisProblem, Trajectory, is_finite, sup_distance, unique
-from .jump import DP_RESOLUTION, JumpCosts, incremental_cost, jump_cost
+from .jump import DP_RESOLUTION, CostBound, jump_cost
 from .reduced import reduced_value
 from .scheme import (
     DiscreteTrajectory,
@@ -46,6 +46,9 @@ __all__ = [
     "gamma_limit_study",
     "GammaLimitReport",
 ]
+
+_STRESS_TOL = 1e-6  # slack of plasticity_stress_check's yield surface
+_STRESS_PROBES = 512  # probe times of plasticity_stress_check
 
 
 @dataclass(frozen=True)
@@ -99,10 +102,11 @@ def _probe_times(traj: Trajectory, count: int) -> NDArray:
 
 
 def _in_jump_window(traj: Trajectory, ts: NDArray) -> NDArray[np.bool_]:
-    """Per time of ``ts``, whether it lies in the window (t - tau, t_end)
-    of a jump record, shifted by 1e-12, where stability is not due."""
-    tau = float(traj.meta.get("tau", 0.0))
-    lo = np.array([rec.t - tau - 1e-12 for rec in traj.jump_records])
+    """Per time of ``ts``, whether it lies in the window of a jump record,
+    from the node before its first jump node t to its t_end, shifted by
+    1e-12, where stability is not due."""
+    first = np.searchsorted(traj.times, [rec.t for rec in traj.jump_records])
+    lo = traj.times[np.maximum(first - 1, 0)] - 1e-12
     hi = np.array([rec.t_end - 1e-12 for rec in traj.jump_records])
     ts = np.asarray(ts, dtype=float)[:, None]
     return ((lo < ts) & (ts < hi)).any(axis=1)
@@ -158,41 +162,55 @@ def _jump_checks(
     problem: RisProblem,
     traj: Trajectory,
     tol: TolConfig,
-    costs: JumpCosts,
-) -> tuple[JumpCheck, ...]:
-    # refining only changes the bound when the DP search runs (n_z = 1)
+    memo: ResidualMemo,
+) -> list[tuple[float, JumpCheck]]:
+    """Per jump record, its Delta_c = c - d >= 0 (+infinity for an infinite
+    c) from the unrefined bound of (z_left, z_right), and its cost checks.
+
+    Each distinct pair is priced once, from ``memo``; a cost gap above
+    ``jump_tol`` is refined only where refining changes the bound, the DP
+    chain search of n_z = 1."""
     refine = problem.n_z == 1
+    bounds: dict[tuple, CostBound] = {}
+
+    def price(t, za, zb, resolution=DP_RESOLUTION) -> CostBound:
+        key = (t, za.tobytes(), zb.tobytes(), resolution)
+        if key not in bounds:
+            bounds[key] = jump_cost(problem, t, za, zb, memo, resolution)
+        return bounds[key]
+
     out = []
     for rec in traj.jump_records:
         t = rec.t
-        triples = []
-        gaps = []
-        for za, zb in (
-            (rec.z_left, rec.z_inner),
-            (rec.z_inner, rec.z_right),
-            (rec.z_left, rec.z_right),
-        ):
+        z_left, z_inner, z_right = (
+            np.atleast_1d(np.asarray(z, float)) for z in (rec.z_left, rec.z_inner, rec.z_right)
+        )
+        triples, gaps, uppers = [], [], []
+        for za, zb in ((z_left, z_inner), (z_inner, z_right), (z_left, z_right)):
             if np.allclose(za, zb, atol=1e-12):
                 triples.append(0.0)
                 gaps.append(0.0)
+                uppers.append(0.0)
                 continue
-            bound = costs(t, za, zb)
+            bound = price(t, za, zb)
+            uppers.append(bound.upper)
             if bound.gap > tol.jump_tol and refine:
                 # refine the chain search before accepting a verdict
-                bound = costs(t, za, zb, 2 * DP_RESOLUTION - 1)
+                bound = price(t, za, zb, 2 * DP_RESOLUTION - 1)
             drop = reduced_value(problem, t, za) - reduced_value(problem, t, zb)
             triples.append(drop - bound.upper)
             gaps.append(bound.gap)
-        out.append(
-            JumpCheck(
-                t=t,
-                left_inner=triples[0],
-                inner_right=triples[1],
-                left_right=triples[2],
-                cost_gap=max(gaps),
-            )
+        d = float(problem.dissipation(z_left, z_right))
+        delta_c = max(uppers[2] - d, 0.0) if is_finite(uppers[2]) else INF
+        check = JumpCheck(
+            t=t,
+            left_inner=triples[0],
+            inner_right=triples[1],
+            left_right=triples[2],
+            cost_gap=max(gaps),
         )
-    return tuple(out)
+        out.append((delta_c, check))
+    return out
 
 
 def _certify(
@@ -217,15 +235,14 @@ def _certify(
     # the variation: d over the node steps, plus Delta_c at each jump when
     # augmented (Var_{d,c})
     var = sum(problem.dissipation(traj.Z[:-1], traj.Z[1:]).tolist())
-    if augmented:
-        # one store prices each jump for the variation and the jump checks,
-        # from the residuals of the stability probes
-        costs = JumpCosts(memo)
-        for rec in traj.jump_records:
-            var += incremental_cost(problem, rec.t, rec.z_left, rec.z_right, costs)
+    # one pass prices each jump for the variation and the jump checks, from
+    # the residuals of the stability probes; each Delta_c is added on its own
+    priced = _jump_checks(problem, traj, tol, memo) if augmented else []
+    for delta_c, _ in priced:
+        var += delta_c
     # I prices every node when every node lies in the box
     balance = _balance(problem, traj, var, I if inside.all() else None)
-    jumps = _jump_checks(problem, traj, tol, costs) if augmented else ()
+    jumps = tuple(check for _, check in priced)
     verdict = {
         "minimality": minim <= tol.minimality_tol,
         "stability": stab <= tol.stability_tol,
@@ -328,10 +345,9 @@ class StressCheckReport:
 def plasticity_stress_check(
     problem: RisProblem,
     traj: Trajectory,
-    tol: float = 1e-6,
-    probe_count: int = 512,
 ) -> StressCheckReport:
-    """Yield-surface admissibility |sigma(t)| <= sigma_y + tol at probes.
+    """Yield-surface admissibility |sigma(t)| <= sigma_y + ``_STRESS_TOL``
+    at ``_STRESS_PROBES`` probes.
 
     Also samples that admissibility and uncorrected stability agree, which
     is the finite-dimensional content of their equivalence.
@@ -340,7 +356,7 @@ def plasticity_stress_check(
     sigma_y = problem.extras.get("sigma_y")
     if sigma is None or sigma_y is None:
         raise ValueError("problem does not expose a stress map")
-    probes = _probe_times(traj, probe_count)
+    probes = _probe_times(traj, _STRESS_PROBES)
     Z = traj.Z[traj.nodes_at(probes)]
     stress = np.abs(sigma(probes, Z))
     worst = float(stress.max(initial=0.0))
@@ -349,7 +365,7 @@ def plasticity_stress_check(
     residuals = ResidualMemo(problem.with_correction(None)).fill(probes[picked], Z[picked])
     agree = np.array_equal(np.array(residuals) <= 1e-6, stress[picked] <= sigma_y + 1e-5)
     return StressCheckReport(
-        passed=worst <= sigma_y + tol,
+        passed=worst <= sigma_y + _STRESS_TOL,
         max_abs_stress=worst,
         yield_stress=sigma_y,
         stability_agrees=agree,

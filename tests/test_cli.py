@@ -388,6 +388,23 @@ class TestConfigKeys:
         assert capsys.readouterr().err == f"error: {key!r} must be finite, got {new.split(' = ')[1]!r}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["solve"], ["sweep", "--axis", "tau", "--values", "1e-3,5e-4"]],
+        ids=["solve", "sweep"],
+    )
+    def test_initial_z_of_another_dimension_names_its_key(self, tmp_path, capsys, argv):
+        text = (CONFIG_DIR / "toy_convex.ini").read_text()
+        p = tmp_path / "bad.ini"
+        p.write_text(text.replace("initial_z = 0.0\n", "initial_z = 0.0, 0.5\n"))
+        out = tmp_path / "out"
+        rc = main([argv[0], "--config", str(p), "--out-dir", str(out), *argv[1:]])
+        assert rc == EXIT_ERROR
+        assert capsys.readouterr().err == (
+            "error: 'initial_z' needs n_z = 1 numbers, got (0.0, 0.5)\n"
+        )
+        assert not out.exists()
+
     def test_brittle_model_refuses_k(self, tmp_path, capsys):
         text = (CONFIG_DIR / "delamination0d.ini").read_text()
         p = tmp_path / "bad.ini"

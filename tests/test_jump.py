@@ -1,4 +1,4 @@
-"""Viscous chains, jump cost bounds and incremental costs."""
+"""Viscous chains and jump cost bounds."""
 
 import dataclasses
 from unittest import mock
@@ -8,15 +8,17 @@ import pytest
 
 from risolve import (
     QuadraticMu,
+    ResidualMemo,
     RisProblem,
     SchemeConfig,
+    TolConfig,
     TrivialH,
     interpolate,
     jump,
     jump_cost,
-    incremental_cost,
     solve_incremental,
     stability,
+    verify,
     viscous_chain,
 )
 from risolve.core import INF
@@ -61,7 +63,7 @@ class TestViscousChain:
         # with delta = (z'-z)^2/2 each hop solves 2z' = z + 1: the orbit is
         # z_{n+1} = (z_n + 1)/2, converging to 1 (not a two-hop jump)
         prob = _quadratic_problem(QuadraticMu(mu=1.0))
-        chain = viscous_chain(prob, 0.0, [3.0], max_steps=100)
+        chain = viscous_chain(prob, 0.0, [3.0])
         assert chain.converged
         pts = [float(p[0]) for p in chain.points]
         assert pts[1] == pytest.approx(2.0, abs=1e-6)
@@ -95,7 +97,7 @@ class TestViscousChain:
             return real(problem, ts, Z)
 
         monkeypatch.setattr(stability, "residual_rows", counted)
-        chain = viscous_chain(prob, 0.0, [3.0], max_steps=100)
+        chain = viscous_chain(prob, 0.0, [3.0])
         assert chain.converged
         assert np.array(chain.points).tobytes() == np.array(expected).tobytes()
         assert rows == [p.tobytes() for p in expected]
@@ -119,7 +121,6 @@ class TestJumpCost:
         bound = jump_cost(toy_convex, 1.0, [1.2], [1.5])
         assert bound.upper == pytest.approx(0.3, abs=1e-6)
         assert bound.gap <= 1e-6
-        assert incremental_cost(toy_convex, 1.0, [1.2], [1.5]) <= 1e-6
 
     def test_forbidden_direction_infeasible(self, delamination):
         bound = jump_cost(delamination, 0.5, [0.0], [1.0])
@@ -139,9 +140,7 @@ class TestJumpCost:
         bound = jump_cost(prob, t, [1.0], [0.0])
         assert bound.upper == pytest.approx(expected, abs=1e-6)
         assert bound.gap <= 1e-6
-        assert incremental_cost(prob, t, [1.0], [0.0]) == pytest.approx(
-            expected - kappa, abs=1e-6
-        )
+        assert float(prob.dissipation(np.array([1.0]), np.array([0.0]))) == kappa
 
     def test_dp_reports_per_point_residuals(self):
         spec = Delamination0dSpec()
@@ -332,8 +331,14 @@ class TestAugmentedVariation:
         return prob, interpolate(disc)
 
     def test_dominates_plain_variation(self, doublewell_run):
-        # Var_{d,c} adds Delta_c = c - d >= 0 per jump to the plain variation
+        # Var_{d,c} adds Delta_c = c - d >= 0 per jump to the plain variation,
+        # c the bound of the jump's (z_left, z_right)
         prob, traj = doublewell_run
         assert traj.jump_records
-        for rec in traj.jump_records:
-            assert incremental_cost(prob, rec.t, rec.z_left, rec.z_right) >= 0.0
+        priced = verify._jump_checks(prob, traj, TolConfig(), ResidualMemo(prob))
+        assert len(priced) == len(traj.jump_records)
+        for rec, (delta_c, _) in zip(traj.jump_records, priced):
+            c = jump_cost(prob, rec.t, rec.z_left, rec.z_right).upper
+            d = float(prob.dissipation(rec.z_left, rec.z_right))
+            assert delta_c >= 0.0
+            assert delta_c == pytest.approx(max(c - d, 0.0), rel=1e-12, abs=1e-15)

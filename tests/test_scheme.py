@@ -435,7 +435,6 @@ class TestInterpolate:
         assert rec.z_left[0] == pytest.approx(-1.0, abs=0.05)
         assert rec.z_right[0] > 0.9
         assert rec.t_end >= rec.t
-        assert traj.meta["scheme"] == "VE"
 
     def test_interpolant_is_left_continuous_at_jump(self, toy_doublewell):
         cfg = SchemeConfig(scheme="VE", tau=1e-2, initial_z=(-1.0,))
@@ -444,8 +443,7 @@ class TestInterpolate:
         rec = traj.jump_records[0]
         # rec.t is the first post-jump node: the last pre-jump state lives
         # one step earlier on the left-continuous interpolant
-        tau = traj.meta["tau"]
-        left, right = traj.Z[traj.nodes_at([rec.t - tau, rec.t_end]), 0]
+        left, right = traj.Z[traj.nodes_at([rec.t - cfg.tau, rec.t_end]), 0]
         assert left == pytest.approx(rec.z_left[0])
         assert right == pytest.approx(rec.z_right[0])
 

@@ -24,6 +24,7 @@ from risolve import (
     verify_VE,
 )
 from risolve import jump, verify
+from risolve.cli import read_trajectory_csv, write_trajectory_csv
 from risolve.models import Delamination0dSpec
 
 
@@ -121,8 +122,7 @@ class TestJumpPricing:
         zs = [np.ones(n), np.ones(n), np.asarray(z_inner, float), np.zeros(n)]
         Z = np.array(zs)
         rec = JumpRecord(t=0.5, z_left=zs[1], z_inner=zs[2], z_right=zs[3], t_end=0.75)
-        return Trajectory(times=times, Z=Z, U=problem.solve_u(times, Z), jump_records=(rec,),
-                          meta={"tau": 0.25})
+        return Trajectory(times=times, Z=Z, U=problem.solve_u(times, Z), jump_records=(rec,))
 
     @pytest.mark.parametrize(
         "model, z_inner, pairs, calls_per_pair",
@@ -147,6 +147,29 @@ class TestJumpPricing:
         cert = verify_VE(problem, self._jump_traj(problem, z_inner), tol)
         assert cert.jump_checks[0].cost_gap > tol.jump_tol
         assert len(calls) == len(set(calls)) == pairs * calls_per_pair
+
+
+class TestJumpWindow:
+    """Stability is not due from the node before a record's first jump node
+    up to its t_end, both read from the node times."""
+
+    def test_hand_built_window_starts_at_the_left_node(self, delamination):
+        traj = TestJumpPricing._jump_traj(delamination, (0.5,))
+        ts = np.array([0.2, 0.25, 0.375, 0.5, 0.6, 0.75, 0.8])
+        inside = verify._in_jump_window(traj, ts)
+        assert inside.tolist() == [False, True, True, True, True, False, False]
+
+    def test_csv_gives_the_window_of_the_run(self, toy_doublewell, tmp_path):
+        cfg = SchemeConfig(scheme="VE", tau=1e-2, initial_z=(-1.0,))
+        prob = toy_doublewell.with_correction(QuadraticMu(mu=0.01))
+        disc = solve_incremental(prob, cfg)
+        traj = interpolate(disc)
+        write_trajectory_csv(tmp_path / "dw.csv", disc)
+        read = read_trajectory_csv(tmp_path / "dw.csv", prob)
+        probes = verify._probe_times(traj, TolConfig().probe_count)
+        inside = verify._in_jump_window(traj, probes)
+        assert len(traj.jump_records) == 1 and inside.any()
+        assert np.array_equal(verify._in_jump_window(read, probes), inside)
 
 
 class TestCoincidence:
