@@ -560,13 +560,16 @@ class TestRowBatch:
             assert (_bits(X[p]) == _bits(x)).all()
         assert {tuple(x) for x in X} == {(0.0, 1.0)}
 
-    def test_first_starts_are_the_stable_order(self):
+    @pytest.mark.parametrize("shift", [0, 1 << 20])
+    def test_first_starts_are_the_stable_order(self, shift):
         # the grid's best points, selected: the head of the stable order on
-        # rows full of ties, and of fewer points than asked
+        # rows full of ties, and of fewer points than asked, for small
+        # values and for values shifted far from zero (still exact ties)
         rng = np.random.default_rng(3)
         for _ in range(500):
             P, m = rng.integers(1, 6), rng.integers(1, 400)
             vals = rng.integers(0, rng.integers(1, 6), size=(P, m)).astype(float)
+            vals += shift
             vals[rng.random((P, m)) < 0.1] = INF
             order = np.argsort(vals, axis=1, kind="stable")
             for k in (1, 4):  # the starts of a 1-d and of a 2-d zoom
