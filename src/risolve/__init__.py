@@ -10,7 +10,6 @@ from .core import (
     RisProblem,
     Trajectory,
     TrivialH,
-    build_correction,
 )
 from .reduced import (
     global_min_rows,
@@ -25,7 +24,6 @@ from .stability import (
 from .scheme import (
     DiscreteTrajectory,
     SchemeConfig,
-    detect_jumps,
     interpolate,
     jump_onset,
     refine_study,

@@ -283,10 +283,15 @@ def write_trajectory_csv(
     """Write the node table; ``memo`` keeps the node residuals for reuse.
 
     The residuals the memo lacks are computed together, in batches, and
-    the energies and powers of all nodes in one call each."""
+    the energies and powers of all nodes in one call each.  ``jump_flag``
+    marks the nodes of the run's jump records; like ``energy`` or
+    ``power`` it is output only."""
     prob = disc.problem
     memo = use_memo(memo, prob)
-    flags = disc.flags
+    flags = np.zeros(len(disc.times), dtype=int)
+    for rec in disc.jump_records:
+        first, last = rec.nodes(disc.times)
+        flags[first : last + 1] = 1
     cum = np.concatenate([[0.0], np.cumsum(disc.step_diss)])
     times, Z, U = disc.times, disc.Z, disc.U
     resids = memo.fill(times, Z)
@@ -302,7 +307,9 @@ def write_trajectory_csv(
 
 
 def read_trajectory_csv(path: Path, problem: RisProblem) -> Trajectory:
-    """Rebuild a trajectory (with jump records from the flag column)."""
+    """Rebuild a trajectory from its times and states, with the jump
+    records the scheme's detector finds in them; the output-only columns,
+    ``jump_flag`` among them, are not read."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -345,8 +352,7 @@ def read_trajectory_csv(path: Path, problem: RisProblem) -> Trajectory:
             f"t = {float(times[n])!r} (node {n})"
         )
     Z, U = data[:, 1 : 1 + nz], data[:, 1 + nz : 1 + nz + nu]
-    records = jump_records(problem, times, Z, data[:, -1].astype(int))
-    return Trajectory(times=times, Z=Z, U=U, jump_records=records)
+    return Trajectory(times=times, Z=Z, U=U, jump_records=jump_records(problem, times, Z))
 
 
 def certificate_lines(cert: Certificate) -> list[str]:

@@ -22,7 +22,6 @@ __all__ = [
     "TrivialH",
     "QuadraticMu",
     "PowerLq",
-    "build_correction",
     "Trajectory",
     "sup_distance",
     "JumpRecord",
@@ -131,7 +130,7 @@ def _zero_correction(z, zp, d=None):
     return np.zeros(np.broadcast_shapes(np.shape(z), np.shape(zp))[:-1])
 
 
-def build_correction(spec: Optional[CorrectionSpec], problem: "RisProblem"):
+def _build_correction(spec: Optional[CorrectionSpec], problem: "RisProblem"):
     """Return the broadcasting map delta(Z_from, Z_to, D=None) implementing
     ``spec``.
 
@@ -253,7 +252,7 @@ class RisProblem:
         corr = self.correction
         if corr is None or getattr(corr, "_derived", False):
             # none given, or the derived map of the problem this one copies
-            corr = build_correction(self.correction_spec, self)
+            corr = _build_correction(self.correction_spec, self)
             corr._derived = True
             object.__setattr__(self, "correction", corr)
 
@@ -292,6 +291,12 @@ class JumpRecord:
     z_inner: NDArray[np.float64]
     z_right: NDArray[np.float64]
     t_end: float  # the last node of the jump's run of steps
+
+    def nodes(self, times) -> tuple[int, int]:
+        """The indices of the record's first and last jump nodes, at t and
+        t_end, in the node times ``times``."""
+        first, last = np.searchsorted(times, (self.t, self.t_end)).tolist()
+        return first, last
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
-"""Time-incremental minimization schemes and interpolants.
+"""Time-incremental minimization schemes, the jump detector and
+interpolants.
 
 Three flavours share one driver and differ only in the correction of the
 problem they solve (``scheme_problem``): the plain scheme E removes the
@@ -6,6 +7,10 @@ problem's correction, the viscosity-penalized scheme BV installs the
 eps/(2 tau) squared-distance penalty (an approximation of the
 vanishing-viscosity limit), and the corrected scheme VE keeps the
 problem's own viscous correction.
+
+``jump_records`` is the one jump detector.  It reads only the node times
+and states, so a scheme run and a trajectory read back from its CSV get
+the same records; every jump window is taken from them.
 """
 
 from __future__ import annotations
@@ -13,7 +18,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -38,7 +42,6 @@ __all__ = [
     "interpolate",
     "refine_study",
     "ConvergenceReport",
-    "detect_jumps",
     "jump_records",
     "jump_onset",
 ]
@@ -90,16 +93,9 @@ class DiscreteTrajectory:
     # improvement over staying put: the previous state's residual at the new
     # time; spikes exactly when that state loses corrected stability
     step_gain: NDArray[np.float64]
+    jump_records: tuple[JumpRecord, ...]  # the detector's, from times and Z
     problem: RisProblem  # problem with the scheme's correction installed
     config: SchemeConfig
-
-    @cached_property
-    def flags(self) -> NDArray[np.bool_]:
-        """Per node, whether the step into it dissipates far more than the
-        median step; the first node, which no step leads into, is never
-        flagged.  Computed once and read-only: the CSV writer,
-        ``interpolate`` and ``detect_jumps`` share it."""
-        return _flag_steps(self.step_diss)
 
 
 def scheme_problem(problem: RisProblem, cfg: SchemeConfig) -> RisProblem:
@@ -203,6 +199,7 @@ class _Run:
             step_diss=d,
             step_corr=prob.correction(Z_from, Z_to, d),
             step_gain=np.maximum(gain, 0.0),
+            jump_records=jump_records(prob, self.times, self.Z),
             problem=prob,
             config=self.cfg,
         )
@@ -295,6 +292,10 @@ def jump_onset(disc: DiscreteTrajectory) -> float | None:
     therefore separates crawl from jump, and keeps firing near the
     local-stability-loss time even when a strong correction smears the
     transition itself over many nodes.
+
+    This is the paper's onset study, read by
+    ``TestDoubleWellHierarchy::test_onset_ordering``, not a window
+    detector: every jump window comes from ``jump_records``.
     """
     idx = np.nonzero(disc.step_gain > ONSET_GAIN * disc.config.tau)[0]
     if idx.size == 0:
@@ -309,33 +310,17 @@ def _runs(flags: NDArray[np.bool_]) -> list[tuple[int, int]]:
     return list(zip(starts.tolist(), (stops - 1).tolist()))
 
 
-def _flag_steps(step_diss: NDArray) -> NDArray[np.bool_]:
-    """``DiscreteTrajectory.flags`` of the step dissipations ``step_diss``,
-    read-only."""
-    med = median(step_diss) if step_diss.size else 0.0
-    flags = np.r_[False, step_diss > max(JUMP_THRESH * med, JUMP_FLOOR)]
-    flags.flags.writeable = False
-    return flags
-
-
-def detect_jumps(disc: DiscreteTrajectory) -> list[tuple[int, int]]:
-    """Index ranges [a, b] of step runs whose dissipation dwarfs the median.
-
-    Consecutive flagged steps merge into one discontinuity.
-    """
-    return _runs(disc.flags[1:])
-
-
-def jump_records(
-    problem: RisProblem, times: NDArray, Z: NDArray, flags
-) -> tuple[JumpRecord, ...]:
-    """One record per run of flagged nodes (``DiscreteTrajectory.flags``;
-    the first node's flag is ignored), from the (N, n_z) node states ``Z``:
-    the states before and after the run and, inside it, the state reached
-    by the step of largest dissipation."""
+def jump_records(problem: RisProblem, times: NDArray, Z: NDArray) -> tuple[JumpRecord, ...]:
+    """The jumps of the (N, n_z) node states ``Z`` at ``times``: one record
+    per run of consecutive steps whose dissipation exceeds both
+    ``JUMP_THRESH`` times the median step's and ``JUMP_FLOOR``, with the
+    states before and after the run and, inside it, the state reached by
+    the step of largest dissipation.  A single node has no steps and no
+    jumps."""
     d = problem.dissipation(Z[:-1], Z[1:])  # d[a]: the step into node a + 1
+    med = median(d) if d.size else 0.0
     records = []
-    for a, b in _runs(np.asarray(flags[1:], dtype=bool)):
+    for a, b in _runs(d > max(JUMP_THRESH * med, JUMP_FLOOR)):
         k = a + int(np.argmax(d[a : b + 1]))
         records.append(
             JumpRecord(
@@ -355,7 +340,7 @@ def interpolate(disc: DiscreteTrajectory) -> Trajectory:
         times=disc.times,
         Z=disc.Z,
         U=disc.U,
-        jump_records=jump_records(disc.problem, disc.times, disc.Z, disc.flags),
+        jump_records=disc.jump_records,
     )
 
 

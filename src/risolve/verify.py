@@ -25,13 +25,7 @@ from . import models
 from .core import INF, RisProblem, Trajectory, is_finite, sup_distance, unique
 from .jump import DP_RESOLUTION, CostBound, jump_cost
 from .reduced import reduced_value
-from .scheme import (
-    DiscreteTrajectory,
-    SchemeConfig,
-    detect_jumps,
-    interpolate,
-    solve_incremental,
-)
+from .scheme import DiscreteTrajectory, SchemeConfig, interpolate, solve_incremental
 from .stability import ResidualMemo, residual_rows, use_memo
 
 __all__ = [
@@ -105,9 +99,10 @@ def _in_jump_window(traj: Trajectory, ts: NDArray) -> NDArray[np.bool_]:
     """Per time of ``ts``, whether it lies in the window of a jump record,
     from the node before its first jump node t to its t_end, shifted by
     1e-12, where stability is not due."""
-    first = np.searchsorted(traj.times, [rec.t for rec in traj.jump_records])
+    first, last = np.array([rec.nodes(traj.times) for rec in traj.jump_records],
+                           dtype=np.intp).reshape(-1, 2).T
     lo = traj.times[np.maximum(first - 1, 0)] - 1e-12
-    hi = np.array([rec.t_end - 1e-12 for rec in traj.jump_records])
+    hi = traj.times[last] - 1e-12
     ts = np.asarray(ts, dtype=float)[:, None]
     return ((lo < ts) & (ts < hi)).any(axis=1)
 
@@ -147,14 +142,16 @@ def balance_residual(disc: DiscreteTrajectory) -> float:
     load work (see ``_balance``).
 
     The variation is assembled from the run's own step data: per-step d and
-    delta everywhere, plus the recorded step gains over detected jump
-    windows, each paid at its own node time.  This is the discrete jump
-    cost (links plus per-point residuals along the actual chain); re-pricing
-    the chain at a single jump time would add time-alignment noise instead.
+    delta everywhere, plus the recorded step gains over the steps into each
+    jump record's nodes, each paid at its own node time.  This is the
+    discrete jump cost (links plus per-point residuals along the actual
+    chain); re-pricing the chain at a single jump time would add
+    time-alignment noise instead.
     """
     var = float(np.sum(disc.step_diss) + np.sum(disc.step_corr))
-    for a, b in detect_jumps(disc):
-        var += float(np.sum(disc.step_gain[a : b + 1]))
+    for rec in disc.jump_records:
+        first, last = rec.nodes(disc.times)
+        var += float(np.sum(disc.step_gain[first - 1 : last]))
     return _balance(disc.problem, disc, var)
 
 
@@ -309,10 +306,7 @@ def ve_equals_e(
     sliding jump (cost equals dissipation)."""
     tol = tol or TolConfig()
     plain = problem.with_correction(None)
-    probes = _probe_times(traj, tol.probe_count)
-    ts = probes[~_in_jump_window(traj, probes)]
-    residuals = ResidualMemo(plain).fill(ts, traj.Z[traj.nodes_at(ts)])
-    stab = max([0.0, *residuals])
+    stab = verify_E(plain, traj, tol).stability_residual
     max_dc = 0.0
     jr = []
     memo = ResidualMemo(problem)

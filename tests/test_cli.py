@@ -103,6 +103,23 @@ prefix = dw
 """
 
 
+def _edit_rows(text: str, edits: dict) -> str:
+    """A trajectory CSV with ``edits[col](t, value)`` written to column col
+    of every row, t the row's time."""
+    lines = text.splitlines()
+    header = lines[1].split(",")
+    rows = []
+    for line in lines[2:]:
+        cells = line.split(",")
+        t = float(cells[0])
+        for col, fn in edits.items():
+            j = header.index(col)
+            value = fn(t, float(cells[j]))
+            cells[j] = f"{int(value)}" if col == "jump_flag" else f"{value:.17g}"
+        rows.append(",".join(cells))
+    return "\n".join(lines[:2] + rows) + "\n"
+
+
 @pytest.fixture
 def toy_cfg(tmp_path):
     p = tmp_path / "toy.ini"
@@ -532,6 +549,42 @@ class TestSolveAndVerify:
         csv.write_text("")
         assert main(["verify", "--config", str(toy_cfg), str(csv)]) == EXIT_ERROR
 
+    def test_declared_window_is_not_trusted(self, tmp_path, capsys):
+        # z lowered by 0.005 on 0.5 < t < 0.6 leaves the stable band there;
+        # a jump_flag column declaring that stretch a jump does not keep
+        # verify from probing it, since the windows come from z
+        config = CONFIG_DIR / "toy_convex.ini"
+        main(["solve", "--config", str(config), "--out-dir", str(tmp_path)])
+        csv = tmp_path / "toy_convex_trajectory.csv"
+        csv.write_text(_edit_rows(csv.read_text(), {
+            "z_1": lambda t, z: z - 0.005 if 0.5 < t < 0.6 else z,
+            "jump_flag": lambda t, f: 1.0 if 0.5 < t <= 0.6 else f,
+        }))
+        capsys.readouterr()
+        assert main(["verify", "--config", str(config), str(csv)]) == EXIT_FAIL
+        assert "verdict_stability = false" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("config", ["damage1d.ini", "delamination0d.ini"])
+    def test_zeroed_jump_flags_keep_the_certificate(self, config, tmp_path, capsys):
+        config = CONFIG_DIR / config
+        assert main(["solve", "--config", str(config), "--out-dir", str(tmp_path)]) == EXIT_PASS
+        solved = capsys.readouterr().out
+        assert "jump_count = 1" in solved
+        (csv,) = tmp_path.glob("*_trajectory.csv")
+        csv.write_text(_edit_rows(csv.read_text(), {"jump_flag": lambda t, f: 0.0}))
+        assert main(["verify", "--config", str(config), str(csv)]) == EXIT_PASS
+        assert capsys.readouterr().out == solved
+
+    def test_one_node_trajectory_verifies(self, tmp_path, capsys):
+        # a single node has no steps, so the detector finds no jump
+        config = CONFIG_DIR / "delamination0d.ini"
+        main(["solve", "--config", str(config), "--out-dir", str(tmp_path)])
+        csv = tmp_path / "delamination0d_trajectory.csv"
+        csv.write_text("\n".join(csv.read_text().splitlines()[:3]) + "\n")
+        capsys.readouterr()
+        assert main(["verify", "--config", str(config), str(csv)]) == EXIT_PASS
+        assert "jump_count = 0" in capsys.readouterr().out
+
     def test_constant_load_keeps_state(self, tmp_path):
         p = tmp_path / "const.ini"
         p.write_text(TOY_CONFIG.replace("ell = 0, 2", "ell = 0, 0").replace(
@@ -730,16 +783,25 @@ class TestOnePricePerCommand:
         [
             (["solve"], 1),
             (["sweep", "--axis", "tau", "--values", "0.04,0.02"], 2),
+            (["verify", "{out}/toy_trajectory.csv"], 1),
         ],
-        ids=["solve", "sweep"],
+        ids=["solve", "sweep", "verify"],
     )
     def test_jump_flags_computed_once_per_trajectory(self, toy_cfg, tmp_path, monkeypatch,
                                                      argv, trajectories):
-        # the CSV writer, interpolate and detect_jumps read one set of flags
+        # the CSV writer, interpolate and the balance read one set of records
+        assert main(["solve", "--config", str(toy_cfg), "--out-dir", str(tmp_path)]) == EXIT_PASS
         computed = []
-        real = scheme._flag_steps
-        monkeypatch.setattr(scheme, "_flag_steps", lambda d: computed.append(1) or real(d))
-        argv = [argv[0], "--config", str(toy_cfg), "--out-dir", str(tmp_path), *argv[1:]]
+        real = scheme.jump_records
+
+        def counted(*args):
+            computed.append(1)
+            return real(*args)
+
+        for module in (cli, scheme):  # every binding
+            monkeypatch.setattr(module, "jump_records", counted)
+        argv = [argv[0], "--config", str(toy_cfg), "--out-dir", str(tmp_path),
+                *(a.format(out=tmp_path) for a in argv[1:])]
         assert main(argv) == EXIT_PASS
         assert len(computed) == trajectories
 

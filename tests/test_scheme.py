@@ -19,7 +19,7 @@ from risolve import (
 )
 from risolve import reduced, scheme
 from risolve.reduced import reduced_value
-from risolve.scheme import detect_jumps, jump_onset
+from risolve.scheme import jump_onset
 from risolve.models import (
     Delamination0dSpec,
     Toy1dSpec,
@@ -382,25 +382,40 @@ class TestJumpDetection:
         cfg = SchemeConfig(scheme="VE", tau=1e-2, initial_z=(-1.0,))
         toy_doublewell = toy_doublewell.with_correction(QuadraticMu(mu=0.01))
         disc = solve_incremental(toy_doublewell, cfg)
-        runs = detect_jumps(disc)
-        assert len(runs) == 1
-        a, b = runs[0]
-        assert disc.step_diss[a] > 1.0  # the well-to-well crossing
+        (rec,) = disc.jump_records
+        first, _ = rec.nodes(disc.times)
+        assert rec.t == disc.times[first]
+        assert disc.step_diss[first - 1] > 1.0  # the well-to-well crossing
 
     def test_no_jump_in_sliding_run(self, toy_convex):
         disc = solve_incremental(
             toy_convex, SchemeConfig(scheme="E", tau=1e-2, initial_z=(0.0,))
         )
-        assert detect_jumps(disc) == []
+        assert disc.jump_records == ()
         assert jump_onset(disc) is None
 
     def test_onset_matches_detected_jump_for_weak_correction(self, toy_doublewell):
         cfg = SchemeConfig(scheme="VE", tau=1e-2, initial_z=(-1.0,))
         toy_doublewell = toy_doublewell.with_correction(QuadraticMu(mu=0.01))
         disc = solve_incremental(toy_doublewell, cfg)
-        (a, _), = detect_jumps(disc)
-        assert jump_onset(disc) == pytest.approx(float(disc.times[a + 1]))
+        (rec,) = disc.jump_records
+        assert jump_onset(disc) == pytest.approx(rec.t)
 
+    def test_median_rule_on_the_states(self, toy_convex):
+        # steps of d = 0.1 with a run of two steps of d = 2 and 1.5 among
+        # them: one record, its inner state after the larger step
+        z = np.concatenate([0.1 * np.arange(6), 0.5 + np.array([2.0, 3.5]),
+                            4.0 + 0.1 * np.arange(1, 6)])
+        times = np.linspace(0.0, 1.0, len(z))
+        (rec,) = scheme.jump_records(toy_convex, times, z[:, None])
+        assert (rec.t, rec.t_end) == (times[6], times[7])
+        assert rec.nodes(times) == (6, 7)
+        assert (rec.z_left[0], rec.z_inner[0], rec.z_right[0]) == (z[5], z[6], z[7])
+        # with a median of 0 a step must still exceed JUMP_FLOOR; a single
+        # node has no steps
+        tiny = np.r_[0.0, 0.0, 0.0, 0.5e-6][:, None]
+        assert scheme.jump_records(toy_convex, times[:4], tiny) == ()
+        assert scheme.jump_records(toy_convex, times[:1], z[:1, None]) == ()
 
     def test_runs_match_loop_reference(self):
         # the run merge read from np.diff against the plain scan it replaced
