@@ -48,7 +48,6 @@ from .reduced import require_search
 from .scheme import (
     DiscreteTrajectory,
     SchemeConfig,
-    interpolate,
     jump_records,
     scheme_problem,
     solve_incremental,
@@ -292,16 +291,16 @@ def write_trajectory_csv(
     for rec in disc.jump_records:
         first, last = rec.nodes(disc.times)
         flags[first : last + 1] = 1
-    cum = np.concatenate([[0.0], np.cumsum(disc.step_diss)])
     times, Z, U = disc.times, disc.Z, disc.U
+    d = prob.dissipation(Z[:-1], Z[1:])  # d[n - 1]: the step into node n
+    steps, cum = [0.0, *d.tolist()], [0.0, *np.cumsum(d).tolist()]
     resids = memo.fill(times, Z)
     energies = prob.energy(times, U, Z).tolist()
     powers = prob.power(times, U, Z).tolist()
     lines = [CSV_VERSION, ",".join(_csv_columns(prob))]
     for n, t in enumerate(times.tolist()):
         row = [t, *Z[n].tolist(), *U[n].tolist(), energies[n], powers[n],
-               float(disc.step_diss[n - 1]) if n > 0 else 0.0,
-               float(cum[n]), resids[n]]
+               steps[n], cum[n], resids[n]]
         lines.append(",".join(_fmt(x) for x in row) + f",{int(flags[n])}")
     path.write_text("\n".join(lines) + "\n")
 
@@ -399,7 +398,7 @@ def cmd_solve(args) -> int:
     memo = ResidualMemo(disc.problem)
     memo.seed_from(disc)
     write_trajectory_csv(out / f"{run.prefix}_trajectory.csv", disc, memo)
-    cert = _certify(run, disc.problem, interpolate(disc), memo)
+    cert = _certify(run, disc.problem, disc, memo)
     text = "\n".join(certificate_lines(cert)) + "\n"
     (out / f"{run.prefix}_certificate.txt").write_text(text)
     sys.stdout.write(text)
@@ -442,34 +441,26 @@ def cmd_sweep(args) -> int:
             runs.append(exc)
     # the runs step in lockstep; each equals its solo run to the bit
     solved = iter(solve_lockstep([r for r in runs if not isinstance(r, Exception)]))
-    results: list = []
     errors: list[str] = []
+    lines = [CSV_VERSION,
+             f"{args.axis},jump_time,final_z_norm,balance_residual,sup_dist_prev"]
+    prev = probe = None
     for v, r in zip(values, runs):
         try:
             disc = r if isinstance(r, Exception) else next(solved)
             if isinstance(disc, Exception):
                 raise disc
-            traj = interpolate(disc)
-            jt = traj.jump_records[0].t if traj.jump_records else float("nan")
-            results.append((disc, traj, jt, balance_residual(disc)))
+            bal = balance_residual(disc)
         except Exception as exc:
-            results.append(None)
             errors.append(f"{args.axis}={v}: {exc}")
-
-    probe = None
-    lines = [CSV_VERSION,
-             f"{args.axis},jump_time,final_z_norm,balance_residual,sup_dist_prev"]
-    prev_traj = None
-    for v, res in zip(values, results):
-        if res is None:
             continue
-        disc, traj, jt, bal = res
         if probe is None:
-            probe = np.linspace(float(traj.times[0]), float(traj.times[-1]), 129)
-        sup = sup_distance(traj, prev_traj, probe) if prev_traj is not None else float("nan")
-        zfin = float(np.linalg.norm(traj.Z[-1]))
+            probe = np.linspace(float(disc.times[0]), float(disc.times[-1]), 129)
+        jt = disc.jump_records[0].t if disc.jump_records else float("nan")
+        sup = sup_distance(disc, prev, probe) if prev is not None else float("nan")
+        zfin = float(np.linalg.norm(disc.Z[-1]))
         lines.append(",".join(_fmt(x) for x in (v, jt, zfin, bal, sup)))
-        prev_traj = traj
+        prev = disc
     (out / f"{run.prefix}_sweep_{args.axis}.csv").write_text("\n".join(lines) + "\n")
     for msg in errors:
         sys.stderr.write(f"sweep run failed: {msg}\n")

@@ -195,8 +195,8 @@ def _dp_chain(
     xs = unique(
         np.concatenate([np.linspace(lo, hi, resolution), [z_minus[0], z_plus[0]]])
     )
-    src = int(np.argmax(np.isclose(xs, z_minus[0], atol=1e-12)))
-    dst = int(np.argmax(np.isclose(xs, z_plus[0], atol=1e-12)))
+    # xs holds both endpoints verbatim
+    src, dst = np.searchsorted(xs, (z_minus[0], z_plus[0])).tolist()
     if src == dst:
         return [z_minus]
     pts = xs[:, None]
@@ -249,7 +249,7 @@ def jump_cost(
     z_minus = np.atleast_1d(np.asarray(z_minus, float))
     z_plus = np.atleast_1d(np.asarray(z_plus, float))
     d_direct = float(problem.dissipation(z_minus, z_plus))
-    if np.allclose(z_minus, z_plus, atol=1e-14):
+    if np.allclose(z_minus, z_plus, rtol=0, atol=1e-14):
         chain = JumpChain((z_minus,), ("sliding",), (), (), ())
         return CostBound(upper=0.0, lower=0.0, witness=chain)
     memo = use_memo(memo, problem)
@@ -272,7 +272,7 @@ def jump_cost(
     vc = viscous_chain(problem, t, z_minus, memo=memo)
     if vc.converged and len(vc.points) > 1:
         term = vc.points[-1]
-        if np.allclose(term, z_plus, atol=1e-8):
+        if np.allclose(term, z_plus, rtol=0, atol=1e-8):
             candidates.append(vc)
         elif is_finite(float(problem.dissipation(term, z_plus))):
             pts = list(vc.points) + [z_plus]

@@ -49,6 +49,7 @@ __all__ = [
     "chunk_rows",
     "require_search",
     "step_objective",
+    "step_terms",
     "zoom_search",
 ]
 
@@ -109,6 +110,23 @@ def step_objective(problem: RisProblem, t, z_prev) -> Callable[[NDArray], NDArra
         return vals
 
     return f
+
+
+def step_terms(problem: RisProblem, times, Z) -> tuple[NDArray, NDArray, NDArray]:
+    """Per step n of the (N, n_z) node states ``Z`` at ``times``, the parts
+    of its ``step_objective`` value: d(z_{n-1}, z_n), delta(z_{n-1}, z_n)
+    and the gain over staying put, max(I(t_n, z_{n-1}) - ((I(t_n, z_n) +
+    d) + delta), 0), each an (N - 1,) array.
+
+    The maps act elementwise, so on a scheme run's states the value has the
+    bits of the step's search value, and a step that stayed put gains
+    exactly 0."""
+    t, Z_from, Z_to = times[1:], Z[:-1], Z[1:]
+    d = problem.dissipation(Z_from, Z_to)
+    delta = problem.correction(Z_from, Z_to, d)
+    value = problem.reduced_vec(t, Z_to) + d
+    value += delta
+    return d, delta, np.maximum(problem.reduced_vec(t, Z_from) - value, 0.0)
 
 
 def _row_objective(problem: RisProblem, ts: NDArray, Z_prev: NDArray) -> Callable:

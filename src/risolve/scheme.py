@@ -1,5 +1,4 @@
-"""Time-incremental minimization schemes, the jump detector and
-interpolants.
+"""Time-incremental minimization schemes and the jump detector.
 
 Three flavours share one driver and differ only in the correction of the
 problem they solve (``scheme_problem``): the plain scheme E removes the
@@ -8,9 +7,12 @@ eps/(2 tau) squared-distance penalty (an approximation of the
 vanishing-viscosity limit), and the corrected scheme VE keeps the
 problem's own viscous correction.
 
-``jump_records`` is the one jump detector.  It reads only the node times
-and states, so a scheme run and a trajectory read back from its CSV get
-the same records; every jump window is taken from them.
+A run is a ``DiscreteTrajectory``: a ``Trajectory`` that also keeps the
+problem it solved and its config.  Everything else about it is read from
+its node times and states: its step terms d, delta and gain
+(``reduced.step_terms``) and its jumps.  ``jump_records`` is the one jump
+detector, so a scheme run and a trajectory read back from its CSV get the
+same records; every jump window is taken from them.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .core import (
     median,
     sup_distance,
 )
-from .reduced import chunk_rows, global_min_rows, reduced_value
+from .reduced import chunk_rows, global_min_rows, reduced_value, step_terms
 
 __all__ = [
     "SchemeConfig",
@@ -39,7 +41,6 @@ __all__ = [
     "scheme_problem",
     "solve_incremental",
     "solve_lockstep",
-    "interpolate",
     "refine_study",
     "ConvergenceReport",
     "jump_records",
@@ -49,7 +50,7 @@ __all__ = [
 JUMP_THRESH = 10.0  # step is a jump candidate beyond this multiple of median
 JUMP_FLOOR = 1e-6
 ONSET_GAIN = 0.05  # jump_onset's threshold on the step gain, in units of tau
-_REFINE_PROBES = 257  # times at which refine_study compares interpolants
+_REFINE_PROBES = 257  # times at which refine_study compares runs
 
 
 @dataclass(frozen=True)
@@ -78,22 +79,12 @@ class SchemeConfig:
                 )
 
 
-@dataclass(frozen=True)
-class DiscreteTrajectory:
-    """A scheme run: node n is the state (``Z[n]``, ``U[n]``) at
-    ``times[n]``, and entry n - 1 of each step array belongs to the step
-    from node n - 1 to node n."""
+@dataclass(frozen=True, kw_only=True)
+class DiscreteTrajectory(Trajectory):
+    """A scheme run: its nodes, with the jump records the detector finds
+    in them, the problem it solved and its config.  The problem prices
+    the run's step terms (``reduced.step_terms``)."""
 
-    times: NDArray[np.float64]
-    Z: NDArray[np.float64]  # (N, n_z) node states
-    U: NDArray[np.float64]  # (N, n_u) their minimizing u
-    step_values: NDArray[np.float64]  # minimized objective per step
-    step_diss: NDArray[np.float64]  # d(z^{n-1}, z^n) per step
-    step_corr: NDArray[np.float64]  # delta(z^{n-1}, z^n) per step
-    # improvement over staying put: the previous state's residual at the new
-    # time; spikes exactly when that state loses corrected stability
-    step_gain: NDArray[np.float64]
-    jump_records: tuple[JumpRecord, ...]  # the detector's, from times and Z
     problem: RisProblem  # problem with the scheme's correction installed
     config: SchemeConfig
 
@@ -137,13 +128,16 @@ class _Run:
                 f"the last node would be t = {times[-1]:.12g}"
             )
         times[-1] = t1
-        z = prob.clip(np.asarray(cfg.initial_z, dtype=float))
+        z = np.atleast_1d(np.asarray(cfg.initial_z, dtype=float))
+        if z.shape != (prob.n_z,):
+            raise ValueError(f"initial_z needs n_z = {prob.n_z} numbers, "
+                             f"got {z.tolist()}")
+        z = prob.clip(z)
         if not math.isfinite(reduced_value(prob, times[0], z)):
             raise ValueError("initial state has infinite energy")
         self.prob, self.cfg, self.times, self.z = prob, cfg, times, z
         self.Z = np.empty((n_steps + 1, prob.n_z))  # the node states
         self.Z[0] = z
-        self.vals = np.empty(n_steps)
         self.cap = chunk_rows(prob.n_z)
         self.n, self.k = 1, 1
 
@@ -163,10 +157,10 @@ class _Run:
         # starts from z: only a batch of one raises
         self.k = 1
 
-    def advance(self, X: NDArray, V: NDArray) -> Optional[DiscreteTrajectory]:
+    def advance(self, X: NDArray) -> Optional[DiscreteTrajectory]:
         """Keep the steps of the block up to its first move, given the
-        block's minimizers ``X`` and values ``V``; the trajectory once the
-        last step is kept."""
+        block's minimizers ``X``; the trajectory once the last step is
+        kept."""
         prob, z = self.prob, self.z
         # keep up to the first row whose argmin leaves the bytes of z
         diff = (X.view(np.int64) != z.view(np.int64)).ravel()
@@ -174,7 +168,6 @@ class _Run:
         moved = bool(diff[first])
         m = first // prob.n_z + 1 if moved else len(X)
         X = X[:m]
-        self.vals[self.n - 1 : self.n - 1 + m] = V[:m]
         self.Z[self.n : self.n + m] = X
         if np.count_nonzero(np.isfinite(X)) < X.size:
             raise ValueError("state entries must be finite")
@@ -183,22 +176,12 @@ class _Run:
         self.k = 1 if moved else min(2 * self.k, self.cap)
         if self.n < len(self.times):
             return None
-        # every node and step priced at once: the maps act elementwise, so
-        # each gets the bits it gets alone
-        U = prob.solve_u(self.times, self.Z)
-        if not np.isfinite(U).all():
-            raise ValueError("state entries must be finite")
-        Z_from, Z_to = self.Z[:-1], self.Z[1:]
-        d = prob.dissipation(Z_from, Z_to)
-        gain = prob.reduced_vec(self.times[1:], Z_from) - self.vals
+        # every node's u at once: solve_u acts elementwise, so each gets
+        # the bits it gets alone
         return DiscreteTrajectory(
             times=self.times,
             Z=self.Z,
-            U=U,
-            step_values=self.vals,
-            step_diss=d,
-            step_corr=prob.correction(Z_from, Z_to, d),
-            step_gain=np.maximum(gain, 0.0),
+            U=prob.solve_u(self.times, self.Z),
             jump_records=jump_records(prob, self.times, self.Z),
             problem=prob,
             config=self.cfg,
@@ -206,22 +189,22 @@ class _Run:
 
 
 def _search_blocks(prob: RisProblem, blocks: list[tuple[NDArray, NDArray]]) -> list:
-    """Per block (ts, Z) of rows, its minimizers and values from one
-    ``global_min_rows`` call over the rows of all blocks.  When that call
-    raises, each block is searched alone, and a block whose own search
-    raises gets the exception instead."""
+    """Per block (ts, Z) of rows, its minimizers from one ``global_min_rows``
+    call over the rows of all blocks.  When that call raises, each block is
+    searched alone, and a block whose own search raises gets the exception
+    instead."""
     if len(blocks) == 1:
         try:
-            return [global_min_rows(prob, *blocks[0])]
+            return [global_min_rows(prob, *blocks[0])[0]]
         except Exception as exc:
             return [exc]
     try:
-        X, V = global_min_rows(prob, *(np.concatenate(part) for part in zip(*blocks)))
+        X, _ = global_min_rows(prob, *(np.concatenate(part) for part in zip(*blocks)))
     except Exception:
         return [_search_blocks(prob, [b])[0] for b in blocks]
     out, a = [], 0
     for ts, _ in blocks:
-        out.append((X[a : a + len(ts)], V[a : a + len(ts)]))
+        out.append(X[a : a + len(ts)])
         a += len(ts)
     return out
 
@@ -266,7 +249,7 @@ def solve_lockstep(
                     if isinstance(res, Exception):
                         run.failed(res)
                     else:
-                        out[i] = run.advance(*res)
+                        out[i] = run.advance(res)
                 except Exception as exc:
                     out[i] = exc
             live = [(i, run) for i, run in live if out[i] is None]
@@ -297,7 +280,8 @@ def jump_onset(disc: DiscreteTrajectory) -> float | None:
     ``TestDoubleWellHierarchy::test_onset_ordering``, not a window
     detector: every jump window comes from ``jump_records``.
     """
-    idx = np.nonzero(disc.step_gain > ONSET_GAIN * disc.config.tau)[0]
+    _, _, gain = step_terms(disc.problem, disc.times, disc.Z)
+    idx = np.nonzero(gain > ONSET_GAIN * disc.config.tau)[0]
     if idx.size == 0:
         return None
     return float(disc.times[int(idx[0]) + 1])
@@ -334,16 +318,6 @@ def jump_records(problem: RisProblem, times: NDArray, Z: NDArray) -> tuple[JumpR
     return tuple(records)
 
 
-def interpolate(disc: DiscreteTrajectory) -> Trajectory:
-    """Left-continuous piecewise-constant interpolant with jump records."""
-    return Trajectory(
-        times=disc.times,
-        Z=disc.Z,
-        U=disc.U,
-        jump_records=disc.jump_records,
-    )
-
-
 @dataclass(frozen=True)
 class ConvergenceReport:
     taus: list[float]
@@ -358,32 +332,26 @@ def refine_study(
     cfg: SchemeConfig,
     tau_list: Sequence[float],
 ) -> ConvergenceReport:
-    """Re-run the scheme over decreasing tau and compare interpolants at
+    """Re-run the scheme over decreasing tau and compare the runs at
     ``_REFINE_PROBES`` times."""
     taus = list(tau_list)
     if len(taus) < 3 or any(b >= a for a, b in zip(taus, taus[1:])):
         raise ValueError("need >= 3 strictly decreasing tau values")
     t0, t1 = cfg.t_span if cfg.t_span is not None else (0.0, problem.horizon)
     probes = np.linspace(t0, t1, _REFINE_PROBES)
-    trajs = []
-    jumps = []
-    residuals = []
     from .verify import balance_residual  # local import: verify builds on scheme
 
-    for disc in solve_lockstep([(problem, replace(cfg, tau=tau)) for tau in taus]):
+    runs = solve_lockstep([(problem, replace(cfg, tau=tau)) for tau in taus])
+    for disc in runs:
         if isinstance(disc, Exception):
             raise disc
-        traj = interpolate(disc)
-        trajs.append(traj)
-        jumps.append([rec.t for rec in traj.jump_records])
-        residuals.append(balance_residual(disc))
-    sups = [sup_distance(a, b, probes) for a, b in zip(trajs, trajs[1:])]
+    sups = [sup_distance(a, b, probes) for a, b in zip(runs, runs[1:])]
     # Cauchy proxy: the pairwise gaps shrink (1.05 slack for plateaus at 0)
     cauchy = all(s2 <= 1.05 * s1 + 2 * taus[i] for i, (s1, s2) in enumerate(zip(sups, sups[1:])))
     return ConvergenceReport(
         taus=taus,
         sup_differences=sups,
-        jump_times=jumps,
-        balance_residuals=residuals,
+        jump_times=[[rec.t for rec in disc.jump_records] for disc in runs],
+        balance_residuals=[balance_residual(disc) for disc in runs],
         cauchy=cauchy,
     )

@@ -10,8 +10,9 @@ probes and for jump pricing.
 ``global_min_rows`` call, which works through them in chunks of a fixed
 point budget.  A memo's ``fill`` computes every residual it lacks of a
 list in that one call, and ``seed_from`` takes the residuals of nodes a
-scheme run stayed at from its step gains.  A memo keeps each residual's
-witness too, the step from z at t, which a viscous chain walks along.
+scheme run stayed at from its step gains (``reduced.step_terms``).  A memo
+keeps each residual's witness too, the step from z at t, which a viscous
+chain walks along.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .core import RisProblem, is_finite
-from .reduced import global_min_rows
+from .reduced import global_min_rows, step_terms
 
 __all__ = [
     "residual_rows",
@@ -96,15 +97,20 @@ class ResidualMemo:
         """Take R(t_n, z_n) from a scheme run of this memo's problem
         wherever step n stayed put: row n of ``disc.Z`` has the bytes of row
         n - 1 (compared through an int64 view, so -0.0 differs from 0.0),
-        so the step's gain is the same minimization, and z_n its witness."""
+        so the step's gain (``step_terms``) is the same minimization, and
+        z_n its witness.  Only a scheme run of this very problem is taken
+        (a plain ``Trajectory`` has no ``problem``): the search chose each
+        of its stayed nodes, and a stayed node of another trajectory, a
+        hand-edited CSV say, need not be stable."""
         use_memo(self, disc.problem)
         Z = disc.Z
         bits = Z.view(np.int64)
         stayed = np.flatnonzero((bits[1:] == bits[:-1]).all(axis=1)) + 1
+        gain = step_terms(disc.problem, disc.times, Z)[2].tolist()
         for n in stayed.tolist():
             self._values.setdefault(
                 (float(disc.times[n]), Z[n].tobytes()),
-                (float(disc.step_gain[n - 1]), Z[n]),
+                (gain[n - 1], Z[n]),
             )
 
 

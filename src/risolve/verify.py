@@ -9,7 +9,9 @@ model, and the adhesive-to-brittle penalty-limit study.
 Every balance, the scheme's (``balance_residual``) and the certificate's,
 is |E(T) + Var - E(0) - W| with its own variation Var, priced by one
 function: W is the exact load work of the piecewise-constant z, telescoped
-from the reduced energy, so ``power`` plays no part in it.
+from the reduced energy, so ``power`` plays no part in it.  A scheme run is
+a ``Trajectory``, so every certificate takes the run itself; its balance
+reads the run's step terms from its states (``reduced.step_terms``).
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from numpy.typing import NDArray
 from . import models
 from .core import INF, RisProblem, Trajectory, is_finite, sup_distance, unique
 from .jump import DP_RESOLUTION, CostBound, jump_cost
-from .reduced import reduced_value
-from .scheme import DiscreteTrajectory, SchemeConfig, interpolate, solve_incremental
+from .reduced import reduced_value, step_terms
+from .scheme import DiscreteTrajectory, SchemeConfig, solve_incremental
 from .stability import ResidualMemo, residual_rows, use_memo
 
 __all__ = [
@@ -43,6 +45,7 @@ __all__ = [
 
 _STRESS_TOL = 1e-6  # slack of plasticity_stress_check's yield surface
 _STRESS_PROBES = 512  # probe times of plasticity_stress_check
+_GAMMA_PROBES = 129  # probe times of gamma_limit_study
 
 
 @dataclass(frozen=True)
@@ -109,7 +112,7 @@ def _in_jump_window(traj: Trajectory, ts: NDArray) -> NDArray[np.bool_]:
 
 def _balance(
     problem: RisProblem,
-    traj: Trajectory | DiscreteTrajectory,
+    traj: Trajectory,
     var: float,
     I_node: NDArray | None = None,
 ) -> float:
@@ -141,17 +144,18 @@ def balance_residual(disc: DiscreteTrajectory) -> float:
     """|E(T) + Var_{d,c}(0, T) - E(0) - W| for a scheme run, W the exact
     load work (see ``_balance``).
 
-    The variation is assembled from the run's own step data: per-step d and
-    delta everywhere, plus the recorded step gains over the steps into each
-    jump record's nodes, each paid at its own node time.  This is the
-    discrete jump cost (links plus per-point residuals along the actual
-    chain); re-pricing the chain at a single jump time would add
-    time-alignment noise instead.
+    The variation is assembled from the run's step terms
+    (``step_terms``): per-step d and delta everywhere, plus the step gains
+    over the steps into each jump record's nodes, each paid at its own node
+    time.  This is the discrete jump cost (links plus per-point residuals
+    along the actual chain); re-pricing the chain at a single jump time
+    would add time-alignment noise instead.
     """
-    var = float(np.sum(disc.step_diss) + np.sum(disc.step_corr))
+    d, delta, gain = step_terms(disc.problem, disc.times, disc.Z)
+    var = float(np.sum(d) + np.sum(delta))
     for rec in disc.jump_records:
         first, last = rec.nodes(disc.times)
-        var += float(np.sum(disc.step_gain[first - 1 : last]))
+        var += float(np.sum(gain[first - 1 : last]))
     return _balance(disc.problem, disc, var)
 
 
@@ -184,7 +188,7 @@ def _jump_checks(
         )
         triples, gaps, uppers = [], [], []
         for za, zb in ((z_left, z_inner), (z_inner, z_right), (z_left, z_right)):
-            if np.allclose(za, zb, atol=1e-12):
+            if np.allclose(za, zb, rtol=0, atol=1e-12):
                 triples.append(0.0)
                 gaps.append(0.0)
                 uppers.append(0.0)
@@ -381,25 +385,23 @@ def gamma_limit_study(
     spec,
     k_list: Sequence[float],
     scheme_cfg: SchemeConfig,
-    probe_count: int = 129,
 ) -> GammaLimitReport:
     """Solve the adhesive model for each penalty k and the brittle model,
-    and report the convergence diagnostics of the penalty limit."""
+    and report the convergence diagnostics of the penalty limit at
+    ``_GAMMA_PROBES`` times."""
     ks = list(k_list)
     if len(ks) < 4 or any(b <= a for a, b in zip(ks, ks[1:])):
         raise ValueError("need >= 4 increasing k values")
     brittle = models.make_delamination0d(spec, brittle=True)
-    disc_b = solve_incremental(brittle, scheme_cfg)
-    traj_b = interpolate(disc_b)
-    probes = np.linspace(float(traj_b.times[0]), float(traj_b.times[-1]), probe_count)
+    traj_b = solve_incremental(brittle, scheme_cfg)
+    probes = np.linspace(float(traj_b.times[0]), float(traj_b.times[-1]), _GAMMA_PROBES)
     # the scheme's nodes lie in the box, where I is reduced_vec
     I_b = brittle.reduced_vec(probes, traj_b.Z[traj_b.nodes_at(probes)])
 
     violations, dists, egaps, trajs = [], [], [], []
     for k in ks:
         adh = models.make_delamination0d(spec, brittle=False, k=k)
-        disc = solve_incremental(adh, scheme_cfg)
-        traj = interpolate(disc)
+        traj = solve_incremental(adh, scheme_cfg)
         trajs.append(traj)
         Z = traj.Z[traj.nodes_at(probes)]
         gap = adh.extras["gap"](adh.solve_u(probes, Z))

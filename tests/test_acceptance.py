@@ -21,7 +21,6 @@ from risolve import (
     correction_ratio_check,
     exponent_check,
     gamma_limit_study,
-    interpolate,
     jump_cost,
     plasticity_stress_check,
     reduced_value,
@@ -85,11 +84,10 @@ class TestPlasticityReturnMap:
         exact = np.maximum(disc.times - 1.0, 0.0)
         assert np.max(np.abs(zs - exact)) <= 5 * tau
 
-        traj = interpolate(disc)
-        rep = ve_equals_e(prob, traj)
+        rep = ve_equals_e(prob, disc)
         assert rep.equal
 
-        stress = plasticity_stress_check(prob, traj)
+        stress = plasticity_stress_check(prob, disc)
         assert stress.passed
         assert stress.max_abs_stress <= 1.0 + 1e-6
         assert time.monotonic() - start < 5.0
@@ -243,7 +241,7 @@ class TestJumpConditions:
         tau = 1e-3
         prob = _doublewell(1.0)
         cfg = SchemeConfig(scheme="VE", tau=tau, initial_z=(-1.0,))
-        traj = interpolate(solve_incremental(prob, cfg))
+        traj = solve_incremental(prob, cfg)
         assert len(traj.jump_records) >= 1
         for rec in traj.jump_records:
             bound = jump_cost(prob, rec.t, rec.z_left, rec.z_right)

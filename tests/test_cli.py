@@ -13,7 +13,6 @@ from risolve import (
     SchemeConfig,
     TolConfig,
     cli,
-    interpolate,
     jump,
     reduced,
     scheme,
@@ -36,6 +35,7 @@ from risolve.cli import (
 )
 from risolve.core import PowerLq, QuadraticMu, TrivialH
 from risolve.models import Damage1dSpec, Delamination0dSpec, Plasticity0dSpec, Toy1dSpec
+from risolve.reduced import step_terms
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = ROOT / "configs"
@@ -457,13 +457,13 @@ class TestSolveAndVerify:
         assert main(["verify", "--config", str(cfg), str(csv)]) == exit_code
         assert capsys.readouterr().out == solved
 
-    def test_csv_jump_records_match_interpolate(self, tmp_path):
+    def test_csv_jump_records_match_the_run(self, tmp_path):
         cfg = tmp_path / "dw.ini"
         cfg.write_text(DOUBLEWELL_CONFIG)
         out = tmp_path / "out"
         main(["solve", "--config", str(cfg), "--out-dir", str(out)])
         run = load_config(cfg)
-        expected = interpolate(solve_incremental(run.problem, run.scheme)).jump_records
+        expected = solve_incremental(run.problem, run.scheme).jump_records
         got = read_trajectory_csv(out / "dw_trajectory.csv", run.problem).jump_records
         assert len(got) == len(expected) == 1
         assert expected[0].t_end > expected[0].t  # a jump over several steps
@@ -471,6 +471,21 @@ class TestSolveAndVerify:
             assert (g.t, g.t_end) == (e.t, e.t_end)
             for name in ("z_left", "z_inner", "z_right"):
                 assert np.array_equal(getattr(g, name), getattr(e, name))
+
+    def test_csv_gives_the_step_terms_of_the_run(self, tmp_path):
+        # the terms are read from the states, which the CSV keeps to the bit
+        cfg = tmp_path / "dw.ini"
+        cfg.write_text(DOUBLEWELL_CONFIG)
+        out = tmp_path / "out"
+        main(["solve", "--config", str(cfg), "--out-dir", str(out)])
+        run = load_config(cfg)
+        disc = solve_incremental(run.problem, run.scheme)
+        traj = read_trajectory_csv(out / "dw_trajectory.csv", run.problem)
+        expected = step_terms(disc.problem, disc.times, disc.Z)
+        got = step_terms(disc.problem, traj.times, traj.Z)
+        assert expected[2].max() > 0.0  # the jump's steps gain
+        for a, b in zip(got, expected, strict=True):
+            assert np.array_equal(a.view(np.int64), b.view(np.int64))
 
     def test_csv_round_trip_is_lossless(self, toy_cfg, tmp_path):
         out = tmp_path / "out"
@@ -757,7 +772,7 @@ class TestOnePricePerCommand:
         _, config, out, _, _ = counted_delam_solve
         run = load_config(config)
         disc = solve_incremental(run.problem, run.scheme)
-        cert = verify_VE(disc.problem, interpolate(disc), run.tol)
+        cert = verify_VE(disc.problem, disc, run.tol)
         expected = "\n".join(certificate_lines(cert)) + "\n"
         assert (out / "delamination0d_certificate.txt").read_text() == expected
 
@@ -789,7 +804,7 @@ class TestOnePricePerCommand:
     )
     def test_jump_flags_computed_once_per_trajectory(self, toy_cfg, tmp_path, monkeypatch,
                                                      argv, trajectories):
-        # the CSV writer, interpolate and the balance read one set of records
+        # the CSV writer and the balance read the run's one set of records
         assert main(["solve", "--config", str(toy_cfg), "--out-dir", str(tmp_path)]) == EXIT_PASS
         computed = []
         real = scheme.jump_records

@@ -1,6 +1,7 @@
 """Viscous chains and jump cost bounds."""
 
 import dataclasses
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -13,7 +14,6 @@ from risolve import (
     SchemeConfig,
     TolConfig,
     TrivialH,
-    interpolate,
     jump,
     jump_cost,
     solve_incremental,
@@ -21,6 +21,7 @@ from risolve import (
     verify,
     viscous_chain,
 )
+from risolve.cli import load_config
 from risolve.core import INF
 from risolve.models import (
     Delamination0dSpec,
@@ -31,6 +32,8 @@ from risolve.models import (
 from risolve.reduced import chunk_rows
 
 from conftest import residual_at, step_min
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def _quadratic_problem(correction=None):
@@ -148,6 +151,24 @@ class TestJumpCost:
         bound = jump_cost(prob, 0.665, [1.0], [0.0])
         assert bound.witness is not None
         assert any(r > 0 for r in bound.witness.point_residual)
+
+    @pytest.mark.parametrize(
+        "config, t, z_minus, z_plus",
+        [
+            ("plasticity0d.ini", 2.0, 0.0, 1.0000000125728548),
+            ("delamination0d.ini", 0.9, 1.0, 0.999995),
+        ],
+        ids=["plasticity", "delamination"],
+    )
+    def test_endpoints_compare_by_absolute_tolerance(self, config, t, z_minus, z_plus):
+        # z+ lies within a relative 1e-5 of a DP grid point (plasticity) or
+        # of z- (delamination), far outside the absolute tolerances: the
+        # chain ends at z+ itself, and a jump of d > 0 is priced
+        prob = load_config(CONFIG_DIR / config).problem
+        bound = jump_cost(prob, t, [z_minus], [z_plus])
+        d = float(prob.dissipation(np.array([z_minus]), np.array([z_plus])))
+        assert 0.0 < d <= bound.lower <= bound.upper
+        assert bound.witness.points[-1].tolist() == [z_plus]
 
     def test_upper_bound_never_beats_direct_chain(self, toy_doublewell):
         # the two-point chain z- -> z+ has cost d + residual(z-); the search
@@ -327,8 +348,7 @@ class TestAugmentedVariation:
     def doublewell_run(self, toy_doublewell):
         cfg = SchemeConfig(scheme="VE", tau=5e-3, initial_z=(-1.0,))
         prob = toy_doublewell.with_correction(QuadraticMu(mu=1.0))
-        disc = solve_incremental(prob, cfg)
-        return prob, interpolate(disc)
+        return prob, solve_incremental(prob, cfg)
 
     def test_dominates_plain_variation(self, doublewell_run):
         # Var_{d,c} adds Delta_c = c - d >= 0 per jump to the plain variation,

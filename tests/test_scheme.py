@@ -1,4 +1,4 @@
-"""Incremental schemes, jump detection, interpolants, refinement studies."""
+"""Incremental schemes, step terms, jump detection, refinement studies."""
 
 import dataclasses
 import math
@@ -12,13 +12,12 @@ from risolve import (
     RisProblem,
     SchemeConfig,
     TrivialH,
-    interpolate,
     refine_study,
     solve_incremental,
     solve_lockstep,
 )
 from risolve import reduced, scheme
-from risolve.reduced import reduced_value
+from risolve.reduced import reduced_value, step_terms
 from risolve.scheme import jump_onset
 from risolve.models import (
     Delamination0dSpec,
@@ -106,16 +105,23 @@ class TestSolveIncremental:
             prob, SchemeConfig(scheme="E", tau=0.1, initial_z=(0.3,))
         )
         assert disc.Z[:, 0] == pytest.approx(np.full(len(disc.times), 0.3))
-        assert np.all(disc.step_diss == 0.0)
-        assert np.all(disc.step_gain == 0.0)
+        d, _, gain = step_terms(disc.problem, disc.times, disc.Z)
+        assert np.all(d == 0.0)
+        assert np.all(gain == 0.0)
 
     def test_step_arrays_have_step_length(self, toy_convex):
         disc = solve_incremental(
             toy_convex, SchemeConfig(scheme="E", tau=0.25, initial_z=(0.0,))
         )
         assert len(disc.times) - 1 == 4
-        for arr in (disc.step_values, disc.step_diss, disc.step_corr, disc.step_gain):
+        for arr in step_terms(disc.problem, disc.times, disc.Z):
             assert arr.shape == (4,)
+
+    @pytest.mark.parametrize("initial_z", [(1.0,), (1.0, 1.0, 1.0)], ids=["short", "long"])
+    def test_initial_z_of_another_length_rejected(self, damage, initial_z):
+        cfg = SchemeConfig(scheme="VE", tau=0.1, initial_z=initial_z)
+        with pytest.raises(ValueError, match="initial_z needs n_z = 2 numbers"):
+            solve_incremental(damage, cfg)
 
     @pytest.mark.parametrize("tau, span", [(0.3, None), (0.3, (0.1, 0.5)), (5.0, None)])
     def test_tau_not_dividing_the_span_rejected(self, toy_convex, tau, span):
@@ -170,12 +176,13 @@ def _bits(a):
 
 
 def _assert_same_bits(disc, ref):
-    for a, b in zip(
-        (disc.times, disc.Z, disc.U, disc.step_values, disc.step_diss,
-         disc.step_corr, disc.step_gain),
-        ref,
-        strict=True,
-    ):
+    """The run's nodes, and the search values, d, delta and gains that
+    ``step_terms`` reads from its states, have the bits of the stepwise
+    loop's."""
+    d, delta, gain = step_terms(disc.problem, disc.times, disc.Z)
+    value = disc.problem.reduced_vec(disc.times[1:], disc.Z[1:]) + d
+    value += delta
+    for a, b in zip((disc.times, disc.Z, disc.U, value, d, delta, gain), ref, strict=True):
         assert np.array_equal(_bits(a), _bits(b))
 
 
@@ -293,12 +300,17 @@ class TestStationaryBlocks:
 
 
 def _assert_same_run(a, b):
-    """Every field of two DiscreteTrajectory runs agrees to the bit."""
+    """Two DiscreteTrajectory runs agree to the bit: nodes, jump records,
+    config and correction."""
     assert a.config == b.config
     assert a.problem.correction_spec == b.problem.correction_spec
-    _assert_same_bits(
-        a, (b.times, b.Z, b.U, b.step_values, b.step_diss, b.step_corr, b.step_gain)
-    )
+    for x, y in ((a.times, b.times), (a.Z, b.Z), (a.U, b.U)):
+        assert np.array_equal(_bits(x), _bits(y))
+    assert len(a.jump_records) == len(b.jump_records)
+    for r, s in zip(a.jump_records, b.jump_records):
+        assert (r.t, r.t_end) == (s.t, s.t_end)
+        for name in ("z_left", "z_inner", "z_right"):
+            assert np.array_equal(_bits(getattr(r, name)), _bits(getattr(s, name)))
 
 
 def _tau_runs(problem, cfg, taus):
@@ -370,7 +382,7 @@ class TestLockstep:
         runs = _tau_runs(prob, cfg, [4e-2, 2e-2, 1e-2])
         calls = _counted_rows(monkeypatch)
         discs = solve_lockstep(runs)
-        assert all((d.step_diss > 0).all() for d in discs)
+        assert all((step_terms(d.problem, d.times, d.Z)[0] > 0).all() for d in discs)
         steps = [len(d.times) - 1 for d in discs]
         assert len(calls) < sum(steps)
         assert len(calls) == max(steps)  # one search a round
@@ -385,7 +397,8 @@ class TestJumpDetection:
         (rec,) = disc.jump_records
         first, _ = rec.nodes(disc.times)
         assert rec.t == disc.times[first]
-        assert disc.step_diss[first - 1] > 1.0  # the well-to-well crossing
+        d, _, _ = step_terms(disc.problem, disc.times, disc.Z)
+        assert d[first - 1] > 1.0  # the well-to-well crossing
 
     def test_no_jump_in_sliding_run(self, toy_convex):
         disc = solve_incremental(
@@ -444,9 +457,8 @@ class TestInterpolate:
         cfg = SchemeConfig(scheme="VE", tau=1e-2, initial_z=(-1.0,))
         toy_doublewell = toy_doublewell.with_correction(QuadraticMu(mu=0.01))
         disc = solve_incremental(toy_doublewell, cfg)
-        traj = interpolate(disc)
-        assert len(traj.jump_records) == 1
-        rec = traj.jump_records[0]
+        assert len(disc.jump_records) == 1
+        rec = disc.jump_records[0]
         assert rec.z_left[0] == pytest.approx(-1.0, abs=0.05)
         assert rec.z_right[0] > 0.9
         assert rec.t_end >= rec.t
@@ -454,7 +466,7 @@ class TestInterpolate:
     def test_interpolant_is_left_continuous_at_jump(self, toy_doublewell):
         cfg = SchemeConfig(scheme="VE", tau=1e-2, initial_z=(-1.0,))
         toy_doublewell = toy_doublewell.with_correction(QuadraticMu(mu=0.01))
-        traj = interpolate(solve_incremental(toy_doublewell, cfg))
+        traj = solve_incremental(toy_doublewell, cfg)
         rec = traj.jump_records[0]
         # rec.t is the first post-jump node: the last pre-jump state lives
         # one step earlier on the left-continuous interpolant

@@ -6,6 +6,8 @@ module-level import binds must appear as a name somewhere in the module.  A
 package ``__init__.py`` is its public API and is not scanned for that.
 Every name of a module's ``__all__`` must be bound at its top level, by a
 def, a class, an assignment or an import; else ``import *`` fails on it.
+Every name the package ``__init__.py`` imports must be in its ``__all__``,
+so a name taken out of the public API leaves both lists.
 No module of the package imports a ``_``-prefixed name from a sibling: a
 name another module needs is public.
 """
@@ -48,18 +50,30 @@ def _defined(tree: ast.Module) -> set[str]:
     return names
 
 
-def stale_exports(source: str) -> list[str]:
-    """Every name of the ``__all__`` of ``source`` that it does not define."""
-    tree = ast.parse(source)
-    exported = [
+def _exports(tree: ast.Module) -> list[str]:
+    """The names of a module's ``__all__``."""
+    return [
         name
         for node in tree.body
         if isinstance(node, ast.Assign)
         and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
         for name in ast.literal_eval(node.value)
     ]
+
+
+def stale_exports(source: str) -> list[str]:
+    """Every name of the ``__all__`` of ``source`` that it does not define."""
+    tree = ast.parse(source)
     defined = _defined(tree)
-    return [name for name in exported if name not in defined]
+    return [name for name in _exports(tree) if name not in defined]
+
+
+def unlisted_imports(source: str) -> list[tuple[int, str]]:
+    """(line, name) of every module-level import of ``source`` that its
+    ``__all__`` does not list."""
+    tree = ast.parse(source)
+    exported = set(_exports(tree))
+    return [(line, name) for line, name in _bindings(tree) if name not in exported]
 
 
 def private_imports(source: str) -> list[tuple[int, str]]:
@@ -118,6 +132,22 @@ def test_scan_finds_a_stale_export():
         "X = Y = 1\n"
     )
     assert stale_exports(source) == ["gone"]
+
+
+def test_package_exports_every_import():
+    path = ROOT / "src" / "risolve" / "__init__.py"
+    found = [f"{path.relative_to(ROOT)}:{line}: {name}"
+             for line, name in unlisted_imports(path.read_text())]
+    assert not found, "imported by the package but not in its __all__:\n" + "\n".join(found)
+
+
+def test_scan_finds_an_unlisted_import():
+    source = (
+        "from .core import f, g\n"
+        "import numpy as np\n"
+        "__all__ = ['f', 'np']\n"
+    )
+    assert unlisted_imports(source) == [(1, "g")]
 
 
 def test_no_private_names_imported_from_siblings():

@@ -16,7 +16,6 @@ from risolve import (
     TrivialH,
     balance_residual,
     gamma_limit_study,
-    interpolate,
     plasticity_stress_check,
     solve_incremental,
     ve_equals_e,
@@ -37,7 +36,7 @@ def convex_run(toy_convex):
 @pytest.fixture
 def delam_run(delamination):
     cfg = SchemeConfig(scheme="VE", tau=5e-3, initial_z=(1.0,))
-    return delamination, interpolate(solve_incremental(delamination, cfg))
+    return delamination, solve_incremental(delamination, cfg)
 
 
 class TestBalance:
@@ -86,7 +85,7 @@ class TestBalance:
 
 class TestCertificates:
     def test_plain_scheme_certified(self, toy_convex, convex_run):
-        cert = verify_E(toy_convex, interpolate(convex_run))
+        cert = verify_E(toy_convex, convex_run)
         assert cert.passed
         assert cert.stability_residual <= 1e-6
         assert cert.jump_checks == ()
@@ -163,12 +162,11 @@ class TestJumpWindow:
         cfg = SchemeConfig(scheme="VE", tau=1e-2, initial_z=(-1.0,))
         prob = toy_doublewell.with_correction(QuadraticMu(mu=0.01))
         disc = solve_incremental(prob, cfg)
-        traj = interpolate(disc)
         write_trajectory_csv(tmp_path / "dw.csv", disc)
         read = read_trajectory_csv(tmp_path / "dw.csv", prob)
-        probes = verify._probe_times(traj, TolConfig().probe_count)
-        inside = verify._in_jump_window(traj, probes)
-        assert len(traj.jump_records) == 1 and inside.any()
+        probes = verify._probe_times(disc, TolConfig().probe_count)
+        inside = verify._in_jump_window(disc, probes)
+        assert len(disc.jump_records) == 1 and inside.any()
         assert np.array_equal(verify._in_jump_window(read, probes), inside)
 
 
@@ -176,7 +174,7 @@ class TestCoincidence:
     def test_plasticity_coincides(self, plasticity):
         cfg = SchemeConfig(scheme="VE", tau=1e-2, initial_z=(0.0,))
         prob = plasticity.with_correction(TrivialH(h=lambda r: r**4))
-        traj = interpolate(solve_incremental(prob, cfg))
+        traj = solve_incremental(prob, cfg)
         rep = ve_equals_e(prob, traj)
         assert rep.equal
         assert rep.global_stability_residual <= 1e-6
@@ -185,7 +183,7 @@ class TestCoincidence:
     def test_doublewell_does_not_coincide(self, toy_doublewell):
         cfg = SchemeConfig(scheme="VE", tau=5e-3, initial_z=(-1.0,))
         prob = toy_doublewell.with_correction(QuadraticMu(mu=1.0))
-        traj = interpolate(solve_incremental(prob, cfg))
+        traj = solve_incremental(prob, cfg)
         rep = ve_equals_e(prob, traj)
         assert not rep.equal
         # the corrected run clings to the left well past plain global
@@ -198,9 +196,7 @@ class TestStressCheck:
         # the quartic correction overshoots the yield surface by O(tau^3):
         # tau = 2e-3 keeps it ~3e-8, far inside the admissibility tolerance
         cfg = SchemeConfig(scheme="VE", tau=2e-3, initial_z=(0.0,))
-        traj = interpolate(
-            solve_incremental(plasticity.with_correction(TrivialH(h=lambda r: r**4)), cfg)
-        )
+        traj = solve_incremental(plasticity.with_correction(TrivialH(h=lambda r: r**4)), cfg)
         rep = plasticity_stress_check(plasticity, traj)
         assert rep.passed
         assert rep.max_abs_stress <= rep.yield_stress + 1e-6
@@ -208,7 +204,7 @@ class TestStressCheck:
 
     def test_requires_stress_map(self, toy_convex, convex_run):
         with pytest.raises(ValueError):
-            plasticity_stress_check(toy_convex, interpolate(convex_run))
+            plasticity_stress_check(toy_convex, convex_run)
 
 
 class TestGammaLimit:
@@ -223,7 +219,7 @@ class TestGammaLimit:
     def test_small_penalty_sweep(self):
         spec = Delamination0dSpec()
         cfg = SchemeConfig(scheme="VE", tau=2e-2, initial_z=(1.0,))
-        rep = gamma_limit_study(spec, [4.0, 16.0, 64.0, 256.0], cfg, probe_count=33)
+        rep = gamma_limit_study(spec, [4.0, 16.0, 64.0, 256.0], cfg)
         assert len(rep.adhesive_trajs) == 4
         # penalization tightens the bonding constraint monotonically
         assert rep.constraint_violation[-1] < rep.constraint_violation[0]
