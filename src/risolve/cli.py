@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import ctypes
 import sys
 from dataclasses import dataclass, replace
 from functools import cache
@@ -46,6 +47,7 @@ from .models import (
 )
 from .reduced import require_search
 from .scheme import (
+    SUP_PROBES,
     DiscreteTrajectory,
     SchemeConfig,
     jump_records,
@@ -236,8 +238,7 @@ def load_config(path: str | Path) -> RunConfig:
     kind, spec, problem = _build_model(cp["model"])
 
     kw = _parse("scheme", cp["scheme"] if "scheme" in cp else {}, _type_hints(SchemeConfig))
-    kw.setdefault("initial_z", (0.0,) * problem.n_z)
-    if len(kw["initial_z"]) != problem.n_z:
+    if "initial_z" in kw and len(kw["initial_z"]) != problem.n_z:
         raise ConfigError(f"'initial_z' needs n_z = {problem.n_z} numbers, got {kw['initial_z']}")
     try:
         scheme = SchemeConfig(**kw)
@@ -455,7 +456,7 @@ def cmd_sweep(args) -> int:
             errors.append(f"{args.axis}={v}: {exc}")
             continue
         if probe is None:
-            probe = np.linspace(float(disc.times[0]), float(disc.times[-1]), 129)
+            probe = np.linspace(float(disc.times[0]), float(disc.times[-1]), SUP_PROBES)
         jt = disc.jump_records[0].t if disc.jump_records else float("nan")
         sup = sup_distance(disc, prev, probe) if prev is not None else float("nan")
         zfin = float(np.linalg.norm(disc.Z[-1]))
@@ -564,7 +565,40 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# glibc's numbers for mallopt's parameters
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+@cache
+def _keep_freed_memory() -> None:
+    """Keep the heap memory numpy frees in the process, so that the next
+    batch reuses its pages instead of faulting them in again.
+
+    glibc maps each allocation above its mmap threshold on its own and gives
+    the heap's free top back to the kernel once it exceeds the trim
+    threshold; both start low (128 and 256 KiB) and rise only when a mapped
+    block is freed.  A search batch is 0.4-1.3 MB, so each call that holds a
+    few of them regrows the heap: a repeated solve of configs/damage1d.ini
+    took 52,853 minor faults, 13 with this setting.  Setting any parameter
+    freezes the mmap threshold where it stands, so it is set too, to its
+    largest value (32 MiB on 64-bit), with the trim threshold above it.
+    M_TOP_PAD alone would freeze it wherever the process left it: set right
+    after ``import numpy`` it stays at 128 KiB, and a loop holding two 400
+    KB temporaries faults 294 pages an iteration (261 unset, 0 here).
+
+    Process-wide, so ``main`` sets it, once, and importing the package does
+    not.  With no C library that has ``mallopt`` it does nothing."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):  # TypeError: no CDLL(None)
+        return
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    _keep_freed_memory()
     try:
         args = _build_parser().parse_args(argv)
         return args.func(args)

@@ -50,7 +50,9 @@ __all__ = [
 JUMP_THRESH = 10.0  # step is a jump candidate beyond this multiple of median
 JUMP_FLOOR = 1e-6
 ONSET_GAIN = 0.05  # jump_onset's threshold on the step gain, in units of tau
-_REFINE_PROBES = 257  # times at which refine_study compares runs
+# the uniform times at which two runs are compared: the sup distance of
+# refine_study and of the sweep's sup_dist_prev column
+SUP_PROBES = 129
 
 
 @dataclass(frozen=True)
@@ -58,7 +60,7 @@ class SchemeConfig:
     scheme: str = "VE"  # E | BV | VE
     tau: float = 1e-2
     epsilon: float = 0.0  # BV only
-    initial_z: Sequence[float] = (0.0,)
+    initial_z: Optional[Sequence[float]] = None  # None: n_z zeros
     t_span: Optional[tuple[float, float]] = None
 
     def __post_init__(self):
@@ -128,7 +130,8 @@ class _Run:
                 f"the last node would be t = {times[-1]:.12g}"
             )
         times[-1] = t1
-        z = np.atleast_1d(np.asarray(cfg.initial_z, dtype=float))
+        z = np.zeros(prob.n_z) if cfg.initial_z is None else np.atleast_1d(
+            np.asarray(cfg.initial_z, dtype=float))
         if z.shape != (prob.n_z,):
             raise ValueError(f"initial_z needs n_z = {prob.n_z} numbers, "
                              f"got {z.tolist()}")
@@ -333,12 +336,12 @@ def refine_study(
     tau_list: Sequence[float],
 ) -> ConvergenceReport:
     """Re-run the scheme over decreasing tau and compare the runs at
-    ``_REFINE_PROBES`` times."""
+    ``SUP_PROBES`` times."""
     taus = list(tau_list)
     if len(taus) < 3 or any(b >= a for a, b in zip(taus, taus[1:])):
         raise ValueError("need >= 3 strictly decreasing tau values")
     t0, t1 = cfg.t_span if cfg.t_span is not None else (0.0, problem.horizon)
-    probes = np.linspace(t0, t1, _REFINE_PROBES)
+    probes = np.linspace(t0, t1, SUP_PROBES)
     from .verify import balance_residual  # local import: verify builds on scheme
 
     runs = solve_lockstep([(problem, replace(cfg, tau=tau)) for tau in taus])

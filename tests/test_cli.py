@@ -1,9 +1,11 @@
 """End-to-end CLI behaviour: configs, CSV round trips, exit codes."""
 
+import ctypes
 import os
+import platform
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -421,6 +423,15 @@ class TestConfigKeys:
             "error: 'initial_z' needs n_z = 1 numbers, got (0.0, 0.5)\n"
         )
         assert not out.exists()
+
+    def test_initial_z_left_out_is_zeros_of_the_model(self, tmp_path):
+        text = (CONFIG_DIR / "damage1d.ini").read_text()
+        p = tmp_path / "no_initial_z.ini"
+        p.write_text(text.replace("initial_z = 1.0, 1.0\n", ""))
+        run = load_config(p)
+        assert run.scheme.initial_z is None
+        disc = solve_incremental(run.problem, replace(run.scheme, t_span=(0.0, 0.1)))
+        assert disc.Z[0].tolist() == [0.0, 0.0]
 
     def test_brittle_model_refuses_k(self, tmp_path, capsys):
         text = (CONFIG_DIR / "delamination0d.ini").read_text()
@@ -870,3 +881,51 @@ def test_csv_residuals_are_priced_in_batches(tmp_path, monkeypatch):
     # a chunk: staying put, its grid, the zoom levels, the snap
     assert 0 < len(batches) <= 20 * chunks
     assert max(shape[0] for shape in batches) > 100  # rows priced together
+
+
+class TestFreedMemory:
+    """``main`` keeps freed heap memory in the process (glibc's mallopt)."""
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="a glibc setting")
+    def test_repeated_solve_reuses_its_pages(self, tmp_path):
+        # a fresh interpreter, so the test runner's own heap does not count;
+        # with the heap's free top given back after every batch, the second
+        # solve of damage1d.ini faults in some 53,000 pages, here a dozen
+        code = (
+            "import resource, sys\n"
+            "from risolve import cli\n"
+            f"argv = ['solve', '--config', 'configs/damage1d.ini', '--out-dir', {str(tmp_path)!r}]\n"
+            "assert cli.main(argv) == 0\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "assert cli.main(argv) == 0\n"
+            "after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "print(after - before, file=sys.stderr)\n"
+        )
+        path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+        err = subprocess.run(
+            [sys.executable, "-c", code], cwd=ROOT, capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": path}, check=True,
+        ).stderr
+        assert int(err.strip()) < 1000
+
+    @pytest.mark.parametrize("libc", ["missing", "without_mallopt"])
+    def test_without_mallopt_main_runs_alike(self, tmp_path, monkeypatch, libc):
+        argv = ["solve", "--config", str(CONFIG_DIR / "delamination0d.ini"), "--out-dir"]
+        assert main([*argv, str(tmp_path / "a")]) == EXIT_PASS
+        calls = []
+
+        def no_mallopt(name, *args, **kwargs):
+            calls.append(name)
+            if libc == "missing":
+                raise OSError("no C library")
+            return object()
+
+        monkeypatch.setattr(ctypes, "CDLL", no_mallopt)
+        cli._keep_freed_memory.cache_clear()  # main sets it once a process
+        try:
+            assert main([*argv, str(tmp_path / "b")]) == EXIT_PASS
+        finally:
+            cli._keep_freed_memory.cache_clear()
+        assert calls == [None]
+        cert = "delamination0d_certificate.txt"
+        assert (tmp_path / "b" / cert).read_bytes() == (tmp_path / "a" / cert).read_bytes()

@@ -123,6 +123,13 @@ class TestSolveIncremental:
         with pytest.raises(ValueError, match="initial_z needs n_z = 2 numbers"):
             solve_incremental(damage, cfg)
 
+    def test_initial_z_defaults_to_zeros_of_the_model(self, damage):
+        # the default fits every n_z: n_z zeros
+        disc = solve_incremental(damage, SchemeConfig(tau=0.1))
+        assert disc.Z[0].tolist() == [0.0, 0.0]
+        given = solve_incremental(damage, SchemeConfig(tau=0.1, initial_z=(0.0, 0.0)))
+        assert given.Z.tobytes() == disc.Z.tobytes()
+
     @pytest.mark.parametrize("tau, span", [(0.3, None), (0.3, (0.1, 0.5)), (5.0, None)])
     def test_tau_not_dividing_the_span_rejected(self, toy_convex, tau, span):
         cfg = SchemeConfig(scheme="E", tau=tau, initial_z=(0.0,), t_span=span)

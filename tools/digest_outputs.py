@@ -8,9 +8,9 @@ perfbench workloads, so two checkouts can be compared byte for byte.
 
 Each config gets ``solve``, ``verify`` of the CSV it wrote, a ``sweep``
 over tau = 2 tau0, tau0 (tau0 the config's own) and a ``jumpcost`` at
-t = horizon from the config's ``initial_z`` to the last state of its solve
-CSV.  Then a copy of the config with ``scheme = E`` (outputs prefixed
-``<prefix>_E``) gets ``solve`` and ``verify``, and the config itself a BV
+t = horizon from the first state of its solve CSV to the last.  Then a
+copy of the config with ``scheme = E`` (outputs prefixed ``<prefix>_E``)
+gets ``solve`` and ``verify``, and the config itself a BV
 ``sweep`` over epsilon = 20 tau0, 40 tau0 (epsilon/tau >= 10, so the BV
 scheme does not warn) and a ``sweep`` over mu = 0.5, 2.0.  Each seed gets
 one round of every operation of the three perfbench workloads, built by
@@ -106,11 +106,11 @@ def digest_config(cli_main, load_config, config: Path, keep: Path | None) -> Non
         dig.run(f"{name} sweep",
                 ["sweep", *base, "--axis", "tau", "--values", f"{2 * tau!r},{tau!r}"])
         n_z = run.problem.n_z
-        last = csv.read_text().splitlines()[-1].split(",")[1 : 1 + n_z]
+        rows = csv.read_text().splitlines()
+        first, last = (rows[i].split(",")[1 : 1 + n_z] for i in (2, -1))
         dig.run(f"{name} jumpcost",
                 ["jumpcost", *base, "--t", repr(run.problem.horizon),
-                 "--z-minus", ",".join(map(repr, run.scheme.initial_z)),
-                 "--z-plus", ",".join(last)])
+                 "--z-minus", ",".join(first), "--z-plus", ",".join(last)])
         with tempfile.TemporaryDirectory() as cfg_dir:
             config_e = Path(cfg_dir) / name
             prefix_e = _write_e_config(config, config_e, run.prefix)
