@@ -29,6 +29,16 @@ together, each row with its own box, grid and zoom depth, in chunks of
 every row gets the bits it would get alone.  The scheme searches a run of
 steps from one state as one chunk of rows, and the next steps of runs in
 lockstep as one batch; a residual batch is many chunks.
+
+A call of exactly one 1-d row, as every flowing step of a plasticity run
+is, goes to ``_lone_row`` instead, chosen by the input's shape alone.  It
+makes the same objective calls as ``_step_rows`` with the same box, grid
+and zoom schedule helpers, and keeps the one-element bookkeeping of the
+zoom and the pick on Python floats, which round as float64 ufuncs do
+element by element: it returns the bits ``_step_rows`` would, without the
+numpy calls on arrays of 1-3 elements that cost a lone row most of its
+time.  ``_step_rows`` stays the path of every other call, and the reference
+the tests compare the lone path with.
 """
 
 from __future__ import annotations
@@ -57,6 +67,7 @@ GRID_RESOLUTION = 129  # coarse grid points per axis of the step search
 _ROW_POINTS = 1 << 16  # objective points a batch of step rows holds at once
 DESCENT_TOL = 1e-10  # zoom half-width at which a search stops
 NEAR_OPTIMAL_BAND = 1e-9  # step values this close to the best one tie
+_SNAP_TOL = 1e-8  # a pick this close to a box edge is tried on the edge
 # per n_z, the zoom's window points per axis (the centre included, 2**j + 1
 # so that each level's half-width factor, the window's spacing, is a power
 # of two) and the best grid points it refines.  In 1-d the best grid
@@ -477,6 +488,8 @@ def global_min_rows(problem: RisProblem, ts, Z_prev) -> tuple[NDArray, NDArray]:
     require_search(n)
     ts = np.asarray(ts, dtype=float).reshape(-1)
     Z_prev = np.asarray(Z_prev, dtype=float).reshape(len(ts), n)
+    if len(ts) == 1 and n == 1:
+        return _lone_row(problem, float(ts[0]), Z_prev)
     size = chunk_rows(n)
     if len(ts) <= size:
         return _step_rows(problem, ts, Z_prev)
@@ -485,6 +498,67 @@ def global_min_rows(problem: RisProblem, ts, Z_prev) -> tuple[NDArray, NDArray]:
         for i in range(0, len(ts), size)
     ]
     return np.concatenate([x for x, _ in parts]), np.concatenate([v for _, v in parts])
+
+
+def _lone_row(problem: RisProblem, t: float, Z_prev: NDArray) -> tuple[NDArray, NDArray]:
+    """``global_min_rows`` for one 1-d row (t, Z_prev[0]), with the bits
+    ``_step_rows`` gives it: the same box, grid, objective calls and zoom
+    schedule, with the 1-element bookkeeping on Python floats.  A Python
+    float adds, multiplies, compares and takes ``math.sqrt`` as a float64
+    array does, one element at a time."""
+    if not problem.in_box(Z_prev):
+        raise ValueError("infeasible step: previous state has infinite objective")
+    z = float(Z_prev[0, 0])
+    lo, hi = _search_boxes(problem, Z_prev)
+    spacing = (hi - lo) / (GRID_RESOLUTION - 1)
+    ((_, (axis,)),) = _grid_groups(_grid_axes(lo, hi, spacing, Z_prev))
+    M = axis.shape[1]
+    # the grid plus z_prev's clipped copy, then z_prev itself for staying put
+    pts = np.empty((1, M + 1, 1))
+    pts[0, :M, 0], pts[0, M, 0] = axis[0], z
+    f = step_objective(problem, t, Z_prev[0])
+    grid = f(pts)
+    stay = grid.item(M)
+    if not math.isfinite(stay):
+        raise ValueError("infeasible step: previous state has infinite objective")
+    i = grid[0, :M].argmin()
+    c, v = axis.item(i), grid.item(i)
+    cands = [(z, stay), (c, v)]
+    # the zoom of the best grid point, one window a level: zoom_search's
+    # offsets, scaling and clipping on one flat buffer of the window's points
+    h, lo, hi, factor = spacing.item(), lo.item(), hi.item(), _zoom_factor(1)
+    levels = _level_count(h, DESCENT_TOL, factor)
+    if levels:
+        step = _window_offsets(1)[:, 0] * h
+        buf = np.empty(len(step))
+        window = buf.reshape(1, -1, 1)
+        for _ in range(levels):
+            step *= factor
+            np.add(step, c, out=buf)
+            np.maximum(buf, lo, out=buf)
+            np.minimum(buf, hi, out=buf)
+            vals = f(window)
+            j = vals.argmin()
+            c, v = buf.item(j), vals.item(j)
+    cands.append((c, v))
+    # of the candidates within the band of the best, the first nearest z_prev
+    top = min(value for _, value in cands) + NEAR_OPTIMAL_BAND
+    dist = [INF if value > top else math.sqrt((x - z) * (x - z)) for x, value in cands]
+    x, v = cands[dist.index(min(dist))]
+    # snap to a box edge when the search stopped a hair away from it
+    box_lo, box_hi = problem._box[0].tolist()
+    if 0 < abs(x - box_lo) < _SNAP_TOL:
+        edge = box_lo
+    elif 0 < abs(x - box_hi) < _SNAP_TOL:
+        edge = box_hi
+    else:
+        return np.array([[x]]), np.array([v])
+    vs = f(np.full((1, 1, 1), edge)).item()
+    if vs <= v + NEAR_OPTIMAL_BAND:
+        x, v = edge, vs
+    if v > stay:
+        x, v = z, stay
+    return np.array([[x]]), np.array([v])
 
 
 def _step_rows(problem: RisProblem, ts: NDArray, Z_prev: NDArray) -> tuple[NDArray, NDArray]:
@@ -512,7 +586,7 @@ def _step_rows(problem: RisProblem, ts: NDArray, Z_prev: NDArray) -> tuple[NDArr
     x, v = cands.reshape(-1, Z_prev.shape[1]).take(pick, axis=0), vals.reshape(-1).take(pick)
     # snap to box edges when the search stopped a hair away from them
     off = np.abs(x[:, :, None] - problem._box)
-    hit = off < 1e-8
+    hit = off < _SNAP_TOL
     if np.count_nonzero(hit):
         hit &= 0 < off
     if not np.count_nonzero(hit):

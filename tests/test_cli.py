@@ -735,7 +735,8 @@ class TestJumpCost:
 def counted_delam_solve(tmp_path_factory):
     """One solve of the shipped delamination config, with every residual and
     every jump-cost bound it computes recorded (a residual is a row of
-    ``residual_rows``, which ``residual_stability`` calls for one row)."""
+    ``residual_rows``, which ``ResidualMemo.witness`` calls for one row
+    through ``ResidualMemo.fill``)."""
     residuals, costs = [], []
     real_residual, real_cost = stability.residual_rows, jump.jump_cost
 

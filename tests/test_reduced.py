@@ -5,7 +5,10 @@ force (dense grid plus local refinement) rather than trusted from the
 production path.
 """
 
+import dis
+import inspect
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -501,6 +504,42 @@ def _bits(a):
     return np.ascontiguousarray(a, dtype=float).view(np.int64)
 
 
+# the plasticity fixture's grid point 2.8125, where a flow to 2.812501 gains
+# only 5e-13 more than stopping at it
+_GRID_TIE = np.linspace(-5.0, 5.0, 129)[100]
+
+# rows added to the random ones of each fixture.  A batch of one 1-d row is
+# searched by ``reduced._lone_row``, so in 1-d these reach each of its
+# branches; the batch of many rows is ``_step_rows``, the reference
+_EXTRA_ROWS = [
+    # z_prev exactly on a grid point of the 129-point box grid; -0.0, which
+    # stays put
+    ("toy_convex", [(0.7, [np.linspace(-10.0, 10.0, 129)[70]]), (0.2, [-0.0])]),
+    ("toy_doublewell", [(0.4, [np.linspace(-3.0, 3.0, 129)[40]]), (0.9, [0.0])]),
+    ("plasticity", [
+        (1.5, [np.linspace(-5.0, 5.0, 129)[64]]),
+        # 5e-9 above the lower edge, whose value is 5e-10 below staying
+        # put: staying put is picked in the band, and snaps to the edge
+        (-6.1 + 5e-9, [-5.0 + 5e-9]),
+        # 5e-9 below the upper edge, whose value is 5e-9 above staying put:
+        # the snap is refused
+        (5.0, [5.0 - 5e-9]),
+        # 5e-13 past the box, which ``inside`` accepts: the snap to the edge
+        # is in the band but above staying put, which wins
+        (4.5, [5.0 + 5e-13]),
+        # the grid point ties with the zoom's better point and is nearer
+        (_GRID_TIE + 1.0 + 1e-6, [0.0]),
+    ]),
+    # fully debonded: a degenerate box [0, 0] with a one-point grid and no
+    # zoom level
+    ("delamination", [(0.6, [0.0]), (0.9, [0.0]), (0.3, [1.0])]),
+    # symmetric states tie exactly between (a, b) and (b, a); a zero
+    # cell leaves a degenerate axis
+    ("damage", [(t, [c, c]) for t in (0.3, 0.6, 0.9) for c in (1.0, 0.5)]
+     + [(0.8, [0.0, 0.7]), (0.5, [0.0, 0.0])]),
+]
+
+
 class TestRowBatch:
     """P rows searched together get the bits of P batches of one."""
 
@@ -509,21 +548,7 @@ class TestRowBatch:
         steps = _random_steps(prob, 24, seed) + list(extra)
         return np.array([t for t, _ in steps]), np.array([z for _, z in steps])
 
-    @pytest.mark.parametrize(
-        "name, extra",
-        [
-            # z_prev exactly on a grid point of the 129-point box grid
-            ("toy_convex", [(0.7, [np.linspace(-10.0, 10.0, 129)[70]])]),
-            ("toy_doublewell", [(0.4, [np.linspace(-3.0, 3.0, 129)[40]]), (0.9, [0.0])]),
-            ("plasticity", [(1.5, [np.linspace(-5.0, 5.0, 129)[64]])]),
-            # fully debonded: a degenerate box [0, 0] with a one-point grid
-            ("delamination", [(0.6, [0.0]), (0.9, [0.0]), (0.3, [1.0])]),
-            # symmetric states tie exactly between (a, b) and (b, a); a zero
-            # cell leaves a degenerate axis
-            ("damage", [(t, [c, c]) for t in (0.3, 0.6, 0.9) for c in (1.0, 0.5)]
-             + [(0.8, [0.0, 0.7]), (0.5, [0.0, 0.0])]),
-        ],
-    )
+    @pytest.mark.parametrize("name, extra", _EXTRA_ROWS)
     def test_rows_equal_batches_of_one(self, name, extra, request):
         prob = request.getfixturevalue(name)
         ts, Z = self._rows(prob, 29, extra)
@@ -532,6 +557,39 @@ class TestRowBatch:
             x, value = step_min(prob, t, z)
             assert (_bits(X[p]) == _bits(x)).all()
             assert _bits(V[p]) == _bits(value)
+
+    def test_extra_rows_reach_every_branch_of_the_lone_search(self, request):
+        # a line trace of reduced._lone_row over the 1-d extra rows: every
+        # line runs but the two raises, which the infeasible-step tests reach
+        code = reduced._lone_row.__code__
+        source, first = inspect.getsourcelines(reduced._lone_row)
+        raises = {first + i for i, text in enumerate(source) if text.strip().startswith("raise")}
+        seen = set()
+
+        def trace_lines(frame, event, arg):
+            if event == "line":
+                seen.add(frame.f_lineno)
+            return trace_lines
+
+        previous = sys.gettrace()
+        sys.settrace(lambda frame, event, arg: trace_lines if frame.f_code is code else None)
+        try:
+            for name, extra in _EXTRA_ROWS:
+                prob = request.getfixturevalue(name)
+                if prob.n_z == 1:
+                    for t, z in extra:
+                        step_min(prob, t, z)
+        finally:
+            sys.settrace(previous)
+        lines = {line for _, line in dis.findlinestarts(code) if line is not None}
+        lines.discard(first)  # the def line, which traces no statement
+        assert lines - seen == raises and len(raises) == 2
+        # the tie: the nearer grid point wins over a point up to the band lower
+        prob = request.getfixturevalue("plasticity")
+        t = _GRID_TIE + 1.0 + 1e-6
+        x, value = step_min(prob, t, [0.0])
+        better = step_objective(prob, t, np.zeros(1))(np.array([[t - 1.0]]))[0]
+        assert x[0] == _GRID_TIE and 0 < value - better <= reduced.NEAR_OPTIMAL_BAND
 
     def test_single_cell_bar_and_chunks(self, monkeypatch):
         # the 1-cell damage bar: boxes [0, z_prev] of every width, searched
