@@ -353,8 +353,8 @@ def make_delamination0d(
     z [u] = 0 exactly (the gap may open only at z = 0).  Bonding stores -a0 z;
     debonding dissipates kappa per unit of z and cannot heal.
     """
-    if not brittle and (k is None or k <= 0):
-        raise ValueError("adhesive variant needs a positive penalty k")
+    if not brittle and (k is None or not 0 < k < INF):
+        raise ValueError(f"the adhesive variant needs a finite positive penalty 'k', got {k}")
     if brittle and k is not None:
         raise ValueError(f"the brittle variant takes no penalty 'k', got {k}")
     km, kp, a0, kappa = spec.k_minus, spec.k_plus, spec.a0, spec.kappa

@@ -653,6 +653,21 @@ class TestSweep:
         ])
         assert rc == EXIT_ERROR
 
+    def test_non_finite_k_fails_its_run(self, tmp_path, capsys):
+        # each non-finite penalty is refused by the model, naming 'k'; the
+        # finite run keeps its row
+        out = tmp_path / "out"
+        rc = main([
+            "sweep", "--config", str(CONFIG_DIR / "delamination0d.ini"),
+            "--out-dir", str(out), "--axis", "k", "--values", "4,inf,nan",
+        ])
+        assert rc == EXIT_FAIL
+        err = capsys.readouterr().err.splitlines()
+        assert [line.split(":")[1] for line in err] == [" k=inf", " k=nan"]
+        assert all(line.startswith("sweep run failed: ") and "'k'" in line for line in err)
+        rows = (out / "delamination0d_sweep_k.csv").read_text().splitlines()[2:]
+        assert [float(r.split(",")[0]) for r in rows] == [4.0]
+
     def test_k_axis_requires_delamination(self, toy_cfg, tmp_path):
         rc = main([
             "sweep", "--config", str(toy_cfg), "--out-dir", str(tmp_path),

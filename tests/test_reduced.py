@@ -192,7 +192,7 @@ def _random_steps(prob, count, seed):
 
 
 class TestZoomSearch:
-    """The step search: a coarse grid, then a zoom on its best points."""
+    """The step search: a coarse grid, then a zoom on its best point."""
 
     @pytest.mark.parametrize("name", ["damage", "toy_doublewell"])
     def test_never_above_dense_grid_oracle(self, name, request):
@@ -223,13 +223,13 @@ class TestZoomSearch:
 
             return f
 
-        centers = np.array([[[-0.0]], [[0.0]]])
-        values = np.array([[0.0], [0.09]])
+        centers = np.array([[-0.0], [0.0]])
+        values = np.array([0.0, 0.09])
         half = np.array([[0.0], [1.0]])
         lo, hi = np.full((2, 1), -1.0), np.full((2, 1), 1.0)
         c, v = reduced.zoom_search(objective, centers, values, half, lo, hi, 1e-10)
-        assert np.signbit(c[0, 0, 0]) and v[0, 0] == 0.0
-        assert c[1, 0, 0] == pytest.approx(0.3, abs=1e-10)
+        assert np.signbit(c[0, 0]) and v[0] == 0.0
+        assert c[1, 0] == pytest.approx(0.3, abs=1e-10)
         assert rows_seen and set(rows_seen) == {1}
         alone, _ = reduced.zoom_search(
             lambda sel: objective(slice(1, 2)), centers[1:], values[1:], half[1:],
@@ -260,84 +260,14 @@ class TestZoomSearch:
         searched = [(shape, ok) for shape, ok in seen if shape[1] > 1]
         assert all(ok for _, ok in searched)
         sizes = {shape for shape, _ in searched}
-        points, starts = reduced._ZOOM_SHAPES[2]
-        window = points**2
-        assert (3, 129 * 129 + 1) in sizes  # the grid and the staying state
-        assert (3, starts * window) in sizes  # the zoom's first level
-        # then the 12 starts zoom their 6 distinct windows, one a batch row,
-        # before and after the row of the smallest box stops with its one
-        assert (6, window) in sizes and (5, window) in sizes
+        window = reduced._ZOOM_SHAPES[2] ** 2
+        # the grid and the staying state, then one window a row, before and
+        # after the row of the smallest box stops
+        assert sizes == {(3, 129 * 129 + 1), (3, window), (2, window)}
 
     @staticmethod
-    def _bowl(target, seen):
-        """The row objective |z - target[row]|^2, recording each batch."""
-
-        def objective(sel):
-            at = np.asarray(target, float)[sel][:, None, :]
-
-            def f(pts):
-                seen.append(pts.copy())
-                return ((pts - at) ** 2).sum(axis=-1)
-
-            return f
-
-        return objective
-
-    def test_repeated_2d_starts_zoom_once(self):
-        # row 0: a bowl centred at (-1, -1), whose least value on the unit
-        # box is at its corner (0, 0); the first level takes starts 0, 1 and
-        # 3 to that corner, and start 2 elsewhere.
-        # Row 1: a bowl inside the box, whose four starts stay apart
-        seen = []
-        objective = self._bowl([[-1.0, -1.0], [0.5, 0.2]], seen)
-        centers = np.array([
-            [[0.05, 0.05], [0.03, 0.06], [0.8, 0.8], [0.06, 0.03]],
-            [[0.3, 0.3], [0.5, 0.2], [0.7, 0.9], [0.1, 0.9]],
-        ])
-        values = ((centers - [[[-1.0, -1.0]], [[0.5, 0.2]]]) ** 2).sum(axis=-1)
-        half, lo, hi = np.full((2, 2), 0.1), np.zeros((2, 2)), np.ones((2, 2))
-        c, v = reduced.zoom_search(objective, centers, values, half, lo, hi, 1e-10)
-        assert (c[0, [0, 1, 3]] == 0.0).all() and (c[0, 2] > 0.5).all()
-        for j in range(4):
-            alone, value = reduced.zoom_search(
-                self._bowl([[-1.0, -1.0], [0.5, 0.2]], []), centers[:, j : j + 1],
-                values[:, j : j + 1], half, lo, hi, 1e-10,
-            )
-            assert alone.tobytes() == c[:, j : j + 1].tobytes()
-            assert value.tobytes() == v[:, j : j + 1].tobytes()
-        # the first level prices every start's window; the next ones price
-        # one window per distinct centre, the centre first
-        window = reduced._ZOOM_SHAPES[2][0] ** 2
-        assert seen[0].shape == (2, 4 * window, 2)
-        assert len(seen) > 2
-        for pts in seen[1:]:
-            assert pts.shape == (6, window, 2)
-            centres = {tuple(x) for x in pts[:, 0]}
-            assert len(centres) == 6 and (0.0, 0.0) in centres
-
-    def test_repeated_1d_starts_merge(self):
-        # a row of more than one start merges them after the first level in
-        # 1-d too: both starts meet at the box's corner 0 and zoom on as one
-        # window, with the bits each gets alone
-        seen = []
-        objective = self._bowl([[-1.0]], seen)
-        centers, values = np.array([[[0.05], [0.03]]]), np.array([[1.1025, 1.0609]])
-        half, lo, hi = np.full((1, 1), 0.1), np.zeros((1, 1)), np.ones((1, 1))
-        c, v = reduced.zoom_search(objective, centers, values, half, lo, hi, 1e-10)
-        assert (c == 0.0).all()
-        for j in range(2):
-            alone, value = reduced.zoom_search(
-                self._bowl([[-1.0]], []), centers[:, j : j + 1], values[:, j : j + 1],
-                half, lo, hi, 1e-10,
-            )
-            assert alone.tobytes() == c[:, j : j + 1].tobytes()
-            assert value.tobytes() == v[:, j : j + 1].tobytes()
-        window = reduced._ZOOM_SHAPES[1][0]
-        assert seen[0].shape == (1, 2 * window, 1)
-        assert len(seen) > 1
-        assert {pts.shape for pts in seen[1:]} == {(1, window, 1)}
-
-    def test_lone_flowing_step_makes_seven_objective_calls(self, plasticity, monkeypatch):
+    def _record_calls(monkeypatch) -> list:
+        """The batch shapes every step objective is called on, in order."""
         calls = []
         objective = reduced.step_objective
 
@@ -351,6 +281,10 @@ class TestZoomSearch:
             return g
 
         monkeypatch.setattr(reduced, "step_objective", spy)
+        return calls
+
+    def test_lone_flowing_step_makes_seven_objective_calls(self, plasticity, monkeypatch):
+        calls = self._record_calls(monkeypatch)
         # on the yield surface at t = 1.499 and loaded on to t = 1.5: it flows
         x, _ = global_min_rows(plasticity, [1.5], [[0.499]])
         assert x[0, 0] == pytest.approx(0.5, abs=1e-7)
@@ -359,6 +293,15 @@ class TestZoomSearch:
         # 65-point window: the box's half-width 10/128 stays at least
         # DESCENT_TOL for 6 shrinks by 1/32
         assert calls == [(1, 131, 1)] + [(1, 65, 1)] * 6
+
+    def test_lone_2d_step_zooms_one_window_a_level(self, monkeypatch):
+        calls = self._record_calls(monkeypatch)
+        global_min_rows(make_damage1d(Damage1dSpec()), [0.55], [[0.7, 0.9]])
+        # the 129**2 grid of the box [0, 0.7] x [0, 0.9], which holds z_prev
+        # at its corner, and z_prev itself; then the best grid point's
+        # 17**2-point window at each of the 9 levels that take the widest
+        # half-width 0.9/128 below DESCENT_TOL by factors of 1/8
+        assert calls == [(1, 129**2 + 1, 2)] + [(1, 17**2, 2)] * 9
 
     @pytest.mark.parametrize(
         "model, t, z_prev",
@@ -423,8 +366,8 @@ class TestZoomSearch:
 
             return f
 
-        centers = target[:, None, :] + np.array([[0.01, -0.02], [-0.03, 0.01]])
-        values = ((centers - target[:, None, :]) ** 2).sum(axis=-1)
+        centers = target + np.array([0.01, -0.02])
+        values = ((centers - target) ** 2).sum(axis=-1)
         lo, hi = np.zeros((4, 2)), np.ones((4, 2))
         c, v = reduced.zoom_search(objective, centers, values, half, lo, hi, tol)
         assert [sum(p in rows for rows in seen) for p in range(4)] == expected
@@ -618,28 +561,13 @@ class TestRowBatch:
             assert (_bits(X[p]) == _bits(x)).all()
         assert {tuple(x) for x in X} == {(0.0, 1.0)}
 
-    @pytest.mark.parametrize("shift", [0, 1 << 20])
-    def test_first_starts_are_the_stable_order(self, shift):
-        # the grid's best points, selected: the head of the stable order on
-        # rows full of ties, and of fewer points than asked, for small
-        # values and for values shifted far from zero (still exact ties)
-        rng = np.random.default_rng(3)
-        for _ in range(500):
-            P, m = rng.integers(1, 6), rng.integers(1, 400)
-            vals = rng.integers(0, rng.integers(1, 6), size=(P, m)).astype(float)
-            vals += shift
-            vals[rng.random((P, m)) < 0.1] = INF
-            order = np.argsort(vals, axis=1, kind="stable")
-            for k in (1, 4):  # the starts of a 1-d and of a 2-d zoom
-                assert np.array_equal(reduced._first_k(vals, k), order[:, :k])
-
     def test_chunk_rows(self, monkeypatch):
         # one chunk holds _ROW_POINTS objective points, a 1-d row 130 of
         # them and a 2-d row 130 ** 2; a grid of 130 ** 3 points or more
         # overflows a chunk alone, which leaves one row
         assert [reduced.chunk_rows(n) for n in (1, 2, 3, 4)] == [504, 3, 1, 1]
         # a row's grid holds more points than its zoom's first level
-        for n, (points, starts) in reduced._ZOOM_SHAPES.items():
-            assert starts * points**n < 130**n
+        for n, points in reduced._ZOOM_SHAPES.items():
+            assert points**n < 130**n
         monkeypatch.setattr(reduced, "_ROW_POINTS", 100)
         assert reduced.chunk_rows(1) == 1

@@ -9,7 +9,9 @@ def, a class, an assignment or an import; else ``import *`` fails on it.
 Every name the package ``__init__.py`` imports must be in its ``__all__``,
 so a name taken out of the public API leaves both lists.
 No module of the package imports a ``_``-prefixed name from a sibling: a
-name another module needs is public.
+name another module needs is public.  Every top-level ``_``-prefixed
+function, class or constant of the package is read somewhere in it
+outside its own definition, so a helper whose last caller went goes too.
 """
 
 import ast
@@ -38,15 +40,21 @@ def unused_imports(source: str) -> list[tuple[int, str]]:
     return [(line, name) for line, name in _bindings(tree) if name not in used]
 
 
+def _declared(node: ast.stmt) -> list[str]:
+    """The names a top-level def, class or assignment binds."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return []
+
+
 def _defined(tree: ast.Module) -> set[str]:
     """The names a module binds at top level."""
     names = {name for _, name in _bindings(tree)}
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            names.add(node.name)
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+        names.update(_declared(node))
     return names
 
 
@@ -170,3 +178,49 @@ def test_scan_finds_a_private_import():
         "    return p\n"
     )
     assert private_imports(source) == [(2, "_scheme_correction"), (5, "_private")]
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """``module: name`` of every top-level ``_``-prefixed function, class
+    or constant of the ``sources`` (module name to source) that no
+    top-level statement of them reads, as a name or an attribute, other
+    than the one that defines it."""
+    reads, defined = [], []
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            names = {n.id for n in ast.walk(node)
+                     if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            names |= {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+            reads.append(names)
+            defined += [(module, name, len(reads) - 1) for name in _declared(node)
+                        if name.startswith("_") and not name.startswith("__")]
+    return [
+        f"{module}: {name}"
+        for module, name, own in defined
+        if not any(name in names for i, names in enumerate(reads) if i != own)
+    ]
+
+
+def test_every_private_name_is_read():
+    package = ROOT / "src" / "risolve"
+    sources = {str(path.relative_to(ROOT)): path.read_text()
+               for path in sorted(package.rglob("*.py"))}
+    found = unread_private_names(sources)
+    assert not found, "private names the package never reads:\n" + "\n".join(found)
+
+
+def test_scan_finds_an_unread_private_name():
+    sources = {
+        "a": (
+            "_K = 4\n"
+            "_USED: int = 1\n"
+            "def _first_k(vals):\n"
+            "    return _first_k(vals[1:]) if vals else _K\n"
+            "def _helper():\n"
+            "    return _USED\n"
+            "def __getattr__(name):\n"
+            "    return name\n"
+        ),
+        "b": "import a\nx = a._helper()\n",
+    }
+    assert unread_private_names(sources) == ["a: _first_k"]
