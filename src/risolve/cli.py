@@ -126,7 +126,7 @@ def parse_correction(text: str) -> Optional[CorrectionSpec]:
                     "trivial correction needs a finite exponent > 1 and "
                     "a finite coefficient > 0"
                 )
-            return TrivialH(h=lambda r, _p=p, _c=c: _c * r**_p)
+            return TrivialH(p=p, c=c)
     except (IndexError, ValueError) as exc:
         raise ConfigError(f"bad correction descriptor {text!r}: {exc}") from exc
     raise ConfigError(f"unknown correction kind {kind!r}")

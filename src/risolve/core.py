@@ -9,6 +9,7 @@ extended-real valued: ``math.inf`` is the one and only representation of
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -76,19 +77,30 @@ class CorrectionSpec:
 
 @dataclass(frozen=True)
 class TrivialH(CorrectionSpec):
-    """Correction delta(z, z') = h(d(z, z')) with h nondecreasing, h(r)/r -> 0 at 0.
+    """Correction delta(z, z') = h(d(z, z')) with h(r) = c * r**p.
 
-    ``h`` is any callable that acts elementwise on an array of d values (and
-    on a float).  A forbidden step (d = +inf) costs h(+inf), +inf for every
-    unbounded h.  The admissibility of the decay is probed by
-    :func:`risolve.stability.correction_ratio_check`, not assumed here.
+    ``p`` is a finite exponent >= 1 and ``c`` a finite coefficient > 0, so
+    h is convex and nondecreasing with h(0) = 0, and its slope
+    h'(r) = c p r**(p - 1) is known, which the derivative path of a convex
+    step reads.  For p > 1, h(r)/r -> 0 at 0; p = 1 is admitted so that
+    :func:`risolve.stability.correction_ratio_check` can reject it, as it
+    probes that decay rather than assume it.  A forbidden step (d = +inf)
+    costs h(+inf) = +inf.
     """
 
-    h: Callable[[float], float]
+    p: float
+    c: float
 
     def __post_init__(self):
-        if abs(self.h(0.0)) > 1e-15:
-            raise ValueError("h(0) must be 0")
+        if not (1 <= self.p < INF and 0 < self.c < INF):  # also false for a nan
+            raise ValueError(
+                f"h(r) = c * r**p needs a finite p >= 1 and a finite c > 0, "
+                f"got p = {self.p}, c = {self.c}"
+            )
+
+    def h(self, r):
+        """h(r) = c * r**p, elementwise on an array of d values or a float."""
+        return self.c * r**self.p
 
 
 @dataclass(frozen=True)
@@ -119,6 +131,22 @@ class PowerLq(CorrectionSpec):
     def __post_init__(self):
         if not (1 < self.q < INF and 1 < self.gamma < INF):
             raise ValueError("q and gamma must be finite and exceed 1")
+
+
+def _correction_slope(spec: Optional[CorrectionSpec], kappa: float) -> tuple[float, float]:
+    """(a, e) such that delta's slope along a ray on which d = kappa * r is
+    a * r**e in r = |z' - z|, for the 1-d step of a convex model: every
+    correction kind is a power of r there.  Its curvature is
+    a * e * r**(e - 1)."""
+    if spec is None or isinstance(spec, QuadraticMu) and spec.mu == 0.0:
+        return 0.0, 1.0
+    if isinstance(spec, TrivialH):  # c * (kappa r)**p
+        return spec.c * spec.p * kappa**spec.p, spec.p - 1.0
+    if isinstance(spec, QuadraticMu):  # mu/2 r**2, or mu/2 (kappa r)**2
+        return (spec.mu if spec.dist == "euclidean" else spec.mu * kappa * kappa), 1.0
+    if isinstance(spec, PowerLq):  # (r**q)**(gamma / q) = r**gamma
+        return spec.gamma, spec.gamma - 1.0
+    raise TypeError(f"unknown correction spec {spec!r}")
 
 
 def _no_u(t, Z) -> NDArray[np.float64]:
@@ -209,6 +237,17 @@ class RisProblem:
     With n_u > 0, energy and solve_u are required.  With n_u = 0 there is
     no u to eliminate, so E = I: the problem derives energy as I(t, z) in
     the box and +infinity outside, and solve_u as an empty (..., 0) u.
+
+    A model with n_z = 1 states that I(t, .) is convex by giving
+    reduced_dz(t, z) and reduced_dzz(t, z), its first and second
+    derivatives in z, both or neither.  They take the state's one
+    coordinate, not an (..., 1) batch: they broadcast over arrays of times
+    and coordinates, and map Python floats to Python floats.  Such a model
+    also states that d is kappa_s * |z' - z| on a step of sign s, with
+    kappa_s = d(0, s) > 0, which its first step reads.  Its steps are
+    then solved on the derivative (``reduced.global_min_rows``), which
+    reads delta's slope from ``correction_spec``: a correction map given in
+    its place must price the spec's delta.
     """
 
     n_u: int
@@ -225,6 +264,8 @@ class RisProblem:
     solve_u: Optional[Callable[[float, NDArray], NDArray]] = None
     name: str = "problem"
     extras: dict = field(default_factory=dict)
+    reduced_dz: Optional[Callable[[float, NDArray], NDArray]] = None
+    reduced_dzz: Optional[Callable[[float, NDArray], NDArray]] = None
 
     def __post_init__(self):
         if self.n_u < 0 or self.n_z < 1:
@@ -255,6 +296,25 @@ class RisProblem:
             corr = _build_correction(self.correction_spec, self)
             corr._derived = True
             object.__setattr__(self, "correction", corr)
+        if (self.reduced_dz is None) != (self.reduced_dzz is None):
+            raise ValueError("a convex model gives both reduced_dz and reduced_dzz")
+        if self.reduced_dz is not None and self.n_z != 1:
+            raise ValueError(f"only a model with n_z = 1 may state reduced_dz, got n_z = {self.n_z}")
+
+    @functools.cached_property
+    def _rays(self) -> tuple[tuple[float, float, float], ...]:
+        """Per sign s of a step of a convex model, down then up: (kappa_s,
+        a, e), with kappa_s = d(0, s) and delta's slope a * r**e.  Read at
+        the first convex step, not when the problem is built, so that a copy
+        calls no map; a forbidden direction, kappa_s = +inf, never moves."""
+        rays = []
+        for s in (-1.0, 1.0):
+            kappa = float(self.dissipation(np.zeros(1), np.full(1, s)))
+            if not kappa > 0:
+                raise ValueError(f"a convex model needs d(0, {s:+}) > 0, got {kappa}")
+            rays.append((kappa, *(_correction_slope(self.correction_spec, kappa)
+                                  if kappa < INF else (0.0, 1.0))))
+        return tuple(rays)
 
     def _box_energy(self, t, U, Z) -> NDArray:
         Z = np.asarray(Z, dtype=float)

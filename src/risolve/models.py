@@ -74,12 +74,18 @@ class Toy1dSpec:
 
 
 def make_toy1d(spec: Toy1dSpec) -> RisProblem:
-    """Scalar energy W(z) - ell(t) z with |.|-type dissipation (n_u = 0)."""
+    """Scalar energy W(z) - ell(t) z with |.|-type dissipation (n_u = 0).
+    The convex well states its derivatives in z, a z - ell(t) and a."""
     ell, dell = _affine(spec.ell)
     kappa = spec.kappa
+    convex = {}
     if spec.well == "convex":
         a = spec.a
         W = lambda z: 0.5 * a * z * z
+        convex = {
+            "reduced_dz": lambda t, z: a * z - ell(t),
+            "reduced_dzz": lambda t, z: z * 0.0 + a,  # z's shape, a float for a float
+        }
     else:
         b, w = spec.b, spec.w
         W = lambda z: b * (z * z - w * w) ** 2 / w ** 4
@@ -103,6 +109,7 @@ def make_toy1d(spec: Toy1dSpec) -> RisProblem:
         horizon=spec.horizon,
         reduced_vec=reduced_vec,
         name=f"toy1d-{spec.well}",
+        **convex,
     )
     return prob.with_correction(spec.correction)
 
@@ -126,7 +133,8 @@ class Plasticity0dSpec:
 
 
 def make_plasticity0d(spec: Plasticity0dSpec) -> RisProblem:
-    """Stored energy C (eps(t) - p)^2 / 2 with yield-type dissipation."""
+    """Stored energy C (eps(t) - p)^2 / 2 with yield-type dissipation.  It
+    is convex in p, with derivatives C (p - eps(t)) and C."""
     eps, deps = _affine(spec.eps)
     C, sy = spec.C, spec.sigma_y
 
@@ -150,6 +158,8 @@ def make_plasticity0d(spec: Plasticity0dSpec) -> RisProblem:
         z_box=(spec.z_box,),
         horizon=spec.horizon,
         reduced_vec=reduced_vec,
+        reduced_dz=lambda t, z: C * (z - eps(t)),
+        reduced_dzz=lambda t, z: z * 0.0 + C,  # z's shape, a float for a float
         name="plasticity0d",
         extras={
             "sigma": sigma,
@@ -176,7 +186,7 @@ class Damage1dSpec:
     w_D: tuple[float, float] = (0.0, 4.0)  # affine boundary displacement
     horizon: float = 1.0
     correction: Optional[CorrectionSpec] = field(
-        default_factory=lambda: TrivialH(h=lambda r: 1e-4 * r ** 4)
+        default_factory=lambda: TrivialH(p=4.0, c=1e-4)
     )
 
     def __post_init__(self):
@@ -332,7 +342,7 @@ class Delamination0dSpec:
     ell: tuple[float, float] = (0.0, 2.0)  # affine pull program
     horizon: float = 1.0
     correction: Optional[CorrectionSpec] = field(
-        default_factory=lambda: TrivialH(h=lambda r: r * r)
+        default_factory=lambda: TrivialH(p=2.0, c=1.0)
     )
 
     def __post_init__(self):

@@ -18,9 +18,18 @@ its level schedule before its first level: a row zooms as many levels as
 its widest half-width, shrunk a level, stays at least ``DESCENT_TOL`` (6
 levels for a 1-d row over a box of width 10, 10 for a 2-d one), and leaves
 the batch after its last.  A level is then the objective call and eight
-array operations on operands of one shape.  A lone step, as every flowing
-step of a plasticity run is, makes 7 objective calls: the grid, whose batch
-prices the staying state as one more point, and 6 levels.
+array operations on operands of one shape.  A lone flowing step of a
+nonconvex 1-d model makes 7 objective calls: the grid, whose batch prices
+the staying state as one more point, and 6 levels.
+
+A problem that states I(t, .) convex (``RisProblem.reduced_dz``), as
+plasticity and the convex toy do, takes no grid: its rows are solved on
+the derivative (``_convex_rows``).  A row stays put, its exact bytes, when
+no sign of step descends from z_prev; each other row's optimality
+condition is solved by a safeguarded Newton iteration written once on
+Python floats (``_convex_step``), so a row has the same bits alone and in
+any batch, and one objective call prices the picks and the staying
+states.  A lone flowing plasticity step makes that one call.
 
 ``global_min_rows`` takes rows (ts[p], Z_prev[p]) and searches them
 together, each row with its own box, grid and zoom depth, in chunks of
@@ -29,14 +38,14 @@ every row gets the bits it would get alone.  The scheme searches a run of
 steps from one state as one chunk of rows, and the next steps of runs in
 lockstep as one batch; a residual batch is many chunks.
 
-A call of exactly one 1-d row, as every flowing step of a plasticity run
-is, goes to ``_lone_row`` instead, chosen by the input's shape alone.  It
-makes the same objective calls as ``_step_rows`` with the same box, grid
-and zoom schedule helpers, and keeps the one-element bookkeeping of the
-zoom and the pick on Python floats, which round as float64 ufuncs do
-element by element: it returns the bits ``_step_rows`` would, without the
-numpy calls on arrays of 1-3 elements that cost a lone row most of its
-time.  ``_step_rows`` stays the path of every other call, and the reference
+A call of exactly one 1-d row of any other problem, as every flowing step
+of a double-well or delamination run is, goes to ``_lone_row`` instead,
+chosen by the input's shape alone.  It makes the same objective calls as
+``_step_rows`` with the same box, grid and zoom schedule helpers, and keeps
+the one-element bookkeeping of the zoom and the pick on Python floats,
+which round as float64 ufuncs do element by element: it returns the bits
+``_step_rows`` would, without the numpy calls on arrays of 1-3 elements
+that cost a lone row most of its time.  ``_step_rows`` stays the path of every other call, and the reference
 the tests compare the lone path with.
 """
 
@@ -67,6 +76,12 @@ _ROW_POINTS = 1 << 16  # objective points a batch of step rows holds at once
 DESCENT_TOL = 1e-10  # zoom half-width at which a search stops
 NEAR_OPTIMAL_BAND = 1e-9  # step values this close to the best one tie
 _SNAP_TOL = 1e-8  # a pick this close to a box edge is tried on the edge
+# a convex step's pick must zero its optimality condition to this fraction
+# of the condition's terms; Newton meets it at rounding, about 1e-16
+OPTIMALITY_TOL = 1e-9
+_ROOT_STEPS = 200  # a convex step's Newton and bisection steps, at most
+# a convex step's condition this small against its terms is zero to rounding
+_ROOT_ROUNDING = 2.0**-50
 # per n_z, the zoom's window points per axis, the centre included: 2**j + 1,
 # so that each level's half-width factor, the window's spacing, is a power
 # of two.  The zoom refines the best grid point alone: over every shipped
@@ -303,9 +318,11 @@ _GRID_STEPS = np.arange(GRID_RESOLUTION, dtype=float)  # a grid axis in units of
 
 def _grid_axes(lo: NDArray, hi: NDArray, spacing: NDArray, Z: NDArray) -> NDArray:
     """Per axis j and row p, np.sort(np.append(np.linspace(lo, hi,
-    GRID_RESOLUTION), np.clip(z, lo, hi))) of the row's (lo, hi, z) on axis
-    j: the grid of each axis with z among its points, a value the grid holds
-    already included, as one (n, P, GRID_RESOLUTION + 1) array."""
+    GRID_RESOLUTION), min(max(z, lo), hi)), kind="stable") of the row's
+    (lo, hi, z) on axis j: the grid of each axis with z among its points, a
+    value the grid holds already included, as one (n, P, GRID_RESOLUTION +
+    1) array.  The stable sort of a sorted run and one value costs less
+    than the numpy insertions of it that were timed, for 1 or 504 rows."""
     res = GRID_RESOLUTION
     lo, hi = lo.T, hi.T
     axes = np.empty((len(lo), len(Z), res + 1))
@@ -415,13 +432,17 @@ def global_min_rows(problem: RisProblem, ts, Z_prev) -> tuple[NDArray, NDArray]:
     Rows are searched together, ``chunk_rows`` at a time, and each gets
     the bits it would get alone.  A row's candidates are staying put, the
     best point of its grid and its zoomed refinement.  Ties within
-    ``NEAR_OPTIMAL_BAND`` go to the candidate closest to z_prev.  Raises
-    ValueError for n_z > 2, where no certified search exists yet.
+    ``NEAR_OPTIMAL_BAND`` go to the candidate closest to z_prev.  The rows
+    of a problem that states I(t, .) convex are solved on the derivative
+    instead (``_convex_rows``).  Raises ValueError for n_z > 2, where no
+    certified search exists yet.
     """
     n = problem.n_z
     require_search(n)
     ts = np.asarray(ts, dtype=float).reshape(-1)
     Z_prev = np.asarray(Z_prev, dtype=float).reshape(len(ts), n)
+    if problem.reduced_dz is not None:
+        return _convex_rows(problem, ts, Z_prev)
     if len(ts) == 1 and n == 1:
         return _lone_row(problem, float(ts[0]), Z_prev)
     size = chunk_rows(n)
@@ -432,6 +453,99 @@ def global_min_rows(problem: RisProblem, ts, Z_prev) -> tuple[NDArray, NDArray]:
         for i in range(0, len(ts), size)
     ]
     return np.concatenate([x for x, _ in parts]), np.concatenate([v for _, v in parts])
+
+
+def _convex_rows(problem: RisProblem, ts: NDArray, Z_prev: NDArray) -> tuple[NDArray, NDArray]:
+    """``global_min_rows`` for the rows of a problem that states I(t, .)
+    convex (``RisProblem.reduced_dz``): each row solved on the derivative.
+
+    A step of sign s from z_prev descends when s I'(t, z_prev) + kappa_s +
+    delta'(0) < 0, kappa_s = d(0, s); a row where neither sign descends
+    stays at z_prev, its exact bytes.  That test runs on the rows' array,
+    and ``_convex_step`` solves each other row on Python floats, the same
+    code whatever the batch.  The picks and the staying states are then
+    priced by one ``step_objective`` call, and a pick above staying put,
+    which rounding alone can make, gives way to it."""
+    if not problem.in_box(Z_prev):
+        raise ValueError("infeasible step: previous state has infinite objective")
+    grad = problem.reduced_dz(ts, Z_prev[:, 0])
+    rays = problem._rays  # per sign, down then up: (kappa, a, e), delta' = a r**e
+    (down, a_down, e_down), (up, a_up, e_up) = rays
+    lower, upper = -(up + a_up * 0.0**e_up), down + a_down * 0.0**e_down
+    X = Z_prev.copy()
+    move = np.flatnonzero(~((lower <= grad) & (grad <= upper))).tolist()
+    if move:
+        box = problem._box[0].tolist()
+        t, z, g = ts.tolist(), Z_prev[:, 0].tolist(), grad.tolist()
+        for p in move:
+            s = g[p] < lower  # a step up; a nan slope tries down and raises
+            X[p, 0] = _convex_step(problem, t[p], z[p], 1.0 if s else -1.0, rays[s], box[s])
+    pts = np.empty((len(ts), 2, 1))
+    pts[:, 0], pts[:, 1] = X, Z_prev
+    vals = _row_objective(problem, ts, Z_prev)(pts)
+    v, stay = vals[:, 0], vals[:, 1]
+    if np.count_nonzero(np.isfinite(stay)) < len(ts):
+        raise ValueError("infeasible step: previous state has infinite objective")
+    back = v > stay
+    if not np.count_nonzero(back):
+        return X, v
+    return np.where(back[:, None], Z_prev, X), np.where(back, stay, v)
+
+
+def _convex_step(problem: RisProblem, t: float, z: float, s: float, ray: tuple,
+                 edge: float) -> float:
+    """The step from z along sign s of a problem that states I(t, .)
+    convex, on Python floats: the root r of the increasing
+    g(r) = s I'(t, z + s r) + kappa + a r**e on [0, |edge - z|], with
+    ``ray`` = (kappa, a, e), or the box's ``edge`` where g stays <= 0 up to
+    it.  The caller found g(0) < 0.
+
+    A safeguarded Newton iteration keeps a bracket [lo, hi] with
+    g(lo) < 0 < g(hi); a Newton step that leaves it, or that fails to halve
+    the step before, is a bisection.  It stops at rounding: where |g| is
+    within ``_ROOT_ROUNDING`` of the sum of its terms' sizes, or where a
+    step no longer moves r, within ``_ROOT_STEPS``.  Raises ValueError,
+    naming (t, z), when the optimality condition
+    |g(r)| <= ``OPTIMALITY_TOL`` * (|I'| + kappa + a r**e) then fails, as a
+    nan from a derivative map makes it."""
+    dz, dzz = problem.reduced_dz, problem.reduced_dzz
+    kappa, a, e = ray
+    grad = dz(t, z)
+    g = s * grad + kappa + a * 0.0**e
+    reach = s * (edge - z)
+    # the caller's test, on floats, or z_prev on the edge (or past it by the
+    # box's slop); a nan goes on to the raise
+    if g >= 0 or g < 0 and not reach > 0:
+        return z
+    if s * dz(t, edge) + kappa + a * reach**e <= 0:
+        return edge
+    lo, hi, r, x, last = 0.0, reach, 0.0, z, reach
+    for _ in range(_ROOT_STEPS):
+        # delta's curvature a e r**(e - 1) is +inf at r = 0 for e < 1, where
+        # the iteration bisects, as for any slope that is not finite and > 0
+        curve = dzz(t, x) + (a * e * r ** (e - 1) if r > 0 or e >= 1 else INF)
+        nxt = r - g / curve if 0 < curve < INF else math.nan
+        if not lo <= nxt <= hi or abs(nxt - r) > 0.5 * last:
+            nxt = lo + 0.5 * (hi - lo)
+        if nxt == r:
+            break
+        last, r = abs(nxt - r), nxt
+        x = z + s * r
+        grad = dz(t, x)
+        slope = a * r**e
+        g = s * grad + kappa + slope
+        if not abs(g) > _ROOT_ROUNDING * (abs(grad) + kappa + slope):
+            break  # a root at rounding, or a nan
+        if g < 0:
+            lo = r
+        else:
+            hi = r
+    if not abs(g) <= OPTIMALITY_TOL * (abs(grad) + kappa + a * r**e):
+        raise ValueError(
+            f"the convex step at t = {t!r} from z_prev = {z!r} misses its "
+            f"optimality condition: residual {g!r} at z = {x!r}"
+        )
+    return edge if s * (x - edge) > 0 else x
 
 
 def _lone_row(problem: RisProblem, t: float, Z_prev: NDArray) -> tuple[NDArray, NDArray]:

@@ -5,6 +5,7 @@ Every expected number here is recomputed in-test from an independent route
 from the production code paths under test.
 """
 
+import configparser
 import time
 from dataclasses import replace
 from fractions import Fraction
@@ -68,6 +69,52 @@ class TestConvexClosedForm:
         assert np.max(np.abs(zs - exact)) <= 5 * tau
         assert elapsed < 5.0
 
+    @staticmethod
+    def _plasticity_step(model, t, p):
+        # C (eps - p_n) = sigma_y + sigma_y h'(sigma_y |dp|), h(r) = c r**pw,
+        # while flowing; the stress is within the yield stress otherwise
+        C, sy = float(model["c"]), float(model["sigma_y"])  # keys read lowercased
+        pw, c = (float(x) for x in model["correction"].split(":")[1:])  # trivial:P:COEFF
+        eps0, rate = (float(x) for x in model["eps"].split(","))
+        stress = C * (eps0 + rate * t - p)
+        if abs(stress) <= sy:
+            return p
+        s = np.sign(stress)
+        flow = lambda dp: abs(stress - C * s * dp) - sy - sy * pw * c * (sy * dp) ** (pw - 1)
+        return p + s * optimize.brentq(flow, 0.0, abs(stress) / C, xtol=1e-16, rtol=1e-15)
+
+    @staticmethod
+    def _toy_step(model, t, z):
+        # a z_n + mu (z_n - z_{n-1}) + kappa s = ell(t_n) while flowing
+        # with sign s, with a quadratic correction mu/2 |dz|**2
+        a, kappa = float(model["a"]), float(model["kappa"])
+        mu = float(model["correction"].split(":")[1])
+        ell0, rate = (float(x) for x in model["ell"].split(","))
+        force = ell0 + rate * t - a * z
+        if abs(force) <= kappa:
+            return z
+        return (ell0 + rate * t - np.sign(force) * kappa + mu * z) / (a + mu)
+
+    @pytest.mark.parametrize(
+        "config, step",
+        [("plasticity0d.ini", "_plasticity_step"), ("toy_convex.ini", "_toy_step")],
+    )
+    def test_shipped_convex_config_has_the_discrete_closed_form(self, config, step):
+        # every node state is the exact minimizer of its VE step, recomputed
+        # from the config's numbers alone; a grid search with a tie band
+        # leaves nodes up to about 3e-5 short of it
+        parser = configparser.ConfigParser()
+        parser.read(CONFIG_DIR / config)
+        model = parser["model"]
+        run = load_config(CONFIG_DIR / config)
+        disc = solve_incremental(run.problem, run.scheme)
+        exact = [float(parser["scheme"]["initial_z"])]
+        for t in disc.times[1:]:
+            exact.append(getattr(self, step)(model, float(t), exact[-1]))
+        moved = np.count_nonzero(np.diff(exact))
+        assert moved > len(exact) // 3
+        assert np.max(np.abs(disc.Z[:, 0] - exact)) <= 1e-12
+
 
 # ---------------------------------------------------------------------------
 # 2. perfect plasticity: return mapping, coincidence, yield admissibility
@@ -77,7 +124,7 @@ class TestPlasticityReturnMap:
     def test_full_criterion(self):
         tau = 1e-3
         start = time.monotonic()
-        prob = make_plasticity0d(Plasticity0dSpec(correction=TrivialH(h=lambda r: r**4)))
+        prob = make_plasticity0d(Plasticity0dSpec(correction=TrivialH(p=4.0, c=1.0)))
         cfg = SchemeConfig(scheme="VE", tau=tau, initial_z=(0.0,))
         disc = solve_incremental(prob, cfg)
         zs = disc.Z[:, 0]
@@ -174,7 +221,7 @@ _BALANCE_CASES = [
     (
         "plasticity",
         lambda: make_plasticity0d(
-            Plasticity0dSpec(correction=TrivialH(h=lambda r: r**4))
+            Plasticity0dSpec(correction=TrivialH(p=4.0, c=1.0))
         ),
         (0.0,),
     ),
@@ -332,7 +379,7 @@ def _shipped_models():
             Toy1dSpec(well="doublewell", ell=(0.0, 3.0), z_box=(-3.0, 3.0),
                       correction=QuadraticMu(mu=1.0))
         ),
-        make_plasticity0d(Plasticity0dSpec(correction=TrivialH(h=lambda r: r**4))),
+        make_plasticity0d(Plasticity0dSpec(correction=TrivialH(p=4.0, c=1.0))),
         make_damage1d(Damage1dSpec()),
         make_delamination0d(Delamination0dSpec()),
     ]

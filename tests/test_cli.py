@@ -144,7 +144,7 @@ class TestParseCorrection:
         p = parse_correction("power:2:3")
         assert isinstance(p, PowerLq) and p.q == 2.0 and p.gamma == 3.0
         t = parse_correction("trivial:4:0.5")
-        assert isinstance(t, TrivialH)
+        assert isinstance(t, TrivialH) and (t.p, t.c) == (4.0, 0.5)
         assert t.h(2.0) == pytest.approx(0.5 * 16.0)
 
     def test_rejects_garbage(self):

@@ -26,10 +26,17 @@ def test_infinity_is_math_inf():
 
 
 class TestCorrectionSpecs:
-    def test_trivial_h_requires_h0_zero(self):
-        TrivialH(h=lambda r: r * r)
-        with pytest.raises(ValueError):
-            TrivialH(h=lambda r: r + 1.0)
+    def test_trivial_h_validates_p_and_c(self):
+        # h(r) = c r**p; p = 1 is built, for correction_ratio_check to reject
+        h = TrivialH(p=1.0, c=2.0)
+        assert h.h(0.0) == 0.0 and h.h(3.0) == 6.0
+        # c = nan and c = -2 were h = nan * r**4 and h = -2 r**2 of the
+        # callable form, which nothing refused
+        bad = [(0.5, 1.0), (math.nan, 1.0), (math.inf, 1.0), (-2.0, 1.0),
+               (4.0, math.nan), (2.0, -2.0), (2.0, 0.0), (2.0, math.inf)]
+        for p, c in bad:
+            with pytest.raises(ValueError, match="finite p >= 1 and a finite c > 0"):
+                TrivialH(p=p, c=c)
 
     def test_quadratic_mu_validation(self):
         QuadraticMu(mu=0.0)
@@ -77,7 +84,7 @@ class TestBuildCorrection:
         assert p.correction(np.array([1.0]), np.array([3.0])) == pytest.approx(4.0)
 
     def test_trivial_h_composes_with_d(self):
-        p = _simple_problem(TrivialH(h=lambda r: r**2))
+        p = _simple_problem(TrivialH(p=2.0, c=1.0))
         assert p.correction(np.array([1.0]), np.array([4.0])) == pytest.approx(9.0)
 
     def test_power_lq(self):
@@ -159,6 +166,38 @@ class TestTrajectory:
             Trajectory(times=np.array([]), Z=np.zeros((0, 1)), U=np.empty((0, 0)))
 
 
+def test_a_convex_model_states_both_derivatives_in_one_dimension():
+    dz, dzz = (lambda t, z: z), (lambda t, z: z * 0.0 + 1.0)
+    p = dataclasses.replace(_simple_problem(), reduced_dz=dz, reduced_dzz=dzz)
+    assert p.reduced_dz is dz and p.reduced_dzz is dzz
+    with pytest.raises(ValueError, match="both reduced_dz and reduced_dzz"):
+        dataclasses.replace(_simple_problem(), reduced_dz=dz)
+    with pytest.raises(ValueError, match="n_z = 1 may state reduced_dz"):
+        dataclasses.replace(make_damage1d(Damage1dSpec()), reduced_dz=dz, reduced_dzz=dzz)
+
+
+def test_a_convex_model_reads_its_rays_at_its_first_step():
+    # kappa_s = d(0, s) and delta's slope a r**e per sign, down then up;
+    # a copy calls no map until a step reads them
+    calls = []
+
+    def dissipation(z, zp):
+        calls.append(1)
+        step = np.asarray(zp)[..., 0] - np.asarray(z)[..., 0]
+        return np.where(step < 0, 2.0 * -step, 3.0 * step)
+
+    p = dataclasses.replace(
+        _simple_problem(TrivialH(p=3.0, c=0.5)), dissipation=dissipation,
+        reduced_dz=lambda t, z: z, reduced_dzz=lambda t, z: z * 0.0 + 1.0,
+    )
+    assert calls == []
+    assert p._rays == ((2.0, 0.5 * 3.0 * 2.0**3, 2.0), (3.0, 0.5 * 3.0 * 3.0**3, 2.0))
+    assert len(calls) == 2
+    flat = dataclasses.replace(p, dissipation=lambda z, zp: 0.0 * _simple_problem().dissipation(z, zp))
+    with pytest.raises(ValueError, match="needs d"):
+        flat._rays
+
+
 def test_with_correction_returns_new_problem():
     p = _simple_problem()
     q = p.with_correction(QuadraticMu(mu=1.0))
@@ -168,7 +207,7 @@ def test_with_correction_returns_new_problem():
 
 def test_a_copy_with_another_dissipation_prices_its_correction_with_it():
     # delta = h(d) of the copy's own d: h(3 |dz|) = 9 for dz = 1, not h(|dz|) = 1
-    p = _simple_problem(TrivialH(h=lambda r: r * r))
+    p = _simple_problem(TrivialH(p=2.0, c=1.0))
     q = dataclasses.replace(
         p, dissipation=lambda z, zp: 3.0 * np.abs(np.asarray(zp)[..., 0] - np.asarray(z)[..., 0])
     )
@@ -184,12 +223,12 @@ def test_a_given_correction_map_is_used_and_kept_until_with_correction():
         return 7.0 + 0.0 * np.asarray(zp)[..., 0]
 
     calls = []
-    p = dataclasses.replace(_simple_problem(TrivialH(h=lambda r: r * r)), correction=counted)
+    p = dataclasses.replace(_simple_problem(TrivialH(p=2.0, c=1.0)), correction=counted)
     z, zp = np.array([0.0]), np.array([1.0])
     assert p.correction is counted and float(p.correction(z, zp)) == 7.0
     q = dataclasses.replace(p, dissipation=lambda z, zp: 3.0 * np.abs(zp - z)[..., 0])
     assert q.correction is counted and len(calls) == 1
-    r = q.with_correction(TrivialH(h=lambda r: r * r))
+    r = q.with_correction(TrivialH(p=2.0, c=1.0))
     assert float(r.correction(z, zp)) == 9.0 and len(calls) == 1
 
 

@@ -235,7 +235,7 @@ class TestSlidingCutoff:
 
     def test_bounds_equal_full_pricing(self, damage, toy_convex, toy_doublewell):
         rng = np.random.default_rng(17)
-        plastic = make_plasticity0d(Plasticity0dSpec(correction=TrivialH(h=lambda r: r**4)))
+        plastic = make_plasticity0d(Plasticity0dSpec(correction=TrivialH(p=4.0, c=1.0)))
         cases = [(damage, 0.7, [1.0, 1.0], [0.0, 0.0])]
         for _ in range(8):  # 2-d damage, z_plus <= z_minus
             z_minus = rng.uniform(0.0, 1.0, 2)
@@ -268,7 +268,7 @@ class TestSlidingCutoff:
         # sliding1d-style plasticity, t = 1.5: the segment [0.6, 1.4] lies in
         # the stable set [0.5, 2.5], so its 64 short links beat the direct
         # chain's correction h(0.8) = 0.41
-        prob = make_plasticity0d(Plasticity0dSpec(correction=TrivialH(h=lambda r: r**4)))
+        prob = make_plasticity0d(Plasticity0dSpec(correction=TrivialH(p=4.0, c=1.0)))
         bound, cut = self._priced(prob, 1.5, [0.6], [1.4])
         ref, _ = self._priced(prob, 1.5, [0.6], [1.4], full=True)
         _assert_same_bound(bound, ref)
@@ -322,7 +322,7 @@ class TestDijkstra:
         # the brittle bond never heals: no chain climbs from 0 to 1
         assert jump._dp_chain(delamination, 0.5, np.array([0.0]), np.array([1.0]), 41) is None
 
-    @pytest.mark.parametrize("spec", [TrivialH(h=lambda r: r**3), QuadraticMu(1.0, "dissipation")])
+    @pytest.mark.parametrize("spec", [TrivialH(p=3.0, c=1.0), QuadraticMu(1.0, "dissipation")])
     def test_link_matrix_prices_d_once(self, toy_doublewell, spec):
         # a correction defined on d takes the link matrix's d instead of
         # pricing the (m, m) pairs again, and the path keeps its bits

@@ -148,7 +148,7 @@ _corrections = st.one_of(
     st.none(),
     st.builds(QuadraticMu, mu=st.floats(0.1, 10.0),
               dist=st.sampled_from(["euclidean", "dissipation"])),
-    st.floats(0.1, 10.0).map(lambda c: TrivialH(h=lambda r: c * r * r)),
+    st.floats(0.1, 10.0).map(lambda c: TrivialH(p=2.0, c=c)),
 )
 
 

@@ -9,15 +9,18 @@ import dis
 import inspect
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import optimize
 
 from risolve import (
     PowerLq,
     QuadraticMu,
     ResidualMemo,
     RisProblem,
+    TrivialH,
     global_min_rows,
     reduced_value,
 )
@@ -183,6 +186,13 @@ class TestGlobalMinCorrected:
             step_min(prob, 0.0, [50.0])
 
 
+def _doublewell_mu(mu):
+    """The double-well fixture's toy with a viscous QuadraticMu(mu)."""
+    return make_toy1d(Toy1dSpec(
+        well="doublewell", ell=(0.0, 3.0), z_box=(-3.0, 3.0), correction=QuadraticMu(mu=mu),
+    ))
+
+
 def _random_steps(prob, count, seed):
     """Seeded (t, z_prev) pairs spread over the horizon and the box."""
     rng = np.random.default_rng(seed)
@@ -283,16 +293,29 @@ class TestZoomSearch:
         monkeypatch.setattr(reduced, "step_objective", spy)
         return calls
 
-    def test_lone_flowing_step_makes_seven_objective_calls(self, plasticity, monkeypatch):
+    def test_lone_flowing_step_makes_seven_objective_calls(self, monkeypatch):
         calls = self._record_calls(monkeypatch)
-        # on the yield surface at t = 1.499 and loaded on to t = 1.5: it flows
-        x, _ = global_min_rows(plasticity, [1.5], [[0.499]])
-        assert x[0, 0] == pytest.approx(0.5, abs=1e-7)
+        # the double well, held in its left well by a viscous mu = 10: at
+        # t = 0.4 it slides from the bottom z = -1 to the root of
+        # W'(z) - ell + kappa + mu (z + 1) = 0
+        prob = _doublewell_mu(10.0)
+        x, _ = global_min_rows(prob, [0.4], [[-1.0]])
+        slide = optimize.brentq(lambda z: 4 * z * (z * z - 1) - 0.2 + 10 * (z + 1), -1.0, 0.0)
+        assert x[0, 0] == pytest.approx(slide, abs=1e-7)
         # the 129-point grid plus z_prev's clipped copy, and z_prev itself
         # for staying put, then 6 zoom levels of the best grid point's
-        # 65-point window: the box's half-width 10/128 stays at least
+        # 65-point window: the box's half-width 6/128 stays at least
         # DESCENT_TOL for 6 shrinks by 1/32
         assert calls == [(1, 131, 1)] + [(1, 65, 1)] * 6
+
+    def test_lone_flowing_plasticity_step_makes_one_objective_call(self, plasticity, monkeypatch):
+        calls = self._record_calls(monkeypatch)
+        # on the yield surface at t = 1.499 and loaded on to t = 1.5: it
+        # flows, solved on the derivative, and one call prices the pick
+        # and the staying state together
+        x, _ = global_min_rows(plasticity, [1.5], [[0.499]])
+        assert x[0, 0] == pytest.approx(0.5, abs=1e-7)
+        assert calls == [(1, 2, 1)]
 
     def test_lone_2d_step_zooms_one_window_a_level(self, monkeypatch):
         calls = self._record_calls(monkeypatch)
@@ -451,9 +474,11 @@ def _bits(a):
 # only 5e-13 more than stopping at it
 _GRID_TIE = np.linspace(-5.0, 5.0, 129)[100]
 
-# rows added to the random ones of each fixture.  A batch of one 1-d row is
-# searched by ``reduced._lone_row``, so in 1-d these reach each of its
-# branches; the batch of many rows is ``_step_rows``, the reference
+# rows added to the random ones of each fixture.  A batch of one 1-d row of
+# a nonconvex model is searched by ``reduced._lone_row``, so these reach each
+# of its branches; the batch of many rows is ``_step_rows``, the reference.
+# The convex models' rows (toy_convex, plasticity) are solved on the
+# derivative, by one path for a batch of any size
 _EXTRA_ROWS = [
     # z_prev exactly on a grid point of the 129-point box grid; -0.0, which
     # stays put
@@ -503,7 +528,10 @@ class TestRowBatch:
 
     def test_extra_rows_reach_every_branch_of_the_lone_search(self, request):
         # a line trace of reduced._lone_row over the 1-d extra rows: every
-        # line runs but the two raises, which the infeasible-step tests reach
+        # line runs but the two raises, which the infeasible-step tests
+        # reach.  The convex models' rows are solved on the derivative by
+        # global_min_rows, so the trace calls the grid search directly, and
+        # each row gets the bits of a batch of one of _step_rows
         code = reduced._lone_row.__code__
         source, first = inspect.getsourcelines(reduced._lone_row)
         raises = {first + i for i, text in enumerate(source) if text.strip().startswith("raise")}
@@ -516,23 +544,28 @@ class TestRowBatch:
 
         previous = sys.gettrace()
         sys.settrace(lambda frame, event, arg: trace_lines if frame.f_code is code else None)
+        searched = []
         try:
             for name, extra in _EXTRA_ROWS:
                 prob = request.getfixturevalue(name)
                 if prob.n_z == 1:
                     for t, z in extra:
-                        step_min(prob, t, z)
+                        Z = np.array([z], dtype=float)
+                        searched.append((prob, t, Z, reduced._lone_row(prob, t, Z)))
         finally:
             sys.settrace(previous)
+        for prob, t, Z, (x, value) in searched:
+            xs, vs = reduced._step_rows(prob, np.array([t]), Z)
+            assert (_bits(x) == _bits(xs)).all() and (_bits(value) == _bits(vs)).all()
         lines = {line for _, line in dis.findlinestarts(code) if line is not None}
         lines.discard(first)  # the def line, which traces no statement
         assert lines - seen == raises and len(raises) == 2
         # the tie: the nearer grid point wins over a point up to the band lower
         prob = request.getfixturevalue("plasticity")
         t = _GRID_TIE + 1.0 + 1e-6
-        x, value = step_min(prob, t, [0.0])
+        x, value = reduced._lone_row(prob, t, np.zeros((1, 1)))
         better = step_objective(prob, t, np.zeros(1))(np.array([[t - 1.0]]))[0]
-        assert x[0] == _GRID_TIE and 0 < value - better <= reduced.NEAR_OPTIMAL_BAND
+        assert x[0, 0] == _GRID_TIE and 0 < value[0] - better <= reduced.NEAR_OPTIMAL_BAND
 
     def test_single_cell_bar_and_chunks(self, monkeypatch):
         # the 1-cell damage bar: boxes [0, z_prev] of every width, searched
@@ -571,3 +604,123 @@ class TestRowBatch:
             assert points**n < 130**n
         monkeypatch.setattr(reduced, "_ROW_POINTS", 100)
         assert reduced.chunk_rows(1) == 1
+
+
+# every correction kind, on each convex model: the derivative path reads
+# delta's slope along |dz| from the spec
+_CONVEX_CORRECTIONS = [
+    None, TrivialH(p=4.0, c=1.0), TrivialH(p=1.5, c=0.3), QuadraticMu(mu=2.0),
+    QuadraticMu(mu=3.0, dist="dissipation"), PowerLq(q=2.0, gamma=3.0),
+]
+_CONVEX_IDS = ["none", "trivial-4", "trivial-1.5", "mu-euclidean", "mu-dissipation", "power"]
+
+
+def _convex_rows(prob, count, seed):
+    """Seeded rows of a convex model over the box and up to twice its
+    horizon, plus rows on both box edges, 5e-13 past the upper one (which
+    ``inside`` accepts), at -0.0 and 0.0, and a row whose root lies past the
+    upper edge, as (ts, Z)."""
+    rng = np.random.default_rng(seed)
+    lo, hi = prob.z_box[0]
+    extra = [(0.3, lo), (1.9, hi), (0.5, hi + 5e-13), (0.2, -0.0), (0.2, 0.0), (40.0, hi - 0.1)]
+    ts = [*rng.uniform(0.0, 2 * prob.horizon, count), *(t for t, _ in extra)]
+    zs = [*rng.uniform(lo, hi, count), *(z for _, z in extra)]
+    return np.array(ts), np.array(zs)[:, None]
+
+
+def _term_scale(prob, ts, Z, X):
+    """Per row, a sum of the sizes of the step value's terms, at whose
+    rounding two values of one state differ: d, delta, I and x I'(t, 0),
+    the size of the load term of both convex models' I."""
+    d = prob.dissipation(Z, X)
+    x = X[:, 0]
+    load = np.abs(x * prob.reduced_dz(ts, np.zeros_like(x)))
+    return d + prob.correction(Z, X, d) + np.abs(prob.reduced_vec(ts, X)) + load
+
+
+class TestConvexRows:
+    """A model that states I(t, .) convex has its steps solved on the
+    derivative: exact states, with the same bits in any batch."""
+
+    @pytest.mark.parametrize("spec", _CONVEX_CORRECTIONS, ids=_CONVEX_IDS)
+    @pytest.mark.parametrize("name", ["plasticity", "toy_convex"])
+    def test_rows_equal_batches_of_one(self, name, spec, request):
+        prob = request.getfixturevalue(name).with_correction(spec)
+        ts, Z = _convex_rows(prob, 40, 37)
+        X, V = global_min_rows(prob, ts, Z)
+        for p, (t, z) in enumerate(zip(ts, Z)):
+            x, value = step_min(prob, t, z)
+            assert (_bits(X[p]) == _bits(x)).all()
+            assert _bits(V[p]) == _bits(value)
+        # the -0.0 row stays with its bytes; the last one stops on the edge
+        assert _bits(X[-3]) == _bits(-0.0) and X[-1, 0] == prob.z_box[0][1]
+
+    @pytest.mark.parametrize("spec", _CONVEX_CORRECTIONS, ids=_CONVEX_IDS)
+    @pytest.mark.parametrize("name", ["plasticity", "toy_convex"])
+    def test_value_never_above_the_grid_search(self, name, spec, request):
+        # within 4 ulp of the value's terms: the grid search's zoom keeps the
+        # lowest rounding of 65 points around the minimizer
+        prob = request.getfixturevalue(name).with_correction(spec)
+        ts, Z = _convex_rows(prob, 300, 41)
+        X, V = global_min_rows(prob, ts, Z)
+        Xg, Vg = reduced._step_rows(prob, ts, Z)
+        assert np.count_nonzero(X != Z) > 100
+        assert np.all(V <= Vg + 4 * np.spacing(_term_scale(prob, ts, Z, X)))
+        # the grid search stops within its tie band of it: 1e-9 of a value
+        # of curvature >= 1 allows sqrt(2e-9) = 4.5e-5
+        assert np.max(np.abs(X - Xg)) < 4.5e-5
+
+    @pytest.mark.parametrize("name", ["plasticity", "toy_convex"])
+    def test_stated_derivatives_match_central_differences(self, name, request):
+        prob = request.getfixturevalue(name)
+        rng = np.random.default_rng(43)
+        ts, zs = rng.uniform(0.0, prob.horizon, 50), rng.uniform(-4.0, 4.0, 50)
+        h = 1e-3
+        I = lambda z: prob.reduced_vec(ts, z[:, None])
+        dz, dzz = prob.reduced_dz(ts, zs), prob.reduced_dzz(ts, zs)
+        assert dz.shape == dzz.shape == zs.shape
+        np.testing.assert_allclose(dz, (I(zs + h) - I(zs - h)) / (2 * h), rtol=1e-8, atol=1e-8)
+        np.testing.assert_allclose(dzz, (I(zs + h) - 2 * I(zs) + I(zs - h)) / (h * h), rtol=1e-6)
+        # Python floats in, Python floats out, as the Newton kernel runs
+        assert type(prob.reduced_dz(0.5, 0.25)) is float
+        assert type(prob.reduced_dzz(0.5, 0.25)) is float
+
+    def test_nan_derivative_raises(self, plasticity):
+        # a flowing row whose derivative map gives nan names its step, alone
+        # and in a batch
+        bad = replace(plasticity, reduced_dz=lambda t, z: z * math.nan)
+        with pytest.raises(ValueError, match=r"t = 1\.5 from z_prev = 0\.25 misses its optimality"):
+            global_min_rows(bad, [1.5], [[0.25]])
+        with pytest.raises(ValueError, match="misses its optimality condition: residual nan"):
+            global_min_rows(bad, [0.2, 1.5], [[0.0], [0.25]])
+        # also on the box's lower edge, where the step down it has no room
+        with pytest.raises(ValueError, match=r"z_prev = -5\.0 misses"):
+            global_min_rows(bad, [1.5], [[-5.0]])
+
+    def test_lone_flowing_step_is_the_closed_form(self, plasticity):
+        # C (eps - p) = sigma_y with no correction: p = t - 1 to rounding
+        x, value = global_min_rows(plasticity, [1.5], [[0.25]])
+        assert x[0, 0] == pytest.approx(0.5, abs=4e-16)
+        assert value[0] == pytest.approx(0.5 + 0.25, abs=4e-16)
+
+
+def test_grid_axes_are_the_stable_sort_of_grid_and_state():
+    # each axis is np.sort(np.append(linspace(lo, hi, 129), clip), kind=
+    # "stable") bit for bit, with z clipped to max(z, lo), then min(., hi):
+    # a -0.0 state after a grid 0.0, a 0.0 state after a grid -0.0 and a
+    # -0.0 state on a box end of 0.0, states on and past the box ends, and
+    # a degenerate box
+    rng = np.random.default_rng(47)
+    lo = np.array([[-5.0, -1.0], [-5.0, 0.0], [-5.0, -5.0], [0.0, 0.0], [0.0, 2.0], [-3.0, 1.0]])
+    hi = np.array([[5.0, 1.0], [5.0, 1.0], [5.0, 5.0], [0.0, 1.0], [1.0, 2.0], [7.0, 4.0]])
+    Z = np.array([[-0.0, 0.0], [0.0, -0.0], [-5.0, 5.0], [0.0, -0.0], [1.0 + 1e-13, 2.0], [-4.0, 9.0]])
+    lo = np.concatenate([lo, np.full((20, 2), -2.0)])
+    hi = np.concatenate([hi, np.full((20, 2), 3.0)])
+    Z = np.concatenate([Z, rng.uniform(-2.5, 3.5, (20, 2))])
+    axes = reduced._grid_axes(lo, hi, (hi - lo) / 128, Z)
+    for p in range(len(Z)):
+        for j in range(2):
+            grid = np.linspace(lo[p, j], hi[p, j], 129)
+            clip = np.minimum(np.maximum(Z[p, j], lo[p, j]), hi[p, j])
+            ref = np.sort(np.append(grid, clip), kind="stable")
+            assert (_bits(axes[j, p]) == _bits(ref)).all()

@@ -82,7 +82,7 @@ class TestSolveIncremental:
         # C=1, sigma_y=1, eps=t on [0,2]: p(t) = max(t - 1, 0)
         tau = 1e-2
         cfg = SchemeConfig(scheme="VE", tau=tau, initial_z=(0.0,))
-        disc = solve_incremental(plasticity.with_correction(TrivialH(h=lambda r: r**4)), cfg)
+        disc = solve_incremental(plasticity.with_correction(TrivialH(p=4.0, c=1.0)), cfg)
         zs = disc.Z[:, 0]
         exact = np.maximum(disc.times - 1.0, 0.0)
         assert np.max(np.abs(zs - exact)) <= 5 * tau
@@ -250,11 +250,11 @@ class TestStationaryBlocks:
             ),
             # debonds, then searches the degenerate box [0, 0]
             (
-                "delamination", TrivialH(h=lambda r: r * r),
+                "delamination", TrivialH(p=2.0, c=1.0),
                 SchemeConfig(scheme="VE", tau=1e-2, initial_z=(1.0,)),
             ),
             (
-                "damage", TrivialH(h=lambda r: 1e-4 * r**4),
+                "damage", TrivialH(p=4.0, c=1e-4),
                 SchemeConfig(scheme="VE", tau=2.5e-2, initial_z=(1.0, 1.0)),
             ),
         ],
@@ -331,7 +331,7 @@ class TestLockstep:
         "name, corr, cfg, taus, shared",
         [
             (
-                "plasticity", TrivialH(h=lambda r: r**4), SchemeConfig(scheme="VE"),
+                "plasticity", TrivialH(p=4.0, c=1.0), SchemeConfig(scheme="VE"),
                 [4e-2, 2e-2, 1e-2], True,
             ),
             # each tau has its own correction mu = epsilon / tau
@@ -340,7 +340,7 @@ class TestLockstep:
                 [4e-2, 2e-2, 1e-2], False,
             ),
             (
-                "damage", TrivialH(h=lambda r: 1e-4 * r**4),
+                "damage", TrivialH(p=4.0, c=1e-4),
                 SchemeConfig(scheme="VE", initial_z=(1.0, 1.0)), [5e-2, 2.5e-2], True,
             ),
         ],

@@ -85,14 +85,14 @@ class TestCorrectionRatio:
         assert ratios[-1] == pytest.approx(2.0 ** (-8), abs=1e-12)
 
     def test_first_order_perturbation_fails(self, toy_convex):
-        prob = toy_convex.with_correction(TrivialH(h=lambda r: r))
+        prob = toy_convex.with_correction(TrivialH(p=1.0, c=1.0))
         scales = [2.0 ** (-k) for k in range(8)]
         _, ok = correction_ratio_check(prob, [0.0], [1.0], scales)
         assert not ok
 
     @pytest.mark.parametrize(
         "spec",
-        [TrivialH(h=lambda r: r**2), QuadraticMu(mu=2.0, dist="dissipation")],
+        [TrivialH(p=2.0, c=1.0), QuadraticMu(mu=2.0, dist="dissipation")],
         ids=["trivial-h", "mu-on-d"],
     )
     def test_correction_on_d_prices_d_once(self, toy_convex, spec):

@@ -173,7 +173,7 @@ class TestJumpWindow:
 class TestCoincidence:
     def test_plasticity_coincides(self, plasticity):
         cfg = SchemeConfig(scheme="VE", tau=1e-2, initial_z=(0.0,))
-        prob = plasticity.with_correction(TrivialH(h=lambda r: r**4))
+        prob = plasticity.with_correction(TrivialH(p=4.0, c=1.0))
         traj = solve_incremental(prob, cfg)
         rep = ve_equals_e(prob, traj)
         assert rep.equal
@@ -196,7 +196,7 @@ class TestStressCheck:
         # the quartic correction overshoots the yield surface by O(tau^3):
         # tau = 2e-3 keeps it ~3e-8, far inside the admissibility tolerance
         cfg = SchemeConfig(scheme="VE", tau=2e-3, initial_z=(0.0,))
-        traj = solve_incremental(plasticity.with_correction(TrivialH(h=lambda r: r**4)), cfg)
+        traj = solve_incremental(plasticity.with_correction(TrivialH(p=4.0, c=1.0)), cfg)
         rep = plasticity_stress_check(plasticity, traj)
         assert rep.passed
         assert rep.max_abs_stress <= rep.yield_stress + 1e-6
