@@ -298,11 +298,13 @@ def write_trajectory_csv(
     resids = memo.fill(times, Z)
     energies = prob.energy(times, U, Z).tolist()
     powers = prob.power(times, U, Z).tolist()
-    lines = [CSV_VERSION, ",".join(_csv_columns(prob))]
-    for n, t in enumerate(times.tolist()):
-        row = [t, *Z[n].tolist(), *U[n].tolist(), energies[n], powers[n],
-               steps[n], cum[n], resids[n]]
-        lines.append(",".join(_fmt(x) for x in row) + f",{int(flags[n])}")
+    cols = _csv_columns(prob)
+    # one format call a row: %.17g prints a float as _fmt does
+    fmt = ",".join(["%.17g"] * (len(cols) - 1) + ["%d"])
+    lines = [CSV_VERSION, ",".join(cols)]
+    for t, z, u, *rest in zip(times.tolist(), Z.tolist(), U.tolist(), energies, powers,
+                              steps, cum, resids, flags.tolist()):
+        lines.append(fmt % (t, *z, *u, *rest))
     path.write_text("\n".join(lines) + "\n")
 
 

@@ -245,7 +245,8 @@ class RisProblem:
     and coordinates, and map Python floats to Python floats.  Such a model
     also states that d is kappa_s * |z' - z| on a step of sign s, with
     kappa_s = d(0, s) > 0, which its first step reads.  Its steps are
-    then solved on the derivative (``reduced.global_min_rows``), which
+    then solved on the derivative (``reduced.global_min_rows``, and
+    ``reduced.convex_chain`` for the steps of a scheme run), which
     reads delta's slope from ``correction_spec``: a correction map given in
     its place must price the spec's delta.
     """

@@ -36,7 +36,11 @@ together, each row with its own box, grid and zoom depth, in chunks of
 ``chunk_rows`` rows (as many as fit in ``_ROW_POINTS`` objective points);
 every row gets the bits it would get alone.  The scheme searches a run of
 steps from one state as one chunk of rows, and the next steps of runs in
-lockstep as one batch; a residual batch is many chunks.
+lockstep as one batch; a residual batch is many chunks.  A scheme run of a
+convex problem takes neither: ``convex_chain`` solves its steps one after
+another, each from the last one's pick, with the kernel and stay test of
+a row alone, and prices the whole chain with one objective call, so the
+runs of a tau sweep of such a problem share no search.
 
 A call of exactly one 1-d row of any other problem, as every flowing step
 of a double-well or delamination run is, goes to ``_lone_row`` instead,
@@ -65,6 +69,7 @@ __all__ = [
     "reduced_value",
     "global_min_rows",
     "chunk_rows",
+    "convex_chain",
     "require_search",
     "step_objective",
     "step_terms",
@@ -455,41 +460,92 @@ def global_min_rows(problem: RisProblem, ts, Z_prev) -> tuple[NDArray, NDArray]:
     return np.concatenate([x for x, _ in parts]), np.concatenate([v for _, v in parts])
 
 
-def _convex_rows(problem: RisProblem, ts: NDArray, Z_prev: NDArray) -> tuple[NDArray, NDArray]:
-    """``global_min_rows`` for the rows of a problem that states I(t, .)
-    convex (``RisProblem.reduced_dz``): each row solved on the derivative.
+def _stay_band(problem: RisProblem) -> tuple[float, float]:
+    """The slopes I'(t, z_prev) from which no step of a problem that states
+    I(t, .) convex descends: a step of sign s descends when s I' + kappa_s +
+    delta'(0) < 0, kappa_s = d(0, s), so the band is [-(kappa_+ +
+    delta'(0)), kappa_- + delta'(0)]."""
+    (down, a_down, e_down), (up, a_up, e_up) = problem._rays
+    return -(up + a_up * 0.0**e_up), down + a_down * 0.0**e_down
 
-    A step of sign s from z_prev descends when s I'(t, z_prev) + kappa_s +
-    delta'(0) < 0, kappa_s = d(0, s); a row where neither sign descends
-    stays at z_prev, its exact bytes.  That test runs on the rows' array,
-    and ``_convex_step`` solves each other row on Python floats, the same
-    code whatever the batch.  The picks and the staying states are then
-    priced by one ``step_objective`` call, and a pick above staying put,
-    which rounding alone can make, gives way to it."""
-    if not problem.in_box(Z_prev):
-        raise ValueError("infeasible step: previous state has infinite objective")
-    grad = problem.reduced_dz(ts, Z_prev[:, 0])
-    rays = problem._rays  # per sign, down then up: (kappa, a, e), delta' = a r**e
-    (down, a_down, e_down), (up, a_up, e_up) = rays
-    lower, upper = -(up + a_up * 0.0**e_up), down + a_down * 0.0**e_down
-    X = Z_prev.copy()
-    move = np.flatnonzero(~((lower <= grad) & (grad <= upper))).tolist()
-    if move:
-        box = problem._box[0].tolist()
-        t, z, g = ts.tolist(), Z_prev[:, 0].tolist(), grad.tolist()
-        for p in move:
-            s = g[p] < lower  # a step up; a nan slope tries down and raises
-            X[p, 0] = _convex_step(problem, t[p], z[p], 1.0 if s else -1.0, rays[s], box[s])
+
+def _priced_picks(problem: RisProblem, ts: NDArray, Z_prev: NDArray,
+                  X: NDArray) -> tuple[NDArray, NDArray, NDArray]:
+    """Each row's pick X[p] of a convex step, priced against staying at
+    Z_prev[p] by one ``step_objective`` call: the picks, with a pick above
+    staying put, which rounding alone can make, given way to it; their
+    values; and the indices of the rows that gave way.  Raises ValueError
+    when a row's staying value is infinite."""
     pts = np.empty((len(ts), 2, 1))
     pts[:, 0], pts[:, 1] = X, Z_prev
     vals = _row_objective(problem, ts, Z_prev)(pts)
     v, stay = vals[:, 0], vals[:, 1]
     if np.count_nonzero(np.isfinite(stay)) < len(ts):
         raise ValueError("infeasible step: previous state has infinite objective")
-    back = v > stay
-    if not np.count_nonzero(back):
+    back = np.flatnonzero(v > stay)
+    if len(back):
+        X[back], v[back] = Z_prev[back], stay[back]
+    return X, v, back
+
+
+def _convex_rows(problem: RisProblem, ts: NDArray, Z_prev: NDArray) -> tuple[NDArray, NDArray]:
+    """``global_min_rows`` for the rows of a problem that states I(t, .)
+    convex (``RisProblem.reduced_dz``): each row solved on the derivative.
+
+    A row whose slope I'(t, z_prev) lies in the ``_stay_band`` stays at
+    z_prev, its exact bytes.  That test runs on the rows' array, and
+    ``_convex_step`` solves each other row on Python floats, the same code
+    whatever the batch.  The picks are then priced against the staying
+    states (``_priced_picks``)."""
+    if not problem.in_box(Z_prev):
+        raise ValueError("infeasible step: previous state has infinite objective")
+    grad = problem.reduced_dz(ts, Z_prev[:, 0])
+    lower, upper = _stay_band(problem)
+    X = Z_prev.copy()
+    move = np.flatnonzero(~((lower <= grad) & (grad <= upper))).tolist()
+    if move:
+        rays, box = problem._rays, problem._box[0].tolist()
+        t, z, g = ts.tolist(), Z_prev[:, 0].tolist(), grad.tolist()
+        for p in move:
+            s = g[p] < lower  # a step up; a nan slope tries down and raises
+            X[p, 0] = _convex_step(problem, t[p], z[p], 1.0 if s else -1.0, rays[s], box[s])
+    X, v, _ = _priced_picks(problem, ts, Z_prev, X)
+    return X, v
+
+
+def convex_chain(problem: RisProblem, ts, z) -> tuple[NDArray, NDArray]:
+    """The steps at times ``ts`` of a run of a problem that states I(t, .)
+    convex, from the (1,) state ``z``: row n starts from row n - 1's pick,
+    solved as ``_convex_rows`` solves a row alone.
+
+    The stay test and ``_convex_step`` run on Python floats, row after
+    row, and one ``step_objective`` call then prices every pick against
+    its staying state (``_priced_picks``).  The chain is cut after the
+    first row whose pick gives way to staying put: the rows after it
+    started from a state that is not the run's.  Returns the (m, 1)
+    minimizers and (m,) values of the rows up to the cut, m <= len(ts),
+    each with the bits of ``global_min_rows`` on that row alone."""
+    ts = np.asarray(ts, dtype=float).reshape(-1)
+    Z_prev = np.empty((len(ts), 1))
+    Z_prev[0] = z
+    if not problem.in_box(Z_prev[:1]):
+        raise ValueError("infeasible step: previous state has infinite objective")
+    dz, rays, box = problem.reduced_dz, problem._rays, problem._box[0].tolist()
+    lower, upper = _stay_band(problem)
+    x, picks = Z_prev.item(0), []
+    for t in ts.tolist():
+        g = dz(t, x)
+        if not lower <= g <= upper:
+            s = g < lower  # a step up; a nan slope tries down and raises
+            x = _convex_step(problem, t, x, 1.0 if s else -1.0, rays[s], box[s])
+        picks.append(x)
+    X = np.array(picks).reshape(-1, 1)
+    Z_prev[1:] = X[:-1]
+    X, v, back = _priced_picks(problem, ts, Z_prev, X)
+    if not len(back):
         return X, v
-    return np.where(back[:, None], Z_prev, X), np.where(back, stay, v)
+    m = back[0] + 1
+    return X[:m], v[:m]
 
 
 def _convex_step(problem: RisProblem, t: float, z: float, s: float, ray: tuple,

@@ -33,7 +33,7 @@ from .core import (
     median,
     sup_distance,
 )
-from .reduced import chunk_rows, global_min_rows, reduced_value, step_terms
+from .reduced import chunk_rows, convex_chain, global_min_rows, reduced_value, step_terms
 
 __all__ = [
     "SchemeConfig",
@@ -111,10 +111,18 @@ class _Run:
     A step depends only on its time and the state it starts from.  So from
     a state z the rows (times[n:n+k], z) of one row batch are the steps
     n..n+k-1 exactly, up to and including the first row whose argmin
-    differs from the bytes of z; the rows after it are dropped.  The block
-    size doubles after a block that stayed put throughout, up to the rows
-    one chunk of the search holds (``chunk_rows``), and is one again after
-    a move, so a flowing step is a block of one.
+    differs from the bytes of z; the rows after it are dropped.
+
+    A run of a problem that states I(t, .) convex (``RisProblem.reduced_dz``)
+    chains its block instead (``reduced.convex_chain``): row n starts from
+    row n - 1's pick, so its rows are the steps n..n+k-1, moving or not, up
+    to and including the first whose pick gives way to staying put, where
+    the chain is cut.
+
+    The block size doubles after a block kept whole, up to the rows one
+    chunk of the search holds (``chunk_rows``), and is one again after a
+    move or a cut.  So a flowing step of a searched problem is a block of
+    one, and a flowing convex run takes O(log n + n / cap) chains.
     """
 
     def __init__(self, prob: RisProblem, cfg: SchemeConfig):
@@ -143,10 +151,14 @@ class _Run:
         self.Z[0] = z
         self.cap = chunk_rows(prob.n_z)
         self.n, self.k = 1, 1
+        self.chained = prob.reduced_dz is not None
 
     def next_block(self) -> tuple[NDArray, NDArray]:
-        """The rows (ts, Z) of the steps this run searches next."""
+        """The rows (ts, Z) of the steps this run searches next; for a
+        chained run, their times and the state z the chain starts from."""
         ts = self.times[self.n : self.n + self.k]
+        if self.chained:
+            return ts, self.z
         Z = np.empty((len(ts), len(self.z)))
         Z[:] = self.z
         return ts, Z
@@ -157,26 +169,31 @@ class _Run:
         if self.k == 1 or not isinstance(exc, ValueError):
             raise exc
         # the failing row may lie past a move, where the state never
-        # starts from z: only a batch of one raises
+        # starts from z, or past a chain's cut, where the chain started from
+        # a pick that gave way: only a block of one raises
         self.k = 1
 
     def advance(self, X: NDArray) -> Optional[DiscreteTrajectory]:
         """Keep the steps of the block up to its first move, given the
-        block's minimizers ``X``; the trajectory once the last step is
-        kept."""
+        block's minimizers ``X``, or every row of a chain up to its cut; the
+        trajectory once the last step is kept."""
         prob, z = self.prob, self.z
-        # keep up to the first row whose argmin leaves the bytes of z
-        diff = (X.view(np.int64) != z.view(np.int64)).ravel()
-        first = int(diff.argmax())
-        moved = bool(diff[first])
-        m = first // prob.n_z + 1 if moved else len(X)
-        X = X[:m]
+        if self.chained:
+            m = len(X)
+            whole = m == min(self.k, len(self.times) - self.n)
+        else:
+            # keep up to the first row whose argmin leaves the bytes of z
+            diff = (X.view(np.int64) != z.view(np.int64)).ravel()
+            first = int(diff.argmax())
+            whole = not diff[first]
+            m = len(X) if whole else first // prob.n_z + 1
+            X = X[:m]
         self.Z[self.n : self.n + m] = X
         if np.count_nonzero(np.isfinite(X)) < X.size:
             raise ValueError("state entries must be finite")
         self.z = X[-1]
         self.n += m
-        self.k = 1 if moved else min(2 * self.k, self.cap)
+        self.k = min(2 * self.k, self.cap) if whole else 1
         if self.n < len(self.times):
             return None
         # every node's u at once: solve_u acts elementwise, so each gets
@@ -212,6 +229,18 @@ def _search_blocks(prob: RisProblem, blocks: list[tuple[NDArray, NDArray]]) -> l
     return out
 
 
+def _chain_blocks(prob: RisProblem, blocks: list[tuple[NDArray, NDArray]]) -> list:
+    """Per block (ts, z) of a convex run, its chain's minimizers
+    (``convex_chain``), or the exception the chain raised."""
+    out = []
+    for ts, z in blocks:
+        try:
+            out.append(convex_chain(prob, ts, z)[0])
+        except Exception as exc:
+            out.append(exc)
+    return out
+
+
 def solve_lockstep(
     runs: Sequence[tuple[RisProblem, SchemeConfig]],
 ) -> list[DiscreteTrajectory | Exception]:
@@ -223,10 +252,12 @@ def solve_lockstep(
     VE tau sweep do, those of a BV tau sweep (whose correction scales with
     1/tau), a mu sweep or a k sweep do not.  Each round advances every
     unfinished run of a group by its next block of steps (``_Run``), and
-    one ``global_min_rows`` call searches the rows of all of them.  Every
-    row gets the bits it gets alone, so each run equals its solo run to
-    the bit.  A run whose own search raises, or that fails otherwise,
-    drops out: its entry is the exception, and the other runs go on.
+    one ``global_min_rows`` call searches the rows of all of them.  The
+    runs of a problem that states I(t, .) convex share no search: each
+    chains its own block (``reduced.convex_chain``).  Every row gets the
+    bits it gets alone, so each run equals its solo run to the bit.  A run
+    whose own search raises, or that fails otherwise, drops out: its entry
+    is the exception, and the other runs go on.
     """
     out: list = [None] * len(runs)
     # (problem, scheme problem, [(index, run)])
@@ -245,8 +276,9 @@ def solve_lockstep(
         except Exception as exc:
             out[i] = exc
     for _, prob, live in groups:
+        search = _chain_blocks if prob.reduced_dz is not None else _search_blocks
         while live:
-            found = _search_blocks(prob, [run.next_block() for _, run in live])
+            found = search(prob, [run.next_block() for _, run in live])
             for (i, run), res in zip(live, found):
                 try:
                     if isinstance(res, Exception):

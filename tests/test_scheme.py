@@ -210,6 +210,41 @@ def _counted_rows(monkeypatch):
     return calls
 
 
+def _counted_chains(monkeypatch):
+    """Record (rows, kept) of every ``convex_chain`` call of the scheme: the
+    rows it was given and the rows it kept up to its cut, None where it
+    raised."""
+    calls, real = [], scheme.convex_chain
+
+    def counted(problem, ts, z):
+        try:
+            X, v = real(problem, ts, z)
+        except ValueError:
+            calls.append((len(ts), None))
+            raise
+        calls.append((len(ts), len(X)))
+        return X, v
+
+    monkeypatch.setattr(scheme, "convex_chain", counted)
+    return calls
+
+
+def _doubling_blocks(n, cap):
+    """The blocks of a run of n steps kept whole: doubling from one row up
+    to cap, then cap rows until the steps run out."""
+    blocks, left = [], n
+    while left:
+        blocks.append(min(2 ** len(blocks), cap, left))
+        left -= blocks[-1]
+    return blocks
+
+
+def _searched(problem):
+    """The problem without its stated derivatives, so that its steps take
+    the grid search and its runs the fan of rows from one state."""
+    return dataclasses.replace(problem, reduced_dz=None, reduced_dzz=None)
+
+
 def _guarded_toy(t_forbid):
     """The convex toy (z = max(2t - 1, 0)) whose energy is infinite near
     z = 0 from ``t_forbid`` on."""
@@ -262,26 +297,82 @@ class TestStationaryBlocks:
     )
     def test_equals_stepwise_loop(self, name, corr, cfg, request, monkeypatch):
         prob = request.getfixturevalue(name).with_correction(corr)
-        calls = _counted_rows(monkeypatch)
+        calls, chains = _counted_rows(monkeypatch), _counted_chains(monkeypatch)
         disc = solve_incremental(prob, cfg)
         _assert_same_bits(disc, _stepwise(prob, cfg))
-        assert max(rows for rows, _ in calls) > 1  # some steps were priced together
+        if prob.reduced_dz is None:
+            assert not chains
+            assert max(rows for rows, _ in calls) > 1  # some steps were priced together
+            return
+        # a convex run chains its steps, flowing or not, and makes no search:
+        # O(log n + n / cap) chains, none cut
+        n, cap = len(disc.times) - 1, reduced.chunk_rows(1)
+        assert not calls
+        assert chains == [(rows, rows) for rows in _doubling_blocks(n, cap)]
+        assert len(chains) <= math.ceil(math.log2(cap)) + math.ceil(n / cap)
 
     def test_stationary_run_makes_few_searches(self, monkeypatch):
-        prob = make_toy1d(Toy1dSpec(well="convex", ell=(0.0, 0.0)))
+        prob = _searched(make_toy1d(Toy1dSpec(well="convex", ell=(0.0, 0.0))))
         cfg = SchemeConfig(scheme="E", tau=1e-3, initial_z=(0.3,))
         calls = _counted_rows(monkeypatch)
         disc = solve_incremental(prob, cfg)
         n, cap = len(disc.times) - 1, reduced.chunk_rows(1)
         # blocks double from one row up to cap, then take cap rows until
         # the steps run out: O(log n + n / cap) searches, not n
-        blocks, left = [], n
-        while left:
-            blocks.append(min(2 ** len(blocks), cap, left))
-            left -= blocks[-1]
-        assert [rows for rows, _ in calls] == blocks
+        assert [rows for rows, _ in calls] == _doubling_blocks(n, cap)
         assert len(calls) <= math.ceil(math.log2(cap)) + math.ceil(n / cap)
         assert (_bits(disc.Z) == _bits(disc.Z[0])).all()
+
+    def test_flowing_plasticity_run_makes_few_chains(self, plasticity, monkeypatch):
+        # from p = -1 plasticity flows at every step, p = t - 1: 2,000
+        # steps in O(log n + n / cap) chains, not one search a step
+        cfg = SchemeConfig(scheme="VE", tau=1e-3, initial_z=(-1.0,))
+        prob = plasticity.with_correction(TrivialH(p=4.0, c=1.0))
+        calls, chains = _counted_rows(monkeypatch), _counted_chains(monkeypatch)
+        disc = solve_incremental(prob, cfg)
+        n, cap = len(disc.times) - 1, reduced.chunk_rows(1)
+        assert n == 2000 and not calls
+        assert (step_terms(disc.problem, disc.times, disc.Z)[0] > 0).all()
+        assert len(chains) <= math.ceil(math.log2(cap)) + math.ceil(n / cap)
+        _assert_same_bits(disc, _stepwise(prob, cfg))
+
+    def test_picks_above_staying_put_give_way_in_the_chain(self, plasticity, monkeypatch):
+        # the stated derivative is that of C (eps + 1/2 - p)**2 / 2: from
+        # p = 0 it picks p = t - 1/2 once t > 1/2, which prices above
+        # staying put for t in (1/2, 3/2), so each chain there is cut after
+        # its first row.  At t = 3/2 a pick holds, p = 1, and the steps of
+        # 0.01 after it again price above staying put
+        bad = dataclasses.replace(plasticity, reduced_dz=lambda t, z: z - (t + 0.5))
+        cfg = SchemeConfig(scheme="E", tau=1e-2, initial_z=(0.0,))
+        X, _ = reduced.convex_chain(bad.with_correction(None), [0.8, 0.81, 0.82], np.zeros(1))
+        assert _bits(X) == _bits(np.zeros((1, 1)))
+        chains = _counted_chains(monkeypatch)
+        disc = solve_incremental(bad, cfg)
+        _assert_same_bits(disc, _stepwise(bad, cfg))
+        assert any(kept < rows for rows, kept in chains)
+        zs = disc.Z[:, 0]
+        assert (zs[disc.times < 1.45] == 0).all() and zs[-1] == pytest.approx(1.0, abs=0.02)
+
+    def test_nan_derivative_part_way_raises_as_the_stepwise_loop(self, plasticity,
+                                                                 monkeypatch):
+        # the derivative map gives nan from t = 1.2 on, where the run flows:
+        # a chain over that row raises, and a block of one raises the step's
+        # own error, naming t and z_prev
+        def dz(t, z):
+            if isinstance(t, float):
+                return z - t if t < 1.195 else math.nan
+            return np.where(t < 1.195, z - t, np.nan)
+
+        bad = dataclasses.replace(plasticity, reduced_dz=dz)
+        cfg = SchemeConfig(scheme="E", tau=1e-2, initial_z=(0.0,))
+        chains = _counted_chains(monkeypatch)
+        with pytest.raises(ValueError, match="misses its optimality") as block:
+            solve_incremental(bad, cfg)
+        with pytest.raises(ValueError, match="misses its optimality") as step:
+            _stepwise(bad, cfg)
+        assert str(block.value) == str(step.value)
+        assert "at t = 1.2 from z_prev = 0.1899" in str(block.value)
+        assert chains[-1] == (1, None) and any(rows > 1 and kept is None for rows, kept in chains)
 
     def test_infeasible_row_past_a_move_does_not_escape(self, monkeypatch):
         # the state leaves z = 0 at t = 0.6 inside the block of rows 0.4 to
@@ -343,19 +434,28 @@ class TestLockstep:
                 "damage", TrivialH(p=4.0, c=1e-4),
                 SchemeConfig(scheme="VE", initial_z=(1.0, 1.0)), [5e-2, 2.5e-2], True,
             ),
+            (
+                "toy_doublewell", None, SchemeConfig(scheme="BV", epsilon=0.5, initial_z=(-1.0,)),
+                [4e-2, 2e-2, 1e-2], False,
+            ),
         ],
-        ids=["plasticity-VE", "plasticity-BV", "damage"],
+        ids=["plasticity-VE", "plasticity-BV", "damage", "doublewell-BV"],
     )
     def test_tau_sweep_equals_solo_runs(self, name, corr, cfg, taus, shared, request,
                                         monkeypatch):
         prob = request.getfixturevalue(name).with_correction(corr)
         runs = _tau_runs(prob, cfg, taus)
-        calls = _counted_rows(monkeypatch)
+        calls, chains = _counted_rows(monkeypatch), _counted_chains(monkeypatch)
         solo = [solve_incremental(p, c) for p, c in runs]
-        solo_calls = len(calls)
+        solo_calls, solo_chains = len(calls), sorted(chains)
         calls.clear()
+        chains.clear()
         for a, b in zip(solve_lockstep(runs), solo):
             _assert_same_run(a, b)
+        if prob.reduced_dz is not None:
+            # convex runs share no search: each makes its solo run's chains
+            assert not calls and sorted(chains) == solo_chains
+            return
         # runs that share the step objective share searches
         assert len(calls) < solo_calls if shared else len(calls) == solo_calls
 
@@ -383,8 +483,8 @@ class TestLockstep:
         assert str(failed) == str(solo.value)
 
     def test_flowing_runs_share_searches(self, monkeypatch):
-        # from z = -1 the convex toy flows from the start: z = 2t - 1
-        prob = make_toy1d(Toy1dSpec(well="convex", ell=(0.0, 2.0)))
+        # from z = -1 the searched convex toy flows from the start: z = 2t - 1
+        prob = _searched(make_toy1d(Toy1dSpec(well="convex", ell=(0.0, 2.0))))
         cfg = SchemeConfig(scheme="E", initial_z=(-1.0,))
         runs = _tau_runs(prob, cfg, [4e-2, 2e-2, 1e-2])
         calls = _counted_rows(monkeypatch)
