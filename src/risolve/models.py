@@ -8,7 +8,9 @@ u-elimination, so reduced energies are exact up to rounding.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
@@ -43,6 +45,17 @@ def _step(z, zp) -> NDArray:
     return np.asarray(zp, dtype=float)[..., 0] - np.asarray(z, dtype=float)[..., 0]
 
 
+def _require_finite(spec) -> None:
+    """Raise ValueError naming the first numeric field of ``spec``, a number
+    or a tuple of them, that holds a nan or an infinity."""
+    for f in dataclasses.fields(spec):
+        value = getattr(spec, f.name)
+        if isinstance(value, (str, CorrectionSpec)) or value is None:
+            continue
+        if not all(map(math.isfinite, np.ravel(value))):
+            raise ValueError(f"{f.name} must be finite, got {value!r}")
+
+
 def _affine(coeffs) -> tuple[Callable[[float], float], Callable[[float], float]]:
     c0, c1 = float(coeffs[0]), float(coeffs[1])
     return (lambda t: c0 + c1 * t), (lambda t: c1)
@@ -65,6 +78,7 @@ class Toy1dSpec:
     correction: Optional[CorrectionSpec] = None
 
     def __post_init__(self):
+        _require_finite(self)
         if self.kappa <= 0:
             raise ValueError("kappa must be positive")
         if self.well not in ("convex", "doublewell"):
@@ -128,6 +142,7 @@ class Plasticity0dSpec:
     correction: Optional[CorrectionSpec] = None
 
     def __post_init__(self):
+        _require_finite(self)
         if self.C <= 0 or self.sigma_y <= 0:
             raise ValueError("C and sigma_y must be positive")
 
@@ -190,12 +205,15 @@ class Damage1dSpec:
     )
 
     def __post_init__(self):
+        _require_finite(self)
         if self.N < 1:
             raise ValueError("need at least one cell")
         if not (0 < self.eta < 1):
             raise ValueError("eta must lie in (0, 1)")
         if self.r <= 1:
             raise ValueError("gradient exponent must exceed 1")
+        if self.grad_weight < 0:
+            raise ValueError(f"grad_weight must be >= 0, got {self.grad_weight!r}")
         ks = self.kappa if isinstance(self.kappa, tuple) else (self.kappa,)
         if min(ks) <= 0:
             raise ValueError("kappa must be bounded below by a positive constant")
@@ -346,6 +364,7 @@ class Delamination0dSpec:
     )
 
     def __post_init__(self):
+        _require_finite(self)
         if self.k_minus <= 0 or self.k_plus <= 0:
             raise ValueError("spring stiffnesses must be positive")
         if self.a0 < 0 or self.kappa <= 0:

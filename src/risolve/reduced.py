@@ -34,23 +34,15 @@ states.  A lone flowing plasticity step makes that one call.
 ``global_min_rows`` takes rows (ts[p], Z_prev[p]) and searches them
 together, each row with its own box, grid and zoom depth, in chunks of
 ``chunk_rows`` rows (as many as fit in ``_ROW_POINTS`` objective points);
-every row gets the bits it would get alone.  The scheme searches a run of
-steps from one state as one chunk of rows, and the next steps of runs in
-lockstep as one batch; a residual batch is many chunks.  A scheme run of a
-convex problem takes neither: ``convex_chain`` solves its steps one after
-another, each from the last one's pick, with the kernel and stay test of
-a row alone, and prices the whole chain with one objective call, so the
-runs of a tau sweep of such a problem share no search.
-
-A call of exactly one 1-d row of any other problem, as every flowing step
-of a double-well or delamination run is, goes to ``_lone_row`` instead,
-chosen by the input's shape alone.  It makes the same objective calls as
-``_step_rows`` with the same box, grid and zoom schedule helpers, and keeps
-the one-element bookkeeping of the zoom and the pick on Python floats,
-which round as float64 ufuncs do element by element: it returns the bits
-``_step_rows`` would, without the numpy calls on arrays of 1-3 elements
-that cost a lone row most of its time.  ``_step_rows`` stays the path of every other call, and the reference
-the tests compare the lone path with.
+every row gets the bits it would get alone.  A searched row takes
+``_step_rows``, the one grid-and-zoom path, in a call of one row or of
+many, 1-d or 2-d.  The scheme searches a run of steps from one state as
+one chunk of rows, and the next steps of runs in lockstep as one batch; a
+residual batch is many chunks.  A scheme run of a convex problem takes
+neither: ``convex_chain`` solves its steps one after another, each from
+the last one's pick, with the kernel and stay test of a row alone, and
+prices the whole chain with one objective call, so the runs of a tau
+sweep of such a problem share no search.
 """
 
 from __future__ import annotations
@@ -434,12 +426,13 @@ def global_min_rows(problem: RisProblem, ts, Z_prev) -> tuple[NDArray, NDArray]:
     """Minimize z -> I(t,z) + d(z_prev,z) + delta(z_prev,z) over the box for
     every row (ts[p], Z_prev[p]): the (P, n_z) minimizers and (P,) values.
 
-    Rows are searched together, ``chunk_rows`` at a time, and each gets
-    the bits it would get alone.  A row's candidates are staying put, the
-    best point of its grid and its zoomed refinement.  Ties within
-    ``NEAR_OPTIMAL_BAND`` go to the candidate closest to z_prev.  The rows
-    of a problem that states I(t, .) convex are solved on the derivative
-    instead (``_convex_rows``).  Raises ValueError for n_z > 2, where no
+    Rows are searched together by ``_step_rows``, ``chunk_rows`` at a
+    time, whatever the batch size, and each gets the bits it would get
+    alone.  A row's candidates are staying put, the best point of its grid
+    and its zoomed refinement.  Ties within ``NEAR_OPTIMAL_BAND`` go to
+    the candidate closest to z_prev.  The rows of a problem that states
+    I(t, .) convex are solved on the derivative instead
+    (``_convex_rows``).  Raises ValueError for n_z > 2, where no
     certified search exists yet.
     """
     n = problem.n_z
@@ -448,8 +441,6 @@ def global_min_rows(problem: RisProblem, ts, Z_prev) -> tuple[NDArray, NDArray]:
     Z_prev = np.asarray(Z_prev, dtype=float).reshape(len(ts), n)
     if problem.reduced_dz is not None:
         return _convex_rows(problem, ts, Z_prev)
-    if len(ts) == 1 and n == 1:
-        return _lone_row(problem, float(ts[0]), Z_prev)
     size = chunk_rows(n)
     if len(ts) <= size:
         return _step_rows(problem, ts, Z_prev)
@@ -602,67 +593,6 @@ def _convex_step(problem: RisProblem, t: float, z: float, s: float, ray: tuple,
             f"optimality condition: residual {g!r} at z = {x!r}"
         )
     return edge if s * (x - edge) > 0 else x
-
-
-def _lone_row(problem: RisProblem, t: float, Z_prev: NDArray) -> tuple[NDArray, NDArray]:
-    """``global_min_rows`` for one 1-d row (t, Z_prev[0]), with the bits
-    ``_step_rows`` gives it: the same box, grid, objective calls and zoom
-    schedule, with the 1-element bookkeeping on Python floats.  A Python
-    float adds, multiplies, compares and takes ``math.sqrt`` as a float64
-    array does, one element at a time."""
-    if not problem.in_box(Z_prev):
-        raise ValueError("infeasible step: previous state has infinite objective")
-    z = float(Z_prev[0, 0])
-    lo, hi = _search_boxes(problem, Z_prev)
-    spacing = (hi - lo) / (GRID_RESOLUTION - 1)
-    ((_, (axis,)),) = _grid_groups(_grid_axes(lo, hi, spacing, Z_prev))
-    M = axis.shape[1]
-    # the grid plus z_prev's clipped copy, then z_prev itself for staying put
-    pts = np.empty((1, M + 1, 1))
-    pts[0, :M, 0], pts[0, M, 0] = axis[0], z
-    f = step_objective(problem, t, Z_prev[0])
-    grid = f(pts)
-    stay = grid.item(M)
-    if not math.isfinite(stay):
-        raise ValueError("infeasible step: previous state has infinite objective")
-    i = grid[0, :M].argmin()
-    c, v = axis.item(i), grid.item(i)
-    cands = [(z, stay), (c, v)]
-    # the zoom of the best grid point, one window a level: zoom_search's
-    # offsets, scaling and clipping on one flat buffer of the window's points
-    h, lo, hi, factor = spacing.item(), lo.item(), hi.item(), _zoom_factor(1)
-    levels = _level_count(h, DESCENT_TOL, factor)
-    if levels:
-        step = _window_offsets(1)[:, 0] * h
-        buf = np.empty(len(step))
-        window = buf.reshape(1, -1, 1)
-        for _ in range(levels):
-            step *= factor
-            np.add(step, c, out=buf)
-            np.maximum(buf, lo, out=buf)
-            np.minimum(buf, hi, out=buf)
-            vals = f(window)
-            j = vals.argmin()
-            c, v = buf.item(j), vals.item(j)
-    cands.append((c, v))
-    # of the candidates within the band of the best, the first nearest z_prev
-    top = min(value for _, value in cands) + NEAR_OPTIMAL_BAND
-    dist = [INF if value > top else math.sqrt((x - z) * (x - z)) for x, value in cands]
-    x, v = cands[dist.index(min(dist))]
-    # snap to a box edge when the search stopped a hair away from it
-    box_lo, box_hi = problem._box[0].tolist()
-    if 0 < abs(x - box_lo) < _SNAP_TOL:
-        edge = box_lo
-    elif 0 < abs(x - box_hi) < _SNAP_TOL:
-        edge = box_hi
-    else:
-        return np.array([[x]]), np.array([v])
-    vs = f(np.full((1, 1, 1), edge)).item()
-    if vs <= v + NEAR_OPTIMAL_BAND:
-        x, v = edge, vs
-    if v > stay:
-        x, v = z, stay
-    return np.array([[x]]), np.array([v])
 
 
 def _step_rows(problem: RisProblem, ts: NDArray, Z_prev: NDArray) -> tuple[NDArray, NDArray]:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,13 @@ def toy_doublewell():
 @pytest.fixture
 def plasticity():
     return make_plasticity0d(Plasticity0dSpec())
+
+
+@pytest.fixture
+def searched_plasticity(plasticity):
+    """The plasticity model without its stated derivatives, so that its
+    steps take the grid search."""
+    return dataclasses.replace(plasticity, reduced_dz=None, reduced_dzz=None)
 
 
 @pytest.fixture

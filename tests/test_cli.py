@@ -407,6 +407,17 @@ class TestConfigKeys:
         assert capsys.readouterr().err == f"error: {key!r} must be finite, got {new.split(' = ')[1]!r}\n"
         assert not out.exists()
 
+    def test_negative_grad_weight_is_refused(self, tmp_path, capsys):
+        text = (CONFIG_DIR / "damage1d.ini").read_text()
+        p = tmp_path / "bad.ini"
+        p.write_text(text.replace("grad_weight = 4.0", "grad_weight = -1.0"))
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(p), "--out-dir", str(out)]) == EXIT_ERROR
+        assert capsys.readouterr().err == (
+            "error: bad [model] values: grad_weight must be >= 0, got -1.0\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "argv",
         [["solve"], ["sweep", "--axis", "tau", "--values", "1e-3,5e-4"]],

@@ -1,5 +1,7 @@
 """Analytic checks of the four shipped model constructors."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -192,6 +194,55 @@ class TestDelamination0d:
             Delamination0dSpec(kappa=0.0)
         with pytest.raises(ValueError):
             Delamination0dSpec(a0=-1.0)
+
+
+# every numeric field of each spec, with a non-finite value in its place
+_NON_FINITE = [
+    (Toy1dSpec, "kappa", math.nan),
+    (Toy1dSpec, "a", math.inf),
+    (Toy1dSpec, "b", -math.inf),
+    (Toy1dSpec, "w", math.nan),
+    (Toy1dSpec, "ell", (0.0, math.nan)),
+    (Toy1dSpec, "horizon", math.inf),
+    (Toy1dSpec, "z_box", (-math.inf, 10.0)),
+    (Plasticity0dSpec, "C", math.inf),
+    (Plasticity0dSpec, "sigma_y", math.nan),
+    (Plasticity0dSpec, "eps", (math.inf, 1.0)),
+    (Plasticity0dSpec, "horizon", math.nan),
+    (Plasticity0dSpec, "z_box", (-5.0, math.nan)),
+    (Damage1dSpec, "E0", (1.0, math.inf)),
+    (Damage1dSpec, "eta", math.nan),
+    (Damage1dSpec, "r", math.inf),
+    (Damage1dSpec, "grad_weight", math.nan),
+    (Damage1dSpec, "grad_weight", math.inf),
+    (Damage1dSpec, "kappa", math.inf),
+    (Damage1dSpec, "w_D", (0.0, math.nan)),
+    (Damage1dSpec, "horizon", math.inf),
+    (Delamination0dSpec, "k_minus", math.inf),
+    (Delamination0dSpec, "k_plus", math.nan),
+    (Delamination0dSpec, "a0", math.inf),
+    (Delamination0dSpec, "kappa", math.nan),
+    (Delamination0dSpec, "ell", (math.nan, 2.0)),
+    (Delamination0dSpec, "horizon", -math.inf),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, name, value", _NON_FINITE,
+    ids=[f"{cls.__name__}-{name}-{value}" for cls, name, value in _NON_FINITE],
+)
+def test_non_finite_spec_field_is_named(cls, name, value):
+    with pytest.raises(ValueError, match=rf"^{name} must be finite, got "):
+        cls(**{name: value})
+
+
+def test_negative_grad_weight_is_refused():
+    # a negative weight would make the gradient term gw sum |z_{i+1} -
+    # z_i|^r / (r h^(r - 1)) reward damage that differs between cells; 0 is
+    # the bar without the term
+    with pytest.raises(ValueError, match=r"^grad_weight must be >= 0, got -1$"):
+        Damage1dSpec(grad_weight=-1)
+    Damage1dSpec(grad_weight=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -181,8 +181,13 @@ class TestStepSearchAgainstOracle:
         x, value = step_min(prob, t, z_prev)
         oracle = oracle_grid_min(f, prob.z_box, 20_001, vectorized=True)
         # f is convex: its least value lies within a grid spacing of the
-        # grid's best point, and above it by no more than its neighbours' rise
-        near = np.clip(oracle.argmin + [[-oracle.tolerance], [oracle.tolerance]], lo, hi)
+        # grid's best point g, and below f(g) by no more than the rise of
+        # g's neighbours, which extend the secant through g past it.  On a
+        # box edge the interval left is the one between g and its inner
+        # neighbour, and the secant through the two inner points bounds it:
+        # by no more than the rise of the second one
+        reach = (2 if oracle.argmin[0] in (lo, hi) else 1) * oracle.tolerance
+        near = np.clip(oracle.argmin + [[-reach], [reach]], lo, hi)
         grid_error = float(np.max(f(near) - oracle.value))
         assert oracle.value - grid_error - 1e-12 <= value
         assert value <= oracle.value + NEAR_OPTIMAL_BAND

@@ -474,30 +474,35 @@ def _bits(a):
 # only 5e-13 more than stopping at it
 _GRID_TIE = np.linspace(-5.0, 5.0, 129)[100]
 
-# rows added to the random ones of each fixture.  A batch of one 1-d row of
-# a nonconvex model is searched by ``reduced._lone_row``, so these reach each
-# of its branches; the batch of many rows is ``_step_rows``, the reference.
-# The convex models' rows (toy_convex, plasticity) are solved on the
-# derivative, by one path for a batch of any size
+# rows of the plasticity model that reach each branch of the grid search's
+# pick: the band, the snap to a box edge, the refused snap and the give-way
+# to staying put
+_PLASTICITY_ROWS = [
+    (1.5, [np.linspace(-5.0, 5.0, 129)[64]]),
+    # 5e-9 above the lower edge, whose value is 5e-10 below staying put:
+    # staying put is picked in the band, and snaps to the edge
+    (-6.1 + 5e-9, [-5.0 + 5e-9]),
+    # 5e-9 below the upper edge, whose value is 5e-9 above staying put: the
+    # snap is refused
+    (5.0, [5.0 - 5e-9]),
+    # 5e-13 past the box, which ``inside`` accepts: the snap to the edge is
+    # in the band but above staying put, which wins
+    (4.5, [5.0 + 5e-13]),
+    # the grid point ties with the zoom's better point and is nearer
+    (_GRID_TIE + 1.0 + 1e-6, [0.0]),
+]
+
+# rows added to the random ones of each fixture.  Every searched row takes
+# ``reduced._step_rows``, in a batch of one or of many; the searched
+# plasticity model's rows reach each branch of its pick.  The convex
+# models' rows (toy_convex, plasticity) are solved on the derivative, by
+# one path for a batch of any size
 _EXTRA_ROWS = [
     # z_prev exactly on a grid point of the 129-point box grid; -0.0, which
     # stays put
     ("toy_convex", [(0.7, [np.linspace(-10.0, 10.0, 129)[70]]), (0.2, [-0.0])]),
     ("toy_doublewell", [(0.4, [np.linspace(-3.0, 3.0, 129)[40]]), (0.9, [0.0])]),
-    ("plasticity", [
-        (1.5, [np.linspace(-5.0, 5.0, 129)[64]]),
-        # 5e-9 above the lower edge, whose value is 5e-10 below staying
-        # put: staying put is picked in the band, and snaps to the edge
-        (-6.1 + 5e-9, [-5.0 + 5e-9]),
-        # 5e-9 below the upper edge, whose value is 5e-9 above staying put:
-        # the snap is refused
-        (5.0, [5.0 - 5e-9]),
-        # 5e-13 past the box, which ``inside`` accepts: the snap to the edge
-        # is in the band but above staying put, which wins
-        (4.5, [5.0 + 5e-13]),
-        # the grid point ties with the zoom's better point and is nearer
-        (_GRID_TIE + 1.0 + 1e-6, [0.0]),
-    ]),
+    ("plasticity", _PLASTICITY_ROWS),
     # fully debonded: a degenerate box [0, 0] with a one-point grid and no
     # zoom level
     ("delamination", [(0.6, [0.0]), (0.9, [0.0]), (0.3, [1.0])]),
@@ -505,6 +510,7 @@ _EXTRA_ROWS = [
     # cell leaves a degenerate axis
     ("damage", [(t, [c, c]) for t in (0.3, 0.6, 0.9) for c in (1.0, 0.5)]
      + [(0.8, [0.0, 0.7]), (0.5, [0.0, 0.0])]),
+    ("searched_plasticity", _PLASTICITY_ROWS),
 ]
 
 
@@ -526,14 +532,12 @@ class TestRowBatch:
             assert (_bits(X[p]) == _bits(x)).all()
             assert _bits(V[p]) == _bits(value)
 
-    def test_extra_rows_reach_every_branch_of_the_lone_search(self, request):
-        # a line trace of reduced._lone_row over the 1-d extra rows: every
-        # line runs but the two raises, which the infeasible-step tests
-        # reach.  The convex models' rows are solved on the derivative by
-        # global_min_rows, so the trace calls the grid search directly, and
-        # each row gets the bits of a batch of one of _step_rows
-        code = reduced._lone_row.__code__
-        source, first = inspect.getsourcelines(reduced._lone_row)
+    def test_extra_rows_reach_every_branch_of_the_step_search(self, request):
+        # a line trace of reduced._step_rows over the searched extra rows,
+        # each in a batch of one: every line runs but the raise, which the
+        # infeasible-step tests reach
+        code = reduced._step_rows.__code__
+        source, first = inspect.getsourcelines(reduced._step_rows)
         raises = {first + i for i, text in enumerate(source) if text.strip().startswith("raise")}
         seen = set()
 
@@ -544,26 +548,22 @@ class TestRowBatch:
 
         previous = sys.gettrace()
         sys.settrace(lambda frame, event, arg: trace_lines if frame.f_code is code else None)
-        searched = []
         try:
             for name, extra in _EXTRA_ROWS:
                 prob = request.getfixturevalue(name)
-                if prob.n_z == 1:
+                if prob.reduced_dz is None:
                     for t, z in extra:
-                        Z = np.array([z], dtype=float)
-                        searched.append((prob, t, Z, reduced._lone_row(prob, t, Z)))
+                        step_min(prob, t, z)
         finally:
             sys.settrace(previous)
-        for prob, t, Z, (x, value) in searched:
-            xs, vs = reduced._step_rows(prob, np.array([t]), Z)
-            assert (_bits(x) == _bits(xs)).all() and (_bits(value) == _bits(vs)).all()
         lines = {line for _, line in dis.findlinestarts(code) if line is not None}
         lines.discard(first)  # the def line, which traces no statement
-        assert lines - seen == raises and len(raises) == 2
-        # the tie: the nearer grid point wins over a point up to the band lower
-        prob = request.getfixturevalue("plasticity")
-        t = _GRID_TIE + 1.0 + 1e-6
-        x, value = reduced._lone_row(prob, t, np.zeros((1, 1)))
+        assert lines - seen == raises and len(raises) == 1
+
+    def test_nearer_grid_point_wins_a_tie_in_the_band(self, searched_plasticity):
+        # the grid point 2.8125 wins over the zoom's point, up to the band lower
+        prob, t = searched_plasticity, _GRID_TIE + 1.0 + 1e-6
+        x, value = global_min_rows(prob, [t], [[0.0]])
         better = step_objective(prob, t, np.zeros(1))(np.array([[t - 1.0]]))[0]
         assert x[0, 0] == _GRID_TIE and 0 < value[0] - better <= reduced.NEAR_OPTIMAL_BAND
 
