@@ -63,6 +63,7 @@ __all__ = [
     "chunk_rows",
     "convex_chain",
     "require_search",
+    "search_boxes",
     "step_objective",
     "step_terms",
     "zoom_search",
@@ -298,7 +299,7 @@ def _window_batch(P: int, m: int, n: int) -> tuple[NDArray, ...]:
     return buf, buf.reshape(n, P, m), pts, np.arange(0, P * m, m)
 
 
-def _search_boxes(problem: RisProblem, Z_prev: NDArray) -> tuple[NDArray, NDArray]:
+def search_boxes(problem: RisProblem, Z_prev: NDArray) -> tuple[NDArray, NDArray]:
     """Per row, the lower and upper corners of the box the step searches."""
     box = np.empty((2, *Z_prev.shape))
     box[...] = problem._box.T[:, None, :]
@@ -600,7 +601,7 @@ def _step_rows(problem: RisProblem, ts: NDArray, Z_prev: NDArray) -> tuple[NDArr
     if not problem.in_box(Z_prev):
         raise ValueError("infeasible step: previous state has infinite objective")
     f = _row_objective(problem, ts, Z_prev)
-    lo, hi = _search_boxes(problem, Z_prev)
+    lo, hi = search_boxes(problem, Z_prev)
     # the candidates: staying put, the grid's best point and its
     # refinement; a selection of rows is an index array, or slice(None)
     # for every row

@@ -33,7 +33,8 @@ from .core import (
     median,
     sup_distance,
 )
-from .reduced import chunk_rows, convex_chain, global_min_rows, reduced_value, step_terms
+from .reduced import (chunk_rows, convex_chain, global_min_rows, reduced_value, search_boxes,
+                      step_terms)
 
 __all__ = [
     "SchemeConfig",
@@ -53,6 +54,11 @@ ONSET_GAIN = 0.05  # jump_onset's threshold on the step gain, in units of tau
 # the uniform times at which two runs are compared: the sup distance of
 # refine_study and of the sweep's sup_dist_prev column
 SUP_PROBES = 129
+# per n_z, the factor a block grows by after a block kept whole.  A 1-d
+# global_min_rows call costs some 30-50 rows of fixed work on 2 cores (one
+# row 240-370 us, 64 rows 0.77-0.88 ms): 1-d blocks grow 1, 8, 64, 504
+# rows.  A 2-d row's 16,900-point grid outweighs the call: 1, 2, 3 rows
+_BLOCK_GROWTH = {1: 8, 2: 2}
 
 
 @dataclass(frozen=True)
@@ -119,10 +125,15 @@ class _Run:
     to and including the first whose pick gives way to staying put, where
     the chain is cut.
 
-    The block size doubles after a block kept whole, up to the rows one
-    chunk of the search holds (``chunk_rows``), and is one again after a
-    move or a cut.  So a flowing step of a searched problem is a block of
-    one, and a flowing convex run takes O(log n + n / cap) chains.
+    The block grows by ``_BLOCK_GROWTH`` after a block kept whole, up to
+    the rows one chunk of the search holds (``chunk_rows``), and is one
+    again after a move or a cut.  So a flowing step of a searched problem
+    is a block of one, and a flowing convex run takes O(log n + n / cap)
+    chains.  A frozen state, whose search box (``reduced.search_boxes``) is
+    the state itself on every axis, can only stay: its next block is every
+    remaining step, up to the cap.  After a block raised, the blocks are
+    one row until the run moves, is cut or gets past that block's end, so
+    no row is searched in a block that raised before.
     """
 
     def __init__(self, prob: RisProblem, cfg: SchemeConfig):
@@ -149,8 +160,9 @@ class _Run:
         self.prob, self.cfg, self.times, self.z = prob, cfg, times, z
         self.Z = np.empty((n_steps + 1, prob.n_z))  # the node states
         self.Z[0] = z
-        self.cap = chunk_rows(prob.n_z)
-        self.n, self.k = 1, 1
+        self.cap, self.growth = chunk_rows(prob.n_z), _BLOCK_GROWTH.get(prob.n_z, 1)
+        self.n, self.stop = 1, 0  # stop: the end of the last block that raised
+        self.k = self.cap if self.frozen() else 1
         self.chained = prob.reduced_dz is not None
 
     def next_block(self) -> tuple[NDArray, NDArray]:
@@ -163,15 +175,21 @@ class _Run:
         Z[:] = self.z
         return ts, Z
 
+    def frozen(self) -> bool:
+        """Whether the state's search box is the state itself on every
+        axis, where every candidate of a step equals it in value."""
+        lo, hi = search_boxes(self.prob, self.z[None])
+        return lo[0].tolist() == hi[0].tolist() == self.z.tolist()
+
     def failed(self, exc: Exception) -> None:
         """The block's own search raised ``exc``: raise it for a block of
-        one, else search a block of one next."""
+        one, else search blocks of one up to its end or to a move or cut."""
         if self.k == 1 or not isinstance(exc, ValueError):
             raise exc
         # the failing row may lie past a move, where the state never
         # starts from z, or past a chain's cut, where the chain started from
         # a pick that gave way: only a block of one raises
-        self.k = 1
+        self.stop, self.k = self.n + self.k, 1
 
     def advance(self, X: NDArray) -> Optional[DiscreteTrajectory]:
         """Keep the steps of the block up to its first move, given the
@@ -193,7 +211,10 @@ class _Run:
             raise ValueError("state entries must be finite")
         self.z = X[-1]
         self.n += m
-        self.k = min(2 * self.k, self.cap) if whole else 1
+        if not whole:
+            self.stop = 0  # the row that raised may lie past the move or cut
+        grown = min(self.growth * self.k, self.cap) if whole else 1
+        self.k = 1 if self.n < self.stop else self.cap if self.frozen() else grown
         if self.n < len(self.times):
             return None
         # every node's u at once: solve_u acts elementwise, so each gets
@@ -251,13 +272,14 @@ def solve_lockstep(
     their ``scheme_problem`` copies equal corrections: the runs of an E or
     VE tau sweep do, those of a BV tau sweep (whose correction scales with
     1/tau), a mu sweep or a k sweep do not.  Each round advances every
-    unfinished run of a group by its next block of steps (``_Run``), and
-    one ``global_min_rows`` call searches the rows of all of them.  The
-    runs of a problem that states I(t, .) convex share no search: each
-    chains its own block (``reduced.convex_chain``).  Every row gets the
-    bits it gets alone, so each run equals its solo run to the bit.  A run
-    whose own search raises, or that fails otherwise, drops out: its entry
-    is the exception, and the other runs go on.
+    unfinished run of a group by its next block of steps, sized by the run
+    alone (``_Run``: grown after a block kept whole, every remaining step
+    from a frozen state), and one ``global_min_rows`` call searches the
+    rows of all of them.  The runs of a problem that states I(t, .) convex
+    share no search: each chains its own block (``reduced.convex_chain``).
+    Every row gets the bits it gets alone, so each run equals its solo run
+    to the bit.  A run whose own search raises, or that fails otherwise,
+    drops out: its entry is the exception, and the other runs go on.
     """
     out: list = [None] * len(runs)
     # (problem, scheme problem, [(index, run)])

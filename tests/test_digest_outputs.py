@@ -63,6 +63,9 @@ def test_digests_every_output_of_one_config(tmp_path, capsys, kept):
         "delamination0d.ini sweep epsilon delamination0d_sweep_epsilon.csv",
         "delamination0d.ini sweep mu stdout rc=0",
         "delamination0d.ini sweep mu delamination0d_sweep_mu.csv",
+        "delamination0d.ini solve tau=0.001 stdout rc=0",
+        "delamination0d.ini solve tau=0.001 delamination0d_tau0.001_certificate.txt",
+        "delamination0d.ini solve tau=0.001 delamination0d_tau0.001_trajectory.csv",
     ]
     # the digests are of the bytes the command line writes, and no
     # temporary path leaks into them

@@ -229,14 +229,26 @@ def _counted_chains(monkeypatch):
     return calls
 
 
-def _doubling_blocks(n, cap):
-    """The blocks of a run of n steps kept whole: doubling from one row up
-    to cap, then cap rows until the steps run out."""
-    blocks, left = [], n
+# per n_z, the growth of a run's blocks: 1, 8, 64, 504 rows in 1-d and
+# 1, 2, 3 in 2-d, up to the cap of one chunk (``chunk_rows``)
+_GROWTH = {1: 8, 2: 2}
+
+
+def _grown_blocks(n, n_z=1):
+    """The blocks of a run of n steps kept whole: one row, growing by
+    ``_GROWTH[n_z]`` up to the cap, then cap rows until the steps run out."""
+    blocks, left, cap = [], n, reduced.chunk_rows(n_z)
     while left:
-        blocks.append(min(2 ** len(blocks), cap, left))
+        blocks.append(min(_GROWTH[n_z] ** len(blocks), cap, left))
         left -= blocks[-1]
     return blocks
+
+
+def _max_blocks(n, n_z=1):
+    """The most blocks a run of n steps kept whole takes: the growing ones
+    below the cap, then ceil(n / cap)."""
+    cap = reduced.chunk_rows(n_z)
+    return math.ceil(math.log(cap, _GROWTH[n_z])) + math.ceil(n / cap)
 
 
 def _searched(problem):
@@ -306,21 +318,21 @@ class TestStationaryBlocks:
             return
         # a convex run chains its steps, flowing or not, and makes no search:
         # O(log n + n / cap) chains, none cut
-        n, cap = len(disc.times) - 1, reduced.chunk_rows(1)
+        n = len(disc.times) - 1
         assert not calls
-        assert chains == [(rows, rows) for rows in _doubling_blocks(n, cap)]
-        assert len(chains) <= math.ceil(math.log2(cap)) + math.ceil(n / cap)
+        assert chains == [(rows, rows) for rows in _grown_blocks(n)]
+        assert len(chains) <= _max_blocks(n)
 
     def test_stationary_run_makes_few_searches(self, monkeypatch):
         prob = _searched(make_toy1d(Toy1dSpec(well="convex", ell=(0.0, 0.0))))
         cfg = SchemeConfig(scheme="E", tau=1e-3, initial_z=(0.3,))
         calls = _counted_rows(monkeypatch)
         disc = solve_incremental(prob, cfg)
-        n, cap = len(disc.times) - 1, reduced.chunk_rows(1)
-        # blocks double from one row up to cap, then take cap rows until
-        # the steps run out: O(log n + n / cap) searches, not n
-        assert [rows for rows, _ in calls] == _doubling_blocks(n, cap)
-        assert len(calls) <= math.ceil(math.log2(cap)) + math.ceil(n / cap)
+        n = len(disc.times) - 1
+        # blocks grow 1, 8, 64 rows up to the cap of 504, then take cap rows
+        # until the steps run out: O(log n + n / cap) searches, not n
+        assert [rows for rows, _ in calls] == _grown_blocks(n) == [1, 8, 64, 504, 423]
+        assert len(calls) <= _max_blocks(n)
         assert (_bits(disc.Z) == _bits(disc.Z[0])).all()
 
     def test_flowing_plasticity_run_makes_few_chains(self, plasticity, monkeypatch):
@@ -330,10 +342,10 @@ class TestStationaryBlocks:
         prob = plasticity.with_correction(TrivialH(p=4.0, c=1.0))
         calls, chains = _counted_rows(monkeypatch), _counted_chains(monkeypatch)
         disc = solve_incremental(prob, cfg)
-        n, cap = len(disc.times) - 1, reduced.chunk_rows(1)
+        n = len(disc.times) - 1
         assert n == 2000 and not calls
         assert (step_terms(disc.problem, disc.times, disc.Z)[0] > 0).all()
-        assert len(chains) <= math.ceil(math.log2(cap)) + math.ceil(n / cap)
+        assert len(chains) <= _max_blocks(n)
         _assert_same_bits(disc, _stepwise(prob, cfg))
 
     def test_picks_above_staying_put_give_way_in_the_chain(self, plasticity, monkeypatch):
@@ -356,8 +368,8 @@ class TestStationaryBlocks:
     def test_nan_derivative_part_way_raises_as_the_stepwise_loop(self, plasticity,
                                                                  monkeypatch):
         # the derivative map gives nan from t = 1.2 on, where the run flows:
-        # a chain over that row raises, and a block of one raises the step's
-        # own error, naming t and z_prev
+        # a chain over that row raises, once, and a block of one raises the
+        # step's own error, naming t and z_prev
         def dz(t, z):
             if isinstance(t, float):
                 return z - t if t < 1.195 else math.nan
@@ -372,18 +384,79 @@ class TestStationaryBlocks:
             _stepwise(bad, cfg)
         assert str(block.value) == str(step.value)
         assert "at t = 1.2 from z_prev = 0.1899" in str(block.value)
-        assert chains[-1] == (1, None) and any(rows > 1 and kept is None for rows, kept in chains)
+        assert chains[-1] == (1, None)
+        assert sum(rows > 1 and kept is None for rows, kept in chains) == 1
 
     def test_infeasible_row_past_a_move_does_not_escape(self, monkeypatch):
-        # the state leaves z = 0 at t = 0.6 inside the block of rows 0.4 to
-        # 0.7, whose row at t = 0.7 is infeasible from z = 0
+        # the state leaves z = 0 at t = 0.6 inside the block of rows 0.2 to
+        # 0.9, whose row at t = 0.7 is infeasible from z = 0.  That block is
+        # searched once: the run then takes blocks of one up to the move,
+        # and flows in blocks of one after it
         prob = _guarded_toy(0.65)
         cfg = SchemeConfig(scheme="E", tau=0.1, initial_z=(0.0,))
         calls = _counted_rows(monkeypatch)
         disc = solve_incremental(prob, cfg)
-        assert (4, True) in calls
+        assert calls == [(1, False), (8, True)] + [(1, False)] * 9
         _assert_same_bits(disc, _stepwise(prob, cfg))
         assert disc.Z[6, 0] > 0.1
+
+    @pytest.mark.parametrize(
+        "name, corr, cfg",
+        [
+            (
+                "delamination", TrivialH(p=2.0, c=1.0),
+                SchemeConfig(scheme="VE", tau=1e-2, initial_z=(1.0,)),
+            ),
+            (
+                "damage", TrivialH(p=4.0, c=1e-4),
+                SchemeConfig(scheme="VE", tau=2.5e-2, initial_z=(1.0, 1.0)),
+            ),
+        ],
+        ids=["delamination", "damage"],
+    )
+    def test_debonded_state_takes_full_blocks(self, name, corr, cfg, request, monkeypatch):
+        # before it debonds, the run's blocks grow 1, 8, 64 rows in 1-d and
+        # 1, 2, 3 in 2-d; once debonded, the state lies on the floor of its
+        # one-directional box, which is then the state itself: every
+        # remaining step is one block, up to the cap (504 rows in 1-d, 3 in 2-d)
+        prob = request.getfixturevalue(name).with_correction(corr)
+        calls = _counted_rows(monkeypatch)
+        disc = solve_incremental(prob, cfg)
+        _assert_same_bits(disc, _stepwise(prob, cfg))
+        n, cap = len(disc.times) - 1, reduced.chunk_rows(prob.n_z)
+        j = int(np.flatnonzero((disc.Z == 0).all(axis=1))[0])  # the first debonded node
+        rest = [min(cap, n - a) for a in range(j, n, cap)]
+        assert 0 < j < n and calls[-len(rest):] == [(rows, False) for rows in rest]
+        assert [rows for rows, _ in calls[:3]] == _grown_blocks(n, prob.n_z)[:3]
+        assert prob.n_z == 2 or len(rest) == 1  # in 1-d, one call for every debonded step
+
+    @pytest.mark.parametrize("z0, first", [(0.0, 100), (-1e-13, 1)], ids=["floor", "below"])
+    def test_state_below_the_floor_is_not_frozen(self, z0, first, delamination, monkeypatch):
+        # the scheme clips its start to the box; unclipped, z = -1e-13 lies
+        # inside the box's tolerance of 1e-12 but below its floor.  Its
+        # search box [0, 0] is not the state, so its first block is one
+        # row, whose step heals by 1e-13, within the dissipation's
+        # tolerance, onto the floor; from z = 0 every step is one block
+        monkeypatch.setattr(RisProblem, "clip", lambda self, z: np.asarray(z, dtype=float))
+        cfg = SchemeConfig(scheme="VE", tau=1e-2, initial_z=(z0,))
+        calls = _counted_rows(monkeypatch)
+        disc = solve_incremental(delamination, cfg)
+        _assert_same_bits(disc, _stepwise(delamination, cfg))
+        n = len(disc.times) - 1
+        assert calls == [(rows, False) for rows in (first, n - first) if rows]
+        assert disc.Z[0, 0] == z0 and (disc.Z[1:] == 0).all()
+
+    def test_adhesive_run_makes_few_searches(self, monkeypatch):
+        # shaped like a run of perfbench's debond1d k sweep: 200 steps from
+        # z = 1 with one jump to z = 0, in blocks of 1, 8, 64 and 127 rows,
+        # and the 66 steps from z = 0 in one block
+        prob = make_delamination0d(Delamination0dSpec(), brittle=False, k=100.0)
+        cfg = SchemeConfig(scheme="VE", tau=5e-3, initial_z=(1.0,))
+        calls = _counted_rows(monkeypatch)
+        disc = solve_incremental(prob, cfg)
+        _assert_same_bits(disc, _stepwise(prob, cfg))
+        assert len(disc.times) == 201 and len(disc.jump_records) == 1
+        assert len(calls) <= 5
 
     def test_infeasible_row_of_a_stuck_state_raises(self):
         # from z = 0, still stuck at t = 0.4, the step is infeasible: the
